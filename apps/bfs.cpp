@@ -16,18 +16,30 @@
 // metrics document gains a "delta" section reporting the repair scope.
 //
 // Exit codes: 0 ok / 1 internal / 2 usage / 3 bad input / 4 resource.
-#include <chrono>
-#include <optional>
-
 #include "algorithms/bfs/bfs.h"
-#include "algorithms/incremental.h"
 #include "common.h"
-#include "graphs/delta.h"
 
 using namespace pasgal;
 
+namespace {
+
+// The overlay-aware edge_map kernel the --updates repair maintains.
+constexpr const char* kRepairAlgo = "gbbs";
+
+// The first bfs row that runs a source batch: --sources without -a.
+std::string batch_algo() {
+  for (const AlgoSpec& row : algo_catalog()) {
+    if (row.family == std::string_view("bfs") && row.takes_batch()) {
+      return row.name;
+    }
+  }
+  return {};
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  std::string algo = "pasgal";
+  apps::Driver d("bfs");
   bool algo_given = false;
   long long source = 0;
   bool source_given = false;
@@ -37,37 +49,34 @@ int main(int argc, char** argv) {
   cli::OptionSet opts;
   cli::CommonOptions common;
   opts.integer("-s", &source, 0, 0xFFFFFFFFLL, "source", &source_given)
-      .choice("-a", &algo, {"pasgal", "gbbs", "gapbs", "seq", "ms"},
-              &algo_given)
+      .choice("-a", &d.algo, algo_names(d.family), &algo_given)
       .text("--sources", &sources_text, "v0,v1,...|@file")
       .text("--updates", &updates_path, "updates.plog")
       .integer("-t", &tau, 1, 0xFFFFFFFFLL, "tau");
   common.declare(opts);
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <graph> %s\n", argv[0],
-                 opts.usage().c_str());
-    return 2;
-  }
-  return apps::run_app([&]() {
-    opts.parse(argc, argv, 2);
-
-    std::vector<VertexId> batch_sources;
+  return apps::parse_and_run(argc, argv, opts, [&]() {
     if (!sources_text.empty()) {
       if (source_given) {
         throw Error(ErrorCategory::kUsage,
                     "-s conflicts with --sources: give one source or a batch");
       }
-      if (algo_given && algo != "ms") {
+      if (!algo_given) d.algo = batch_algo();
+      if (!algo_spec(d.family, d.algo).takes_batch()) {
         throw Error(ErrorCategory::kUsage,
-                    "--sources runs the bit-parallel ms kernel; -a " + algo +
+                    "--sources runs the bit-parallel ms kernel; -a " + d.algo +
                         " has no batch mode");
       }
-      algo = "ms";
-      batch_sources = cli::parse_sources(sources_text);
-    } else if (algo == "ms") {
+      d.sources = cli::parse_sources(sources_text);
+    } else if (!algo_spec(d.family, d.algo).takes_one()) {
       throw Error(ErrorCategory::kUsage,
-                  "-a ms needs a batch: give the sources via --sources");
+                  "-a " + d.algo +
+                      " needs a batch: give the sources via --sources");
     }
+    d.aopt.source = static_cast<VertexId>(source);
+    d.aopt.vgc.tau = static_cast<std::uint32_t>(tau);
+    d.record_flags = [&](MetricsDoc& doc) {
+      doc.set_param("tau", static_cast<std::uint64_t>(tau));
+    };
 
     if (!updates_path.empty()) {
       if (!sources_text.empty()) {
@@ -80,171 +89,30 @@ int main(int argc, char** argv) {
                     "--updates is stateful (each batch applies once); it "
                     "conflicts with --serve");
       }
-      if (algo_given && algo != "gbbs") {
+      if (algo_given && d.algo != kRepairAlgo) {
         throw Error(ErrorCategory::kUsage,
                     "--updates repairs through the overlay-aware edge_map "
                     "kernel; only -a gbbs applies");
       }
-      algo = "gbbs";
-    }
-
-    apps::ServeHarness serve(argv[1], common);
-    apps::LoadedGraph loaded;
-    std::optional<MetricsDoc> doc;
-    double best_batch_seconds = 0;  // fastest batch trial, for set_batch
-    while (serve.next()) {
-      loaded = serve.open(common);
-      Graph& g = loaded.graph;
-      if (batch_sources.empty() &&
-          static_cast<std::size_t>(source) >= g.num_vertices()) {
-        throw Error(ErrorCategory::kUsage,
-                    "source vertex " + std::to_string(source) +
-                        " out of range (graph has " +
-                        std::to_string(g.num_vertices()) + " vertices)");
-      }
-      Graph gt = g.transpose();
-      if (batch_sources.empty()) {
-        std::printf(
-            "graph: n=%zu m=%zu, source=%lld, algorithm=%s, workers=%d\n",
-            g.num_vertices(), g.num_edges(), source, algo.c_str(),
-            num_workers());
-      } else {
-        std::printf(
-            "graph: n=%zu m=%zu, batch of %zu sources, algorithm=%s, "
-            "workers=%d\n",
-            g.num_vertices(), g.num_edges(), batch_sources.size(),
-            algo.c_str(), num_workers());
-      }
-      std::printf("load: %s in %.4f s (%llu bytes mapped)\n",
-                  loaded.mode.c_str(), loaded.seconds,
-                  (unsigned long long)loaded.bytes_mapped);
-
-      Tracer tracer;
-      AlgoOptions aopt;
-      aopt.source = static_cast<VertexId>(source);
-      aopt.vgc.tau = static_cast<std::uint32_t>(tau);
-      aopt.validate = common.validate;
-      aopt.tracer = &tracer;
-
-      if (!doc) {
-        doc.emplace("bfs", algo, argv[1], g.num_vertices(), g.num_edges());
-        if (batch_sources.empty()) {
-          doc->set_param("source", static_cast<std::uint64_t>(source));
-        }
-        doc->set_param("tau", static_cast<std::uint64_t>(tau));
-      }
-
-      if (!batch_sources.empty()) {
-        BatchOptions bopt{batch_sources, aopt};
-        for (long long r = 0; r < common.repeats; ++r) {
-          BatchReport<std::vector<std::uint32_t>> report = ms_bfs(g, gt, bopt);
-          apps::print_stats(algo.c_str(), report.seconds, tracer);
-          std::printf("batch: %zu sources in %.4f s (%.1f queries/s)\n",
-                      report.batch_size(), report.seconds, report.qps());
-          doc->add_trial(report.seconds, report.telemetry);
-          if (r == 0 || report.seconds < best_batch_seconds) {
-            best_batch_seconds = report.seconds;
-          }
-          if (r == 0) {
-            for (std::size_t i = 0; i < report.per_source.size(); ++i) {
-              std::uint64_t reached = 0, ecc = 0;
-              for (auto d : report.per_source[i].output) {
-                if (d != kInfDist) {
-                  ++reached;
-                  ecc = std::max<std::uint64_t>(ecc, d);
-                }
-              }
-              std::printf(
-                  "batch source %u: reached %llu vertices, eccentricity "
-                  "%llu\n",
-                  batch_sources[i], (unsigned long long)reached,
-                  (unsigned long long)ecc);
-            }
-          }
-        }
-        continue;
-      }
-
-      if (!updates_path.empty()) {
-        // Baseline settle on the pristine graph, then batch-by-batch apply
-        // + in-place repair. Repeats don't apply: a batch folds into the
-        // overlay exactly once.
-        RunReport<std::vector<std::uint32_t>> base = gbbs_bfs(g, gt, aopt);
-        apps::print_stats("gbbs", base.seconds, tracer);
-        doc->add_trial(base.seconds, base.telemetry);
+      d.algo = kRepairAlgo;
+      // Baseline settle on the pristine graph, then batch-by-batch apply +
+      // in-place repair.
+      d.trials = [&](const Graph& g, const AlgoArgs& in, MetricsDoc& doc,
+                     const AlgoOptions& aopt) {
+        RunReport<std::vector<std::uint32_t>> base = gbbs_bfs(g, *in.gt, aopt);
+        apps::print_stats(kRepairAlgo, base.seconds, *aopt.tracer);
+        doc.add_trial(base.seconds, base.telemetry);
         std::vector<std::uint32_t> dist = std::move(base.output);
-        std::vector<std::vector<EdgeUpdate>> log =
-            read_update_log(updates_path);
-        std::uint64_t resettled = 0, full_settled = 0;
-        bool fallback = false;
-        for (std::size_t b = 0; b < log.size(); ++b) {
-          apply_updates(g, log[b]);
-          Tracer repair_tracer;
-          auto t0 = std::chrono::steady_clock::now();
-          IncrementalStats st = incremental_bfs(
-              g, gt, static_cast<VertexId>(source), log[b], dist);
-          double secs = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-          resettled += st.resettled;
-          full_settled += st.full_settled;
-          fallback = fallback || st.fallback;
-          std::printf("update batch %zu: %zu ops, resettled %llu of %llu "
-                      "vertices in %.4f s%s\n",
-                      b + 1, log[b].size(), (unsigned long long)st.resettled,
-                      (unsigned long long)st.full_settled, secs,
-                      st.fallback ? " (churn fallback: full recompute)" : "");
-          doc->add_trial(secs, repair_tracer.aggregate());
-        }
-        if (std::shared_ptr<const DeltaSnapshot> d =
-                g.storage() != nullptr ? g.storage()->delta_snapshot()
-                                       : nullptr) {
-          doc->set_delta(d->insert_count(), d->delete_count(), d->batches(),
-                         resettled, full_settled, fallback);
-        }
-        std::uint64_t reached = 0, ecc = 0;
-        for (auto dd : dist) {
-          if (dd != kInfDist) {
-            ++reached;
-            ecc = std::max<std::uint64_t>(ecc, dd);
-          }
-        }
-        std::printf("after updates: reached %llu vertices, eccentricity "
-                    "%llu\n",
-                    (unsigned long long)reached, (unsigned long long)ecc);
-        continue;
-      }
-
-      for (long long r = 0; r < common.repeats; ++r) {
-        RunReport<std::vector<std::uint32_t>> report =
-            algo == "pasgal"  ? pasgal_bfs(g, gt, aopt)
-            : algo == "gbbs"  ? gbbs_bfs(g, gt, aopt)
-            : algo == "gapbs" ? gapbs_bfs(g, gt, aopt)
-                              : seq_bfs(g, aopt);
-        apps::print_stats(algo.c_str(), report.seconds, tracer);
-        doc->add_trial(report.seconds, report.telemetry);
-        if (r == 0) {
-          std::uint64_t reached = 0, ecc = 0;
-          for (auto d : report.output) {
-            if (d != kInfDist) {
-              ++reached;
-              ecc = std::max<std::uint64_t>(ecc, d);
-            }
-          }
-          std::printf("reached %llu vertices, eccentricity %llu\n",
-                      (unsigned long long)reached, (unsigned long long)ecc);
-        }
-      }
+        IncrementalStats repair = apps::replay_repairs(
+            updates_path, g, doc, " (churn fallback: full recompute)",
+            [&](std::span<const EdgeUpdate> batch, Tracer* t) {
+              return incremental_bfs(g, *in.gt, aopt.source, batch, dist, {},
+                                     t);
+            });
+        std::printf("after updates: %s\n", bfs_summary(dist).c_str());
+        return repair;
+      };
     }
-    if (!batch_sources.empty()) {
-      doc->set_batch(batch_sources, best_batch_seconds);
-    }
-    // The recorded load is the final open: warm when serving, so the
-    // document shows the steady-state cost (0 new bytes on a registry hit).
-    apps::record_load(*doc, loaded);
-    apps::record_shard(*doc, loaded.graph);
-    serve.record(*doc);
-    apps::finish_metrics(common, *doc);
-    return 0;
+    return apps::run_driver(argv[1], common, d);
   });
 }

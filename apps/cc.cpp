@@ -14,149 +14,57 @@
 // document gains a "delta" section.
 //
 // Exit codes: 0 ok / 1 internal / 2 usage / 3 bad input / 4 resource.
-#include <chrono>
-#include <map>
-#include <optional>
-
 #include "algorithms/cc/cc.h"
-#include "algorithms/cc/ldd.h"
-#include "algorithms/incremental.h"
 #include "common.h"
-#include "graphs/delta.h"
 
 using namespace pasgal;
 
+namespace {
+
+// The union-find labelling the --updates repair maintains.
+constexpr const char* kRepairAlgo = "uf";
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  std::string algo = "uf";
+  apps::Driver d("cc");
   bool algo_given = false;
   std::string updates_path;
   cli::OptionSet opts;
   cli::CommonOptions common;
-  opts.choice("-a", &algo, {"uf", "lp", "ldd"}, &algo_given)
+  opts.choice("-a", &d.algo, algo_names(d.family), &algo_given)
       .text("--updates", &updates_path, "updates.plog");
   common.declare(opts);
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <graph> %s\n", argv[0],
-                 opts.usage().c_str());
-    return 2;
-  }
-  return apps::run_app([&]() {
-    opts.parse(argc, argv, 2);
-
+  return apps::parse_and_run(argc, argv, opts, [&]() {
     if (!updates_path.empty()) {
       if (common.serve != 0) {
         throw Error(ErrorCategory::kUsage,
                     "--updates is stateful (each batch applies once); it "
                     "conflicts with --serve");
       }
-      if (algo_given && algo != "uf") {
+      if (algo_given && d.algo != kRepairAlgo) {
         throw Error(ErrorCategory::kUsage,
                     "--updates repairs union-find labels; only -a uf applies");
       }
-      algo = "uf";
-    }
-
-    apps::ServeHarness serve(argv[1], common);
-    apps::LoadedGraph loaded;
-    std::optional<MetricsDoc> doc;
-    while (serve.next()) {
-      loaded = serve.open(common);
-      Graph g = loaded.graph.symmetrize();
-      std::printf(
-          "graph (symmetrized): n=%zu m=%zu, algorithm=%s, workers=%d\n",
-          g.num_vertices(), g.num_edges(), algo.c_str(), num_workers());
-      std::printf("load: %s in %.4f s (%llu bytes mapped)\n",
-                  loaded.mode.c_str(), loaded.seconds,
-                  (unsigned long long)loaded.bytes_mapped);
-
-      Tracer tracer;
-      AlgoOptions aopt;
-      aopt.validate = common.validate;
-      aopt.tracer = &tracer;
-
-      if (!doc) {
-        doc.emplace("cc", algo, argv[1], g.num_vertices(), g.num_edges());
-      }
-
-      if (!updates_path.empty()) {
-        // Baseline labels from the pristine symmetrized view, then
-        // batch-by-batch apply + in-place label repair on the directed base
-        // (incremental_cc symmetrizes through the overlay itself).
-        RunReport<ConnectivityResult> base = connected_components(g, aopt);
-        apps::print_stats("uf", base.seconds, tracer);
-        doc->add_trial(base.seconds, base.telemetry);
+      d.algo = kRepairAlgo;
+      // Baseline labels from the pristine symmetrized view, then
+      // batch-by-batch apply + in-place label repair on the directed base
+      // (incremental_cc symmetrizes through the overlay itself).
+      d.trials = [&](const Graph& g, const AlgoArgs& in, MetricsDoc& doc,
+                     const AlgoOptions& aopt) {
+        RunReport<ConnectivityResult> base = connected_components(*in.g, aopt);
+        apps::print_stats(kRepairAlgo, base.seconds, *aopt.tracer);
+        doc.add_trial(base.seconds, base.telemetry);
         std::vector<VertexId> label = std::move(base.output.label);
-        std::vector<std::vector<EdgeUpdate>> log =
-            read_update_log(updates_path);
-        std::uint64_t resettled = 0, full_settled = 0;
-        bool fallback = false;
-        for (std::size_t b = 0; b < log.size(); ++b) {
-          apply_updates(loaded.graph, log[b]);
-          Tracer repair_tracer;
-          auto t0 = std::chrono::steady_clock::now();
-          IncrementalStats st = incremental_cc(loaded.graph, log[b], label);
-          double secs = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-          resettled += st.resettled;
-          full_settled += st.full_settled;
-          fallback = fallback || st.fallback;
-          std::printf("update batch %zu: %zu ops, resettled %llu of %llu "
-                      "vertices in %.4f s%s\n",
-                      b + 1, log[b].size(), (unsigned long long)st.resettled,
-                      (unsigned long long)st.full_settled, secs,
-                      st.fallback ? " (delete fallback: full recompute)" : "");
-          doc->add_trial(secs, repair_tracer.aggregate());
-        }
-        if (std::shared_ptr<const DeltaSnapshot> d =
-                loaded.graph.storage() != nullptr
-                    ? loaded.graph.storage()->delta_snapshot()
-                    : nullptr) {
-          doc->set_delta(d->insert_count(), d->delete_count(), d->batches(),
-                         resettled, full_settled, fallback);
-        }
-        std::map<VertexId, std::size_t> sizes;
-        for (VertexId l : label) ++sizes[l];
-        std::size_t giant = 0;
-        for (auto& [l, s] : sizes) giant = std::max(giant, s);
-        std::printf("after updates: %zu components, largest has %zu "
-                    "vertices\n",
-                    sizes.size(), giant);
-        continue;
-      }
-
-      for (long long r = 0; r < common.repeats; ++r) {
-        double seconds;
-        RunTelemetry telemetry;
-        std::vector<VertexId> label;
-        if (algo == "uf") {
-          RunReport<ConnectivityResult> report = connected_components(g, aopt);
-          seconds = report.seconds;
-          telemetry = std::move(report.telemetry);
-          label = std::move(report.output.label);
-        } else {
-          RunReport<std::vector<VertexId>> report =
-              algo == "lp" ? label_prop_cc(g, aopt) : ldd_cc(g, aopt);
-          seconds = report.seconds;
-          telemetry = std::move(report.telemetry);
-          label = std::move(report.output);
-        }
-        apps::print_stats(algo.c_str(), seconds, tracer);
-        doc->add_trial(seconds, telemetry);
-        if (r == 0) {
-          std::map<VertexId, std::size_t> sizes;
-          for (VertexId l : label) ++sizes[l];
-          std::size_t giant = 0;
-          for (auto& [l, s] : sizes) giant = std::max(giant, s);
-          std::printf("%zu components, largest has %zu vertices\n",
-                      sizes.size(), giant);
-        }
-      }
+        IncrementalStats repair = apps::replay_repairs(
+            updates_path, g, doc, " (delete fallback: full recompute)",
+            [&](std::span<const EdgeUpdate> batch, Tracer* t) {
+              return incremental_cc(g, batch, label, {}, t);
+            });
+        std::printf("after updates: %s\n", cc_summary(label).c_str());
+        return repair;
+      };
     }
-    apps::record_load(*doc, loaded);
-    apps::record_shard(*doc, loaded.graph);
-    serve.record(*doc);
-    apps::finish_metrics(common, *doc);
-    return 0;
+    return apps::run_driver(argv[1], common, d);
   });
 }

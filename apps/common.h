@@ -3,10 +3,12 @@
 // fed by a graph file in .adj or .bin format, or a generator spec).
 //
 // Flag parsing lives in the library (pasgal/cli.h) so all drivers declare
-// options once via cli::OptionSet; this header keeps the driver-only pieces:
-// graph loading from specs, stdout stat lines, metrics emission, and the
-// run_app() wrapper that maps typed pasgal::Error failures onto the uniform
-// exit codes documented in README.md:
+// options once via cli::OptionSet; the variant list lives in the algorithm
+// catalog (algorithms/catalog.h). This header keeps the driver-only pieces:
+// graph loading from specs, stdout stat lines, metrics emission, the shared
+// open/repeat/metrics loop (run_driver), and the run_app() wrapper that maps
+// typed pasgal::Error failures onto the uniform exit codes documented in
+// README.md:
 //   0 ok / 1 internal error / 2 usage / 3 bad input / 4 resource limit.
 #pragma once
 
@@ -14,17 +16,20 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "algorithms/catalog.h"
+#include "graphs/delta.h"
 #include "graphs/generators.h"
 #include "graphs/graph_io.h"
 #include "graphs/registry.h"
 #include "pasgal/cli.h"
 #include "pasgal/error.h"
 #include "pasgal/resource.h"
-#include "pasgal/stats.h"
 #include "pasgal/telemetry.h"
 
 namespace pasgal::apps {
@@ -217,8 +222,12 @@ inline Graph load_graph(const std::string& spec, bool validate) {
 // the load mode, mapped bytes, and load wall time so the zero-copy claim is
 // checkable from the metrics document alone.
 struct LoadedGraph {
-  Graph graph;
+  Graph graph;  // weighted loads: the topology of `weighted`
+  WeightedGraph<std::uint32_t> weighted;  // weighted loads only
   std::string mode;  // "adj" | "bin" | "pgr-mmap" | "pgr-copy" | "generated"
+  // Weighted loads: the weights came from the file's weights section
+  // ("file") or were generated in-process ("generated"). Empty otherwise.
+  std::string weights_origin;
   // Bytes newly mapped by *this* load: the file size for a cold mmap open,
   // 0 for a registry hit (the mapping already existed) and for heap loads.
   std::uint64_t bytes_mapped = 0;
@@ -248,8 +257,11 @@ inline bool finish_load_accounting(const GraphRegistry::Stats& before,
 
 }  // namespace internal
 
+// `weighted_file`: the .pgr carries a weights section, mapped alongside the
+// topology (see load_weighted_graph_timed).
 inline LoadedGraph load_graph_timed(const std::string& spec,
-                                    const CommonOptions& common) {
+                                    const CommonOptions& common,
+                                    bool weighted_file = false) {
   internal::apply_mem_limit(common);
   PgrShardSpec shard = internal::shard_spec(spec, common);
   auto t0 = std::chrono::steady_clock::now();
@@ -259,7 +271,14 @@ inline LoadedGraph load_graph_timed(const std::string& spec,
     PgrOpen mode =
         common.load_mode == "copy" ? PgrOpen::kCopy : PgrOpen::kMmap;
     PgrOpenStats stats;
-    out.graph = read_pgr(spec, mode, common.validate, &stats, shard);
+    if (weighted_file) {
+      out.weighted =
+          read_weighted_pgr(spec, mode, common.validate, &stats, shard);
+      out.graph = out.weighted.unweighted();
+      out.weights_origin = "file";
+    } else {
+      out.graph = read_pgr(spec, mode, common.validate, &stats, shard);
+    }
     out.compressed = stats.compressed;
     out.encoded_bytes = stats.encoded_target_bytes;
     out.decode_wall_ns = stats.decode_wall_ns;
@@ -284,25 +303,11 @@ inline LoadedGraph load_graph_timed(const std::string& spec,
   return out;
 }
 
-// A weighted graph plus provenance: weights either came from the file's
-// weights section ("file") or were generated in-process ("generated").
-struct LoadedWeightedGraph {
-  WeightedGraph<std::uint32_t> graph;
-  std::string mode;
-  std::string weights_origin;  // "file" | "generated"
-  std::uint64_t bytes_mapped = 0;
-  double seconds = 0;
-  bool registry_hit = false;
-  bool compressed = false;  // see LoadedGraph
-  std::uint64_t encoded_bytes = 0;
-  std::uint64_t decode_wall_ns = 0;
-};
-
 // Weighted load for the sssp driver: a weighted `.pgr` supplies its own
 // weights section (zero-copy alongside the topology); everything else loads
 // the topology and attaches deterministic generated weights. Passing -w
 // with a weighted file is a usage error — the flag could not take effect.
-inline LoadedWeightedGraph load_weighted_graph_timed(
+inline LoadedGraph load_weighted_graph_timed(
     const std::string& spec, const CommonOptions& common,
     std::uint32_t max_weight, bool max_weight_given) {
   internal::apply_mem_limit(common);
@@ -313,32 +318,7 @@ inline LoadedWeightedGraph load_weighted_graph_timed(
                       "': the file carries a weights section; drop -w to use "
                       "it, or convert the graph without --weights");
     }
-    PgrShardSpec shard = internal::shard_spec(spec, common);
-    auto t0 = std::chrono::steady_clock::now();
-    GraphRegistry::Stats before = GraphRegistry::instance().stats();
-    LoadedWeightedGraph out;
-    PgrOpen mode =
-        common.load_mode == "copy" ? PgrOpen::kCopy : PgrOpen::kMmap;
-    PgrOpenStats stats;
-    out.graph = read_weighted_pgr(spec, mode, common.validate, &stats, shard);
-    out.compressed = stats.compressed;
-    out.encoded_bytes = stats.encoded_target_bytes;
-    out.decode_wall_ns = stats.decode_wall_ns;
-    out.mode = mode == PgrOpen::kCopy ? "pgr-copy" : "pgr-mmap";
-    out.weights_origin = "file";
-    if (common.validate) {
-      std::printf("validate: ok (n=%zu m=%zu)\n", out.graph.num_vertices(),
-                  out.graph.num_edges());
-    }
-    out.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (out.graph.unweighted().storage() != nullptr) {
-      out.bytes_mapped = out.graph.unweighted().storage()->bytes_mapped();
-    }
-    out.registry_hit =
-        internal::finish_load_accounting(before, out.bytes_mapped);
-    return out;
+    return load_graph_timed(spec, common, /*weighted_file=*/true);
   }
   LoadedGraph base = load_graph_timed(spec, common);
   if (base.graph.windowed()) {
@@ -350,24 +330,10 @@ inline LoadedWeightedGraph load_weighted_graph_timed(
                     "every edge target — impossible through a sharded "
                     "compressed open; convert with --weights to embed them");
   }
-  LoadedWeightedGraph out;
-  out.graph = gen::add_weights(base.graph, max_weight);
-  out.mode = base.mode;
-  out.weights_origin = "generated";
-  out.bytes_mapped = base.bytes_mapped;
-  out.seconds = base.seconds;
-  out.registry_hit = base.registry_hit;
-  out.compressed = base.compressed;
-  out.encoded_bytes = base.encoded_bytes;
-  out.decode_wall_ns = base.decode_wall_ns;
-  return out;
-}
-
-inline void record_load_params(MetricsDoc& doc, const std::string& mode,
-                               std::uint64_t bytes_mapped, double seconds) {
-  doc.set_param("load_mode", mode);
-  doc.set_param("load_bytes_mapped", bytes_mapped);
-  doc.set_param("load_wall_ns", static_cast<std::uint64_t>(seconds * 1e9));
+  base.weighted = gen::add_weights(base.graph, max_weight);
+  base.graph = base.weighted.unweighted();
+  base.weights_origin = "generated";
+  return base;
 }
 
 // Compression trio (schema-checked to travel together): emitted only for
@@ -389,39 +355,17 @@ inline void record_compression(MetricsDoc& doc, std::uint64_t num_edges,
 }
 
 inline void record_load(MetricsDoc& doc, const LoadedGraph& loaded) {
-  record_load_params(doc, loaded.mode, loaded.bytes_mapped, loaded.seconds);
+  doc.set_param("load_mode", loaded.mode);
+  doc.set_param("load_bytes_mapped", loaded.bytes_mapped);
+  doc.set_param("load_wall_ns",
+                static_cast<std::uint64_t>(loaded.seconds * 1e9));
+  if (!loaded.weights_origin.empty()) {
+    doc.set_param("weights", loaded.weights_origin);
+  }
   if (loaded.compressed) {
     record_compression(doc, loaded.graph.num_edges(), loaded.encoded_bytes,
                        loaded.decode_wall_ns);
   }
-}
-
-inline void record_load(MetricsDoc& doc, const LoadedWeightedGraph& loaded) {
-  record_load_params(doc, loaded.mode, loaded.bytes_mapped, loaded.seconds);
-  doc.set_param("weights", loaded.weights_origin);
-  if (loaded.compressed) {
-    record_compression(doc, loaded.graph.num_edges(), loaded.encoded_bytes,
-                       loaded.decode_wall_ns);
-  }
-}
-
-// Shard-at-a-time accounting: when the open was sharded (the storage carries
-// a plan + window), emits the top-level "shard" metrics object. Activation
-// counters are summed over the forward window and the transpose's own window
-// (when the file carried transpose sections), so shard_sweeps reflects every
-// window move the run paid for. Call once, after the trials.
-inline void record_shard(MetricsDoc& doc, const Graph& g) {
-  const StorageRef& storage = g.storage();
-  if (storage == nullptr || storage->shard_window() == nullptr) return;
-  const MappedWindow& w = *storage->shard_window();
-  std::uint64_t sweeps = w.sweeps();
-  std::uint64_t faults = w.faults();
-  if (StorageRef t = storage->transpose_cache();
-      t != nullptr && t->shard_window() != nullptr) {
-    sweeps += t->shard_window()->sweeps();
-    faults += t->shard_window()->faults();
-  }
-  doc.set_shard(w.plan().size(), w.plan().window_bytes(), sweeps, faults);
 }
 
 // --- serving-mode harness ----------------------------------------------------
@@ -450,15 +394,7 @@ inline void install_serve_stop_handlers() {
 // one process, as a cold-vs-warm harness for the GraphRegistry. The cold
 // open of a mmap'ed .pgr is pinned, so the mapping survives the Graph being
 // dropped between iterations and every warm open is a registry hit mapping
-// zero new bytes. Usage pattern (see the drivers):
-//
-//   ServeHarness serve(argv[1], common);
-//   while (serve.next()) {
-//     auto loaded = serve.open(common);
-//     ... run repeats, add trials ...
-//   }
-//   apps::record_load(doc, loaded);  // final open: warm when serving
-//   serve.record(doc);
+// zero new bytes. run_driver() is its one user.
 class ServeHarness {
  public:
   ServeHarness(std::string spec, const CommonOptions& common)
@@ -486,21 +422,6 @@ class ServeHarness {
 
   bool cold() const { return iteration_ == 0; }
 
-  LoadedGraph open(const CommonOptions& common) {
-    LoadedGraph out = load_graph_timed(spec_, common);
-    note_open(out.mode, out.registry_hit, out.bytes_mapped);
-    return out;
-  }
-
-  LoadedWeightedGraph open_weighted(const CommonOptions& common,
-                                    std::uint32_t max_weight,
-                                    bool max_weight_given) {
-    LoadedWeightedGraph out = load_weighted_graph_timed(
-        spec_, common, max_weight, max_weight_given);
-    note_open(out.mode, out.registry_hit, out.bytes_mapped);
-    return out;
-  }
-
   // Registry counters as process-lifetime deltas since harness construction
   // (once per document — duplicate set_param keys would corrupt the JSON).
   void record(MetricsDoc& doc) const {
@@ -516,22 +437,23 @@ class ServeHarness {
     }
   }
 
- private:
-  void note_open(const std::string& mode, bool registry_hit,
-                 std::uint64_t new_bytes) {
+  // Accounts one open of the input: pins the cold mmap open when serving,
+  // and reports each warm open's registry outcome.
+  void note_open(const LoadedGraph& out) {
     if (cold()) {
-      if (total_opens_ > 1 && mode == "pgr-mmap") {
+      if (total_opens_ > 1 && out.mode == "pgr-mmap") {
         GraphRegistry::instance().pin(spec_);
       }
       return;
     }
-    warm_new_bytes_ += new_bytes;
+    warm_new_bytes_ += out.bytes_mapped;
     std::printf("serve: open %lld/%lld %s (%llu new bytes mapped)\n",
                 iteration_ + 1, total_opens_,
-                registry_hit ? "registry hit" : "registry miss",
-                (unsigned long long)new_bytes);
+                out.registry_hit ? "registry hit" : "registry miss",
+                (unsigned long long)out.bytes_mapped);
   }
 
+ private:
   std::string spec_;
   long long total_opens_;
   long long iteration_ = -1;
@@ -542,7 +464,8 @@ class ServeHarness {
 
 // --- driver scaffolding ------------------------------------------------------
 
-inline void print_stats(const char* algo, double seconds, const RunStats& stats) {
+inline void print_stats(const char* algo, double seconds,
+                        const Tracer& stats) {
   std::printf("%s: %.4f s | rounds %llu | edges scanned %llu | "
               "vertices visited %llu | max frontier %llu\n",
               algo, seconds, (unsigned long long)stats.rounds(),
@@ -560,6 +483,172 @@ inline void finish_metrics(const CommonOptions& common, MetricsDoc& doc) {
   write_metrics_json(common.json_metrics, doc).throw_if_error();
   std::printf("metrics: wrote %s (%zu trials)\n", common.json_metrics.c_str(),
               doc.num_trials());
+}
+
+// --- the shared driver loop --------------------------------------------------
+
+// What a family driver hands run_driver(): the -a choice and tuning flags,
+// plus hooks for the few steps a driver does its own way.
+struct Driver {
+  explicit Driver(const char* family_name)
+      : family(family_name), algo(algo_names(family_name).front()) {}
+
+  const char* family;
+  std::string algo;               // the -a choice: a catalog row of `family`
+  AlgoOptions aopt;               // tuning flags; `source` for sourced rows
+  std::vector<VertexId> sources;  // --sources batch; empty for single runs
+  // Weighted rows: -w, the range of generated weights (and whether given).
+  std::uint32_t max_weight = 100;
+  bool max_weight_given = false;
+  // Driver flags for the metrics params, recorded once at the first open.
+  std::function<void(MetricsDoc&)> record_flags;
+  // Runs on each open after the input is prepared, before the graph line
+  // (pagerank --updates replays its log here).
+  std::function<void(const Graph& loaded)> after_open;
+  // Replaces the repeat loop (the incremental --updates modes): records its
+  // own trials and returns the repair scope for the "delta" section.
+  std::function<IncrementalStats(const Graph& loaded, const AlgoArgs& in,
+                                 MetricsDoc& doc, const AlgoOptions& opt)>
+      trials;
+};
+
+// The open/repeat/metrics loop every driver shares: open the input (N+1
+// times under --serve N), prepare the row's input, print the graph and load
+// lines, run the row `repeats` times (a stat line each, the result line
+// after the first), and write the metrics document. The recorded load is the
+// final open: warm when serving, so the document shows the steady-state cost
+// (0 new bytes on a registry hit).
+inline int run_driver(const std::string& spec, const CommonOptions& common,
+                      const Driver& d) {
+  const AlgoSpec& row = algo_spec(d.family, d.algo);
+  const bool batch = !d.sources.empty();
+  const bool sourced = row.takes_one() && !batch;
+  const bool weighted = row.input == AlgoInput::kWeighted;
+  ServeHarness serve(spec, common);
+  LoadedGraph loaded;
+  std::optional<MetricsDoc> doc;
+  IncrementalStats repair;
+  bool recorded_params = false;
+  double best_batch_seconds = 0;  // fastest batch trial, for set_batch
+  while (serve.next()) {
+    loaded = weighted ? load_weighted_graph_timed(spec, common, d.max_weight,
+                                                  d.max_weight_given)
+                      : load_graph_timed(spec, common);
+    serve.note_open(loaded);
+    if (sourced && d.aopt.source >= loaded.graph.num_vertices()) {
+      throw Error(ErrorCategory::kUsage,
+                  "source vertex " + std::to_string(d.aopt.source) +
+                      " out of range (graph has " +
+                      std::to_string(loaded.graph.num_vertices()) +
+                      " vertices)");
+    }
+    AlgoArgs in;
+    in.g = &loaded.graph;
+    in.wg = &loaded.weighted;
+    in.sources = d.sources;
+    Graph prepared;
+    if (row.input == AlgoInput::kTranspose) {
+      prepared = loaded.graph.transpose();
+      in.gt = &prepared;
+    } else if (row.input == AlgoInput::kSymmetric) {
+      prepared = loaded.graph.symmetrize();
+      in.g = &prepared;
+    }
+    if (d.after_open) d.after_open(loaded.graph);
+
+    const Graph& g = *in.g;
+    std::string what =
+        batch ? "batch of " + std::to_string(d.sources.size()) + " sources, "
+        : sourced ? "source=" + std::to_string(d.aopt.source) + ", "
+                  : "";
+    std::string weights =
+        weighted ? "weights=" + loaded.weights_origin + ", " : "";
+    std::printf("graph%s: n=%zu m=%zu, %salgorithm=%s, %sworkers=%d\n",
+                row.input == AlgoInput::kSymmetric ? " (symmetrized)" : "",
+                g.num_vertices(), g.num_edges(), what.c_str(),
+                d.algo.c_str(), weights.c_str(), num_workers());
+    std::printf("load: %s in %.4f s (%llu bytes mapped)\n",
+                loaded.mode.c_str(), loaded.seconds,
+                (unsigned long long)loaded.bytes_mapped);
+
+    Tracer tracer;
+    AlgoOptions aopt = d.aopt;
+    aopt.tracer = &tracer;
+    if (!doc) {
+      doc.emplace(d.family, d.algo, spec, g.num_vertices(), g.num_edges());
+      if (sourced) {
+        doc->set_param("source", static_cast<std::uint64_t>(aopt.source));
+      }
+      if (d.record_flags) d.record_flags(*doc);
+    }
+
+    if (d.trials) {
+      repair = d.trials(loaded.graph, in, *doc, aopt);
+      continue;
+    }
+    for (long long r = 0; r < common.repeats; ++r) {
+      in.summarize = r == 0;
+      AlgoRun run = row.run(in, aopt);
+      print_stats(d.algo.c_str(), run.seconds, tracer);
+      if (batch) {
+        std::printf("batch: %zu sources in %.4f s (%.1f queries/s)\n",
+                    d.sources.size(), run.seconds,
+                    run.seconds > 0 ? static_cast<double>(d.sources.size()) /
+                                          run.seconds
+                                    : 0);
+        if (r == 0 || run.seconds < best_batch_seconds) {
+          best_batch_seconds = run.seconds;
+        }
+      }
+      doc->add_trial(run.seconds, run.telemetry);
+      if (r == 0 && !recorded_params) {
+        recorded_params = true;
+        for (const auto& [name, value] : run.params) {
+          doc->set_param(name, value);
+        }
+      }
+      if (r == 0) std::printf("%s\n", run.summary.c_str());
+    }
+  }
+  if (batch) doc->set_batch(d.sources, best_batch_seconds);
+  record_load(*doc, loaded);
+  record_shard(*doc, loaded.graph);
+  record_delta(*doc, loaded.graph, repair);
+  serve.record(*doc);
+  finish_metrics(common, *doc);
+  return 0;
+}
+
+// The incremental --updates loop (bfs, cc): applies each batch of the log to
+// `g` as a delta overlay, repairs in place through `repair(batch, tracer)`,
+// and records one traced trial per batch. Repeats don't apply: a batch folds
+// into the overlay exactly once. Returns the summed repair scope.
+template <typename Repair>
+IncrementalStats replay_repairs(const std::string& log_path, const Graph& g,
+                                MetricsDoc& doc, const char* fallback_note,
+                                Repair&& repair) {
+  IncrementalStats total;
+  std::vector<std::vector<EdgeUpdate>> log = read_update_log(log_path);
+  for (std::size_t b = 0; b < log.size(); ++b) {
+    apply_updates(g, log[b]);
+    Tracer tracer;
+    auto t0 = std::chrono::steady_clock::now();
+    IncrementalStats st =
+        repair(std::span<const EdgeUpdate>(log[b]), &tracer);
+    double secs =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    total.resettled += st.resettled;
+    total.full_settled += st.full_settled;
+    total.fallback = total.fallback || st.fallback;
+    std::printf("update batch %zu: %zu ops, resettled %llu of %llu vertices "
+                "in %.4f s%s\n",
+                b + 1, log[b].size(), (unsigned long long)st.resettled,
+                (unsigned long long)st.full_settled, secs,
+                st.fallback ? fallback_note : "");
+    doc.add_trial(secs, tracer.aggregate());
+  }
+  return total;
 }
 
 // Uniform error-to-exit-code mapping for the app drivers. The body either
@@ -581,6 +670,22 @@ int run_app(Body&& body) {
     std::fprintf(stderr, "error [internal] %s\n", e.what());
     return 1;
   }
+}
+
+// A driver's main() after its flag declarations: prints usage without a
+// graph argument (exit 2), else parses argv and runs `body` under run_app.
+template <typename Body>
+int parse_and_run(int argc, char** argv, const cli::OptionSet& opts,
+                  Body&& body) {
+  if (argc < 2) {
+    std::fprintf(stderr, "usage: %s <graph> %s\n", argv[0],
+                 opts.usage().c_str());
+    return 2;
+  }
+  return run_app([&]() {
+    opts.parse(argc, argv, 2);
+    return body();
+  });
 }
 
 }  // namespace pasgal::apps

@@ -6,76 +6,23 @@
 //         [--validate] [--json-metrics <path>]
 //
 // Exit codes: 0 ok / 1 internal / 2 usage / 3 bad input / 4 resource.
-#include <optional>
-
-#include "algorithms/kcore/kcore.h"
 #include "common.h"
 
 using namespace pasgal;
 
 int main(int argc, char** argv) {
-  std::string algo = "pasgal";
+  apps::Driver d("kcore");
   long long tau = 512;
   cli::OptionSet opts;
   cli::CommonOptions common;
-  opts.choice("-a", &algo, {"pasgal", "seq"})
+  opts.choice("-a", &d.algo, algo_names(d.family))
       .integer("-t", &tau, 1, 0xFFFFFFFFLL, "tau");
   common.declare(opts);
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <graph> %s\n", argv[0],
-                 opts.usage().c_str());
-    return 2;
-  }
-  return apps::run_app([&]() {
-    opts.parse(argc, argv, 2);
-
-    apps::ServeHarness serve(argv[1], common);
-    apps::LoadedGraph loaded;
-    std::optional<MetricsDoc> doc;
-    while (serve.next()) {
-      loaded = serve.open(common);
-      Graph g = loaded.graph.symmetrize();
-      std::printf(
-          "graph (symmetrized): n=%zu m=%zu, algorithm=%s, workers=%d\n",
-          g.num_vertices(), g.num_edges(), algo.c_str(), num_workers());
-      std::printf("load: %s in %.4f s (%llu bytes mapped)\n",
-                  loaded.mode.c_str(), loaded.seconds,
-                  (unsigned long long)loaded.bytes_mapped);
-
-      Tracer tracer;
-      AlgoOptions aopt;
-      aopt.vgc.tau = static_cast<std::uint32_t>(tau);
-      aopt.validate = common.validate;
-      aopt.tracer = &tracer;
-
-      if (!doc) {
-        doc.emplace("kcore", algo, argv[1], g.num_vertices(), g.num_edges());
-        doc->set_param("tau", static_cast<std::uint64_t>(tau));
-      }
-
-      for (long long r = 0; r < common.repeats; ++r) {
-        RunReport<std::vector<std::uint32_t>> report =
-            algo == "pasgal" ? pasgal_kcore(g, aopt) : seq_kcore(g, aopt);
-        apps::print_stats(algo.c_str(), report.seconds, tracer);
-        doc->add_trial(report.seconds, report.telemetry);
-        if (r == 0) {
-          std::uint32_t max_core = 0;
-          for (std::uint32_t c : report.output) {
-            max_core = std::max(max_core, c);
-          }
-          std::size_t in_max = 0;
-          for (std::uint32_t c : report.output) {
-            if (c == max_core) ++in_max;
-          }
-          std::printf("max coreness %u, %zu vertices in the max core\n",
-                      max_core, in_max);
-        }
-      }
-    }
-    apps::record_load(*doc, loaded);
-    apps::record_shard(*doc, loaded.graph);
-    serve.record(*doc);
-    apps::finish_metrics(common, *doc);
-    return 0;
+  return apps::parse_and_run(argc, argv, opts, [&]() {
+    d.aopt.vgc.tau = static_cast<std::uint32_t>(tau);
+    d.record_flags = [&](MetricsDoc& doc) {
+      doc.set_param("tau", static_cast<std::uint64_t>(tau));
+    };
+    return apps::run_driver(argv[1], common, d);
   });
 }

@@ -19,116 +19,48 @@
 // gains a "delta" section.
 //
 // Exit codes: 0 ok / 1 internal / 2 usage / 3 bad input / 4 resource.
-#include <optional>
-
-#include "algorithms/pagerank/pagerank.h"
 #include "common.h"
-#include "graphs/delta.h"
 
 using namespace pasgal;
 
 int main(int argc, char** argv) {
-  std::string algo = "pasgal";
+  apps::Driver d("pagerank");
   long long iterations = 100;
   double epsilon = 1e-7;
   double damping = 0.85;
   std::string updates_path;
   cli::OptionSet opts;
   cli::CommonOptions common;
-  opts.choice("-a", &algo, {"pasgal", "seq"})
+  opts.choice("-a", &d.algo, algo_names(d.family))
       .integer("-i", &iterations, 1, 1000000, "max_iterations")
       .real("--epsilon", &epsilon, 0.0, 1.0, "eps")
       .real("--damping", &damping, 0.0, 1.0, "d")
       .text("--updates", &updates_path, "updates.plog");
   common.declare(opts);
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <graph> %s\n", argv[0],
-                 opts.usage().c_str());
-    return 2;
-  }
-  return apps::run_app([&]() {
-    opts.parse(argc, argv, 2);
-
-    apps::ServeHarness serve(argv[1], common);
-    apps::LoadedGraph loaded;
-    std::optional<MetricsDoc> doc;
-    bool recorded_result = false;
-    if (!updates_path.empty() && common.serve != 0) {
-      throw Error(ErrorCategory::kUsage,
-                  "--updates is stateful (the log replays once); it "
-                  "conflicts with --serve");
-    }
-    while (serve.next()) {
-      loaded = serve.open(common);
-      Graph& g = loaded.graph;
-      Graph gt = g.transpose();
-      if (!updates_path.empty()) {
+  return apps::parse_and_run(argc, argv, opts, [&]() {
+    d.aopt.pagerank_iterations = static_cast<std::uint32_t>(iterations);
+    d.aopt.pagerank_epsilon = epsilon;
+    d.aopt.pagerank_damping = damping;
+    d.record_flags = [&](MetricsDoc& doc) {
+      doc.set_param("max_iterations", static_cast<std::uint64_t>(iterations));
+      doc.set_param("epsilon", epsilon);
+      doc.set_param("damping", damping);
+    };
+    if (!updates_path.empty()) {
+      if (common.serve != 0) {
+        throw Error(ErrorCategory::kUsage,
+                    "--updates is stateful (the log replays once); it "
+                    "conflicts with --serve");
+      }
+      d.after_open = [&](const Graph& g) {
         ApplyStats st = replay_update_log(g, updates_path);
         std::printf("replayed %s: %llu pending inserts, %llu pending "
                     "deletes (%llu batches)\n",
                     updates_path.c_str(), (unsigned long long)st.inserts,
                     (unsigned long long)st.deletes,
                     (unsigned long long)st.batches);
-      }
-      std::printf("graph: n=%zu m=%zu, algorithm=%s, workers=%d\n",
-                  g.num_vertices(), g.num_edges(), algo.c_str(),
-                  num_workers());
-      std::printf("load: %s in %.4f s (%llu bytes mapped)\n",
-                  loaded.mode.c_str(), loaded.seconds,
-                  (unsigned long long)loaded.bytes_mapped);
-
-      Tracer tracer;
-      AlgoOptions aopt;
-      aopt.pagerank_iterations = static_cast<std::uint32_t>(iterations);
-      aopt.pagerank_epsilon = epsilon;
-      aopt.pagerank_damping = damping;
-      aopt.validate = common.validate;
-      aopt.tracer = &tracer;
-
-      if (!doc) {
-        doc.emplace("pagerank", algo, argv[1], g.num_vertices(),
-                    g.num_edges());
-        doc->set_param("max_iterations",
-                       static_cast<std::uint64_t>(iterations));
-        doc->set_param("epsilon", epsilon);
-        doc->set_param("damping", damping);
-      }
-
-      for (long long r = 0; r < common.repeats; ++r) {
-        RunReport<PagerankResult> report = algo == "pasgal"
-                                               ? pasgal_pagerank(g, gt, aopt)
-                                               : seq_pagerank(g, gt, aopt);
-        apps::print_stats(algo.c_str(), report.seconds, tracer);
-        doc->add_trial(report.seconds, report.telemetry);
-        if (r == 0 && !recorded_result) {
-          recorded_result = true;
-          doc->set_param("iterations",
-                         static_cast<std::uint64_t>(report.output.iterations));
-        }
-        if (r == 0) {
-          const std::vector<double>& rank = report.output.rank;
-          std::size_t best = 0;
-          for (std::size_t v = 1; v < rank.size(); ++v) {
-            if (rank[v] > rank[best]) best = v;
-          }
-          std::printf("converged after %u rounds (delta %.17g), top vertex "
-                      "%zu with rank %.17g\n",
-                      report.output.iterations, report.output.delta, best,
-                      rank.empty() ? 0.0 : rank[best]);
-        }
-      }
+      };
     }
-    apps::record_load(*doc, loaded);
-    apps::record_shard(*doc, loaded.graph);
-    if (std::shared_ptr<const DeltaSnapshot> d =
-            loaded.graph.storage() != nullptr
-                ? loaded.graph.storage()->delta_snapshot()
-                : nullptr) {
-      doc->set_delta(d->insert_count(), d->delete_count(), d->batches(), 0, 0,
-                     false);
-    }
-    serve.record(*doc);
-    apps::finish_metrics(common, *doc);
-    return 0;
+    return apps::run_driver(argv[1], common, d);
   });
 }

@@ -4,78 +4,23 @@
 //       [--serve N] [--validate] [--json-metrics <path>]
 //
 // Exit codes: 0 ok / 1 internal / 2 usage / 3 bad input / 4 resource.
-#include <map>
-#include <optional>
-
-#include "algorithms/scc/scc.h"
 #include "common.h"
 
 using namespace pasgal;
 
 int main(int argc, char** argv) {
-  std::string algo = "pasgal";
+  apps::Driver d("scc");
   long long tau = 512;
   cli::OptionSet opts;
   cli::CommonOptions common;
-  opts.choice("-a", &algo, {"pasgal", "gbbs", "multistep", "seq"})
+  opts.choice("-a", &d.algo, algo_names(d.family))
       .integer("-t", &tau, 1, 0xFFFFFFFFLL, "tau");
   common.declare(opts);
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <graph> %s\n", argv[0],
-                 opts.usage().c_str());
-    return 2;
-  }
-  return apps::run_app([&]() {
-    opts.parse(argc, argv, 2);
-
-    apps::ServeHarness serve(argv[1], common);
-    apps::LoadedGraph loaded;
-    std::optional<MetricsDoc> doc;
-    while (serve.next()) {
-      loaded = serve.open(common);
-      Graph& g = loaded.graph;
-      Graph gt = g.transpose();
-      std::printf("graph: n=%zu m=%zu, algorithm=%s, workers=%d\n",
-                  g.num_vertices(), g.num_edges(), algo.c_str(),
-                  num_workers());
-      std::printf("load: %s in %.4f s (%llu bytes mapped)\n",
-                  loaded.mode.c_str(), loaded.seconds,
-                  (unsigned long long)loaded.bytes_mapped);
-
-      Tracer tracer;
-      AlgoOptions aopt;
-      aopt.vgc.tau = static_cast<std::uint32_t>(tau);
-      aopt.validate = common.validate;
-      aopt.tracer = &tracer;
-
-      if (!doc) {
-        doc.emplace("scc", algo, argv[1], g.num_vertices(), g.num_edges());
-        doc->set_param("tau", static_cast<std::uint64_t>(tau));
-      }
-
-      for (long long r = 0; r < common.repeats; ++r) {
-        RunReport<std::vector<SccLabel>> report =
-            algo == "pasgal"      ? pasgal_scc(g, gt, aopt)
-            : algo == "gbbs"      ? gbbs_scc(g, gt, aopt)
-            : algo == "multistep" ? multistep_scc(g, gt, aopt)
-                                  : tarjan_scc(g, aopt);
-        apps::print_stats(algo.c_str(), report.seconds, tracer);
-        doc->add_trial(report.seconds, report.telemetry);
-        if (r == 0) {
-          auto norm = normalize_scc_labels(report.output);
-          std::map<VertexId, std::size_t> sizes;
-          for (auto l : norm) ++sizes[l];
-          std::size_t giant = 0;
-          for (auto& [l, s] : sizes) giant = std::max(giant, s);
-          std::printf("%zu SCCs, largest has %zu vertices\n", sizes.size(),
-                      giant);
-        }
-      }
-    }
-    apps::record_load(*doc, loaded);
-    apps::record_shard(*doc, loaded.graph);
-    serve.record(*doc);
-    apps::finish_metrics(common, *doc);
-    return 0;
+  return apps::parse_and_run(argc, argv, opts, [&]() {
+    d.aopt.vgc.tau = static_cast<std::uint32_t>(tau);
+    d.record_flags = [&](MetricsDoc& doc) {
+      doc.set_param("tau", static_cast<std::uint64_t>(tau));
+    };
+    return apps::run_driver(argv[1], common, d);
   });
 }

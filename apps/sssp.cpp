@@ -15,167 +15,50 @@
 // and -a seq are per-query baselines.
 //
 // Exit codes: 0 ok / 1 internal / 2 usage / 3 bad input / 4 resource.
-#include <optional>
-
-#include "algorithms/sssp/sssp.h"
 #include "common.h"
 
 using namespace pasgal;
 
 int main(int argc, char** argv) {
-  std::string algo = "rho";
-  bool algo_given = false;
+  apps::Driver d("sssp");
   long long source = 0;
   bool source_given = false;
   std::string sources_text;
   long long max_weight = 100;
-  bool max_weight_given = false;
   long long delta = 32;
   long long tau = 512;
   cli::OptionSet opts;
   cli::CommonOptions common;
   opts.integer("-s", &source, 0, 0xFFFFFFFFLL, "source", &source_given)
-      .choice("-a", &algo, {"rho", "delta", "bf", "em", "seq"}, &algo_given)
+      .choice("-a", &d.algo, algo_names(d.family))
       .text("--sources", &sources_text, "v0,v1,...|@file")
       .integer("-w", &max_weight, 1, 0xFFFFFFFFLL, "max_weight",
-               &max_weight_given)
+               &d.max_weight_given)
       .integer("-d", &delta, 1, 1LL << 40, "delta")
       .integer("-t", &tau, 1, 0xFFFFFFFFLL, "tau");
   common.declare(opts);
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <graph> %s\n", argv[0],
-                 opts.usage().c_str());
-    return 2;
-  }
-  return apps::run_app([&]() {
-    opts.parse(argc, argv, 2);
-
-    std::vector<VertexId> batch_sources;
+  return apps::parse_and_run(argc, argv, opts, [&]() {
     if (!sources_text.empty()) {
       if (source_given) {
         throw Error(ErrorCategory::kUsage,
                     "-s conflicts with --sources: give one source or a batch");
       }
-      if (algo_given && algo != "rho" && algo != "delta") {
+      if (!algo_spec(d.family, d.algo).takes_batch()) {
         throw Error(ErrorCategory::kUsage,
-                    "--sources batches the stepping framework; -a " + algo +
+                    "--sources batches the stepping framework; -a " + d.algo +
                         " has no batch mode (use rho or delta)");
       }
-      batch_sources = cli::parse_sources(sources_text);
+      d.sources = cli::parse_sources(sources_text);
     }
-
-    apps::ServeHarness serve(argv[1], common);
-    apps::LoadedWeightedGraph loaded;
-    std::optional<MetricsDoc> doc;
-    double best_batch_seconds = 0;  // fastest batch trial, for set_batch
-    while (serve.next()) {
-      loaded = serve.open_weighted(
-          common, static_cast<std::uint32_t>(max_weight), max_weight_given);
-      WeightedGraph<std::uint32_t>& g = loaded.graph;
-      if (batch_sources.empty() &&
-          static_cast<std::size_t>(source) >= g.num_vertices()) {
-        throw Error(ErrorCategory::kUsage,
-                    "source vertex " + std::to_string(source) +
-                        " out of range (graph has " +
-                        std::to_string(g.num_vertices()) + " vertices)");
-      }
-      if (batch_sources.empty()) {
-        std::printf(
-            "graph: n=%zu m=%zu, source=%lld, algorithm=%s, weights=%s, "
-            "workers=%d\n",
-            g.num_vertices(), g.num_edges(), source, algo.c_str(),
-            loaded.weights_origin.c_str(), num_workers());
-      } else {
-        std::printf(
-            "graph: n=%zu m=%zu, batch of %zu sources, algorithm=%s, "
-            "weights=%s, workers=%d\n",
-            g.num_vertices(), g.num_edges(), batch_sources.size(),
-            algo.c_str(), loaded.weights_origin.c_str(), num_workers());
-      }
-      std::printf("load: %s in %.4f s (%llu bytes mapped)\n",
-                  loaded.mode.c_str(), loaded.seconds,
-                  (unsigned long long)loaded.bytes_mapped);
-
-      Tracer tracer;
-      AlgoOptions aopt;
-      aopt.source = static_cast<VertexId>(source);
-      aopt.vgc.tau = static_cast<std::uint32_t>(tau);
-      aopt.sssp_delta_mode = algo == "delta";
-      aopt.sssp_delta = static_cast<std::uint64_t>(delta);
-      aopt.validate = common.validate;
-      aopt.tracer = &tracer;
-
-      if (!doc) {
-        doc.emplace("sssp", algo, argv[1], g.num_vertices(), g.num_edges());
-        if (batch_sources.empty()) {
-          doc->set_param("source", static_cast<std::uint64_t>(source));
-        }
-        doc->set_param("max_weight", static_cast<std::uint64_t>(max_weight));
-        doc->set_param("delta", static_cast<std::uint64_t>(delta));
-        doc->set_param("tau", static_cast<std::uint64_t>(tau));
-      }
-
-      if (!batch_sources.empty()) {
-        BatchOptions bopt{batch_sources, aopt};
-        for (long long r = 0; r < common.repeats; ++r) {
-          BatchReport<std::vector<Dist>> report = batch_sssp(g, bopt);
-          apps::print_stats(algo.c_str(), report.seconds, tracer);
-          std::printf("batch: %zu sources in %.4f s (%.1f queries/s)\n",
-                      report.batch_size(), report.seconds, report.qps());
-          doc->add_trial(report.seconds, report.telemetry);
-          if (r == 0 || report.seconds < best_batch_seconds) {
-            best_batch_seconds = report.seconds;
-          }
-          if (r == 0) {
-            for (std::size_t i = 0; i < report.per_source.size(); ++i) {
-              std::uint64_t reached = 0;
-              Dist far = 0;
-              for (auto d : report.per_source[i].output) {
-                if (d != kInfWeightDist) {
-                  ++reached;
-                  far = std::max(far, d);
-                }
-              }
-              std::printf(
-                  "batch source %u: reached %llu vertices, weighted "
-                  "eccentricity %llu\n",
-                  batch_sources[i], (unsigned long long)reached,
-                  (unsigned long long)far);
-            }
-          }
-        }
-        continue;
-      }
-
-      for (long long r = 0; r < common.repeats; ++r) {
-        RunReport<std::vector<Dist>> report =
-            algo == "rho" || algo == "delta" ? stepping_sssp(g, aopt)
-            : algo == "bf"                   ? bellman_ford(g, aopt)
-            : algo == "em"                   ? em_bellman_ford(g, aopt)
-                                             : dijkstra(g, aopt);
-        apps::print_stats(algo.c_str(), report.seconds, tracer);
-        doc->add_trial(report.seconds, report.telemetry);
-        if (r == 0) {
-          std::uint64_t reached = 0;
-          Dist far = 0;
-          for (auto d : report.output) {
-            if (d != kInfWeightDist) {
-              ++reached;
-              far = std::max(far, d);
-            }
-          }
-          std::printf("reached %llu vertices, weighted eccentricity %llu\n",
-                      (unsigned long long)reached, (unsigned long long)far);
-        }
-      }
-    }
-    if (!batch_sources.empty()) {
-      doc->set_batch(batch_sources, best_batch_seconds);
-    }
-    apps::record_load(*doc, loaded);
-    apps::record_shard(*doc, loaded.graph.unweighted());
-    serve.record(*doc);
-    apps::finish_metrics(common, *doc);
-    return 0;
+    d.aopt.source = static_cast<VertexId>(source);
+    d.aopt.vgc.tau = static_cast<std::uint32_t>(tau);
+    d.aopt.sssp_delta = static_cast<std::uint64_t>(delta);
+    d.max_weight = static_cast<std::uint32_t>(max_weight);
+    d.record_flags = [&](MetricsDoc& doc) {
+      doc.set_param("max_weight", static_cast<std::uint64_t>(max_weight));
+      doc.set_param("delta", static_cast<std::uint64_t>(delta));
+      doc.set_param("tau", static_cast<std::uint64_t>(tau));
+    };
+    return apps::run_driver(argv[1], common, d);
   });
 }

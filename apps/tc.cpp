@@ -7,69 +7,17 @@
 //      [--validate] [--json-metrics <path>]
 //
 // Exit codes: 0 ok / 1 internal / 2 usage / 3 bad input / 4 resource.
-#include <optional>
-
-#include "algorithms/tc/tc.h"
 #include "common.h"
 
 using namespace pasgal;
 
 int main(int argc, char** argv) {
-  std::string algo = "pasgal";
+  apps::Driver d("tc");
   cli::OptionSet opts;
   cli::CommonOptions common;
-  opts.choice("-a", &algo, {"pasgal", "seq"});
+  opts.choice("-a", &d.algo, algo_names(d.family));
   common.declare(opts);
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <graph> %s\n", argv[0],
-                 opts.usage().c_str());
-    return 2;
-  }
-  return apps::run_app([&]() {
-    opts.parse(argc, argv, 2);
-
-    apps::ServeHarness serve(argv[1], common);
-    apps::LoadedGraph loaded;
-    std::optional<MetricsDoc> doc;
-    bool recorded_result = false;
-    while (serve.next()) {
-      loaded = serve.open(common);
-      Graph g = loaded.graph.symmetrize();
-      std::printf(
-          "graph (symmetrized): n=%zu m=%zu, algorithm=%s, workers=%d\n",
-          g.num_vertices(), g.num_edges(), algo.c_str(), num_workers());
-      std::printf("load: %s in %.4f s (%llu bytes mapped)\n",
-                  loaded.mode.c_str(), loaded.seconds,
-                  (unsigned long long)loaded.bytes_mapped);
-
-      Tracer tracer;
-      AlgoOptions aopt;
-      aopt.validate = common.validate;
-      aopt.tracer = &tracer;
-
-      if (!doc) {
-        doc.emplace("tc", algo, argv[1], g.num_vertices(), g.num_edges());
-      }
-
-      for (long long r = 0; r < common.repeats; ++r) {
-        RunReport<std::uint64_t> report =
-            algo == "pasgal" ? pasgal_tc(g, aopt) : seq_tc(g, aopt);
-        apps::print_stats(algo.c_str(), report.seconds, tracer);
-        doc->add_trial(report.seconds, report.telemetry);
-        if (r == 0 && !recorded_result) {
-          recorded_result = true;
-          doc->set_param("triangles", report.output);
-        }
-        if (r == 0) {
-          std::printf("%llu triangles\n",
-                      (unsigned long long)report.output);
-        }
-      }
-    }
-    apps::record_load(*doc, loaded);
-    apps::record_shard(*doc, loaded.graph);
-    serve.record(*doc);
-    apps::finish_metrics(common, *doc);
-    return 0;
+  return apps::parse_and_run(argc, argv, opts, [&]() {
+    return apps::run_driver(argv[1], common, d);
   });
 }

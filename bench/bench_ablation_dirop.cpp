@@ -27,7 +27,7 @@ int main() {
     for (bool use_dense : {true, false}) {
       PasgalBfsParams params;
       params.use_dense = use_dense;
-      RunStats stats;
+      Tracer stats;
       double t = time_seconds(
           [&] { pasgal_bfs(g, spec.directed ? gt : g, source, params, &stats); });
       std::printf("%-12s %12.4f %10llu %14llu\n", use_dense ? "on" : "off", t,

@@ -24,13 +24,13 @@ int main() {
     for (std::uint32_t tau : taus) {
       PasgalBfsParams bfs_params;
       bfs_params.vgc.tau = tau;
-      RunStats bfs_stats;
+      Tracer bfs_stats;
       double t_bfs = time_seconds(
           [&] { pasgal_bfs(g, gt, 0, bfs_params, &bfs_stats); });
 
       SccParams scc_params;
       scc_params.vgc.tau = tau;
-      RunStats scc_stats;
+      Tracer scc_stats;
       double t_scc =
           time_seconds([&] { pasgal_scc(g, gt, scc_params, &scc_stats); });
 

@@ -24,7 +24,7 @@ int main() {
     }
     Graph g0 = spec.build();
     Graph g = spec.directed ? g0.symmetrize() : g0;
-    RunStats seq_stats, flat_stats, vgc_stats;
+    Tracer seq_stats, flat_stats, vgc_stats;
     std::vector<std::uint32_t> ref, a, b;
     double t_seq = time_seconds([&] { ref = seq_kcore(g, &seq_stats); });
     KcoreParams flat;
@@ -51,7 +51,7 @@ int main() {
     Graph gt = g.transpose();
     auto labels = normalize_scc_labels(pasgal_scc(g, gt));
     Condensation cond = scc_condensation(g, labels);
-    RunStats flat_stats, vgc_stats;
+    Tracer flat_stats, vgc_stats;
     ToposortParams flat;
     flat.vgc.tau = 1;
     std::vector<std::uint32_t> a, b, ref;
@@ -80,7 +80,7 @@ int main() {
     auto gt = g.transpose();
     VertexId s = 0;
     VertexId t = static_cast<VertexId>(g.num_vertices() - 1);
-    RunStats uni_stats, bi_stats;
+    Tracer uni_stats, bi_stats;
     Dist d1 = ppsp_dijkstra(g, s, t, &uni_stats);
     Dist d2 = ppsp_bidirectional(g, gt, s, t, &bi_stats);
     std::printf("%-10s %16llu %16llu %16s\n", spec.name.c_str(),

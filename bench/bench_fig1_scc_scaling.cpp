@@ -26,7 +26,7 @@ int main() {
     Graph g = spec.build();
     Graph gt = g.transpose();
 
-    RunStats seq_stats, pasgal_stats, gbbs_stats, multi_stats;
+    Tracer seq_stats, pasgal_stats, gbbs_stats, multi_stats;
     double t_seq = time_seconds([&] { tarjan_scc(g, &seq_stats); });
     time_seconds([&] { pasgal_scc(g, gt, {}, &pasgal_stats); });
     time_seconds([&] { gbbs_scc(g, gt, {}, &gbbs_stats); });
@@ -42,7 +42,7 @@ int main() {
     std::printf("%-10s", "P");
     for (int p : processors) std::printf(" %8d", p);
     std::printf("\n");
-    auto series = [&](const char* name, const RunStats& stats) {
+    auto series = [&](const char* name, const Tracer& stats) {
       std::printf("%-10s", name);
       for (int p : processors) {
         std::printf(" %8.3f", proj.speedup_at(p, stats, seq_ns));

@@ -41,7 +41,7 @@ int main() {
     // --- BFS panel.
     {
       VertexId source = max_degree_vertex(g);
-      RunStats seq_stats, s1, s2, s3;
+      Tracer seq_stats, s1, s2, s3;
       double t_seq = time_seconds([&] { seq_bfs(g, source, &seq_stats); });
       time_seconds([&] { pasgal_bfs(g, gt_ref, source, {}, &s1); });
       time_seconds([&] { gbbs_bfs(g, gt_ref, source, &s2); });
@@ -54,7 +54,7 @@ int main() {
     }
     // --- SCC panel (directed only, as in the paper).
     if (spec.directed) {
-      RunStats seq_stats, s1, s2, s3;
+      Tracer seq_stats, s1, s2, s3;
       double t_seq = time_seconds([&] { tarjan_scc(g, &seq_stats); });
       time_seconds([&] { pasgal_scc(g, gt, {}, &s1); });
       time_seconds([&] { gbbs_scc(g, gt, {}, &s2); });
@@ -68,7 +68,7 @@ int main() {
     // --- BCC panel (symmetrized).
     {
       Graph sym = spec.directed ? g.symmetrize() : g;
-      RunStats seq_stats, s1, s2, s3;
+      Tracer seq_stats, s1, s2, s3;
       double t_seq = time_seconds([&] { hopcroft_tarjan_bcc(sym, &seq_stats); });
       time_seconds([&] { fast_bcc(sym, &s1); });
       time_seconds([&] { gbbs_bcc(sym, &s2); });

@@ -16,7 +16,7 @@
 #include "algorithms/bfs/bfs.h"
 #include "graphs/generators.h"
 #include "graphs/graph_io.h"
-#include "pasgal/stats.h"
+#include "pasgal/telemetry.h"
 
 namespace pasgal::bench {
 
@@ -129,7 +129,7 @@ struct Projection {
     return compute + sync;
   }
 
-  double time_at(int p, const RunStats& stats) const {
+  double time_at(int p, const Tracer& stats) const {
     return time_from(p, double(stats.edges_scanned()),
                      double(stats.vertices_visited()), double(stats.rounds()));
   }
@@ -139,7 +139,7 @@ struct Projection {
                      double(t.rounds.size()));
   }
 
-  double speedup_at(int p, const RunStats& stats, double seq_time_ns) const {
+  double speedup_at(int p, const Tracer& stats, double seq_time_ns) const {
     return seq_time_ns / time_at(p, stats);
   }
 
@@ -156,7 +156,7 @@ inline Projection calibrate_from(double seq_seconds, double work) {
   return proj;
 }
 
-inline Projection calibrate(double seq_seconds, const RunStats& seq_stats) {
+inline Projection calibrate(double seq_seconds, const Tracer& seq_stats) {
   return calibrate_from(seq_seconds,
                         double(seq_stats.edges_scanned() +
                                seq_stats.vertices_visited()));

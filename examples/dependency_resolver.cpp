@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
 
   // Build schedule over the condensation.
   Condensation cond = scc_condensation(g, labels);
-  RunStats topo_stats;
+  Tracer topo_stats;
   std::vector<std::uint32_t> levels;
   if (Status s = pasgal_toposort(cond.dag, levels, {}, &topo_stats); !s.ok()) {
     std::printf("internal error: %s\n", s.to_string().c_str());

@@ -17,7 +17,7 @@ using namespace pasgal;
 namespace {
 
 void audit(const char* label, const Graph& g) {
-  RunStats stats;
+  Tracer stats;
   BccResult bcc = fast_bcc(g, &stats);
   auto cuts = articulation_points(g, bcc);
   std::size_t bridges = count_bridges(g, bcc);

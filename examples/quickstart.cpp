@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
               g.num_edges());
 
   // --- BFS with vertical granularity control ------------------------------
-  RunStats bfs_stats;
+  Tracer bfs_stats;
   auto dist = pasgal_bfs(g, gt, /*source=*/0, {}, &bfs_stats);
   std::uint64_t reached = 0, max_d = 0;
   for (auto d : dist) {
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
               cc.num_components, cc.forest.size());
 
   // --- strongly connected components ---------------------------------------
-  RunStats scc_stats;
+  Tracer scc_stats;
   auto scc = pasgal_scc(g, gt, {}, &scc_stats);
   auto norm = normalize_scc_labels(scc);
   std::size_t giant = 0;

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
 
   // Strong connectivity tells the same story globally: every address in the
   // depot's SCC has a legal route both ways.
-  RunStats scc_stats;
+  Tracer scc_stats;
   auto scc = normalize_scc_labels(pasgal_scc(streets, streets_rev, {}, &scc_stats));
   std::size_t same_scc = 0;
   for (auto label : scc) {

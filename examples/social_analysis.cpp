@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
               (unsigned long long)followers.out_degree(celebrity));
 
   // Degrees of separation along follower edges (who hears the celebrity).
-  RunStats bfs_stats;
+  Tracer bfs_stats;
   auto hops = pasgal_bfs(follows, followers, celebrity, {}, &bfs_stats);
   std::map<std::uint32_t, std::size_t> histogram;
   std::size_t unreachable = 0;

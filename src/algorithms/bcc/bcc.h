@@ -22,7 +22,7 @@
 
 #include "graphs/graph.h"
 #include "pasgal/options.h"
-#include "pasgal/stats.h"
+#include "pasgal/telemetry.h"
 
 namespace pasgal {
 
@@ -32,14 +32,14 @@ struct BccResult {
   std::size_t num_bccs = 0;
 };
 
-BccResult hopcroft_tarjan_bcc(const Graph& g, RunStats* stats = nullptr);
-BccResult fast_bcc(const Graph& g, RunStats* stats = nullptr);
-BccResult tarjan_vishkin_bcc(const Graph& g, RunStats* stats = nullptr);
+BccResult hopcroft_tarjan_bcc(const Graph& g, Tracer* stats = nullptr);
+BccResult fast_bcc(const Graph& g, Tracer* stats = nullptr);
+BccResult tarjan_vishkin_bcc(const Graph& g, Tracer* stats = nullptr);
 
 // GBBS-style baseline: FAST-BCC's post-processing on a BFS spanning forest —
 // the level-synchronous BFS costs O(D) rounds, which is what the paper's
 // BCC comparison penalizes on large-diameter graphs.
-BccResult gbbs_bcc(const Graph& g, RunStats* stats = nullptr);
+BccResult gbbs_bcc(const Graph& g, Tracer* stats = nullptr);
 
 // --- Modern entry points (algorithms/run_api.cpp) ---------------------------
 RunReport<BccResult> hopcroft_tarjan_bcc(const Graph& g,

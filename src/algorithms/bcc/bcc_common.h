@@ -10,7 +10,7 @@
 #include "algorithms/tree/euler.h"
 #include "algorithms/tree/range_query.h"
 #include "graphs/graph.h"
-#include "pasgal/stats.h"
+#include "pasgal/telemetry.h"
 
 namespace pasgal::internal {
 
@@ -36,7 +36,7 @@ struct BccPrep {
 inline BccPrep bcc_preprocess_from_forest(const Graph& g,
                                           std::span<const Edge> forest_edges,
                                           std::span<const VertexId> comp_label,
-                                          RunStats* stats = nullptr) {
+                                          Tracer* stats = nullptr) {
   std::size_t n = g.num_vertices();
   std::size_t m = g.num_edges();
   BccPrep prep;
@@ -101,13 +101,13 @@ inline BccPrep bcc_preprocess_from_forest(const Graph& g,
   return prep;
 }
 
-inline BccPrep bcc_preprocess(const Graph& g, RunStats* stats = nullptr) {
+inline BccPrep bcc_preprocess(const Graph& g, Tracer* stats = nullptr) {
   ConnectivityResult cc = connected_components(g, stats);
   return bcc_preprocess_from_forest(g, cc.forest, cc.label, stats);
 }
 
 // Steps 4-5 of FAST-BCC (skeleton + connectivity + labels); defined in
 // fast_bcc.cpp, shared with gbbs_bcc.
-BccResult bcc_from_prep(const Graph& g, const BccPrep& prep, RunStats* stats);
+BccResult bcc_from_prep(const Graph& g, const BccPrep& prep, Tracer* stats);
 
 }  // namespace pasgal::internal

@@ -11,7 +11,7 @@ namespace pasgal {
 // global synchronization per level. This is the paper's point about GBBS's
 // BCC: the O(D) BFS rounds dominate on large-diameter graphs (the remainder
 // of the pipeline is round-efficient).
-BccResult gbbs_bcc(const Graph& g, RunStats* stats) {
+BccResult gbbs_bcc(const Graph& g, Tracer* stats) {
   std::size_t n = g.num_vertices();
   if (n == 0) return {};
 

@@ -20,7 +20,7 @@ EdgeId reverse_slot(const Graph& g, VertexId u, VertexId v) {
 // subtree cannot reach above the current vertex, the edges on the stack
 // down to the tree edge form one biconnected component. Fully iterative —
 // recursion would overflow on the paper's large-diameter inputs.
-BccResult hopcroft_tarjan_bcc(const Graph& g, RunStats* stats) {
+BccResult hopcroft_tarjan_bcc(const Graph& g, Tracer* stats) {
   std::size_t n = g.num_vertices();
   std::size_t m = g.num_edges();
   constexpr std::uint32_t kUnvisited = static_cast<std::uint32_t>(-1);

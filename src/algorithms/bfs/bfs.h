@@ -23,7 +23,7 @@
 #include "graphs/graph.h"
 #include "pasgal/cancel.h"
 #include "pasgal/options.h"
-#include "pasgal/stats.h"
+#include "pasgal/telemetry.h"
 #include "pasgal/vgc.h"
 
 namespace pasgal {
@@ -31,13 +31,13 @@ namespace pasgal {
 inline constexpr std::uint32_t kInfDist = static_cast<std::uint32_t>(-1);
 
 std::vector<std::uint32_t> seq_bfs(const Graph& g, VertexId source,
-                                   RunStats* stats = nullptr);
+                                   Tracer* stats = nullptr);
 
 // `gt` is the transpose (pass g itself for symmetric graphs); needed for the
 // dense (pull) direction. `cancel`, when non-null, is checked at every
 // level boundary (throws kTimeout on expiry).
 std::vector<std::uint32_t> gbbs_bfs(const Graph& g, const Graph& gt,
-                                    VertexId source, RunStats* stats = nullptr,
+                                    VertexId source, Tracer* stats = nullptr,
                                     const CancelToken* cancel = nullptr);
 
 struct GapbsParams {
@@ -46,7 +46,7 @@ struct GapbsParams {
 };
 std::vector<std::uint32_t> gapbs_bfs(const Graph& g, const Graph& gt,
                                      VertexId source, GapbsParams params = {},
-                                     RunStats* stats = nullptr);
+                                     Tracer* stats = nullptr);
 
 struct PasgalBfsParams {
   VgcParams vgc;
@@ -66,7 +66,7 @@ struct PasgalBfsParams {
 std::vector<std::uint32_t> pasgal_bfs(const Graph& g, const Graph& gt,
                                       VertexId source,
                                       PasgalBfsParams params = {},
-                                      RunStats* stats = nullptr);
+                                      Tracer* stats = nullptr);
 
 // --- bit-parallel multi-source BFS ------------------------------------------
 // Each vertex carries a 64-bit `seen` mask (sources that have reached it) and
@@ -89,7 +89,7 @@ struct MsBfsParams {
 std::vector<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
                                                std::span<const VertexId> sources,
                                                MsBfsParams params = {},
-                                               RunStats* stats = nullptr);
+                                               Tracer* stats = nullptr);
 
 // --- Modern entry points (algorithms/run_api.cpp) ---------------------------
 // Source, tuning knobs and tracer come from AlgoOptions; the result bundles

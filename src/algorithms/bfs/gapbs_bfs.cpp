@@ -11,7 +11,7 @@ namespace pasgal {
 // below n/beta. Still one global synchronization per level.
 std::vector<std::uint32_t> gapbs_bfs(const Graph& g, const Graph& gt,
                                      VertexId source, GapbsParams params,
-                                     RunStats* stats) {
+                                     Tracer* stats) {
   // The bottom-up loop below indexes in_frontier[u] with raw gt targets
   // (it bypasses edge_map and its validation choke point), so un-deep-
   // validated mmap handles are checked here.

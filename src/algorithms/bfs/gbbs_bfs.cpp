@@ -9,7 +9,7 @@ namespace pasgal {
 // switching. One global synchronization per level — the O(D) rounds the
 // paper identifies as the large-diameter bottleneck.
 std::vector<std::uint32_t> gbbs_bfs(const Graph& g, const Graph& gt,
-                                    VertexId source, RunStats* stats,
+                                    VertexId source, Tracer* stats,
                                     const CancelToken* cancel) {
   std::size_t n = g.num_vertices();
   std::vector<std::atomic<std::uint32_t>> dist(n);

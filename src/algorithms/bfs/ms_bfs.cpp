@@ -43,7 +43,7 @@ namespace pasgal {
 std::vector<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
                                                std::span<const VertexId> sources,
                                                MsBfsParams params,
-                                               RunStats* stats) {
+                                               Tracer* stats) {
   check_batch_sources(sources, g.num_vertices());
   g.ensure_validated();
   gt.ensure_validated();

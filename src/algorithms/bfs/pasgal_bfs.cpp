@@ -41,7 +41,7 @@ std::uint32_t entry_dist(std::uint64_t e) {
 //    the best low-diameter BFS implementations.
 std::vector<std::uint32_t> pasgal_bfs(const Graph& g, const Graph& gt,
                                       VertexId source, PasgalBfsParams params,
-                                      RunStats* stats) {
+                                      Tracer* stats) {
   std::size_t n = g.num_vertices();
   std::size_t m = g.num_edges();
   std::vector<std::atomic<std::uint32_t>> dist(n);

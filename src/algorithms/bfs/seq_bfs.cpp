@@ -6,7 +6,7 @@ namespace pasgal {
 
 // The paper's sequential baseline: textbook queue-based BFS.
 std::vector<std::uint32_t> seq_bfs(const Graph& g, VertexId source,
-                                   RunStats* stats) {
+                                   Tracer* stats) {
   std::vector<std::uint32_t> dist(g.num_vertices(), kInfDist);
   std::queue<VertexId> queue;
   dist[source] = 0;

@@ -13,7 +13,7 @@
 
 #include "graphs/graph.h"
 #include "pasgal/options.h"
-#include "pasgal/stats.h"
+#include "pasgal/telemetry.h"
 
 namespace pasgal {
 
@@ -27,11 +27,11 @@ struct ConnectivityResult {
 
 // Treats every directed edge {u,v} as undirected. Work O(m alpha(n)).
 ConnectivityResult connected_components(const Graph& g,
-                                        RunStats* stats = nullptr);
+                                        Tracer* stats = nullptr);
 
 // Label propagation: rounds of min-label exchange until fixpoint. Returns
 // min-vertex labels like connected_components (no forest).
-std::vector<VertexId> label_prop_cc(const Graph& g, RunStats* stats = nullptr);
+std::vector<VertexId> label_prop_cc(const Graph& g, Tracer* stats = nullptr);
 
 // --- Modern entry points (algorithms/run_api.cpp) ---------------------------
 RunReport<ConnectivityResult> connected_components(const Graph& g,

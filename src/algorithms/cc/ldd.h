@@ -16,7 +16,7 @@
 
 #include "graphs/graph.h"
 #include "pasgal/options.h"
-#include "pasgal/stats.h"
+#include "pasgal/telemetry.h"
 
 namespace pasgal {
 
@@ -28,12 +28,12 @@ struct LddResult {
 };
 
 LddResult ldd(const Graph& g, double beta = 0.2, std::uint64_t seed = 1,
-              RunStats* stats = nullptr);
+              Tracer* stats = nullptr);
 
 // Connectivity labels (min vertex per component, same contract as
 // connected_components) computed by repeated LDD + contraction.
 std::vector<VertexId> ldd_cc(const Graph& g, double beta = 0.2,
-                             std::uint64_t seed = 1, RunStats* stats = nullptr);
+                             std::uint64_t seed = 1, Tracer* stats = nullptr);
 
 // --- Modern entry point (algorithms/run_api.cpp) ----------------------------
 // beta/seed ride AlgoOptions::scc_beta / scc_seed (the same knobs the SCC

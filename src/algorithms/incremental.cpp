@@ -35,7 +35,8 @@ IncrementalStats incremental_bfs(const Graph& g, const Graph& gt,
                                  VertexId source,
                                  std::span<const EdgeUpdate> batch,
                                  std::vector<std::uint32_t>& dist,
-                                 const IncrementalOptions& opt) {
+                                 const IncrementalOptions& opt,
+                                 Tracer* tracer) {
   g.ensure_validated();
   gt.ensure_validated();
   std::size_t n = g.num_vertices();
@@ -64,11 +65,14 @@ IncrementalStats incremental_bfs(const Graph& g, const Graph& gt,
     }
   }
   std::vector<VertexId> invalidated;
+  std::uint64_t scanned = 0, checked = 0;
   while (!work.empty()) {
     VertexId v = work.front();
     work.pop_front();
     if (invalid[v] || v == source || dist[v] == kInfDist) continue;
+    ++checked;
     bool supported = !for_each_effective(gt, dbwd, v, [&](VertexId u) {
+      ++scanned;
       // Stop (return false) as soon as one valid parent is found.
       return !(dist[u] != kInfDist && !invalid[u] && dist[u] + 1 == dist[v]);
     });
@@ -76,6 +80,7 @@ IncrementalStats incremental_bfs(const Graph& g, const Graph& gt,
     invalid[v] = 1;
     invalidated.push_back(v);
     for_each_effective(g, dfwd, v, [&](VertexId w) {
+      ++scanned;
       if (!invalid[w] && dist[w] == dist[v] + 1) work.push_back(w);
       return true;
     });
@@ -85,20 +90,29 @@ IncrementalStats incremental_bfs(const Graph& g, const Graph& gt,
   std::vector<VertexId> seeds;
   for (VertexId v : invalidated) {
     for_each_effective(gt, dbwd, v, [&](VertexId u) {
+      ++scanned;
       if (!invalid[u] && dist[u] != kInfDist) seeds.push_back(u);
       return true;
     });
   }
   for (const EdgeUpdate& up : batch) {
+    ++scanned;
     if (up.op == EdgeUpdate::Op::kInsert && !invalid[up.from] &&
         dist[up.from] != kInfDist) {
       seeds.push_back(up.from);
     }
   }
+  // The sequential invalidation pass is one round: the batch's edges plus
+  // the effective adjacency it walked, over the vertices it checked.
+  if (tracer != nullptr) {
+    tracer->add_edges(scanned);
+    tracer->add_visits(checked);
+    tracer->end_round(invalidated.size());
+  }
 
   if (static_cast<double>(invalidated.size() + seeds.size()) >
       opt.churn_threshold * static_cast<double>(n)) {
-    dist = gbbs_bfs(g, gt, source);
+    dist = gbbs_bfs(g, gt, source, tracer);
     stats.resettled = n;
     stats.fallback = true;
     return stats;
@@ -140,7 +154,9 @@ IncrementalStats incremental_bfs(const Graph& g, const Graph& gt,
   // with cond=true would rescan every in-list each round.
   emopt.allow_dense = false;
   while (!frontier.empty()) {
-    frontier = edge_map_sparse(g, frontier, update, cond, emopt);
+    std::uint64_t size = frontier.size();
+    frontier = edge_map_sparse(g, frontier, update, cond, emopt, tracer);
+    if (tracer != nullptr) tracer->end_round(size);
   }
 
   parallel_for(0, n, [&](std::size_t v) {
@@ -156,7 +172,7 @@ IncrementalStats incremental_bfs(const Graph& g, const Graph& gt,
 IncrementalStats incremental_cc(const Graph& g,
                                 std::span<const EdgeUpdate> batch,
                                 std::vector<VertexId>& label,
-                                const IncrementalOptions&) {
+                                const IncrementalOptions&, Tracer* tracer) {
   std::size_t n = g.num_vertices();
   IncrementalStats stats;
   stats.full_settled = n;
@@ -169,7 +185,7 @@ IncrementalStats incremental_cc(const Graph& g,
     // A deletion can split a component; labels alone cannot witness the
     // split. symmetrize() collapses the overlay (graph.h), so the recompute
     // runs on the effective graph.
-    label = connected_components(g.symmetrize()).label;
+    label = connected_components(g.symmetrize(), tracer).label;
     stats.resettled = n;
     stats.fallback = true;
     return stats;
@@ -212,6 +228,12 @@ IncrementalStats incremental_cc(const Graph& g,
       n, 0, std::plus<std::uint64_t>{}, [&](std::size_t v) -> std::uint64_t {
         return touched[v] != 0 ? 1 : 0;
       });
+  // One round: the batch's edges unioned, every label relabelled.
+  if (tracer != nullptr) {
+    tracer->add_edges(batch.size());
+    tracer->add_visits(n);
+    tracer->end_round(stats.resettled);
+  }
   return stats;
 }
 

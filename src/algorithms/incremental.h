@@ -12,6 +12,10 @@
 // Fallback: past a churn threshold (affected vertices / n), cascading repair
 // loses to a straight recompute; the functions then recompute via the
 // overlay-aware kernels and report fallback=true.
+//
+// Telemetry: a non-null `tracer` records the repair like any kernel run —
+// the edges and vertices each phase touches, one round per phase or
+// relaxation sweep, or the recompute's own rounds on fallback.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +24,7 @@
 
 #include "graphs/delta.h"
 #include "graphs/graph.h"
+#include "pasgal/telemetry.h"
 
 namespace pasgal {
 
@@ -52,7 +57,8 @@ IncrementalStats incremental_bfs(const Graph& g, const Graph& gt,
                                  VertexId source,
                                  std::span<const EdgeUpdate> batch,
                                  std::vector<std::uint32_t>& dist,
-                                 const IncrementalOptions& opt = {});
+                                 const IncrementalOptions& opt = {},
+                                 Tracer* tracer = nullptr);
 
 // Repairs min-vertex component labels (connected_components semantics on
 // the symmetrized graph) in place. Insert-only batches union label classes
@@ -62,6 +68,7 @@ IncrementalStats incremental_bfs(const Graph& g, const Graph& gt,
 IncrementalStats incremental_cc(const Graph& g,
                                 std::span<const EdgeUpdate> batch,
                                 std::vector<VertexId>& label,
-                                const IncrementalOptions& opt = {});
+                                const IncrementalOptions& opt = {},
+                                Tracer* tracer = nullptr);
 
 }  // namespace pasgal

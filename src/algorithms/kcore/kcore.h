@@ -22,19 +22,19 @@
 
 #include "graphs/graph.h"
 #include "pasgal/options.h"
-#include "pasgal/stats.h"
+#include "pasgal/telemetry.h"
 #include "pasgal/vgc.h"
 
 namespace pasgal {
 
-std::vector<std::uint32_t> seq_kcore(const Graph& g, RunStats* stats = nullptr);
+std::vector<std::uint32_t> seq_kcore(const Graph& g, Tracer* stats = nullptr);
 
 struct KcoreParams {
   VgcParams vgc;  // tau = 1 disables in-task peeling chains
 };
 
 std::vector<std::uint32_t> pasgal_kcore(const Graph& g, KcoreParams params = {},
-                                        RunStats* stats = nullptr);
+                                        Tracer* stats = nullptr);
 
 // --- Modern entry points (algorithms/run_api.cpp) ---------------------------
 RunReport<std::vector<std::uint32_t>> seq_kcore(const Graph& g,

@@ -28,7 +28,7 @@ constexpr std::size_t kWindow = 64;  // open buckets [base, base + kWindow)
 // level k; the peeling task then claims and peels u in-task (up to tau
 // vertices), collapsing O(length)-round peeling chains into one round.
 std::vector<std::uint32_t> pasgal_kcore(const Graph& g, KcoreParams params,
-                                        RunStats* stats) {
+                                        Tracer* stats) {
   // degree[u].fetch_sub below indexes unchecked neighbour ids; an
   // un-deep-validated mmap open must fail typed, not corrupt the buckets.
   g.ensure_validated();

@@ -53,7 +53,7 @@ std::vector<double> inverse_out_degrees(const Graph& g) {
 }  // namespace
 
 PagerankResult seq_pagerank(const Graph& g, const Graph& gt,
-                            const PagerankParams& params, RunStats* stats) {
+                            const PagerankParams& params, Tracer* stats) {
   std::size_t n = g.num_vertices();
   PagerankResult result;
   if (n == 0) return result;
@@ -103,7 +103,7 @@ PagerankResult seq_pagerank(const Graph& g, const Graph& gt,
 }
 
 PagerankResult pasgal_pagerank(const Graph& g, const Graph& gt,
-                               const PagerankParams& params, RunStats* stats) {
+                               const PagerankParams& params, Tracer* stats) {
   std::size_t n = g.num_vertices();
   PagerankResult result;
   if (n == 0) return result;

@@ -27,7 +27,7 @@
 #include "graphs/graph.h"
 #include "pasgal/cancel.h"
 #include "pasgal/options.h"
-#include "pasgal/stats.h"
+#include "pasgal/telemetry.h"
 
 namespace pasgal {
 
@@ -49,13 +49,13 @@ struct PagerankResult {
 // Sequential power iteration over explicit in-edges (gt). In-core only.
 PagerankResult seq_pagerank(const Graph& g, const Graph& gt,
                             const PagerankParams& params = {},
-                            RunStats* stats = nullptr);
+                            Tracer* stats = nullptr);
 
 // Parallel dense pull through edge_map (g supplies out-degrees, gt supplies
 // in-edges). Works on sharded opens: the pull walks gt's shard plan.
 PagerankResult pasgal_pagerank(const Graph& g, const Graph& gt,
                                const PagerankParams& params = {},
-                               RunStats* stats = nullptr);
+                               Tracer* stats = nullptr);
 
 // --- Modern entry points (algorithms/run_api.cpp) ---------------------------
 RunReport<PagerankResult> seq_pagerank(const Graph& g, const Graph& gt,

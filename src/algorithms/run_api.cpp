@@ -1,12 +1,14 @@
 // Modern AlgoOptions/RunReport entry points for every algorithm family.
 //
-// Each wrapper assembles the family's legacy parameter struct from the
-// shared AlgoOptions and routes the run through run_traced(), which owns the
-// tracer plumbing and the wall-clock/telemetry bookkeeping. The legacy
-// `(..., Params, RunStats*)` signatures remain the implementations.
+// Each wrapper checks its catalog row's storage guard (admit), assembles the
+// family's parameter struct from the shared AlgoOptions, and routes the run
+// through run_traced(), which owns the tracer plumbing and the
+// wall-clock/telemetry bookkeeping. The positional `(..., Params, Tracer*)`
+// signatures are the implementations.
 
 #include "algorithms/bcc/bcc.h"
 #include "algorithms/bfs/bfs.h"
+#include "algorithms/catalog.h"
 #include "algorithms/cc/cc.h"
 #include "algorithms/cc/ldd.h"
 #include "algorithms/kcore/kcore.h"
@@ -23,16 +25,12 @@
 
 namespace pasgal {
 
-// Every wrapper lazily validates its graph(s) before the timed run: the O(1)
-// mmap open path defers per-element CSR checks, and this is the single choke
-// point where all modern entry points pick them up (no-op after the first
-// call on a given storage handle; see Graph::ensure_validated).
-//
-// Wrappers whose kernels random-access the CSR arrays also guard with
-// ensure_no_delta: on a graph carrying a pending update overlay
-// (graphs/delta.h) they would silently compute against the stale base.
-// Only the edge_map-pure families (gbbs-bfs, pagerank) and the symmetrizing
-// cc driver path (symmetrize() collapses the overlay) see overlays through.
+// admit() lazily validates the graph(s) before the timed run: the O(1) mmap
+// open path defers per-element CSR checks, and this is the single choke point
+// where all modern entry points pick them up (no-op after the first call on a
+// given storage handle; see Graph::ensure_validated). The row's guard then
+// rejects windowed opens a kernel cannot stream and pending update overlays
+// (graphs/delta.h) a kernel would silently compute past.
 
 namespace {
 
@@ -104,17 +102,14 @@ void check_batch_sources(std::span<const VertexId> sources, std::size_t n) {
 
 RunReport<std::vector<std::uint32_t>> seq_bfs(const Graph& g,
                                               const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("seq-bfs");
-  g.ensure_no_delta("seq-bfs");
+  admit(guard_of("bfs", "seq"), g);
   return run_traced(opt,
                     [&](Tracer* t) { return seq_bfs(g, opt.source, t); });
 }
 
 RunReport<std::vector<std::uint32_t>> gbbs_bfs(const Graph& g, const Graph& gt,
                                                const AlgoOptions& opt) {
-  g.ensure_validated();
-  gt.ensure_validated();
+  admit(guard_of("bfs", "gbbs"), g, &gt);
   return run_traced(opt, [&](Tracer* t) {
     return gbbs_bfs(g, gt, opt.source, t, opt.cancel);
   });
@@ -122,10 +117,7 @@ RunReport<std::vector<std::uint32_t>> gbbs_bfs(const Graph& g, const Graph& gt,
 
 RunReport<std::vector<std::uint32_t>> gapbs_bfs(const Graph& g, const Graph& gt,
                                                 const AlgoOptions& opt) {
-  g.ensure_validated();
-  gt.ensure_validated();
-  gt.ensure_in_core("gapbs-bfs bottom-up");
-  g.ensure_no_delta("gapbs-bfs");
+  admit(guard_of("bfs", "gapbs"), g, &gt);
   GapbsParams p{opt.gapbs_alpha, opt.gapbs_beta};
   return run_traced(
       opt, [&](Tracer* t) { return gapbs_bfs(g, gt, opt.source, p, t); });
@@ -134,11 +126,7 @@ RunReport<std::vector<std::uint32_t>> gapbs_bfs(const Graph& g, const Graph& gt,
 RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
                                                  const Graph& gt,
                                                  const AlgoOptions& opt) {
-  g.ensure_validated();
-  gt.ensure_validated();
-  g.ensure_in_core("pasgal-bfs");
-  gt.ensure_in_core("pasgal-bfs");
-  g.ensure_no_delta("pasgal-bfs");
+  admit(guard_of("bfs", "pasgal"), g, &gt);
   PasgalBfsParams p = bfs_params(opt);
   return run_traced(
       opt, [&](Tracer* t) { return pasgal_bfs(g, gt, opt.source, p, t); });
@@ -146,32 +134,23 @@ RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
 
 BatchReport<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
                                                const BatchOptions& opt) {
-  g.ensure_validated();
-  gt.ensure_validated();
-  g.ensure_in_core("ms-bfs");
-  g.ensure_no_delta("ms-bfs");
+  admit(guard_of("bfs", "ms"), g, &gt);
   check_batch_sources(opt.sources, g.num_vertices());
   MsBfsParams p;
   p.dense_threshold_den = opt.algo.dense_threshold_den;
   p.use_dense = opt.algo.use_dense;
   p.cancel = opt.algo.cancel;
-  Tracer local;
-  Tracer* tracer = opt.algo.tracer != nullptr ? opt.algo.tracer : &local;
-  tracer->reset();
-  auto start = std::chrono::steady_clock::now();
-  auto dists = ms_bfs(g, gt, opt.sources, p, tracer);
-  double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  auto run = run_traced(
+      opt.algo, [&](Tracer* t) { return ms_bfs(g, gt, opt.sources, p, t); });
   BatchReport<std::vector<std::uint32_t>> report;
-  report.seconds = seconds;
-  report.telemetry = tracer->aggregate();
-  report.per_source.resize(dists.size());
+  report.seconds = run.seconds;
+  report.telemetry = std::move(run.telemetry);
+  report.per_source.resize(run.output.size());
   // One shared sweep advanced every source; a slice's cost is its amortized
   // share of the batch wall (see BatchReport in options.h).
-  double amortized = seconds / static_cast<double>(dists.size());
-  for (std::size_t i = 0; i < dists.size(); ++i) {
-    report.per_source[i].output = std::move(dists[i]);
+  double amortized = run.seconds / static_cast<double>(run.output.size());
+  for (std::size_t i = 0; i < run.output.size(); ++i) {
+    report.per_source[i].output = std::move(run.output[i]);
     report.per_source[i].seconds = amortized;
   }
   return report;
@@ -181,24 +160,22 @@ BatchReport<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
 
 RunReport<std::vector<Dist>> dijkstra(const WeightedGraph<std::uint32_t>& g,
                                       const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.unweighted().ensure_in_core("dijkstra");
+  admit(guard_of("sssp", "seq"), g.unweighted());
   return run_traced(opt,
                     [&](Tracer* t) { return dijkstra(g, opt.source, t); });
 }
 
 RunReport<std::vector<Dist>> bellman_ford(const WeightedGraph<std::uint32_t>& g,
                                           const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.unweighted().ensure_in_core("bellman-ford (use -a em for sharded runs)");
+  admit(guard_of("sssp", "bf"), g.unweighted());
   return run_traced(
       opt, [&](Tracer* t) { return bellman_ford(g, opt.source, t); });
 }
 
 RunReport<std::vector<Dist>> stepping_sssp(
     const WeightedGraph<std::uint32_t>& g, const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.unweighted().ensure_in_core("stepping SSSP (use -a em for sharded runs)");
+  admit(guard_of("sssp", opt.sssp_delta_mode ? "delta" : "rho"),
+        g.unweighted());
   SteppingParams p = stepping_params(opt);
   return run_traced(
       opt, [&](Tracer* t) { return stepping_sssp(g, opt.source, p, t); });
@@ -206,8 +183,8 @@ RunReport<std::vector<Dist>> stepping_sssp(
 
 BatchReport<std::vector<Dist>> batch_sssp(const WeightedGraph<std::uint32_t>& g,
                                           const BatchOptions& opt) {
-  g.ensure_validated();
-  g.unweighted().ensure_in_core("batched SSSP");
+  // Not a catalog row of its own: the rho/delta rows run it for a batch.
+  admit({InCore::kGraph, "batched SSSP", nullptr}, g.unweighted());
   check_batch_sources(opt.sources, g.num_vertices());
   SteppingParams p = stepping_params(opt.algo);
   Tracer local;
@@ -238,19 +215,13 @@ BatchReport<std::vector<Dist>> batch_sssp(const WeightedGraph<std::uint32_t>& g,
 
 RunReport<std::vector<SccLabel>> tarjan_scc(const Graph& g,
                                             const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("tarjan-scc");
-  g.ensure_no_delta("tarjan-scc");
+  admit(guard_of("scc", "seq"), g);
   return run_traced(opt, [&](Tracer* t) { return tarjan_scc(g, t); });
 }
 
 RunReport<std::vector<SccLabel>> pasgal_scc(const Graph& g, const Graph& gt,
                                             const AlgoOptions& opt) {
-  g.ensure_validated();
-  gt.ensure_validated();
-  g.ensure_in_core("pasgal-scc");
-  gt.ensure_in_core("pasgal-scc");
-  g.ensure_no_delta("pasgal-scc");
+  admit(guard_of("scc", "pasgal"), g, &gt);
   SccParams p = scc_params(opt);
   return run_traced(opt,
                     [&](Tracer* t) { return pasgal_scc(g, gt, p, t); });
@@ -258,22 +229,14 @@ RunReport<std::vector<SccLabel>> pasgal_scc(const Graph& g, const Graph& gt,
 
 RunReport<std::vector<SccLabel>> gbbs_scc(const Graph& g, const Graph& gt,
                                           const AlgoOptions& opt) {
-  g.ensure_validated();
-  gt.ensure_validated();
-  g.ensure_in_core("gbbs-scc");
-  gt.ensure_in_core("gbbs-scc");
-  g.ensure_no_delta("gbbs-scc");
+  admit(guard_of("scc", "gbbs"), g, &gt);
   SccParams p = scc_params(opt);
   return run_traced(opt, [&](Tracer* t) { return gbbs_scc(g, gt, p, t); });
 }
 
 RunReport<std::vector<SccLabel>> multistep_scc(const Graph& g, const Graph& gt,
                                                const AlgoOptions& opt) {
-  g.ensure_validated();
-  gt.ensure_validated();
-  g.ensure_in_core("multistep-scc");
-  gt.ensure_in_core("multistep-scc");
-  g.ensure_no_delta("multistep-scc");
+  admit(guard_of("scc", "multistep"), g, &gt);
   MultistepParams p{opt.multistep_cutoff};
   return run_traced(opt,
                     [&](Tracer* t) { return multistep_scc(g, gt, p, t); });
@@ -283,31 +246,23 @@ RunReport<std::vector<SccLabel>> multistep_scc(const Graph& g, const Graph& gt,
 
 RunReport<BccResult> hopcroft_tarjan_bcc(const Graph& g,
                                          const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("hopcroft-tarjan-bcc");
-  g.ensure_no_delta("hopcroft-tarjan-bcc");
+  admit(guard_of("bcc", "seq"), g);
   return run_traced(opt, [&](Tracer* t) { return hopcroft_tarjan_bcc(g, t); });
 }
 
 RunReport<BccResult> fast_bcc(const Graph& g, const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("fast-bcc");
-  g.ensure_no_delta("fast-bcc");
+  admit(guard_of("bcc", "pasgal"), g);
   return run_traced(opt, [&](Tracer* t) { return fast_bcc(g, t); });
 }
 
 RunReport<BccResult> tarjan_vishkin_bcc(const Graph& g,
                                         const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("tarjan-vishkin-bcc");
-  g.ensure_no_delta("tarjan-vishkin-bcc");
+  admit(guard_of("bcc", "tv"), g);
   return run_traced(opt, [&](Tracer* t) { return tarjan_vishkin_bcc(g, t); });
 }
 
 RunReport<BccResult> gbbs_bcc(const Graph& g, const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("gbbs-bcc");
-  g.ensure_no_delta("gbbs-bcc");
+  admit(guard_of("bcc", "gbbs"), g);
   return run_traced(opt, [&](Tracer* t) { return gbbs_bcc(g, t); });
 }
 
@@ -315,25 +270,19 @@ RunReport<BccResult> gbbs_bcc(const Graph& g, const AlgoOptions& opt) {
 
 RunReport<ConnectivityResult> connected_components(const Graph& g,
                                                    const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("connected-components");
-  g.ensure_no_delta("connected-components");
+  admit(guard_of("cc", "uf"), g);
   return run_traced(opt, [&](Tracer* t) { return connected_components(g, t); });
 }
 
 RunReport<std::vector<VertexId>> label_prop_cc(const Graph& g,
                                                const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("label-prop-cc");
-  g.ensure_no_delta("label-prop-cc");
+  admit(guard_of("cc", "lp"), g);
   return run_traced(opt, [&](Tracer* t) { return label_prop_cc(g, t); });
 }
 
 RunReport<std::vector<VertexId>> ldd_cc(const Graph& g,
                                         const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("ldd-cc");
-  g.ensure_no_delta("ldd-cc");
+  admit(guard_of("cc", "ldd"), g);
   return run_traced(opt, [&](Tracer* t) {
     return ldd_cc(g, opt.scc_beta, opt.scc_seed, t);
   });
@@ -343,17 +292,13 @@ RunReport<std::vector<VertexId>> ldd_cc(const Graph& g,
 
 RunReport<std::vector<std::uint32_t>> seq_kcore(const Graph& g,
                                                 const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("seq-kcore");
-  g.ensure_no_delta("seq-kcore");
+  admit(guard_of("kcore", "seq"), g);
   return run_traced(opt, [&](Tracer* t) { return seq_kcore(g, t); });
 }
 
 RunReport<std::vector<std::uint32_t>> pasgal_kcore(const Graph& g,
                                                    const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("pasgal-kcore");
-  g.ensure_no_delta("pasgal-kcore");
+  admit(guard_of("kcore", "pasgal"), g);
   KcoreParams p{opt.vgc};
   return run_traced(opt, [&](Tracer* t) { return pasgal_kcore(g, p, t); });
 }
@@ -375,9 +320,7 @@ PagerankParams pagerank_params(const AlgoOptions& opt) {
 
 RunReport<PagerankResult> seq_pagerank(const Graph& g, const Graph& gt,
                                        const AlgoOptions& opt) {
-  g.ensure_validated();
-  gt.ensure_validated();
-  gt.ensure_in_core("seq-pagerank (use -a pasgal for sharded runs)");
+  admit(guard_of("pagerank", "seq"), g, &gt);
   PagerankParams p = pagerank_params(opt);
   return run_traced(opt,
                     [&](Tracer* t) { return seq_pagerank(g, gt, p, t); });
@@ -385,10 +328,7 @@ RunReport<PagerankResult> seq_pagerank(const Graph& g, const Graph& gt,
 
 RunReport<PagerankResult> pasgal_pagerank(const Graph& g, const Graph& gt,
                                           const AlgoOptions& opt) {
-  // No ensure_in_core: the dense pull runs shard-at-a-time through gt's
-  // window (out-degrees come from g's always-resident offsets array).
-  g.ensure_validated();
-  gt.ensure_validated();
+  admit(guard_of("pagerank", "pasgal"), g, &gt);
   PagerankParams p = pagerank_params(opt);
   return run_traced(opt,
                     [&](Tracer* t) { return pasgal_pagerank(g, gt, p, t); });
@@ -397,28 +337,23 @@ RunReport<PagerankResult> pasgal_pagerank(const Graph& g, const Graph& gt,
 // --- triangle counting -------------------------------------------------------
 
 RunReport<std::uint64_t> seq_tc(const Graph& g, const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("seq-tc");
-  g.ensure_no_delta("seq-tc");
+  admit(guard_of("tc", "seq"), g);
   return run_traced(opt, [&](Tracer* t) { return seq_tc(g, t); });
 }
 
 RunReport<std::uint64_t> pasgal_tc(const Graph& g, const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("pasgal-tc");
-  g.ensure_no_delta("pasgal-tc");
+  admit(guard_of("tc", "pasgal"), g);
   TcParams p;
   p.cancel = opt.cancel;
   return run_traced(opt, [&](Tracer* t) { return pasgal_tc(g, p, t); });
 }
 
 // --- toposort ----------------------------------------------------------------
+// Library-only (no driver or daemon verb), so its guards are not catalog rows.
 
 RunReport<std::vector<std::uint32_t>> seq_toposort(const Graph& g,
                                                    const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("seq-toposort");
-  g.ensure_no_delta("seq-toposort");
+  admit({InCore::kGraph, "seq-toposort", "seq-toposort"}, g);
   return run_traced(opt, [&](Tracer* t) {
     std::vector<std::uint32_t> levels;
     seq_toposort(g, levels, t).throw_if_error();
@@ -428,9 +363,7 @@ RunReport<std::vector<std::uint32_t>> seq_toposort(const Graph& g,
 
 RunReport<std::vector<std::uint32_t>> pasgal_toposort(const Graph& g,
                                                       const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("pasgal-toposort");
-  g.ensure_no_delta("pasgal-toposort");
+  admit({InCore::kGraph, "pasgal-toposort", "pasgal-toposort"}, g);
   ToposortParams p{opt.vgc};
   return run_traced(opt, [&](Tracer* t) {
     std::vector<std::uint32_t> levels;

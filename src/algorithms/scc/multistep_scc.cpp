@@ -22,7 +22,7 @@ SccLabel scc_label_of(VertexId p) { return 4 * static_cast<SccLabel>(p); }
 // and degrades on large-diameter inputs — the coloring propagation needs
 // O(D) synchronized rounds, which our instrumentation exposes.
 std::vector<SccLabel> multistep_scc(const Graph& g, const Graph& gt,
-                                    MultistepParams params, RunStats* stats) {
+                                    MultistepParams params, Tracer* stats) {
   std::size_t n = g.num_vertices();
   if (n == 0) return {};
   std::vector<std::atomic<SccLabel>> label(n);

@@ -27,7 +27,7 @@ SccLabel scc_label_of(VertexId p) { return 4 * static_cast<SccLabel>(p); }
 // reachability; each reachability search uses VGC + hash bags (pasgal_scc)
 // or strict frontier order (gbbs_scc via tau=1).
 std::vector<SccLabel> pasgal_scc(const Graph& g, const Graph& gt,
-                                 SccParams params, RunStats* stats) {
+                                 SccParams params, Tracer* stats) {
   std::size_t n = g.num_vertices();
   std::vector<std::atomic<SccLabel>> label(n);
   parallel_for(0, n, [&](std::size_t i) {
@@ -188,7 +188,7 @@ std::vector<SccLabel> pasgal_scc(const Graph& g, const Graph& gt,
 }
 
 std::vector<SccLabel> gbbs_scc(const Graph& g, const Graph& gt,
-                               SccParams params, RunStats* stats) {
+                               SccParams params, Tracer* stats) {
   // Same framework, reachability in strict one-hop frontier order: this is
   // the GBBS-style baseline whose round count scales with the diameter.
   params.vgc.tau = 1;

@@ -13,7 +13,7 @@
 
 #include "graphs/graph.h"
 #include "pasgal/hashbag.h"
-#include "pasgal/stats.h"
+#include "pasgal/telemetry.h"
 #include "pasgal/vgc.h"
 
 namespace pasgal::internal {
@@ -29,7 +29,7 @@ void multi_reach(const Graph& g, const Graph& gt,
                  const std::vector<VertexId>& roots,
                  const std::vector<std::uint64_t>& sub, Live&& live,
                  std::vector<std::atomic<std::uint8_t>>& reached,
-                 const ReachParams& params, RunStats* stats = nullptr) {
+                 const ReachParams& params, Tracer* stats = nullptr) {
   std::size_t n = g.num_vertices();
   EdgeId m = g.num_edges();
   const EdgeId dense_limit =

@@ -22,14 +22,14 @@
 
 #include "graphs/graph.h"
 #include "pasgal/options.h"
-#include "pasgal/stats.h"
+#include "pasgal/telemetry.h"
 #include "pasgal/vgc.h"
 
 namespace pasgal {
 
 using SccLabel = std::uint64_t;
 
-std::vector<SccLabel> tarjan_scc(const Graph& g, RunStats* stats = nullptr);
+std::vector<SccLabel> tarjan_scc(const Graph& g, Tracer* stats = nullptr);
 
 struct SccParams {
   VgcParams vgc;
@@ -43,10 +43,10 @@ struct SccParams {
 
 std::vector<SccLabel> pasgal_scc(const Graph& g, const Graph& gt,
                                  SccParams params = {},
-                                 RunStats* stats = nullptr);
+                                 Tracer* stats = nullptr);
 
 std::vector<SccLabel> gbbs_scc(const Graph& g, const Graph& gt,
-                               SccParams params = {}, RunStats* stats = nullptr);
+                               SccParams params = {}, Tracer* stats = nullptr);
 
 struct MultistepParams {
   // Switch to sequential Tarjan when this many vertices remain.
@@ -54,7 +54,7 @@ struct MultistepParams {
 };
 std::vector<SccLabel> multistep_scc(const Graph& g, const Graph& gt,
                                     MultistepParams params = {},
-                                    RunStats* stats = nullptr);
+                                    Tracer* stats = nullptr);
 
 // --- Modern entry points (algorithms/run_api.cpp) ---------------------------
 // The SCC family reads vgc/dense/scc_beta/scc_seed/multistep_cutoff from the

@@ -20,7 +20,7 @@ namespace pasgal {
 // are byte-identical to bellman_ford/dijkstra on the same graph.
 std::vector<Dist> em_bellman_ford(const WeightedGraph<std::uint32_t>& g,
                                   VertexId source, const CancelToken* cancel,
-                                  RunStats* stats) {
+                                  Tracer* stats) {
   check_sssp_preconditions(g, source, kInfWeightDist - 1).throw_if_error();
   const Graph& ug = g.unweighted();
   std::size_t n = g.num_vertices();

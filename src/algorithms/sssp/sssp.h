@@ -23,7 +23,7 @@
 #include "pasgal/cancel.h"
 #include "pasgal/error.h"
 #include "pasgal/options.h"
-#include "pasgal/stats.h"
+#include "pasgal/telemetry.h"
 #include "pasgal/vgc.h"
 
 namespace pasgal {
@@ -43,10 +43,10 @@ Status check_sssp_preconditions(const WeightedGraph<std::uint32_t>& g,
                                 VertexId source, Dist max_dist);
 
 std::vector<Dist> dijkstra(const WeightedGraph<std::uint32_t>& g,
-                           VertexId source, RunStats* stats = nullptr);
+                           VertexId source, Tracer* stats = nullptr);
 
 std::vector<Dist> bellman_ford(const WeightedGraph<std::uint32_t>& g,
-                               VertexId source, RunStats* stats = nullptr);
+                               VertexId source, Tracer* stats = nullptr);
 
 // Bellman-Ford through the edge_map choke point (`-a em`): same recurrence
 // and same final distances as bellman_ford, but every edge scan goes through
@@ -55,7 +55,7 @@ std::vector<Dist> bellman_ford(const WeightedGraph<std::uint32_t>& g,
 std::vector<Dist> em_bellman_ford(const WeightedGraph<std::uint32_t>& g,
                                   VertexId source,
                                   const CancelToken* cancel = nullptr,
-                                  RunStats* stats = nullptr);
+                                  Tracer* stats = nullptr);
 
 struct SteppingParams {
   enum class Strategy { kDelta, kRho };
@@ -69,16 +69,16 @@ struct SteppingParams {
 
 std::vector<Dist> stepping_sssp(const WeightedGraph<std::uint32_t>& g,
                                 VertexId source, SteppingParams params = {},
-                                RunStats* stats = nullptr);
+                                Tracer* stats = nullptr);
 
 // Convenience wrappers matching the paper's naming.
 inline std::vector<Dist> rho_stepping(const WeightedGraph<std::uint32_t>& g,
-                                      VertexId source, RunStats* stats = nullptr) {
+                                      VertexId source, Tracer* stats = nullptr) {
   return stepping_sssp(g, source, {}, stats);
 }
 inline std::vector<Dist> delta_stepping(const WeightedGraph<std::uint32_t>& g,
                                         VertexId source, Dist delta = 32,
-                                        RunStats* stats = nullptr) {
+                                        Tracer* stats = nullptr) {
   SteppingParams p;
   p.strategy = SteppingParams::Strategy::kDelta;
   p.delta = delta;

@@ -42,7 +42,7 @@ int bucket_for(std::uint32_t gap) {
 //   rho-stepping:   threshold = distance of the rho-th closest entry.
 std::vector<Dist> stepping_sssp(const WeightedGraph<std::uint32_t>& g,
                                 VertexId source, SteppingParams params,
-                                RunStats* stats) {
+                                Tracer* stats) {
   // Tentative distances are packed into 32 bits (see encode() above), so the
   // ceiling here is kInf32 - 1, not the 64-bit kInfWeightDist.
   check_sssp_preconditions(g, source, static_cast<Dist>(kInf32) - 1)

@@ -110,7 +110,7 @@ std::uint64_t count_from(const Dag& dag, VertexId u, const Intersect& inter,
 
 }  // namespace
 
-std::uint64_t seq_tc(const Graph& g, RunStats* stats) {
+std::uint64_t seq_tc(const Graph& g, Tracer* stats) {
   std::size_t n = g.num_vertices();
   Dag dag = build_dag(g);
   std::uint64_t triangles = 0;
@@ -127,7 +127,7 @@ std::uint64_t seq_tc(const Graph& g, RunStats* stats) {
 }
 
 std::uint64_t pasgal_tc(const Graph& g, const TcParams& params,
-                        RunStats* stats) {
+                        Tracer* stats) {
   std::size_t n = g.num_vertices();
   Dag dag = build_dag(g);
   // Sources are processed in blocks: the block boundary is where the round

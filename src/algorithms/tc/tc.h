@@ -24,7 +24,7 @@
 #include "graphs/graph.h"
 #include "pasgal/cancel.h"
 #include "pasgal/options.h"
-#include "pasgal/stats.h"
+#include "pasgal/telemetry.h"
 
 namespace pasgal {
 
@@ -41,9 +41,9 @@ struct TcParams {
 // Number of triangles in the symmetrized input graph. The input must carry
 // each undirected edge in both directions (Graph::symmetrize output);
 // self-loops are ignored, duplicate edges must already be deduplicated.
-std::uint64_t seq_tc(const Graph& g, RunStats* stats = nullptr);
+std::uint64_t seq_tc(const Graph& g, Tracer* stats = nullptr);
 std::uint64_t pasgal_tc(const Graph& g, const TcParams& params = {},
-                        RunStats* stats = nullptr);
+                        Tracer* stats = nullptr);
 
 // --- Modern entry points (algorithms/run_api.cpp) ---------------------------
 RunReport<std::uint64_t> seq_tc(const Graph& g, const AlgoOptions& opt);

@@ -20,7 +20,7 @@ Status cycle_status(std::size_t unfinished, std::size_t n) {
 }  // namespace
 
 Status seq_toposort(const Graph& g, std::vector<std::uint32_t>& levels,
-                    RunStats* stats) {
+                    Tracer* stats) {
   levels.clear();
   std::size_t n = g.num_vertices();
   Graph gt = g.transpose();
@@ -57,7 +57,7 @@ Status seq_toposort(const Graph& g, std::vector<std::uint32_t>& levels,
 // exactly once, when its in-degree counter hits zero — by then all
 // predecessors have contributed their level, so level[v] is final.
 Status pasgal_toposort(const Graph& g, std::vector<std::uint32_t>& levels,
-                       ToposortParams params, RunStats* stats) {
+                       ToposortParams params, Tracer* stats) {
   levels.clear();
   std::size_t n = g.num_vertices();
   Graph gt = g.transpose();

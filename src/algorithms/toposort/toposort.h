@@ -21,20 +21,20 @@
 #include "graphs/graph.h"
 #include "pasgal/error.h"
 #include "pasgal/options.h"
-#include "pasgal/stats.h"
+#include "pasgal/telemetry.h"
 #include "pasgal/vgc.h"
 
 namespace pasgal {
 
 Status seq_toposort(const Graph& g, std::vector<std::uint32_t>& levels,
-                    RunStats* stats = nullptr);
+                    Tracer* stats = nullptr);
 
 struct ToposortParams {
   VgcParams vgc;
 };
 
 Status pasgal_toposort(const Graph& g, std::vector<std::uint32_t>& levels,
-                       ToposortParams params = {}, RunStats* stats = nullptr);
+                       ToposortParams params = {}, Tracer* stats = nullptr);
 
 // --- Modern entry points (algorithms/run_api.cpp) ---------------------------
 // Unlike the legacy Status forms these throw the kValidation Error on cyclic

@@ -27,7 +27,7 @@
 #include "graphs/graph.h"
 #include "parlay/primitives.h"
 #include "pasgal/cancel.h"
-#include "pasgal/stats.h"
+#include "pasgal/telemetry.h"
 #include "pasgal/vertex_subset.h"
 
 namespace pasgal {
@@ -70,7 +70,7 @@ template <typename UpdateSeq, typename Cond>
 VertexSubset edge_map_dense(const Graph& g, const Graph& gt,
                             VertexSubset& frontier, UpdateSeq update_seq,
                             Cond cond, const EdgeMapOptions& opt = {},
-                            RunStats* stats = nullptr) {
+                            Tracer* stats = nullptr) {
   // Unchecked indexing below (neighbors(), in_frontier[u]) requires in-range
   // targets; un-deep-validated mmap storages are checked once here (a
   // single atomic load afterwards).
@@ -155,7 +155,7 @@ template <typename Update, typename Cond>
 VertexSubset edge_map_sparse(const Graph& g, VertexSubset& frontier,
                              Update update, Cond cond,
                              const EdgeMapOptions& opt = {},
-                             RunStats* stats = nullptr) {
+                             Tracer* stats = nullptr) {
   g.ensure_validated();
   if (opt.cancel != nullptr) opt.cancel->check("edge_map round boundary");
   std::size_t n = g.num_vertices();
@@ -258,7 +258,7 @@ VertexSubset edge_map_sparse(const Graph& g, VertexSubset& frontier,
 template <typename Update, typename UpdateSeq, typename Cond>
 VertexSubset edge_map(const Graph& g, const Graph& gt, VertexSubset& frontier,
                       Update update, UpdateSeq update_seq, Cond cond,
-                      const EdgeMapOptions& opt = {}, RunStats* stats = nullptr) {
+                      const EdgeMapOptions& opt = {}, Tracer* stats = nullptr) {
   g.ensure_validated();
   EdgeId frontier_work = frontier.out_degree_sum(g) + frontier.size();
   bool go_dense = opt.allow_dense &&
@@ -273,7 +273,7 @@ VertexSubset edge_map(const Graph& g, const Graph& gt, VertexSubset& frontier,
 template <typename Update, typename Cond>
 VertexSubset edge_map(const Graph& g, const Graph& gt, VertexSubset& frontier,
                       Update update, Cond cond, const EdgeMapOptions& opt = {},
-                      RunStats* stats = nullptr) {
+                      Tracer* stats = nullptr) {
   return edge_map(g, gt, frontier, update, update, cond, opt, stats);
 }
 

@@ -4,13 +4,14 @@
 //
 //   RunReport<T> variant(const Graph& g, [const Graph& gt,] const AlgoOptions&)
 //
-// declared next to its legacy form in the family header and implemented in
-// algorithms/run_api.cpp. `AlgoOptions` carries the union of all per-family
-// tuning knobs (each family reads only its own), the source vertex, the
-// validation flag, and an optional caller-owned Tracer; `RunReport` bundles
-// the output with the run's wall time and aggregated telemetry. The legacy
-// `(..., Params, RunStats*)` signatures remain as thin compatibility
-// wrappers around the same implementations.
+// declared next to its positional form in the family header. The positional
+// `(..., Params, Tracer*)` functions are the implementations; the modern
+// entry points in algorithms/run_api.cpp check the variant's catalog guard
+// (algorithms/catalog.h), build the Params from the AlgoOptions, and call
+// them. `AlgoOptions` carries the union of all per-family tuning knobs (each
+// family reads only its own), the source vertex, and an optional
+// caller-owned Tracer; `RunReport` bundles the output with the run's wall
+// time and aggregated telemetry.
 //
 // Batched multi-source queries use the same shape one level up:
 // `BatchOptions` (a source list plus the shared AlgoOptions) in,
@@ -62,11 +63,6 @@ struct AlgoOptions {
   std::uint32_t pagerank_iterations = 100;
   double pagerank_epsilon = 1e-7;
   double pagerank_damping = 0.85;
-
-  // Cross-check the output against a reference computation (drivers only;
-  // the run_api entry points record it in no way — it rides here so one
-  // options struct reaches the whole driver pipeline).
-  bool validate = false;
 
   // When non-null the run records into this tracer (reset at run start) and
   // the caller can keep it for later inspection; when null a run-local

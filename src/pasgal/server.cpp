@@ -11,16 +11,11 @@
 #include <cstring>
 #include <map>
 #include <new>
+#include <optional>
 #include <set>
 #include <utility>
 
-#include "algorithms/bfs/bfs.h"
-#include "algorithms/cc/cc.h"
-#include "algorithms/cc/ldd.h"
-#include "algorithms/kcore/kcore.h"
-#include "algorithms/pagerank/pagerank.h"
-#include "algorithms/sssp/sssp.h"
-#include "algorithms/tc/tc.h"
+#include "algorithms/catalog.h"
 #include "graphs/delta.h"
 #include "graphs/graph_io.h"
 #include "graphs/registry.h"
@@ -138,32 +133,40 @@ std::uint64_t windowed_need(const PgrInfo& info, std::uint64_t window) {
   return need;
 }
 
-// The "shard" metrics object for a sharded query response (same shape the
-// drivers emit via apps::record_shard): plan size + window budget and the
-// activation counters summed over forward + transpose windows.
-void record_shard(MetricsDoc& doc, const Graph& g) {
-  const StorageRef& storage = g.storage();
-  if (storage == nullptr || storage->shard_window() == nullptr) return;
-  const MappedWindow& w = *storage->shard_window();
-  std::uint64_t sweeps = w.sweeps();
-  std::uint64_t faults = w.faults();
-  if (StorageRef t = storage->transpose_cache();
-      t != nullptr && t->shard_window() != nullptr) {
-    sweeps += t->shard_window()->sweeps();
-    faults += t->shard_window()->faults();
+// A verb's default row: its first served catalog row; nullptr when the
+// daemon serves no `verb`.
+const AlgoSpec* served_default(const std::string& verb) {
+  for (const AlgoSpec& row : algo_catalog()) {
+    if (row.served && row.family == verb) return &row;
   }
-  doc.set_shard(w.plan().size(), w.plan().window_bytes(), sweeps, faults);
+  return nullptr;
 }
 
-// The "delta" metrics object for a query answered through an update overlay:
-// overlay size as the algorithm saw it. The repair triple is zero here —
-// only the drivers' incremental --updates path re-settles selectively.
-void record_delta(MetricsDoc& doc, const Graph& g) {
-  if (g.storage() == nullptr) return;
-  std::shared_ptr<const DeltaSnapshot> d = g.storage()->delta_snapshot();
-  if (d == nullptr) return;
-  doc.set_delta(d->insert_count(), d->delete_count(), d->batches(), 0, 0,
-                false);
+// The served `verb` row named `algo` (the first one when null) among the rows
+// that run one source, or a sources= batch. Unknown names get a typed usage
+// error listing the candidates in table order.
+const AlgoSpec& served_algo(const std::string& verb, const std::string* algo,
+                            bool batch) {
+  const AlgoSpec* pick = nullptr;
+  std::string names;
+  for (const AlgoSpec& row : algo_catalog()) {
+    if (!row.served || row.family != verb) continue;
+    if (batch ? !row.takes_batch() : row.sources == AlgoSources::kBatch) {
+      continue;
+    }
+    if (pick == nullptr && (algo == nullptr || *algo == row.name)) pick = &row;
+    names += (names.empty() ? "" : "|") + std::string(row.name);
+  }
+  if (pick != nullptr) return *pick;
+  if (batch && verb == "bfs") {
+    // bfs batches only through its dedicated bit-parallel kernel.
+    throw Error(ErrorCategory::kUsage,
+                "bfs: algo '" + *algo +
+                    "' has no batch mode (sources= runs the bit-parallel " +
+                    names + " kernel)");
+  }
+  throw Error(ErrorCategory::kUsage, verb + ": unknown algo '" + *algo +
+                                         "' (expected " + names + ")");
 }
 
 // update's add=/del= values: comma-separated from:to pairs, each vertex a
@@ -371,15 +374,15 @@ std::string Server::handle_request(const std::string& line) {
     if (req.cmd == "open") {
       check_vocabulary(req, {"graph"}, {"pin"});
       out = do_open(require_graph(req), req.flags.count("pin") != 0);
-    } else if (req.cmd == "bfs" || req.cmd == "sssp") {
-      check_vocabulary(req, {"graph", "source", "sources", "algo",
-                             "deadline_ms"}, {});
+    } else if (const AlgoSpec* first = served_default(req.cmd)) {
+      // Single-source families (bfs, sssp) also take source=/sources=.
+      bool sourced = first->sources != AlgoSources::kNone;
+      std::set<std::string> keys = {"graph", "algo", "deadline_ms"};
+      if (sourced) keys.insert({"source", "sources"});
+      check_vocabulary(req, keys, {});
+      std::string path = require_graph(req);
+      std::vector<std::uint32_t> sources;
       if (auto batch = req.kv.find("sources"); batch != req.kv.end()) {
-        // Resolve the graph before the source list so every sources= error
-        // below can carry it: a client multiplexing several graphs over one
-        // connection cannot tell which request a bare "duplicate source"
-        // line belonged to.
-        std::string path = require_graph(req);
         if (req.kv.count("source") != 0) {
           throw Error(ErrorCategory::kUsage,
                       req.cmd + ": source= conflicts with sources= (give one "
@@ -389,45 +392,32 @@ std::string Server::handle_request(const std::string& line) {
         // allow_file=false: a remote peer must not name paths on the serving
         // host. Oversized lists and duplicates are typed kUsage errors here,
         // never silently truncated.
-        std::vector<std::uint32_t> sources;
         try {
           sources = cli::parse_sources(batch->second, /*allow_file=*/false);
         } catch (const Error& e) {
           // parse_sources knows nothing about graphs; re-raise with the
-          // graph as file context ("[usage] <graph>: <message>").
+          // graph as file context ("[usage] <graph>: <message>") so a client
+          // multiplexing several graphs over one connection can tell which
+          // request a bare "duplicate source" line belonged to.
           std::string msg = e.what();
           std::string prefix = std::string("[") + to_string(e.category()) +
                                "] ";
           if (msg.rfind(prefix, 0) == 0) msg = msg.substr(prefix.size());
           throw Error(e.category(), req.cmd + ": " + msg, path);
         }
-        std::string algo = req.cmd == "bfs" ? "ms" : "rho";
-        if (auto it = req.kv.find("algo"); it != req.kv.end()) {
-          algo = it->second;
-        }
-        out = do_batch(req.cmd, path, sources, algo,
-                       kv_int(req, "deadline_ms", opts_.default_deadline_ms,
-                              1LL << 40));
-      } else {
-        std::string algo = req.cmd == "bfs" ? "pasgal" : "rho";
-        if (auto it = req.kv.find("algo"); it != req.kv.end()) {
-          algo = it->second;
-        }
-        out = do_query(req.cmd, require_graph(req),
-                       kv_int(req, "source", 0, (1LL << 32) - 1), algo,
-                       kv_int(req, "deadline_ms", opts_.default_deadline_ms,
-                              1LL << 40));
       }
-    } else if (req.cmd == "cc" || req.cmd == "kcore" ||
-               req.cmd == "pagerank" || req.cmd == "tc") {
-      check_vocabulary(req, {"graph", "algo", "deadline_ms"}, {});
-      std::string algo = req.cmd == "cc" ? "uf" : "pasgal";
-      if (auto it = req.kv.find("algo"); it != req.kv.end()) {
-        algo = it->second;
+      std::optional<std::uint64_t> source;
+      if (sourced && sources.empty()) {
+        source = kv_int(req, "source", 0, (1LL << 32) - 1);
       }
-      out = do_family_query(req.cmd, require_graph(req), algo,
-                            kv_int(req, "deadline_ms",
-                                   opts_.default_deadline_ms, 1LL << 40));
+      std::uint64_t deadline_ms =
+          kv_int(req, "deadline_ms", opts_.default_deadline_ms, 1LL << 40);
+      auto algo = req.kv.find("algo");
+      // Resolve the variant before any I/O so a typo costs nothing.
+      const AlgoSpec& row =
+          served_algo(req.cmd, algo == req.kv.end() ? nullptr : &algo->second,
+                      !sources.empty());
+      out = do_run(row, path, source, sources, deadline_ms);
     } else if (req.cmd == "update") {
       check_vocabulary(req, {"graph", "add", "del", "deadline_ms"}, {});
       auto add_it = req.kv.find("add");
@@ -585,16 +575,17 @@ std::string Server::do_open(const std::string& path, bool pin) {
   return out;
 }
 
-std::string Server::do_query(const std::string& cmd, const std::string& path,
-                             std::uint64_t source, const std::string& algo,
-                             std::uint64_t deadline_ms) {
+std::string Server::do_run(const AlgoSpec& row, const std::string& path,
+                           std::optional<std::uint64_t> source,
+                           const std::vector<std::uint32_t>& sources,
+                           std::uint64_t deadline_ms) {
   PgrShardSpec spec = ensure_open(path);
 
   CancelToken token;
   if (deadline_ms != 0) token.set_deadline_ms(deadline_ms);
 
   AlgoOptions opt;
-  opt.source = static_cast<VertexId>(source);
+  opt.source = static_cast<VertexId>(source.value_or(0));
   opt.cancel = &token;
 
   // One external thread at a time may drive the work-stealing pool (all
@@ -602,177 +593,45 @@ std::string Server::do_query(const std::string& cmd, const std::string& path,
   // transpose, the run itself — is parallel.
   std::lock_guard<std::mutex> exec(exec_mu_);
 
-  if (cmd == "bfs") {
-    // In-core: registry hit sharing the retained mapping. Sharded: a fresh
-    // windowed open owned by this query alone.
-    Graph g = read_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
-    if (source >= g.num_vertices()) {
-      throw Error(ErrorCategory::kUsage,
-                  "source=" + std::to_string(source) + " out of range (n=" +
-                      std::to_string(g.num_vertices()) + ")");
-    }
-    Graph gt = g.transpose();  // memoized on the shared storage handle
-    RunReport<std::vector<std::uint32_t>> report;
-    if (algo == "pasgal") {
-      report = pasgal_bfs(g, gt, opt);
-    } else if (algo == "gbbs") {
-      report = gbbs_bfs(g, gt, opt);
-    } else {
-      throw Error(ErrorCategory::kUsage,
-                  "bfs: unknown algo '" + algo + "' (expected pasgal|gbbs)");
-    }
-    MetricsDoc doc("bfs", algo, path, g.num_vertices(), g.num_edges());
-    doc.set_param("source", source);
-    if (deadline_ms != 0) doc.set_param("deadline_ms", deadline_ms);
-    doc.add_trial(report.seconds, report.telemetry);
-    record_shard(doc, g);
-    record_delta(doc, g);
-    return doc.to_json();
-  }
-
-  // sssp: the file must carry a weights section (typed error otherwise).
-  if (algo != "rho" && algo != "delta" && algo != "em") {
-    throw Error(ErrorCategory::kUsage,
-                "sssp: unknown algo '" + algo + "' (expected rho|delta|em)");
-  }
-  WeightedGraph<std::uint32_t> wg =
-      read_weighted_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
-  if (source >= wg.num_vertices()) {
-    throw Error(ErrorCategory::kUsage,
-                "source=" + std::to_string(source) + " out of range (n=" +
-                    std::to_string(wg.num_vertices()) + ")");
-  }
-  opt.sssp_delta_mode = algo == "delta";
-  RunReport<std::vector<Dist>> report =
-      algo == "em" ? em_bellman_ford(wg, opt) : stepping_sssp(wg, opt);
-  MetricsDoc doc("sssp", algo, path, wg.num_vertices(), wg.num_edges());
-  doc.set_param("source", source);
-  if (deadline_ms != 0) doc.set_param("deadline_ms", deadline_ms);
-  doc.add_trial(report.seconds, report.telemetry);
-  record_shard(doc, wg.unweighted());
-  return doc.to_json();
-}
-
-std::string Server::do_batch(const std::string& cmd, const std::string& path,
-                             const std::vector<std::uint32_t>& sources,
-                             const std::string& algo,
-                             std::uint64_t deadline_ms) {
-  PgrShardSpec spec = ensure_open(path);
-
-  CancelToken token;
-  if (deadline_ms != 0) token.set_deadline_ms(deadline_ms);
-
-  BatchOptions bopt;
-  bopt.sources = sources;
-  bopt.algo.cancel = &token;
-
-  std::lock_guard<std::mutex> exec(exec_mu_);
-
-  if (cmd == "bfs") {
-    if (algo != "ms") {
-      throw Error(ErrorCategory::kUsage,
-                  "bfs: algo '" + algo +
-                      "' has no batch mode (sources= runs the bit-parallel "
-                      "ms kernel)");
-    }
-    Graph g = read_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
-    Graph gt = g.transpose();
-    // ms_bfs range-checks the sources against this graph (typed kUsage).
-    BatchReport<std::vector<std::uint32_t>> report = ms_bfs(g, gt, bopt);
-    MetricsDoc doc("bfs", algo, path, g.num_vertices(), g.num_edges());
-    if (deadline_ms != 0) doc.set_param("deadline_ms", deadline_ms);
-    doc.set_batch(sources, report.seconds);
-    doc.add_trial(report.seconds, report.telemetry);
-    record_shard(doc, g);
-    return doc.to_json();
-  }
-
-  if (algo != "rho" && algo != "delta") {
-    throw Error(ErrorCategory::kUsage,
-                "sssp: unknown algo '" + algo + "' (expected rho|delta)");
-  }
-  WeightedGraph<std::uint32_t> wg =
-      read_weighted_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
-  bopt.algo.sssp_delta_mode = algo == "delta";
-  BatchReport<std::vector<Dist>> report = batch_sssp(wg, bopt);
-  MetricsDoc doc("sssp", algo, path, wg.num_vertices(), wg.num_edges());
-  if (deadline_ms != 0) doc.set_param("deadline_ms", deadline_ms);
-  doc.set_batch(sources, report.seconds);
-  doc.add_trial(report.seconds, report.telemetry);
-  record_shard(doc, wg.unweighted());
-  return doc.to_json();
-}
-
-std::string Server::do_family_query(const std::string& cmd,
-                                    const std::string& path,
-                                    const std::string& algo,
-                                    std::uint64_t deadline_ms) {
-  // Validate the algo string before any I/O so a typo costs nothing.
-  if (cmd == "cc") {
-    if (algo != "uf" && algo != "lp" && algo != "ldd") {
-      throw Error(ErrorCategory::kUsage,
-                  "cc: unknown algo '" + algo + "' (expected uf|lp|ldd)");
-    }
-  } else if (algo != "pasgal" && algo != "seq") {
-    throw Error(ErrorCategory::kUsage, cmd + ": unknown algo '" + algo +
-                                           "' (expected pasgal|seq)");
-  }
-
-  PgrShardSpec spec = ensure_open(path);
-
-  CancelToken token;
-  if (deadline_ms != 0) token.set_deadline_ms(deadline_ms);
-
-  AlgoOptions opt;
-  opt.cancel = &token;
-
-  std::lock_guard<std::mutex> exec(exec_mu_);
-
-  Graph g = read_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
-  MetricsDoc doc(cmd, algo, path, g.num_vertices(), g.num_edges());
-  if (deadline_ms != 0) doc.set_param("deadline_ms", deadline_ms);
-
-  if (cmd == "pagerank") {
-    // The dense pull walks the transpose's shard plan, so pagerank (pasgal
-    // variant) stays correct on sharded opens; seq refuses with a typed
-    // error from its own ensure_in_core.
-    Graph gt = g.transpose();
-    RunReport<PagerankResult> report = algo == "pasgal"
-                                           ? pasgal_pagerank(g, gt, opt)
-                                           : seq_pagerank(g, gt, opt);
-    doc.set_param("iterations",
-                  static_cast<std::uint64_t>(report.output.iterations));
-    doc.add_trial(report.seconds, report.telemetry);
-    record_shard(doc, g);
-    record_delta(doc, g);
-    return doc.to_json();
-  }
-
-  // cc / kcore / tc are defined on the undirected graph. symmetrize() needs
-  // the whole edge set in core, so on a sharded open it throws the typed
-  // kUsage error instead of silently faulting past the window.
-  Graph sg = g.symmetrize();
-  if (cmd == "cc") {
-    RunReport<std::vector<VertexId>> report;
-    if (algo == "uf") {
-      RunReport<ConnectivityResult> uf = connected_components(sg, opt);
-      report.output = std::move(uf.output.label);
-      report.seconds = uf.seconds;
-      report.telemetry = std::move(uf.telemetry);
-    } else {
-      report = algo == "lp" ? label_prop_cc(sg, opt) : ldd_cc(sg, opt);
-    }
-    doc.add_trial(report.seconds, report.telemetry);
-  } else if (cmd == "kcore") {
-    RunReport<std::vector<std::uint32_t>> report =
-        algo == "pasgal" ? pasgal_kcore(sg, opt) : seq_kcore(sg, opt);
-    doc.add_trial(report.seconds, report.telemetry);
+  // In-core: registry hit sharing the retained mapping. Sharded: a fresh
+  // windowed open owned by this query alone. Weighted rows need the file's
+  // weights section (typed error otherwise).
+  WeightedGraph<std::uint32_t> wg;
+  Graph g;
+  if (row.input == AlgoInput::kWeighted) {
+    wg = read_weighted_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
+    g = wg.unweighted();
   } else {
-    RunReport<std::uint64_t> report =
-        algo == "pasgal" ? pasgal_tc(sg, opt) : seq_tc(sg, opt);
-    doc.set_param("triangles", report.output);
-    doc.add_trial(report.seconds, report.telemetry);
+    g = read_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
   }
+  if (source && *source >= g.num_vertices()) {
+    throw Error(ErrorCategory::kUsage,
+                "source=" + std::to_string(*source) + " out of range (n=" +
+                    std::to_string(g.num_vertices()) + ")");
+  }
+  AlgoArgs args;
+  args.g = &g;
+  args.wg = &wg;
+  args.sources = sources;
+  Graph prepared;
+  if (row.input == AlgoInput::kTranspose) {
+    prepared = g.transpose();  // memoized on the shared storage handle
+    args.gt = &prepared;
+  } else if (row.input == AlgoInput::kSymmetric) {
+    // symmetrize() needs the whole edge set in core, so on a sharded open it
+    // throws the typed kUsage error instead of silently faulting past the
+    // window.
+    prepared = g.symmetrize();
+    args.g = &prepared;
+  }
+  AlgoRun run = row.run(args, opt);
+
+  MetricsDoc doc(row.family, row.name, path, g.num_vertices(), g.num_edges());
+  if (source) doc.set_param("source", *source);
+  if (deadline_ms != 0) doc.set_param("deadline_ms", deadline_ms);
+  for (const auto& [name, value] : run.params) doc.set_param(name, value);
+  if (!sources.empty()) doc.set_batch(sources, run.seconds);
+  doc.add_trial(run.seconds, run.telemetry);
   record_shard(doc, g);
   record_delta(doc, g);
   return doc.to_json();

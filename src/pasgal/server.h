@@ -32,35 +32,24 @@
 // response per request.
 //
 //   open graph=<path.pgr> [pin]        -> ok opened ...        (admission)
-//   bfs graph=<p> source=<v> [algo=pasgal|gbbs] [deadline_ms=<n>]
-//                                      -> pasgal.metrics v1 JSON (one line)
-//   sssp graph=<p> source=<v> [algo=rho|delta|em] [deadline_ms=<n>]
-//                                      -> pasgal.metrics v1 JSON (one line);
-//                                         algo=em is the edge_map Bellman-Ford
-//                                         that stays correct on sharded opens
-//   bfs graph=<p> sources=<v0,v1,...> [deadline_ms=<n>]
-//                                      -> batched: one ms_bfs sweep advances
-//                                         every source; the JSON document
-//                                         carries a "batch" section. Max 64
-//                                         sources, duplicates rejected with
-//                                         a typed [usage] error (never
-//                                         silently truncated). algo= accepts
-//                                         only "ms" here.
-//   sssp graph=<p> sources=<v0,v1,...> [algo=rho|delta] [deadline_ms=<n>]
-//                                      -> batched landmark run, same rules
-//                                         (the deadline covers the whole
-//                                         batch). sources= conflicts with
-//                                         source=; @file lists are CLI-only.
-//   cc graph=<p> [algo=uf|lp|ldd] [deadline_ms=<n>]
-//   kcore graph=<p> [algo=pasgal|seq] [deadline_ms=<n>]
-//   pagerank graph=<p> [algo=pasgal|seq] [deadline_ms=<n>]
-//   tc graph=<p> [algo=pasgal|seq] [deadline_ms=<n>]
-//                                      -> pasgal.metrics v1 JSON (one line).
+//   <verb> graph=<p> [source=<v> | sources=<v0,v1,...>] [algo=<name>]
+//        [deadline_ms=<n>]         -> pasgal.metrics v1 JSON (one line).
+//                                         The verbs are the catalog families
+//                                         with served rows (bfs, sssp, cc,
+//                                         kcore, pagerank, tc; see
+//                                         algorithms/catalog.h): algo= names
+//                                         a served row, default the first.
+//                                         source= (default 0) and sources=
+//                                         apply to bfs/sssp only; a sources=
+//                                         batch (max 64, duplicates a typed
+//                                         [usage] error, @file lists
+//                                         CLI-only) runs a batch row — bfs
+//                                         ms, sssp rho|delta — and the
+//                                         document gains a "batch" section.
 //                                         cc/kcore/tc symmetrize in-core and
 //                                         answer sharded opens with a typed
-//                                         [usage] error; pagerank algo=pasgal
-//                                         runs shard-at-a-time through the
-//                                         transpose's window.
+//                                         [usage] error; sssp em and pagerank
+//                                         pasgal run shard-at-a-time.
 //   update graph=<p> [add=<u:v,...>] [del=<u:v,...>] [deadline_ms=<n>]
 //                                      -> ok updated ... applies one edge
 //                                         batch to the resident graph's
@@ -101,6 +90,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -108,6 +98,8 @@
 #include "graphs/graph_io.h"
 
 namespace pasgal {
+
+struct AlgoSpec;
 
 struct ServerOptions {
   // Filesystem path of the unix SOCK_STREAM socket. bind() unlinks a
@@ -175,20 +167,15 @@ class Server {
   std::string handle_request(const std::string& line);
 
   std::string do_open(const std::string& path, bool pin);
-  std::string do_query(const std::string& cmd, const std::string& path,
-                       std::uint64_t source, const std::string& algo,
-                       std::uint64_t deadline_ms);
-  // Batched form of do_query (sources= on bfs/sssp): runs ms_bfs or
-  // batch_sssp over the validated source list and returns one metrics
-  // document with a "batch" section.
-  std::string do_batch(const std::string& cmd, const std::string& path,
-                       const std::vector<std::uint32_t>& sources,
-                       const std::string& algo, std::uint64_t deadline_ms);
-  // Sourceless whole-graph queries (cc/kcore/pagerank/tc): same admission,
-  // deadline and metrics contract as do_query, minus the source vertex.
-  std::string do_family_query(const std::string& cmd, const std::string& path,
-                              const std::string& algo,
-                              std::uint64_t deadline_ms);
+  // Every catalog verb (bfs/sssp/cc/kcore/pagerank/tc): opens `path`,
+  // prepares the row's input (transpose, symmetrize, weights), runs it with
+  // the deadline armed, and returns one metrics document. `source` is set
+  // for single-source verbs; a non-empty `sources` is a batch and the
+  // document gains a "batch" section.
+  std::string do_run(const AlgoSpec& row, const std::string& path,
+                     std::optional<std::uint64_t> source,
+                     const std::vector<std::uint32_t>& sources,
+                     std::uint64_t deadline_ms);
   // Applies one insert/delete batch to `path`'s resident mapping as a delta
   // overlay, pricing the overlay growth against the admission budget and
   // pinning the entry (pending updates must not be LRU-evicted).

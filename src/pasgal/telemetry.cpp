@@ -7,8 +7,10 @@
 #include <cstring>
 #include <unordered_set>
 
-// For kMaxBatchSources (batch schema validation). options.h includes this
-// header, so the dependency may only run in this direction from the .cpp.
+// For the family whitelist (catalog.h) and kMaxBatchSources (batch schema
+// validation). Both headers include this one, so the dependency may only run
+// in this direction from the .cpp.
+#include "algorithms/catalog.h"
 #include "pasgal/options.h"
 
 namespace pasgal {
@@ -680,18 +682,13 @@ const json::Value* require(const json::Value& obj, const char* key,
   return v;
 }
 
-// Algorithm families a metrics document may describe. Unknown algo strings
-// are schema errors: downstream bench tooling keys tables off this set, and
-// a typo'd family silently dropping out of a report is worse than a failure.
-constexpr const char* kKnownAlgos[] = {
-    "bfs",    "sssp", "scc",       "bcc", "cc",
-    "kcore",  "pagerank", "tc",    "graph_gen", "graph_convert"};
-
+// Algorithm families a metrics document may describe: the catalog's
+// families plus the two graph tools. Unknown algo strings are schema errors:
+// downstream bench tooling keys tables off this set, and a typo'd family
+// silently dropping out of a report is worse than a failure.
 bool known_algo(const std::string& algo) {
-  for (const char* a : kKnownAlgos) {
-    if (algo == a) return true;
-  }
-  return false;
+  return is_algo_family(algo) || algo == "graph_gen" ||
+         algo == "graph_convert";
 }
 
 Status validate_trial(const json::Value& trial, std::size_t index,

@@ -12,9 +12,6 @@
 // padded slots (wait-free, no shared atomics); aggregation into a
 // `RunTelemetry` happens once at run end. Round boundaries and phase marks
 // are recorded only by the round master (the thread driving the outer loop).
-//
-// `Tracer` subsumes the old `RunStats` (which survives as an alias in
-// stats.h so existing code compiles unchanged).
 #pragma once
 
 #include <array>
@@ -148,7 +145,7 @@ class Tracer {
   void phase_begin(const char* name);
   void phase_end();
 
-  // --- legacy RunStats interface -------------------------------------------
+  // --- counter readout ----------------------------------------------------
   std::uint64_t edges_scanned() const;
   std::uint64_t vertices_visited() const;
   std::uint64_t rounds() const {

@@ -19,7 +19,7 @@
 
 #include "graphs/graph.h"
 #include "pasgal/hashbag.h"
-#include "pasgal/stats.h"
+#include "pasgal/telemetry.h"
 
 namespace pasgal {
 
@@ -42,7 +42,7 @@ struct VgcParams {
 template <typename TryMark>
 std::uint64_t local_search(const Graph& g, VertexId root, const VgcParams& p,
                            TryMark&& try_mark, HashBag<VertexId>& next,
-                           RunStats* stats = nullptr) {
+                           Tracer* stats = nullptr) {
   // Task-local stack; plain vector, no sharing.
   std::vector<VertexId> stack;
   stack.reserve(64);
@@ -90,7 +90,7 @@ std::uint64_t local_search(const Graph& g, VertexId root, const VgcParams& p,
 template <typename Relax, typename Spill>
 std::uint64_t local_search_dist(VertexId root, std::uint32_t root_dist,
                                 const VgcParams& p, Relax&& relax,
-                                Spill&& spill, RunStats* stats = nullptr) {
+                                Spill&& spill, Tracer* stats = nullptr) {
   struct Entry {
     VertexId v;
     std::uint32_t dist;

@@ -106,7 +106,7 @@ TEST_P(BccTest, GbbsBccMatchesHopcroftTarjan) {
 TEST(BccRounds, GbbsBccNeedsDiameterRounds) {
   Scheduler::reset(1);
   Graph g = gen::rectangle_grid(3, 800);  // diameter ~ 800
-  RunStats fast_stats, gbbs_stats;
+  Tracer fast_stats, gbbs_stats;
   auto a = fast_bcc(g, &fast_stats);
   auto b = gbbs_bcc(g, &gbbs_stats);
   EXPECT_EQ(normalize_bcc_labels(a.edge_label),

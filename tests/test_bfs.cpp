@@ -91,7 +91,7 @@ TEST(BfsRounds, VgcReducesRoundsOnLargeDiameter) {
   // A long skinny grid: diameter ~ 500. GBBS needs one round per level;
   // PASGAL's VGC should advance many hops per round.
   Graph g = gen::rectangle_grid(4, 500);
-  RunStats gbbs_stats, pasgal_stats;
+  Tracer gbbs_stats, pasgal_stats;
   auto a = gbbs_bfs(g, g, 0, &gbbs_stats);
   PasgalBfsParams p;
   p.vgc.tau = 512;
@@ -106,7 +106,7 @@ TEST(BfsRounds, DirectionOptimizationKicksInOnSocialGraphs) {
   Scheduler::reset(1);
   Graph g = gen::rmat(13, 120000, 3);
   Graph gt = g.transpose();
-  RunStats stats;
+  Tracer stats;
   // Pick a high-degree source so the frontier explodes.
   VertexId best = 0;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -121,7 +121,7 @@ TEST(BfsRounds, DirectionOptimizationKicksInOnSocialGraphs) {
 TEST(BfsStats, EdgesScannedAtLeastReachableEdges) {
   Scheduler::reset(1);
   Graph g = gen::rectangle_grid(10, 100);
-  RunStats stats;
+  Tracer stats;
   pasgal_bfs(g, g, 0, {}, &stats);
   EXPECT_GE(stats.edges_scanned(), g.num_edges());  // every edge looked at
   EXPECT_GE(stats.vertices_visited(), g.num_vertices());

@@ -100,7 +100,7 @@ TEST_P(EdgeMapTest, AutoSwitchesToDenseOnHugeFrontier) {
   // Frontier = all vertices: must pick the dense path (outdeg sum = m > m/20).
   auto all = iota<VertexId>(g.num_vertices());
   VertexSubset frontier = VertexSubset::sparse(g.num_vertices(), all);
-  RunStats stats;
+  Tracer stats;
   auto next = edge_map(
       g, gt, frontier, [](VertexId, VertexId) { return false; },
       [](VertexId) { return true; }, EdgeMapOptions{}, &stats);
@@ -138,7 +138,7 @@ TEST_P(EdgeMapTest, DenseRoundSizeAgreesWithSparseList) {
 
 TEST_P(EdgeMapTest, StatsCountEdges) {
   Graph g = gen::rectangle_grid(10, 10);
-  RunStats stats;
+  Tracer stats;
   VertexSubset frontier = VertexSubset::single(g.num_vertices(), 0);
   EdgeMapOptions opt;
   opt.allow_dense = false;

@@ -102,7 +102,7 @@ TEST(KcoreRounds, VgcCollapsesPeelingChains) {
   Graph g = gen::chain(20000);
   KcoreParams no_vgc;
   no_vgc.vgc.tau = 1;
-  RunStats chain_stats, vgc_stats;
+  Tracer chain_stats, vgc_stats;
   auto a = pasgal_kcore(g, no_vgc, &chain_stats);
   KcoreParams with_vgc;
   with_vgc.vgc.tau = 512;
@@ -115,7 +115,7 @@ TEST(KcoreRounds, VgcCollapsesPeelingChains) {
 TEST(KcoreStats, WorkIsLinear) {
   Scheduler::reset(1);
   Graph g = gen::rectangle_grid(40, 40);
-  RunStats stats;
+  Tracer stats;
   pasgal_kcore(g, {}, &stats);
   // Every edge is scanned O(1) times during peeling.
   EXPECT_LE(stats.edges_scanned(), 3 * g.num_edges());

@@ -65,7 +65,7 @@ TEST_F(PpspTest, BidirectionalSettlesFewerVerticesOnLargeDiameter) {
   auto g = gen::add_weights(gen::rectangle_grid(60, 60), 20, 7);
   auto gt = g.transpose();
   VertexId s = 0, t = 60 * 60 - 1;  // opposite corners
-  RunStats uni_stats, bi_stats;
+  Tracer uni_stats, bi_stats;
   Dist d1 = ppsp_dijkstra(g, s, t, &uni_stats);
   Dist d2 = ppsp_bidirectional(g, gt, s, t, &bi_stats);
   EXPECT_EQ(d1, d2);
@@ -74,7 +74,7 @@ TEST_F(PpspTest, BidirectionalSettlesFewerVerticesOnLargeDiameter) {
 
 TEST_F(PpspTest, EarlyExitBeatsFullScanOnNearbyTargets) {
   auto g = gen::add_weights(gen::rectangle_grid(50, 50), 20, 8);
-  RunStats near_stats;
+  Tracer near_stats;
   ppsp_dijkstra(g, 0, 1, &near_stats);
   EXPECT_LT(near_stats.vertices_visited(), g.num_vertices() / 4);
 }

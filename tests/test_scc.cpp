@@ -176,7 +176,7 @@ TEST(SccRounds, VgcReducesRoundsOnRoadGraphs) {
   Scheduler::reset(1);
   Graph g = gen::road_grid(8, 400, 0.9, 3);  // long strip, mostly two-way
   Graph gt = g.transpose();
-  RunStats pasgal_stats, gbbs_stats;
+  Tracer pasgal_stats, gbbs_stats;
   auto a = pasgal_scc(g, gt, {}, &pasgal_stats);
   auto b = gbbs_scc(g, gt, {}, &gbbs_stats);
   EXPECT_EQ(normalize_scc_labels(a), normalize_scc_labels(b));

@@ -227,6 +227,45 @@ TEST_F(ServerTest, FamilyVerbContractViolationsGetTypedUsageErrors) {
   EXPECT_EQ(stray.rfind("error [usage]", 0), 0u) << stray;
 }
 
+TEST_F(ServerTest, UnknownAlgoErrorsListTheServedRowsInTableOrder) {
+  std::string path = write_graph("catalog.pgr");
+  std::string wpath = write_weighted_graph("wcatalog.pgr");
+  start_server();
+
+  // Each verb offers exactly its served catalog rows, in table order: the
+  // driver-only variants (bfs gapbs/seq, sssp bf/seq, scc, bcc) never
+  // appear, and batch lists hold only the rows that batch.
+  const std::pair<std::string, std::string> cases[] = {
+      {"bfs graph=" + path + " source=0 algo=nope",
+       "bfs: unknown algo 'nope' (expected pasgal|gbbs)"},
+      {"sssp graph=" + wpath + " source=0 algo=nope",
+       "sssp: unknown algo 'nope' (expected rho|delta|em)"},
+      {"sssp graph=" + wpath + " sources=1,2 algo=nope",
+       "sssp: unknown algo 'nope' (expected rho|delta)"},
+      {"cc graph=" + path + " algo=nope",
+       "cc: unknown algo 'nope' (expected uf|lp|ldd)"},
+      {"kcore graph=" + path + " algo=nope",
+       "kcore: unknown algo 'nope' (expected pasgal|seq)"},
+      {"pagerank graph=" + path + " algo=nope",
+       "pagerank: unknown algo 'nope' (expected pasgal|seq)"},
+      {"tc graph=" + path + " algo=nope",
+       "tc: unknown algo 'nope' (expected pasgal|seq)"},
+  };
+  for (const auto& [request, message] : cases) {
+    EXPECT_EQ(request_once(request), "error [usage] " + message) << request;
+  }
+
+  // Variants a verb serves singly but not in a batch are typed usage errors.
+  std::string em_batch =
+      request_once("sssp graph=" + wpath + " sources=1,2 algo=em");
+  EXPECT_EQ(em_batch.rfind("error [usage]", 0), 0u) << em_batch;
+  std::string gbbs_batch =
+      request_once("bfs graph=" + path + " sources=1,2 algo=gbbs");
+  EXPECT_EQ(gbbs_batch,
+            "error [usage] bfs: algo 'gbbs' has no batch mode (sources= runs "
+            "the bit-parallel ms kernel)");
+}
+
 TEST_F(ServerTest, FamilyDeadlineExpiryIsTypedAndThePoolSurvives) {
   std::string big = temp_path("family_deadline.pgr");
   write_pgr(gen::chain(400000, /*directed=*/true), big);

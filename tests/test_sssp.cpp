@@ -131,7 +131,7 @@ TEST_P(SsspTest, WeightedShorterThanFewerHops) {
 TEST(SsspRounds, SteppingBeatsBellmanFordRoundsOnChain) {
   Scheduler::reset(1);
   auto g = gen::add_weights(gen::chain(3000), 10, 17);
-  RunStats bf_stats, step_stats;
+  Tracer bf_stats, step_stats;
   auto a = bellman_ford(g, 0, &bf_stats);
   auto b = rho_stepping(g, 0, &step_stats);
   EXPECT_EQ(a, b);

@@ -1,15 +1,16 @@
-// Tests for RunStats instrumentation and the cost model.
+// Tests for the Tracer's counter interface (rounds, edges, visits,
+// frontiers).
 #include <gtest/gtest.h>
 
 #include "parlay/parallel.h"
-#include "pasgal/stats.h"
+#include "pasgal/telemetry.h"
 
 namespace pasgal {
 namespace {
 
-TEST(RunStats, CountersAccumulate) {
+TEST(Tracer, CountersAccumulate) {
   Scheduler::reset(1);
-  RunStats stats;
+  Tracer stats;
   stats.add_edges(10);
   stats.add_edges(5);
   stats.add_visits(3);
@@ -18,9 +19,9 @@ TEST(RunStats, CountersAccumulate) {
   EXPECT_EQ(stats.rounds(), 0u);
 }
 
-TEST(RunStats, RoundsAndFrontiers) {
+TEST(Tracer, RoundsAndFrontiers) {
   Scheduler::reset(1);
-  RunStats stats;
+  Tracer stats;
   stats.end_round(10);
   stats.end_round(100);
   stats.end_round(7);
@@ -29,9 +30,9 @@ TEST(RunStats, RoundsAndFrontiers) {
   EXPECT_EQ(stats.frontier_sizes(), (std::vector<std::uint64_t>{10, 100, 7}));
 }
 
-TEST(RunStats, ResetClears) {
+TEST(Tracer, ResetClears) {
   Scheduler::reset(1);
-  RunStats stats;
+  Tracer stats;
   stats.add_edges(5);
   stats.end_round(1);
   stats.reset();
@@ -39,9 +40,9 @@ TEST(RunStats, ResetClears) {
   EXPECT_EQ(stats.rounds(), 0u);
 }
 
-TEST(RunStats, ParallelCountingIsExact) {
+TEST(Tracer, ParallelCountingIsExact) {
   Scheduler::reset(4);
-  RunStats stats;
+  Tracer stats;
   parallel_for(0, 100000, [&](std::size_t) {
     stats.add_edges(1);
     stats.add_visits(2);
@@ -49,50 +50,6 @@ TEST(RunStats, ParallelCountingIsExact) {
   EXPECT_EQ(stats.edges_scanned(), 100000u);
   EXPECT_EQ(stats.vertices_visited(), 200000u);
   Scheduler::reset(1);
-}
-
-TEST(CostModel, MoreProcessorsNeverSlowerWithoutRounds) {
-  CostModel model;
-  // No synchronization: projected time must be non-increasing in P.
-  double prev = model.projected_time_ns(1'000'000, 0, 1e9, 1);
-  for (int p : {2, 4, 8, 16, 96}) {
-    double t = model.projected_time_ns(1'000'000, 0, 1e9, p);
-    EXPECT_LE(t, prev);
-    prev = t;
-  }
-}
-
-TEST(CostModel, SyncCostGrowsWithRoundsAndP) {
-  CostModel model;
-  double few_rounds = model.projected_time_ns(1'000'000, 10, 1e9, 96);
-  double many_rounds = model.projected_time_ns(1'000'000, 10'000, 1e9, 96);
-  EXPECT_LT(few_rounds, many_rounds);
-}
-
-TEST(CostModel, ParallelismCapLimitsSpeedup) {
-  CostModel model;
-  // Average frontier of 4 vertices: 96 cores cannot help beyond 4x.
-  double t1 = model.projected_time_ns(1'000'000, 0, 4.0, 1);
-  double t96 = model.projected_time_ns(1'000'000, 0, 4.0, 96);
-  EXPECT_NEAR(t1 / t96, 4.0, 0.01);
-}
-
-TEST(CostModel, CalibrationRoundTrips) {
-  RunStats stats;
-  Scheduler::reset(1);
-  stats.add_edges(1'000'000);
-  CostModel model = calibrate(2e9 /*ns*/, 1'000'000);
-  EXPECT_NEAR(model.c_work, 2000.0, 1e-6);  // 2us per edge op
-  EXPECT_NEAR(model.projected_time_ns(1'000'000, 0, 1.0, 1), 2e9, 1e3);
-}
-
-TEST(CostModel, SpeedupBelowOneWhenSyncDominates) {
-  CostModel model;
-  model.c_work = 1.0;
-  // Tiny work, huge round count: the paper's "parallel loses to sequential".
-  double seq_ns = 1e6;  // 1ms sequential
-  double speedup = model.projected_speedup(1'000'000, 100'000, 1e9, 96, seq_ns);
-  EXPECT_LT(speedup, 1.0);
 }
 
 }  // namespace

@@ -112,7 +112,7 @@ TEST_P(ToposortTest, TauSweep) {
 TEST(ToposortRounds, VgcCollapsesDeepChains) {
   Scheduler::reset(1);
   Graph g = gen::chain(20000, /*directed=*/true);
-  RunStats no_vgc_stats, vgc_stats;
+  Tracer no_vgc_stats, vgc_stats;
   ToposortParams no_vgc;
   no_vgc.vgc.tau = 1;
   std::vector<std::uint32_t> a, b;
