@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
         IncrementalStats repair = apps::replay_repairs(
             updates_path, g, doc, " (delete fallback: full recompute)",
             [&](std::span<const EdgeUpdate> batch, Tracer* t) {
-              return incremental_cc(g, batch, label, {}, t);
+              return incremental_cc(g, batch, label, t);
             });
         std::printf("after updates: %s\n", cc_summary(label).c_str());
         return repair;

@@ -25,11 +25,12 @@ int main() {
     std::printf("%-12s %12s %10s %14s\n", "dense mode", "time(s)", "rounds",
                 "edges scanned");
     for (bool use_dense : {true, false}) {
-      PasgalBfsParams params;
-      params.use_dense = use_dense;
       Tracer stats;
-      double t = time_seconds(
-          [&] { pasgal_bfs(g, spec.directed ? gt : g, source, params, &stats); });
+      double t = time_seconds([&] {
+        pasgal_bfs(
+            g, spec.directed ? gt : g,
+            {.source = source, .use_dense = use_dense, .tracer = &stats});
+      });
       std::printf("%-12s %12.4f %10llu %14llu\n", use_dense ? "on" : "off", t,
                   static_cast<unsigned long long>(stats.rounds()),
                   static_cast<unsigned long long>(stats.edges_scanned()));

@@ -22,17 +22,15 @@ int main() {
     std::printf("%8s %12s %10s %14s %12s %10s\n", "tau", "BFS time(s)",
                 "BFS rounds", "BFS edges", "SCC time(s)", "SCC rounds");
     for (std::uint32_t tau : taus) {
-      PasgalBfsParams bfs_params;
-      bfs_params.vgc.tau = tau;
       Tracer bfs_stats;
-      double t_bfs = time_seconds(
-          [&] { pasgal_bfs(g, gt, 0, bfs_params, &bfs_stats); });
+      double t_bfs = time_seconds([&] {
+        pasgal_bfs(g, gt, {.vgc = {.tau = tau}, .tracer = &bfs_stats});
+      });
 
-      SccParams scc_params;
-      scc_params.vgc.tau = tau;
       Tracer scc_stats;
-      double t_scc =
-          time_seconds([&] { pasgal_scc(g, gt, scc_params, &scc_stats); });
+      double t_scc = time_seconds([&] {
+        pasgal_scc(g, gt, {.vgc = {.tau = tau}, .tracer = &scc_stats});
+      });
 
       std::printf("%8u %12.4f %10llu %14llu %12.4f %10llu\n", tau, t_bfs,
                   static_cast<unsigned long long>(bfs_stats.rounds()),

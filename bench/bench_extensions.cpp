@@ -26,11 +26,13 @@ int main() {
     Graph g = spec.directed ? g0.symmetrize() : g0;
     Tracer seq_stats, flat_stats, vgc_stats;
     std::vector<std::uint32_t> ref, a, b;
-    double t_seq = time_seconds([&] { ref = seq_kcore(g, &seq_stats); });
-    KcoreParams flat;
-    flat.vgc.tau = 1;
-    double t_flat = time_seconds([&] { a = pasgal_kcore(g, flat, &flat_stats); });
-    double t_vgc = time_seconds([&] { b = pasgal_kcore(g, {}, &vgc_stats); });
+    double t_seq = time_seconds(
+        [&] { ref = seq_kcore(g, {.tracer = &seq_stats}).output; });
+    double t_flat = time_seconds([&] {
+      a = pasgal_kcore(g, {.vgc = {.tau = 1}, .tracer = &flat_stats}).output;
+    });
+    double t_vgc = time_seconds(
+        [&] { b = pasgal_kcore(g, {.tracer = &vgc_stats}).output; });
     if (a != ref || b != ref) {
       std::fprintf(stderr, "KCORE MISMATCH on %s\n", spec.name.c_str());
       return 1;
@@ -49,16 +51,14 @@ int main() {
     if (spec.name != "ROAD-NA" && spec.name != "SREC") continue;
     Graph g = spec.build();
     Graph gt = g.transpose();
-    auto labels = normalize_scc_labels(pasgal_scc(g, gt));
+    auto labels = normalize_scc_labels(pasgal_scc(g, gt, {}).output);
     Condensation cond = scc_condensation(g, labels);
     Tracer flat_stats, vgc_stats;
-    ToposortParams flat;
-    flat.vgc.tau = 1;
-    std::vector<std::uint32_t> a, b, ref;
-    bool ok = pasgal_toposort(cond.dag, a, flat, &flat_stats).ok() &&
-              pasgal_toposort(cond.dag, b, {}, &vgc_stats).ok() &&
-              seq_toposort(cond.dag, ref).ok();
-    if (!ok || a != ref || b != ref) {
+    auto a = pasgal_toposort(cond.dag,
+                             {.vgc = {.tau = 1}, .tracer = &flat_stats});
+    auto b = pasgal_toposort(cond.dag, {.tracer = &vgc_stats});
+    auto ref = seq_toposort(cond.dag, {});
+    if (a.output != ref.output || b.output != ref.output) {
       std::fprintf(stderr, "TOPOSORT MISMATCH on %s\n", spec.name.c_str());
       return 1;
     }

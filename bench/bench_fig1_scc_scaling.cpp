@@ -27,10 +27,10 @@ int main() {
     Graph gt = g.transpose();
 
     Tracer seq_stats, pasgal_stats, gbbs_stats, multi_stats;
-    double t_seq = time_seconds([&] { tarjan_scc(g, &seq_stats); });
-    time_seconds([&] { pasgal_scc(g, gt, {}, &pasgal_stats); });
-    time_seconds([&] { gbbs_scc(g, gt, {}, &gbbs_stats); });
-    time_seconds([&] { multistep_scc(g, gt, {}, &multi_stats); });
+    double t_seq = time_seconds([&] { tarjan_scc(g, {.tracer = &seq_stats}); });
+    time_seconds([&] { pasgal_scc(g, gt, {.tracer = &pasgal_stats}); });
+    time_seconds([&] { gbbs_scc(g, gt, {.tracer = &gbbs_stats}); });
+    time_seconds([&] { multistep_scc(g, gt, {.tracer = &multi_stats}); });
 
     Projection proj = calibrate(t_seq, seq_stats);
     double seq_ns = t_seq * 1e9;

@@ -42,10 +42,18 @@ int main() {
     {
       VertexId source = max_degree_vertex(g);
       Tracer seq_stats, s1, s2, s3;
-      double t_seq = time_seconds([&] { seq_bfs(g, source, &seq_stats); });
-      time_seconds([&] { pasgal_bfs(g, gt_ref, source, {}, &s1); });
-      time_seconds([&] { gbbs_bfs(g, gt_ref, source, &s2); });
-      time_seconds([&] { gapbs_bfs(g, gt_ref, source, {}, &s3); });
+      double t_seq = time_seconds([&] {
+        seq_bfs(g, {.source = source, .tracer = &seq_stats});
+      });
+      time_seconds([&] {
+        pasgal_bfs(g, gt_ref, {.source = source, .tracer = &s1});
+      });
+      time_seconds([&] {
+        gbbs_bfs(g, gt_ref, {.source = source, .tracer = &s2});
+      });
+      time_seconds([&] {
+        gapbs_bfs(g, gt_ref, {.source = source, .tracer = &s3});
+      });
       Projection proj = calibrate(t_seq, seq_stats);
       double ns = t_seq * 1e9;
       bfs_bars.add_row(spec.cls, spec.name,
@@ -55,10 +63,12 @@ int main() {
     // --- SCC panel (directed only, as in the paper).
     if (spec.directed) {
       Tracer seq_stats, s1, s2, s3;
-      double t_seq = time_seconds([&] { tarjan_scc(g, &seq_stats); });
-      time_seconds([&] { pasgal_scc(g, gt, {}, &s1); });
-      time_seconds([&] { gbbs_scc(g, gt, {}, &s2); });
-      time_seconds([&] { multistep_scc(g, gt, {}, &s3); });
+      double t_seq = time_seconds([&] {
+        tarjan_scc(g, {.tracer = &seq_stats});
+      });
+      time_seconds([&] { pasgal_scc(g, gt, {.tracer = &s1}); });
+      time_seconds([&] { gbbs_scc(g, gt, {.tracer = &s2}); });
+      time_seconds([&] { multistep_scc(g, gt, {.tracer = &s3}); });
       Projection proj = calibrate(t_seq, seq_stats);
       double ns = t_seq * 1e9;
       scc_bars.add_row(spec.cls, spec.name,
@@ -69,10 +79,12 @@ int main() {
     {
       Graph sym = spec.directed ? g.symmetrize() : g;
       Tracer seq_stats, s1, s2, s3;
-      double t_seq = time_seconds([&] { hopcroft_tarjan_bcc(sym, &seq_stats); });
-      time_seconds([&] { fast_bcc(sym, &s1); });
-      time_seconds([&] { gbbs_bcc(sym, &s2); });
-      time_seconds([&] { tarjan_vishkin_bcc(sym, &s3); });
+      double t_seq = time_seconds([&] {
+        hopcroft_tarjan_bcc(sym, {.tracer = &seq_stats});
+      });
+      time_seconds([&] { fast_bcc(sym, {.tracer = &s1}); });
+      time_seconds([&] { gbbs_bcc(sym, {.tracer = &s2}); });
+      time_seconds([&] { tarjan_vishkin_bcc(sym, {.tracer = &s3}); });
       Projection proj = calibrate(t_seq, seq_stats);
       double ns = t_seq * 1e9;
       bcc_bars.add_row(spec.cls, spec.name,

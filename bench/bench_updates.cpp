@@ -78,9 +78,10 @@ int main() {
     std::vector<std::uint64_t> edges(present.begin(), present.end());
     std::mt19937_64 rng(42);
 
-    std::vector<std::uint32_t> dist = gbbs_bfs(g, gt, source);
+    std::vector<std::uint32_t> dist =
+        gbbs_bfs(g, gt, {.source = source}).output;
     double full_seconds =
-        time_seconds([&] { gbbs_bfs(g, gt, source); }, 2);
+        time_seconds([&] { gbbs_bfs(g, gt, {.source = source}); }, 2);
 
     std::printf("\n=== update throughput on %s (n=%zu m=%zu) ===\n",
                 spec.name.c_str(), g.num_vertices(), g.num_edges());

@@ -270,33 +270,4 @@ class Table {
   std::vector<Row> rows_;
 };
 
-// Paper-style diameter estimate: lower bound via repeated BFS sweeps
-// (the paper reports lower bounds from >= 1000 sampled searches; we run a
-// smaller, deterministic sample plus double sweeps from the extremes).
-inline std::uint64_t estimate_diameter(const Graph& g, const Graph& gt,
-                                       int samples = 8) {
-  std::size_t n = g.num_vertices();
-  if (n == 0) return 0;
-  std::uint64_t best = 0;
-  Random rng(7);
-  VertexId next_source = 0;
-  for (int s = 0; s < samples; ++s) {
-    auto dist = pasgal_bfs(g, gt, next_source);
-    std::uint64_t ecc = 0;
-    VertexId far = next_source;
-    for (VertexId v = 0; v < n; ++v) {
-      if (dist[v] != kInfDist && dist[v] > ecc) {
-        ecc = dist[v];
-        far = v;
-      }
-    }
-    best = std::max(best, ecc);
-    // Double sweep: next source is the farthest vertex found, alternating
-    // with random restarts to cover other components.
-    next_source = (s % 2 == 0) ? far
-                               : static_cast<VertexId>(rng.ith_rand(s) % n);
-  }
-  return best;
-}
-
 }  // namespace pasgal::bench

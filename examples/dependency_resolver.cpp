@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
               g.num_edges());
 
   // Cyclic groups.
-  auto labels = normalize_scc_labels(pasgal_scc(g, gt));
+  auto labels = normalize_scc_labels(pasgal_scc(g, gt, {}).output);
   std::map<VertexId, std::size_t> group_size;
   for (auto l : labels) ++group_size[l];
   std::size_t cyclic_groups = 0, largest = 0;
@@ -57,11 +57,8 @@ int main(int argc, char** argv) {
   // Build schedule over the condensation.
   Condensation cond = scc_condensation(g, labels);
   Tracer topo_stats;
-  std::vector<std::uint32_t> levels;
-  if (Status s = pasgal_toposort(cond.dag, levels, {}, &topo_stats); !s.ok()) {
-    std::printf("internal error: %s\n", s.to_string().c_str());
-    return 1;
-  }
+  std::vector<std::uint32_t> levels =
+      pasgal_toposort(cond.dag, {.tracer = &topo_stats}).output;
   std::uint32_t depth = 0;
   for (auto l : levels) depth = std::max(depth, l);
   auto order = topological_order(levels);

@@ -18,7 +18,7 @@ namespace {
 
 void audit(const char* label, const Graph& g) {
   Tracer stats;
-  BccResult bcc = fast_bcc(g, &stats);
+  BccResult bcc = fast_bcc(g, {.tracer = &stats}).output;
   auto cuts = articulation_points(g, bcc);
   std::size_t bridges = count_bridges(g, bcc);
   std::printf("%s: %zu nodes, %zu links -> %zu biconnected components, "
@@ -50,7 +50,7 @@ int main() {
 
   // The worst offenders: articulation points ranked by how many distinct
   // components they touch.
-  BccResult bcc = fast_bcc(backbone);
+  BccResult bcc = fast_bcc(backbone, {}).output;
   auto cuts = articulation_points(backbone, bcc);
   std::printf("first articulation nodes in the initial design:");
   for (std::size_t i = 0; i < cuts.size() && i < 8; ++i) {

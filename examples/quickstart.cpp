@@ -28,7 +28,8 @@ int main(int argc, char** argv) {
 
   // --- BFS with vertical granularity control ------------------------------
   Tracer bfs_stats;
-  auto dist = pasgal_bfs(g, gt, /*source=*/0, {}, &bfs_stats);
+  auto dist =
+      pasgal_bfs(g, gt, {.source = 0, .tracer = &bfs_stats}).output;
   std::uint64_t reached = 0, max_d = 0;
   for (auto d : dist) {
     if (d != kInfDist) {
@@ -42,13 +43,13 @@ int main(int argc, char** argv) {
               (unsigned long long)bfs_stats.rounds(), (unsigned long long)max_d);
 
   // --- connectivity (treating edges as undirected) -------------------------
-  auto cc = connected_components(g);
+  auto cc = connected_components(g, {}).output;
   std::printf("CC:   %zu weakly-connected components, spanning forest of %zu edges\n",
               cc.num_components, cc.forest.size());
 
   // --- strongly connected components ---------------------------------------
   Tracer scc_stats;
-  auto scc = pasgal_scc(g, gt, {}, &scc_stats);
+  auto scc = pasgal_scc(g, gt, {.tracer = &scc_stats}).output;
   auto norm = normalize_scc_labels(scc);
   std::size_t giant = 0;
   {
@@ -61,7 +62,7 @@ int main(int argc, char** argv) {
 
   // --- shortest paths -------------------------------------------------------
   auto wg = gen::add_weights(g, /*max_weight=*/100, 2);
-  auto sp = rho_stepping(wg, 0);
+  auto sp = stepping_sssp(wg, {.source = 0}).output;
   Dist far = 0;
   for (auto d : sp) {
     if (d != kInfWeightDist) far = std::max(far, d);

@@ -30,8 +30,8 @@ int main(int argc, char** argv) {
               streets.num_vertices(), streets.num_edges(), depot);
 
   // Travel times from the depot and back to the depot.
-  auto out_time = rho_stepping(travel, depot);
-  auto back_time = rho_stepping(travel_rev, depot);
+  auto out_time = stepping_sssp(travel, {.source = depot}).output;
+  auto back_time = stepping_sssp(travel_rev, {.source = depot}).output;
 
   std::size_t deliverable = 0;
   Dist worst_round_trip = 0;
@@ -50,7 +50,8 @@ int main(int argc, char** argv) {
   // Strong connectivity tells the same story globally: every address in the
   // depot's SCC has a legal route both ways.
   Tracer scc_stats;
-  auto scc = normalize_scc_labels(pasgal_scc(streets, streets_rev, {}, &scc_stats));
+  auto scc = normalize_scc_labels(
+      pasgal_scc(streets, streets_rev, {.tracer = &scc_stats}).output);
   std::size_t same_scc = 0;
   for (auto label : scc) {
     if (label == scc[depot]) ++same_scc;

@@ -32,7 +32,9 @@ int main(int argc, char** argv) {
 
   // Degrees of separation along follower edges (who hears the celebrity).
   Tracer bfs_stats;
-  auto hops = pasgal_bfs(follows, followers, celebrity, {}, &bfs_stats);
+  auto hops = pasgal_bfs(follows, followers,
+                         {.source = celebrity, .tracer = &bfs_stats})
+                  .output;
   std::map<std::uint32_t, std::size_t> histogram;
   std::size_t unreachable = 0;
   for (auto h : hops) {
@@ -50,7 +52,7 @@ int main(int argc, char** argv) {
   std::printf("  never reached: %zu users\n", unreachable);
 
   // Mutual-follow communities: SCCs of the follow graph.
-  auto scc = normalize_scc_labels(pasgal_scc(follows, followers));
+  auto scc = normalize_scc_labels(pasgal_scc(follows, followers, {}).output);
   std::map<VertexId, std::size_t> scc_size;
   for (auto label : scc) ++scc_size[label];
   std::size_t giant = 0, nontrivial = 0;

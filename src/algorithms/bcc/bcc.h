@@ -32,21 +32,15 @@ struct BccResult {
   std::size_t num_bccs = 0;
 };
 
-BccResult hopcroft_tarjan_bcc(const Graph& g, Tracer* stats = nullptr);
-BccResult fast_bcc(const Graph& g, Tracer* stats = nullptr);
-BccResult tarjan_vishkin_bcc(const Graph& g, Tracer* stats = nullptr);
-
-// GBBS-style baseline: FAST-BCC's post-processing on a BFS spanning forest —
-// the level-synchronous BFS costs O(D) rounds, which is what the paper's
-// BCC comparison penalizes on large-diameter graphs.
-BccResult gbbs_bcc(const Graph& g, Tracer* stats = nullptr);
-
-// --- Modern entry points (algorithms/run_api.cpp) ---------------------------
 RunReport<BccResult> hopcroft_tarjan_bcc(const Graph& g,
                                          const AlgoOptions& opt);
 RunReport<BccResult> fast_bcc(const Graph& g, const AlgoOptions& opt);
 RunReport<BccResult> tarjan_vishkin_bcc(const Graph& g,
                                         const AlgoOptions& opt);
+
+// GBBS-style baseline: FAST-BCC's post-processing on a BFS spanning forest —
+// the level-synchronous BFS costs O(D) rounds, which is what the paper's
+// BCC comparison penalizes on large-diameter graphs.
 RunReport<BccResult> gbbs_bcc(const Graph& g, const AlgoOptions& opt);
 
 // Canonical form for comparing partitions across algorithms: each edge is

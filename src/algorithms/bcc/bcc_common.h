@@ -102,7 +102,7 @@ inline BccPrep bcc_preprocess_from_forest(const Graph& g,
 }
 
 inline BccPrep bcc_preprocess(const Graph& g, Tracer* stats = nullptr) {
-  ConnectivityResult cc = connected_components(g, stats);
+  ConnectivityResult cc = connected_components(g, {.tracer = stats}).output;
   return bcc_preprocess_from_forest(g, cc.forest, cc.label, stats);
 }
 

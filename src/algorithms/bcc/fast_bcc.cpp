@@ -1,6 +1,7 @@
 #include <atomic>
 
 #include "algorithms/bcc/bcc.h"
+#include "algorithms/catalog.h"
 #include "algorithms/bcc/bcc_common.h"
 
 namespace pasgal {
@@ -54,7 +55,8 @@ BccResult bcc_from_prep(const Graph& g, const BccPrep& prep, Tracer* stats) {
     skeleton[2 * i + 1] = Edge{skeleton_half[i].to, skeleton_half[i].from};
   });
   ConnectivityResult comp =
-      connected_components(Graph::from_edges(n, skeleton), stats);
+      connected_components(Graph::from_edges(n, skeleton), {.tracer = stats})
+          .output;
   if (stats) stats->end_round(n);
 
   // Per-edge labels.
@@ -84,17 +86,20 @@ BccResult bcc_from_prep(const Graph& g, const BccPrep& prep, Tracer* stats) {
 
 }  // namespace internal
 
-BccResult fast_bcc(const Graph& g, Tracer* stats) {
-  if (g.num_vertices() == 0) return {};
-  if (stats) stats->phase_begin("spanning_forest");
-  ConnectivityResult cc = connected_components(g, stats);
-  if (stats) stats->phase_begin("euler_tour");
-  internal::BccPrep prep =
-      internal::bcc_preprocess_from_forest(g, cc.forest, cc.label, stats);
-  if (stats) stats->phase_begin("skeleton");
-  BccResult result = internal::bcc_from_prep(g, prep, stats);
-  if (stats) stats->phase_end();
-  return result;
+RunReport<BccResult> fast_bcc(const Graph& g, const AlgoOptions& opt) {
+  admit(guard_of("bcc", "pasgal"), g);
+  return run_traced(opt, [&](Tracer* stats) -> BccResult {
+    if (g.num_vertices() == 0) return {};
+    stats->phase_begin("spanning_forest");
+    ConnectivityResult cc = connected_components(g, {.tracer = stats}).output;
+    stats->phase_begin("euler_tour");
+    internal::BccPrep prep =
+        internal::bcc_preprocess_from_forest(g, cc.forest, cc.label, stats);
+    stats->phase_begin("skeleton");
+    BccResult result = internal::bcc_from_prep(g, prep, stats);
+    stats->phase_end();
+    return result;
+  });
 }
 
 }  // namespace pasgal

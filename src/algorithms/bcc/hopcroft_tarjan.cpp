@@ -1,6 +1,7 @@
 #include <algorithm>
 
 #include "algorithms/bcc/bcc.h"
+#include "algorithms/catalog.h"
 
 namespace pasgal {
 
@@ -20,93 +21,95 @@ EdgeId reverse_slot(const Graph& g, VertexId u, VertexId v) {
 // subtree cannot reach above the current vertex, the edges on the stack
 // down to the tree edge form one biconnected component. Fully iterative —
 // recursion would overflow on the paper's large-diameter inputs.
-BccResult hopcroft_tarjan_bcc(const Graph& g, Tracer* stats) {
-  std::size_t n = g.num_vertices();
-  std::size_t m = g.num_edges();
-  constexpr std::uint32_t kUnvisited = static_cast<std::uint32_t>(-1);
-  constexpr std::uint64_t kNoLabel = static_cast<std::uint64_t>(-1);
+RunReport<BccResult> hopcroft_tarjan_bcc(const Graph& g,
+                                         const AlgoOptions& opt) {
+  admit(guard_of("bcc", "seq"), g);
+  return run_traced(opt, [&](Tracer* stats) {
+    std::size_t n = g.num_vertices();
+    std::size_t m = g.num_edges();
+    constexpr std::uint32_t kUnvisited = static_cast<std::uint32_t>(-1);
+    constexpr std::uint64_t kNoLabel = static_cast<std::uint64_t>(-1);
 
-  std::vector<std::uint32_t> disc(n, kUnvisited), low(n, 0);
-  BccResult result;
-  result.edge_label.assign(m, kNoLabel);
+    std::vector<std::uint32_t> disc(n, kUnvisited), low(n, 0);
+    BccResult result;
+    result.edge_label.assign(m, kNoLabel);
 
-  struct Frame {
-    VertexId v;
-    VertexId parent;
-    EdgeId next_edge;
-    bool skipped_parent_copy;  // skip exactly one (v -> parent) slot
-  };
-  std::vector<Frame> dfs;
-  struct StackedEdge {
-    VertexId from;
-    EdgeId slot;
-  };
-  std::vector<StackedEdge> edge_stack;
-  std::uint32_t timer = 0;
-  std::uint64_t next_label = 0;
-  std::uint64_t edges_scanned = 0;
+    struct Frame {
+      VertexId v;
+      VertexId parent;
+      EdgeId next_edge;
+      bool skipped_parent_copy;  // skip exactly one (v -> parent) slot
+    };
+    std::vector<Frame> dfs;
+    struct StackedEdge {
+      VertexId from;
+      EdgeId slot;
+    };
+    std::vector<StackedEdge> edge_stack;
+    std::uint32_t timer = 0;
+    std::uint64_t next_label = 0;
+    std::uint64_t edges_scanned = 0;
 
-  // Pops stacked edges into a fresh component until (and including) the tree
-  // edge p -> v. Everything above it belongs to this component because
-  // nested components were already popped.
-  auto pop_component = [&](VertexId p, VertexId v) {
-    std::uint64_t label = next_label++;
-    for (;;) {
-      StackedEdge top = edge_stack.back();
-      edge_stack.pop_back();
-      VertexId to = g.edge_target(top.slot);
-      result.edge_label[top.slot] = label;
-      result.edge_label[reverse_slot(g, top.from, to)] = label;
-      if (top.from == p && to == v) break;
-    }
-  };
+    // Pops stacked edges into a fresh component until (and including) the tree
+    // edge p -> v. Everything above it belongs to this component because
+    // nested components were already popped.
+    auto pop_component = [&](VertexId p, VertexId v) {
+      std::uint64_t label = next_label++;
+      for (;;) {
+        StackedEdge top = edge_stack.back();
+        edge_stack.pop_back();
+        VertexId to = g.edge_target(top.slot);
+        result.edge_label[top.slot] = label;
+        result.edge_label[reverse_slot(g, top.from, to)] = label;
+        if (top.from == p && to == v) break;
+      }
+    };
 
-  for (VertexId root = 0; root < n; ++root) {
-    if (disc[root] != kUnvisited) continue;
-    disc[root] = low[root] = timer++;
-    dfs.push_back({root, root, g.edge_begin(root), true});
+    for (VertexId root = 0; root < n; ++root) {
+      if (disc[root] != kUnvisited) continue;
+      disc[root] = low[root] = timer++;
+      dfs.push_back({root, root, g.edge_begin(root), true});
 
-    while (!dfs.empty()) {
-      Frame& f = dfs.back();
-      VertexId v = f.v;
-      if (f.next_edge < g.edge_end(v)) {
-        EdgeId e = f.next_edge++;
-        VertexId w = g.edge_target(e);
-        ++edges_scanned;
-        if (w == f.parent && !f.skipped_parent_copy) {
-          f.skipped_parent_copy = true;  // the tree edge back to the parent
-          continue;
-        }
-        if (disc[w] == kUnvisited) {
-          edge_stack.push_back({v, e});
-          disc[w] = low[w] = timer++;
-          dfs.push_back({w, v, g.edge_begin(w), v == w});
-        } else if (disc[w] < disc[v]) {
-          // Back edge (the forward copy is skipped via the disc test).
-          edge_stack.push_back({v, e});
-          low[v] = std::min(low[v], disc[w]);
-        }
-      } else {
-        dfs.pop_back();
-        if (dfs.empty()) continue;
-        Frame& pf = dfs.back();
-        VertexId p = pf.v;
-        low[p] = std::min(low[p], low[v]);
-        if (low[v] >= disc[p]) {
-          // p separates v's subtree: everything stacked above (and
-          // including) the tree edge (p, v) is one component.
-          pop_component(p, v);
+      while (!dfs.empty()) {
+        Frame& f = dfs.back();
+        VertexId v = f.v;
+        if (f.next_edge < g.edge_end(v)) {
+          EdgeId e = f.next_edge++;
+          VertexId w = g.edge_target(e);
+          ++edges_scanned;
+          if (w == f.parent && !f.skipped_parent_copy) {
+            f.skipped_parent_copy = true;  // the tree edge back to the parent
+            continue;
+          }
+          if (disc[w] == kUnvisited) {
+            edge_stack.push_back({v, e});
+            disc[w] = low[w] = timer++;
+            dfs.push_back({w, v, g.edge_begin(w), v == w});
+          } else if (disc[w] < disc[v]) {
+            // Back edge (the forward copy is skipped via the disc test).
+            edge_stack.push_back({v, e});
+            low[v] = std::min(low[v], disc[w]);
+          }
+        } else {
+          dfs.pop_back();
+          if (dfs.empty()) continue;
+          Frame& pf = dfs.back();
+          VertexId p = pf.v;
+          low[p] = std::min(low[p], low[v]);
+          if (low[v] >= disc[p]) {
+            // p separates v's subtree: everything stacked above (and
+            // including) the tree edge (p, v) is one component.
+            pop_component(p, v);
+          }
         }
       }
     }
-  }
-  result.num_bccs = static_cast<std::size_t>(next_label);
-  if (stats) {
+    result.num_bccs = static_cast<std::size_t>(next_label);
     stats->add_edges(edges_scanned);
     stats->add_visits(n);
     stats->end_round(n);
-  }
-  return result;
+    return result;
+  });
 }
 
 std::vector<EdgeId> normalize_bcc_labels(std::span<const std::uint64_t> labels) {

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "graphs/graph.h"
-#include "pasgal/cancel.h"
 #include "pasgal/options.h"
 #include "pasgal/telemetry.h"
 #include "pasgal/vgc.h"
@@ -30,43 +29,35 @@ namespace pasgal {
 
 inline constexpr std::uint32_t kInfDist = static_cast<std::uint32_t>(-1);
 
-std::vector<std::uint32_t> seq_bfs(const Graph& g, VertexId source,
-                                   Tracer* stats = nullptr);
+// Source, tuning knobs and tracer come from AlgoOptions; the result bundles
+// the distances with wall time and the run's aggregated telemetry.
+RunReport<std::vector<std::uint32_t>> seq_bfs(const Graph& g,
+                                              const AlgoOptions& opt);
 
 // `gt` is the transpose (pass g itself for symmetric graphs); needed for the
-// dense (pull) direction. `cancel`, when non-null, is checked at every
+// dense (pull) direction. `opt.cancel`, when non-null, is checked at every
 // level boundary (throws kTimeout on expiry).
-std::vector<std::uint32_t> gbbs_bfs(const Graph& g, const Graph& gt,
-                                    VertexId source, Tracer* stats = nullptr,
-                                    const CancelToken* cancel = nullptr);
+RunReport<std::vector<std::uint32_t>> gbbs_bfs(const Graph& g, const Graph& gt,
+                                               const AlgoOptions& opt);
 
-struct GapbsParams {
-  int alpha = 15;  // switch to bottom-up when frontier edges > remaining/alpha
-  int beta = 18;   // switch back to top-down when |frontier| < n/beta
-};
-std::vector<std::uint32_t> gapbs_bfs(const Graph& g, const Graph& gt,
-                                     VertexId source, GapbsParams params = {},
-                                     Tracer* stats = nullptr);
+// Beamer's hysteresis: switch to bottom-up when frontier edges exceed
+// remaining/kGapbsAlpha, back to top-down when |frontier| < n/kGapbsBeta.
+inline constexpr int kGapbsAlpha = 15;
+inline constexpr int kGapbsBeta = 18;
+RunReport<std::vector<std::uint32_t>> gapbs_bfs(const Graph& g, const Graph& gt,
+                                                const AlgoOptions& opt);
 
-struct PasgalBfsParams {
-  VgcParams vgc;
-  // Engage VGC only when the frontier's work is below vgc_engage_factor*tau
-  // edge operations — i.e. when per-round work is too small to amortize
-  // scheduling on a many-core machine. Deliberately NOT scaled by the
-  // current worker count: the algorithm's round structure should not change
-  // with the machine it happens to run on.
-  std::uint32_t vgc_engage_factor = 16;
-  // Direction-optimization density threshold (frontier work > m/den).
-  EdgeId dense_threshold_den = 20;
-  bool use_dense = true;
-  // Checked at every round boundary (sparse rounds and dense levels);
-  // throws kTimeout on expiry. Null disables the check.
-  const CancelToken* cancel = nullptr;
-};
-std::vector<std::uint32_t> pasgal_bfs(const Graph& g, const Graph& gt,
-                                      VertexId source,
-                                      PasgalBfsParams params = {},
-                                      Tracer* stats = nullptr);
+// Engage VGC only when the frontier's work is below kVgcEngageFactor*tau
+// edge operations — i.e. when per-round work is too small to amortize
+// scheduling on a many-core machine. Deliberately NOT scaled by the current
+// worker count: the algorithm's round structure should not change with the
+// machine it happens to run on.
+inline constexpr std::uint32_t kVgcEngageFactor = 16;
+// Reads vgc, dense_threshold_den/use_dense (dense pull rounds) and cancel
+// (checked at every sparse round and dense level).
+RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
+                                                 const Graph& gt,
+                                                 const AlgoOptions& opt);
 
 // --- bit-parallel multi-source BFS ------------------------------------------
 // Each vertex carries a 64-bit `seen` mask (sources that have reached it) and
@@ -76,38 +67,15 @@ std::vector<std::uint32_t> pasgal_bfs(const Graph& g, const Graph& gt,
 // vertices through a hash bag; dense rounds pull every unsaturated vertex's
 // in-edges via edge_map_dense (pull_exhaustive — the AND-NOT against `seen`
 // must gather bits from every in-neighbour, not stop at the first hit).
-// Returns one hop-distance array per source, in input order — byte-identical
-// to running the single-source variants once per source.
-struct MsBfsParams {
-  // Direction-optimization density threshold (frontier work > m/den).
-  EdgeId dense_threshold_den = 20;
-  bool use_dense = true;
-  // Checked at every round boundary; throws kTimeout on expiry, unwinding
-  // the whole batch. Null disables the check.
-  const CancelToken* cancel = nullptr;
-};
-std::vector<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
-                                               std::span<const VertexId> sources,
-                                               MsBfsParams params = {},
-                                               Tracer* stats = nullptr);
-
-// --- Modern entry points (algorithms/run_api.cpp) ---------------------------
-// Source, tuning knobs and tracer come from AlgoOptions; the result bundles
-// the distances with wall time and the run's aggregated telemetry.
-RunReport<std::vector<std::uint32_t>> seq_bfs(const Graph& g,
-                                              const AlgoOptions& opt);
-RunReport<std::vector<std::uint32_t>> gbbs_bfs(const Graph& g, const Graph& gt,
-                                               const AlgoOptions& opt);
-RunReport<std::vector<std::uint32_t>> gapbs_bfs(const Graph& g, const Graph& gt,
-                                                const AlgoOptions& opt);
-RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
-                                                 const Graph& gt,
-                                                 const AlgoOptions& opt);
-
-// Batch entry point: validates the source list (check_batch_sources, typed
-// kUsage), runs the bit-parallel kernel once, and slices the result into one
-// RunReport per source (amortized seconds; the shared sweep's telemetry is
-// batch-level — see BatchReport in options.h).
+// The per-source distances are byte-identical to running the single-source
+// variants once per source.
+//
+// Validates the source list (check_batch_sources, typed kUsage), runs the
+// kernel once, and slices the result into one RunReport per source, in
+// input order (amortized seconds; the shared sweep's telemetry is
+// batch-level — see BatchReport in options.h). Reads
+// dense_threshold_den/use_dense and cancel (checked at every round boundary;
+// expiry unwinds the whole batch).
 BatchReport<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
                                                const BatchOptions& opt);
 

@@ -34,144 +34,157 @@
 #include <bit>
 
 #include "algorithms/bfs/bfs.h"
+#include "algorithms/catalog.h"
 #include "pasgal/edge_map.h"
 #include "pasgal/hashbag.h"
 #include "pasgal/options.h"
 
 namespace pasgal {
 
-std::vector<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
-                                               std::span<const VertexId> sources,
-                                               MsBfsParams params,
-                                               Tracer* stats) {
-  check_batch_sources(sources, g.num_vertices());
-  g.ensure_validated();
-  gt.ensure_validated();
+BatchReport<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
+                                               const BatchOptions& opt) {
+  admit(guard_of("bfs", "ms"), g, &gt);
+  check_batch_sources(opt.sources, g.num_vertices());
+  std::span<const VertexId> sources = opt.sources;
+  auto run = run_traced(opt.algo, [&](Tracer* stats) {
+    g.ensure_validated();
+    gt.ensure_validated();
 
-  std::size_t n = g.num_vertices();
-  std::size_t k = sources.size();
-  EdgeId m = g.num_edges();
-  std::uint64_t full =
-      k == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << k) - 1;
+    std::size_t n = g.num_vertices();
+    std::size_t k = sources.size();
+    EdgeId m = g.num_edges();
+    std::uint64_t full =
+        k == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << k) - 1;
 
-  std::vector<std::atomic<std::uint64_t>> seen(n);
-  std::vector<std::atomic<std::uint64_t>> next(n);
-  std::vector<std::uint64_t> visit(n);
-  parallel_for(0, n, [&](std::size_t i) {
-    seen[i].store(0, std::memory_order_relaxed);
-    next[i].store(0, std::memory_order_relaxed);
-    visit[i] = 0;
-  });
+    std::vector<std::atomic<std::uint64_t>> seen(n);
+    std::vector<std::atomic<std::uint64_t>> next(n);
+    std::vector<std::uint64_t> visit(n);
+    parallel_for(0, n, [&](std::size_t i) {
+      seen[i].store(0, std::memory_order_relaxed);
+      next[i].store(0, std::memory_order_relaxed);
+      visit[i] = 0;
+    });
 
-  std::vector<std::vector<std::uint32_t>> out(k);
-  parallel_for(0, k, [&](std::size_t i) {
-    out[i].assign(n, kInfDist);
-  }, 1);
+    std::vector<std::vector<std::uint32_t>> out(k);
+    parallel_for(0, k, [&](std::size_t i) {
+      out[i].assign(n, kInfDist);
+    }, 1);
 
-  for (std::size_t i = 0; i < k; ++i) {
-    VertexId s = sources[i];
-    seen[s].store(seen[s].load(std::memory_order_relaxed) |
-                      (std::uint64_t{1} << i),
-                  std::memory_order_relaxed);
-    visit[s] |= std::uint64_t{1} << i;
-    out[i][s] = 0;
-  }
-  VertexSubset frontier =
-      VertexSubset::sparse(n, {sources.begin(), sources.end()});
-
-  HashBag<VertexId> bag;
-  if (stats) bag.attach_tracer(stats);
-
-  std::uint32_t level = 0;
-  while (!frontier.empty()) {
-    if (params.cancel != nullptr) {
-      params.cancel->check("ms_bfs round boundary");
+    for (std::size_t i = 0; i < k; ++i) {
+      VertexId s = sources[i];
+      seen[s].store(seen[s].load(std::memory_order_relaxed) |
+                        (std::uint64_t{1} << i),
+                    std::memory_order_relaxed);
+      visit[s] |= std::uint64_t{1} << i;
+      out[i][s] = 0;
     }
-    if (stats) stats->end_round(frontier.size());
-    ++level;
+    VertexSubset frontier =
+        VertexSubset::sparse(n, {sources.begin(), sources.end()});
 
-    // A vertex stays eligible while some source has neither reached it nor
-    // already queued a bit for it this round.
-    auto cond = [&](VertexId v) {
-      return (seen[v].load(std::memory_order_relaxed) |
-              next[v].load(std::memory_order_relaxed)) != full;
-    };
+    HashBag<VertexId> bag;
+    bag.attach_tracer(stats);
 
-    EdgeId work = frontier.out_degree_sum(g) + frontier.size();
-    bool go_dense =
-        params.use_dense && work > m / params.dense_threshold_den;
-    VertexSubset activated = VertexSubset::empty(n);
-    if (go_dense) {
-      // Pull: v is scanned by a single task, so next[v] needs no CAS. The
-      // activation signal (first bits queued for v) feeds the trusted
-      // activation count inside edge_map_dense.
-      auto update_seq = [&](VertexId u, VertexId v) {
-        std::uint64_t add =
-            visit[u] & ~seen[v].load(std::memory_order_relaxed);
-        if (add == 0) return false;
-        std::uint64_t old = next[v].load(std::memory_order_relaxed);
-        next[v].store(old | add, std::memory_order_relaxed);
-        return old == 0;
+    std::uint32_t level = 0;
+    while (!frontier.empty()) {
+      if (opt.algo.cancel != nullptr) {
+        opt.algo.cancel->check("ms_bfs round boundary");
+      }
+      stats->end_round(frontier.size());
+      ++level;
+
+      // A vertex stays eligible while some source has neither reached it nor
+      // already queued a bit for it this round.
+      auto cond = [&](VertexId v) {
+        return (seen[v].load(std::memory_order_relaxed) |
+                next[v].load(std::memory_order_relaxed)) != full;
       };
-      EdgeMapOptions emopt;
-      emopt.cancel = params.cancel;
-      emopt.pull_exhaustive = true;
-      activated = edge_map_dense(g, gt, frontier, update_seq, cond, emopt,
-                                 stats);
-    } else {
-      // Push: OR the frontier masks through the hash bag — exactly one
-      // insert per newly touched vertex (the fetch_or's first setter wins).
-      if (stats) stats->set_round_kind(RoundKind::kSparse);
-      frontier.to_sparse();
-      const auto& verts = frontier.sparse_vertices();
-      parallel_for(0, verts.size(), [&](std::size_t i) {
-        VertexId u = verts[i];
-        std::uint64_t mask = visit[u];
-        std::uint64_t scanned = 0;
-        for (VertexId v : g.neighbors(u)) {
-          ++scanned;
+
+      EdgeId work = frontier.out_degree_sum(g) + frontier.size();
+      bool go_dense =
+          opt.algo.use_dense && work > m / opt.algo.dense_threshold_den;
+      VertexSubset activated = VertexSubset::empty(n);
+      if (go_dense) {
+        // Pull: v is scanned by a single task, so next[v] needs no CAS. The
+        // activation signal (first bits queued for v) feeds the trusted
+        // activation count inside edge_map_dense.
+        auto update_seq = [&](VertexId u, VertexId v) {
           std::uint64_t add =
-              mask & ~seen[v].load(std::memory_order_relaxed);
-          if (add == 0) continue;
-          if (next[v].fetch_or(add, std::memory_order_relaxed) == 0) {
-            bag.insert(v);
+              visit[u] & ~seen[v].load(std::memory_order_relaxed);
+          if (add == 0) return false;
+          std::uint64_t old = next[v].load(std::memory_order_relaxed);
+          next[v].store(old | add, std::memory_order_relaxed);
+          return old == 0;
+        };
+        EdgeMapOptions emopt;
+        emopt.cancel = opt.algo.cancel;
+        emopt.pull_exhaustive = true;
+        activated = edge_map_dense(g, gt, frontier, update_seq, cond, emopt,
+                                   stats);
+      } else {
+        // Push: OR the frontier masks through the hash bag — exactly one
+        // insert per newly touched vertex (the fetch_or's first setter wins).
+        stats->set_round_kind(RoundKind::kSparse);
+        frontier.to_sparse();
+        const auto& verts = frontier.sparse_vertices();
+        parallel_for(0, verts.size(), [&](std::size_t i) {
+          VertexId u = verts[i];
+          std::uint64_t mask = visit[u];
+          std::uint64_t scanned = 0;
+          for (VertexId v : g.neighbors(u)) {
+            ++scanned;
+            std::uint64_t add =
+                mask & ~seen[v].load(std::memory_order_relaxed);
+            if (add == 0) continue;
+            if (next[v].fetch_or(add, std::memory_order_relaxed) == 0) {
+              bag.insert(v);
+            }
           }
-        }
-        if (stats) {
           stats->add_edges(scanned);
           stats->add_visits(1);
-        }
-      });
-      activated = VertexSubset::sparse(n, bag.extract_all());
-    }
-
-    // Settle at the round boundary: each touched vertex's fresh bits become
-    // this level's distances and its visit mask for the next round. next[]
-    // holds only bits absent from seen (both directions filtered against the
-    // round-stable seen), so the exchange is exactly the new arrivals.
-    auto settle = [&](VertexId v) {
-      std::uint64_t fresh = next[v].exchange(0, std::memory_order_relaxed);
-      seen[v].fetch_or(fresh, std::memory_order_relaxed);
-      visit[v] = fresh;
-      while (fresh != 0) {
-        int b = std::countr_zero(fresh);
-        fresh &= fresh - 1;
-        out[static_cast<std::size_t>(b)][v] = level;
+        });
+        activated = VertexSubset::sparse(n, bag.extract_all());
       }
-    };
-    if (activated.is_dense()) {
-      const auto& mask = activated.dense_mask();
-      parallel_for(0, n, [&](std::size_t vi) {
-        if (mask[vi]) settle(static_cast<VertexId>(vi));
-      });
-    } else {
-      const auto& verts = activated.sparse_vertices();
-      parallel_for(0, verts.size(),
-                   [&](std::size_t i) { settle(verts[i]); });
+
+      // Settle at the round boundary: each touched vertex's fresh bits become
+      // this level's distances and its visit mask for the next round. next[]
+      // holds only bits absent from seen (both directions filtered against the
+      // round-stable seen), so the exchange is exactly the new arrivals.
+      auto settle = [&](VertexId v) {
+        std::uint64_t fresh = next[v].exchange(0, std::memory_order_relaxed);
+        seen[v].fetch_or(fresh, std::memory_order_relaxed);
+        visit[v] = fresh;
+        while (fresh != 0) {
+          int b = std::countr_zero(fresh);
+          fresh &= fresh - 1;
+          out[static_cast<std::size_t>(b)][v] = level;
+        }
+      };
+      if (activated.is_dense()) {
+        const auto& mask = activated.dense_mask();
+        parallel_for(0, n, [&](std::size_t vi) {
+          if (mask[vi]) settle(static_cast<VertexId>(vi));
+        });
+      } else {
+        const auto& verts = activated.sparse_vertices();
+        parallel_for(0, verts.size(),
+                     [&](std::size_t i) { settle(verts[i]); });
+      }
+      frontier = std::move(activated);
     }
-    frontier = std::move(activated);
+    return out;
+  });
+  BatchReport<std::vector<std::uint32_t>> report;
+  report.seconds = run.seconds;
+  report.telemetry = std::move(run.telemetry);
+  report.per_source.resize(run.output.size());
+  // One shared sweep advanced every source; a slice's cost is its amortized
+  // share of the batch wall (see BatchReport in options.h).
+  double amortized = run.seconds / static_cast<double>(run.output.size());
+  for (std::size_t i = 0; i < run.output.size(); ++i) {
+    report.per_source[i].output = std::move(run.output[i]);
+    report.per_source[i].seconds = amortized;
   }
-  return out;
+  return report;
 }
 
 }  // namespace pasgal

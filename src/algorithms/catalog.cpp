@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <map>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "algorithms/bcc/bcc.h"
 #include "algorithms/bfs/bfs.h"
@@ -278,6 +279,35 @@ std::vector<std::string> algo_names(std::string_view family) {
 bool is_algo_family(std::string_view family) {
   return std::any_of(std::begin(kCatalog), std::end(kCatalog),
                      [&](const AlgoSpec& row) { return row.family == family; });
+}
+
+void check_batch_sources(std::span<const VertexId> sources, std::size_t n) {
+  if (sources.empty()) {
+    throw Error(ErrorCategory::kUsage, "batch source list is empty");
+  }
+  if (sources.size() > kMaxBatchSources) {
+    throw Error(ErrorCategory::kUsage,
+                "batch holds " + std::to_string(sources.size()) +
+                    " sources; the bit-parallel kernels carry one source per "
+                    "bit, max " +
+                    std::to_string(kMaxBatchSources));
+  }
+  std::unordered_set<VertexId> seen;
+  seen.reserve(sources.size());
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    VertexId s = sources[i];
+    if (static_cast<std::size_t>(s) >= n) {
+      throw Error(ErrorCategory::kUsage,
+                  "batch source " + std::to_string(s) + " (entry " +
+                      std::to_string(i) + ") out of range for graph with " +
+                      std::to_string(n) + " vertices");
+    }
+    if (!seen.insert(s).second) {
+      throw Error(ErrorCategory::kUsage,
+                  "duplicate batch source " + std::to_string(s) + " (entry " +
+                      std::to_string(i) + ")");
+    }
+  }
 }
 
 void admit(const Guard& guard, const Graph& g, const Graph* gt) {

@@ -12,9 +12,9 @@
 // Row order is behaviour: the first row of a family is its default, and
 // every "expected a|b|c" list prints the family's names in table order.
 //
-// Adding a variant: write its entry point (run_api.cpp, starting with
-// `admit(guard_of("family", "name"), g, ...)`) and add one row to kCatalog
-// in catalog.cpp.
+// Adding a variant: write its entry point in its own .cpp (the body calls
+// `admit(guard_of("family", "name"), g, ...)`, then runs inside run_traced;
+// see pasgal/options.h) and add one row to kCatalog in catalog.cpp.
 #pragma once
 
 #include <cstdint>

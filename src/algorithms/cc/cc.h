@@ -26,16 +26,11 @@ struct ConnectivityResult {
 };
 
 // Treats every directed edge {u,v} as undirected. Work O(m alpha(n)).
-ConnectivityResult connected_components(const Graph& g,
-                                        Tracer* stats = nullptr);
+RunReport<ConnectivityResult> connected_components(const Graph& g,
+                                                   const AlgoOptions& opt);
 
 // Label propagation: rounds of min-label exchange until fixpoint. Returns
 // min-vertex labels like connected_components (no forest).
-std::vector<VertexId> label_prop_cc(const Graph& g, Tracer* stats = nullptr);
-
-// --- Modern entry points (algorithms/run_api.cpp) ---------------------------
-RunReport<ConnectivityResult> connected_components(const Graph& g,
-                                                   const AlgoOptions& opt);
 RunReport<std::vector<VertexId>> label_prop_cc(const Graph& g,
                                                const AlgoOptions& opt);
 

@@ -8,7 +8,7 @@
 // draws a start delay ~ Exponential(beta); cluster centres wake when their
 // delay elapses and grow level-synchronously, claiming unclaimed vertices.
 //
-// ldd_cc(g): contract clusters and repeat until no edges remain — the
+// ldd_cc: contract clusters and repeat until no edges remain — the
 // classic O((n+m) log n)-work, polylog-span parallel connectivity.
 #pragma once
 
@@ -31,13 +31,9 @@ LddResult ldd(const Graph& g, double beta = 0.2, std::uint64_t seed = 1,
               Tracer* stats = nullptr);
 
 // Connectivity labels (min vertex per component, same contract as
-// connected_components) computed by repeated LDD + contraction.
-std::vector<VertexId> ldd_cc(const Graph& g, double beta = 0.2,
-                             std::uint64_t seed = 1, Tracer* stats = nullptr);
-
-// --- Modern entry point (algorithms/run_api.cpp) ----------------------------
-// beta/seed ride AlgoOptions::scc_beta / scc_seed (the same knobs the SCC
-// pivot batching uses).
+// connected_components) computed by repeated LDD + contraction. beta and
+// seed ride AlgoOptions::scc_beta / scc_seed (the same knobs the SCC pivot
+// batching uses); iteration i decomposes with seed + i.
 RunReport<std::vector<VertexId>> ldd_cc(const Graph& g, const AlgoOptions& opt);
 
 }  // namespace pasgal

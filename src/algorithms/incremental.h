@@ -15,7 +15,8 @@
 //
 // Telemetry: a non-null `tracer` records the repair like any kernel run —
 // the edges and vertices each phase touches, one round per phase or
-// relaxation sweep, or the recompute's own rounds on fallback.
+// relaxation sweep, or the recompute's own rounds on fallback (the repair
+// runs inside run_traced, so the recompute nests in it; pasgal/options.h).
 #pragma once
 
 #include <cstdint>
@@ -68,7 +69,6 @@ IncrementalStats incremental_bfs(const Graph& g, const Graph& gt,
 IncrementalStats incremental_cc(const Graph& g,
                                 std::span<const EdgeUpdate> batch,
                                 std::vector<VertexId>& label,
-                                const IncrementalOptions& opt = {},
                                 Tracer* tracer = nullptr);
 
 }  // namespace pasgal

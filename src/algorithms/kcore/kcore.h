@@ -27,16 +27,7 @@
 
 namespace pasgal {
 
-std::vector<std::uint32_t> seq_kcore(const Graph& g, Tracer* stats = nullptr);
-
-struct KcoreParams {
-  VgcParams vgc;  // tau = 1 disables in-task peeling chains
-};
-
-std::vector<std::uint32_t> pasgal_kcore(const Graph& g, KcoreParams params = {},
-                                        Tracer* stats = nullptr);
-
-// --- Modern entry points (algorithms/run_api.cpp) ---------------------------
+// pasgal_kcore reads opt.vgc (tau = 1 disables in-task peeling chains).
 RunReport<std::vector<std::uint32_t>> seq_kcore(const Graph& g,
                                                 const AlgoOptions& opt);
 RunReport<std::vector<std::uint32_t>> pasgal_kcore(const Graph& g,

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "algorithms/catalog.h"
 #include "parlay/primitives.h"
 #include "pasgal/edge_map.h"
 #include "pasgal/vertex_subset.h"
@@ -52,98 +53,102 @@ std::vector<double> inverse_out_degrees(const Graph& g) {
 
 }  // namespace
 
-PagerankResult seq_pagerank(const Graph& g, const Graph& gt,
-                            const PagerankParams& params, Tracer* stats) {
-  std::size_t n = g.num_vertices();
-  PagerankResult result;
-  if (n == 0) return result;
-  std::vector<double> inv_out = inverse_out_degrees(g);
-  std::vector<double> prev(n, 1.0 / static_cast<double>(n));
-  std::vector<double> contrib(n), sum(n), next(n);
-  // In-edge overlay for the gather (gt carries the flipped snapshot); the
-  // merged scan keeps ascending source order, so the FP summation order — and
-  // thus the printed ranks — match a from-scratch rebuild exactly.
-  std::shared_ptr<const DeltaSnapshot> din_hold =
-      gt.storage() != nullptr ? gt.storage()->delta_snapshot() : nullptr;
-  const DeltaSnapshot* din = din_hold.get();
-  for (std::uint32_t iter = 0; iter < params.max_iterations; ++iter) {
-    if (params.cancel != nullptr) {
-      params.cancel->check("pagerank round boundary");
-    }
-    for (std::size_t u = 0; u < n; ++u) contrib[u] = prev[u] * inv_out[u];
-    for (std::size_t v = 0; v < n; ++v) {
-      double acc = 0;
-      VertexId vv = static_cast<VertexId>(v);
-      if (din != nullptr && din->touches(vv)) {
-        din->scan_effective(vv, gt.neighbors(vv).data(), gt.edge_begin(vv),
-                            gt.edge_end(vv), [&](VertexId u, EdgeId) {
-                              acc += contrib[u];
-                              return true;
-                            });
-      } else {
-        for (VertexId u : gt.neighbors(vv)) {
-          acc += contrib[u];
-        }
+RunReport<PagerankResult> seq_pagerank(const Graph& g, const Graph& gt,
+                                       const AlgoOptions& opt) {
+  admit(guard_of("pagerank", "seq"), g, &gt);
+  return run_traced(opt, [&](Tracer* stats) {
+    std::size_t n = g.num_vertices();
+    PagerankResult result;
+    if (n == 0) return result;
+    std::vector<double> inv_out = inverse_out_degrees(g);
+    std::vector<double> prev(n, 1.0 / static_cast<double>(n));
+    std::vector<double> contrib(n), sum(n), next(n);
+    // In-edge overlay for the gather (gt carries the flipped snapshot); the
+    // merged scan keeps ascending source order, so the FP summation order —
+    // and thus the printed ranks — match a from-scratch rebuild exactly.
+    std::shared_ptr<const DeltaSnapshot> din_hold =
+        gt.storage() != nullptr ? gt.storage()->delta_snapshot() : nullptr;
+    const DeltaSnapshot* din = din_hold.get();
+    for (std::uint32_t iter = 0; iter < opt.pagerank_iterations; ++iter) {
+      if (opt.cancel != nullptr) {
+        opt.cancel->check("pagerank round boundary");
       }
-      sum[v] = acc;
-    }
-    result.delta = combine_round(n, params.damping, prev, sum, inv_out, next);
-    std::swap(prev, next);
-    ++result.iterations;
-    if (stats) {
+      for (std::size_t u = 0; u < n; ++u) contrib[u] = prev[u] * inv_out[u];
+      for (std::size_t v = 0; v < n; ++v) {
+        double acc = 0;
+        VertexId vv = static_cast<VertexId>(v);
+        if (din != nullptr && din->touches(vv)) {
+          din->scan_effective(vv, gt.neighbors(vv).data(), gt.edge_begin(vv),
+                              gt.edge_end(vv), [&](VertexId u, EdgeId) {
+                                acc += contrib[u];
+                                return true;
+                              });
+        } else {
+          for (VertexId u : gt.neighbors(vv)) {
+            acc += contrib[u];
+          }
+        }
+        sum[v] = acc;
+      }
+      result.delta =
+          combine_round(n, opt.pagerank_damping, prev, sum, inv_out, next);
+      std::swap(prev, next);
+      ++result.iterations;
       stats->add_edges(gt.num_edges());
       stats->add_visits(n);
       stats->set_round_delta(result.delta);
       stats->end_round(n, RoundKind::kDense);
+      if (result.delta < opt.pagerank_epsilon) break;
     }
-    if (result.delta < params.epsilon) break;
-  }
-  result.rank = std::move(prev);
-  return result;
+    result.rank = std::move(prev);
+    return result;
+  });
 }
 
-PagerankResult pasgal_pagerank(const Graph& g, const Graph& gt,
-                               const PagerankParams& params, Tracer* stats) {
-  std::size_t n = g.num_vertices();
-  PagerankResult result;
-  if (n == 0) return result;
-  std::vector<double> inv_out = inverse_out_degrees(g);
-  std::vector<double> prev(n, 1.0 / static_cast<double>(n));
-  std::vector<double> contrib(n), sum(n), next(n);
+RunReport<PagerankResult> pasgal_pagerank(const Graph& g, const Graph& gt,
+                                          const AlgoOptions& opt) {
+  admit(guard_of("pagerank", "pasgal"), g, &gt);
+  return run_traced(opt, [&](Tracer* stats) {
+    std::size_t n = g.num_vertices();
+    PagerankResult result;
+    if (n == 0) return result;
+    std::vector<double> inv_out = inverse_out_degrees(g);
+    std::vector<double> prev(n, 1.0 / static_cast<double>(n));
+    std::vector<double> contrib(n), sum(n), next(n);
 
-  // Every vertex pulls every round: an exhaustive dense frontier. The pull
-  // accumulates sum[v] from one task per destination (update_seq contract),
-  // in v's in-edge order — the same order sharded sweeps use, since a shard
-  // is a contiguous destination range carrying its whole in-edge payload.
-  VertexSubset all =
-      VertexSubset::dense(std::vector<std::uint8_t>(n, 1), n);
-  EdgeMapOptions eopt;
-  eopt.cancel = params.cancel;
-  eopt.pull_exhaustive = true;
+    // Every vertex pulls every round: an exhaustive dense frontier. The pull
+    // accumulates sum[v] from one task per destination (update_seq contract),
+    // in v's in-edge order — the same order sharded sweeps use, since a shard
+    // is a contiguous destination range carrying its whole in-edge payload.
+    VertexSubset all =
+        VertexSubset::dense(std::vector<std::uint8_t>(n, 1), n);
+    EdgeMapOptions eopt;
+    eopt.cancel = opt.cancel;
+    eopt.pull_exhaustive = true;
 
-  for (std::uint32_t iter = 0; iter < params.max_iterations; ++iter) {
-    parallel_for(0, n, [&](std::size_t u) {
-      contrib[u] = prev[u] * inv_out[u];
-      sum[u] = 0;
-    });
-    edge_map_dense(
-        g, gt, all,
-        [&](VertexId u, VertexId v) {
-          sum[v] += contrib[u];
-          return false;  // no activation semantics; the frontier stays `all`
-        },
-        [](VertexId) { return true; }, eopt, stats);
-    result.delta = combine_round(n, params.damping, prev, sum, inv_out, next);
-    std::swap(prev, next);
-    ++result.iterations;
-    if (stats) {
+    for (std::uint32_t iter = 0; iter < opt.pagerank_iterations; ++iter) {
+      parallel_for(0, n, [&](std::size_t u) {
+        contrib[u] = prev[u] * inv_out[u];
+        sum[u] = 0;
+      });
+      edge_map_dense(
+          g, gt, all,
+          [&](VertexId u, VertexId v) {
+            sum[v] += contrib[u];
+            return false;  // no activation semantics; the frontier stays `all`
+          },
+          [](VertexId) { return true; }, eopt, stats);
+      result.delta =
+          combine_round(n, opt.pagerank_damping, prev, sum, inv_out, next);
+      std::swap(prev, next);
+      ++result.iterations;
       stats->set_round_delta(result.delta);
       stats->end_round(n, RoundKind::kDense);
+      if (result.delta < opt.pagerank_epsilon) break;
     }
-    if (result.delta < params.epsilon) break;
-  }
-  result.rank = std::move(prev);
-  return result;
+    result.rank = std::move(prev);
+    return result;
+  });
 }
 
 }  // namespace pasgal

@@ -13,27 +13,22 @@
 
 #include "graphs/graph.h"
 #include "pasgal/hashbag.h"
+#include "pasgal/options.h"
 #include "pasgal/telemetry.h"
 #include "pasgal/vgc.h"
 
 namespace pasgal::internal {
-
-struct ReachParams {
-  VgcParams vgc;
-  EdgeId dense_threshold_den = 20;
-  bool use_dense = true;
-};
 
 template <typename Live>
 void multi_reach(const Graph& g, const Graph& gt,
                  const std::vector<VertexId>& roots,
                  const std::vector<std::uint64_t>& sub, Live&& live,
                  std::vector<std::atomic<std::uint8_t>>& reached,
-                 const ReachParams& params, Tracer* stats = nullptr) {
+                 const AlgoOptions& opt, Tracer* stats = nullptr) {
   std::size_t n = g.num_vertices();
   EdgeId m = g.num_edges();
   const EdgeId dense_limit =
-      m / static_cast<EdgeId>(params.dense_threshold_den) + 1;
+      m / static_cast<EdgeId>(opt.dense_threshold_den) + 1;
 
   std::vector<VertexId> current;
   current.reserve(roots.size());
@@ -53,7 +48,7 @@ void multi_reach(const Graph& g, const Graph& gt,
                       [&](std::size_t i) { return g.out_degree(current[i]); }) +
                   current.size();
 
-    if (params.use_dense && work > dense_limit) {
+    if (opt.use_dense && work > dense_limit) {
       // Dense pull rounds until the wave subsides.
       for (;;) {
         if (stats) stats->end_round(current.size(), RoundKind::kDense);
@@ -91,8 +86,8 @@ void multi_reach(const Graph& g, const Graph& gt,
     }
 
     if (stats) {
-      stats->end_round(current.size(), params.vgc.tau > 1 ? RoundKind::kLocal
-                                                          : RoundKind::kSparse);
+      stats->end_round(current.size(), opt.vgc.tau > 1 ? RoundKind::kLocal
+                                                       : RoundKind::kSparse);
     }
     parallel_for(
         0, current.size(),
@@ -100,7 +95,7 @@ void multi_reach(const Graph& g, const Graph& gt,
           VertexId root = current[i];
           std::uint64_t root_sub = sub[root];
           local_search(
-              g, root, params.vgc,
+              g, root, opt.vgc,
               [&](VertexId v) {
                 if (!live(v) || sub[v] != root_sub) return false;
                 std::uint8_t expected = 0;

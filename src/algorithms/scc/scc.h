@@ -29,36 +29,10 @@ namespace pasgal {
 
 using SccLabel = std::uint64_t;
 
-std::vector<SccLabel> tarjan_scc(const Graph& g, Tracer* stats = nullptr);
-
-struct SccParams {
-  VgcParams vgc;
-  // Dense (pull) reachability rounds when frontier work > m/den.
-  EdgeId dense_threshold_den = 20;
-  bool use_dense = true;
-  // Batch growth: round r uses ~beta^r pivots.
-  double beta = 2.0;
-  std::uint64_t seed = 42;
-};
-
-std::vector<SccLabel> pasgal_scc(const Graph& g, const Graph& gt,
-                                 SccParams params = {},
-                                 Tracer* stats = nullptr);
-
-std::vector<SccLabel> gbbs_scc(const Graph& g, const Graph& gt,
-                               SccParams params = {}, Tracer* stats = nullptr);
-
-struct MultistepParams {
-  // Switch to sequential Tarjan when this many vertices remain.
-  std::size_t sequential_cutoff = 1000;
-};
-std::vector<SccLabel> multistep_scc(const Graph& g, const Graph& gt,
-                                    MultistepParams params = {},
-                                    Tracer* stats = nullptr);
-
-// --- Modern entry points (algorithms/run_api.cpp) ---------------------------
-// The SCC family reads vgc/dense/scc_beta/scc_seed/multistep_cutoff from the
-// options.
+// pasgal_scc/gbbs_scc read vgc, dense_threshold_den/use_dense (dense pull
+// reachability rounds), scc_beta (round r uses ~beta^r pivots) and scc_seed;
+// gbbs_scc forces tau = 1. multistep_scc switches to sequential Tarjan when
+// multistep_cutoff vertices remain.
 RunReport<std::vector<SccLabel>> tarjan_scc(const Graph& g,
                                             const AlgoOptions& opt);
 RunReport<std::vector<SccLabel>> pasgal_scc(const Graph& g, const Graph& gt,

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "graphs/graph.h"
-#include "pasgal/cancel.h"
 #include "pasgal/error.h"
 #include "pasgal/options.h"
 #include "pasgal/telemetry.h"
@@ -42,68 +41,34 @@ inline constexpr Dist kInfWeightDist = static_cast<Dist>(-1);
 Status check_sssp_preconditions(const WeightedGraph<std::uint32_t>& g,
                                 VertexId source, Dist max_dist);
 
-std::vector<Dist> dijkstra(const WeightedGraph<std::uint32_t>& g,
-                           VertexId source, Tracer* stats = nullptr);
-
-std::vector<Dist> bellman_ford(const WeightedGraph<std::uint32_t>& g,
-                               VertexId source, Tracer* stats = nullptr);
-
-// Bellman-Ford through the edge_map choke point (`-a em`): same recurrence
-// and same final distances as bellman_ford, but every edge scan goes through
-// edge_map_sparse, so sharded (.pgr --shard-mb) opens traverse shard-at-a-
-// time with bounded residency. Push-only; needs no transpose.
-std::vector<Dist> em_bellman_ford(const WeightedGraph<std::uint32_t>& g,
-                                  VertexId source,
-                                  const CancelToken* cancel = nullptr,
-                                  Tracer* stats = nullptr);
-
-struct SteppingParams {
-  enum class Strategy { kDelta, kRho };
-  Strategy strategy = Strategy::kRho;
-  Dist delta = 32;          // kDelta: bucket width
-  std::size_t rho = 8192;   // kRho: entries processed per step
-  VgcParams vgc;            // tau = 1 disables VGC
-  // Checked at every step boundary; throws kTimeout on expiry.
-  const CancelToken* cancel = nullptr;
-};
-
-std::vector<Dist> stepping_sssp(const WeightedGraph<std::uint32_t>& g,
-                                VertexId source, SteppingParams params = {},
-                                Tracer* stats = nullptr);
-
-// Convenience wrappers matching the paper's naming.
-inline std::vector<Dist> rho_stepping(const WeightedGraph<std::uint32_t>& g,
-                                      VertexId source, Tracer* stats = nullptr) {
-  return stepping_sssp(g, source, {}, stats);
-}
-inline std::vector<Dist> delta_stepping(const WeightedGraph<std::uint32_t>& g,
-                                        VertexId source, Dist delta = 32,
-                                        Tracer* stats = nullptr) {
-  SteppingParams p;
-  p.strategy = SteppingParams::Strategy::kDelta;
-  p.delta = delta;
-  return stepping_sssp(g, source, p, stats);
-}
-
-// --- Modern entry points (algorithms/run_api.cpp) ---------------------------
-// stepping_sssp reads sssp_delta_mode/sssp_delta/sssp_rho and the VGC knobs
-// from the options.
+// Source, knobs and tracer come from AlgoOptions.
 RunReport<std::vector<Dist>> dijkstra(const WeightedGraph<std::uint32_t>& g,
                                       const AlgoOptions& opt);
 RunReport<std::vector<Dist>> bellman_ford(const WeightedGraph<std::uint32_t>& g,
                                           const AlgoOptions& opt);
+
+// Bellman-Ford through the edge_map choke point (`-a em`): same recurrence
+// and same final distances as bellman_ford, but every edge scan goes through
+// edge_map_sparse, so sharded (.pgr --shard-mb) opens traverse shard-at-a-
+// time with bounded residency. Push-only; needs no transpose. Checks
+// opt.cancel at every round boundary.
 RunReport<std::vector<Dist>> em_bellman_ford(
     const WeightedGraph<std::uint32_t>& g, const AlgoOptions& opt);
+
+// The stepping framework: rho-stepping (opt.sssp_rho entries per step) by
+// default, delta-stepping (bucket width opt.sssp_delta) when
+// opt.sssp_delta_mode is set. opt.vgc.tau = 1 disables VGC; opt.cancel is
+// checked at every step boundary.
 RunReport<std::vector<Dist>> stepping_sssp(const WeightedGraph<std::uint32_t>& g,
                                            const AlgoOptions& opt);
 
 // Batched-SSSP landmark wrapper over the same batch surface as ms_bfs
 // (bfs.h): validates the source list (check_batch_sources, typed kUsage),
-// then runs the stepping framework once per source under one shared tracer
-// and the shared CancelToken — an expired token unwinds the whole batch with
-// kTimeout. Weighted distances have no bit-parallel kernel, so the per-source
-// slices carry real wall times and the batch telemetry accumulates every
-// run's rounds.
+// then runs stepping_sssp once per source inside one batch run, under the
+// batch's tracer and the shared CancelToken — an expired token unwinds the
+// whole batch with kTimeout. Weighted distances have no bit-parallel kernel,
+// so the per-source slices carry real wall times and the batch telemetry
+// accumulates every run's rounds.
 BatchReport<std::vector<Dist>> batch_sssp(const WeightedGraph<std::uint32_t>& g,
                                           const BatchOptions& opt);
 

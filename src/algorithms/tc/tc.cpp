@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "algorithms/catalog.h"
 #include "parlay/primitives.h"
 
 namespace pasgal {
@@ -110,51 +111,52 @@ std::uint64_t count_from(const Dag& dag, VertexId u, const Intersect& inter,
 
 }  // namespace
 
-std::uint64_t seq_tc(const Graph& g, Tracer* stats) {
-  std::size_t n = g.num_vertices();
-  Dag dag = build_dag(g);
-  std::uint64_t triangles = 0;
-  std::uint64_t scanned = 0;
-  for (VertexId u = 0; u < n; ++u) {
-    triangles += count_from(dag, u, merge_intersect, scanned);
-  }
-  if (stats) {
+RunReport<std::uint64_t> seq_tc(const Graph& g, const AlgoOptions& opt) {
+  admit(guard_of("tc", "seq"), g);
+  return run_traced(opt, [&](Tracer* stats) {
+    std::size_t n = g.num_vertices();
+    Dag dag = build_dag(g);
+    std::uint64_t triangles = 0;
+    std::uint64_t scanned = 0;
+    for (VertexId u = 0; u < n; ++u) {
+      triangles += count_from(dag, u, merge_intersect, scanned);
+    }
     stats->add_edges(scanned);
     stats->add_visits(n);
     stats->end_round(n);
-  }
-  return triangles;
+    return triangles;
+  });
 }
 
-std::uint64_t pasgal_tc(const Graph& g, const TcParams& params,
-                        Tracer* stats) {
-  std::size_t n = g.num_vertices();
-  Dag dag = build_dag(g);
-  // Sources are processed in blocks: the block boundary is where the round
-  // master checks the deadline and records a round, so a server query on a
-  // huge graph still honours its deadline mid-count.
-  constexpr std::size_t kBlock = 1 << 16;
-  std::uint64_t triangles = 0;
-  for (std::size_t lo = 0; lo < n; lo += kBlock) {
-    if (params.cancel != nullptr) {
-      params.cancel->check("tc block boundary");
-    }
-    std::size_t hi = std::min(n, lo + kBlock);
-    triangles += reduce_indexed<std::uint64_t>(
-        hi - lo, 0, std::plus<std::uint64_t>{}, [&](std::size_t rel) {
-          VertexId u = static_cast<VertexId>(lo + rel);
-          std::uint64_t scanned = 0;
-          std::uint64_t local =
-              count_from(dag, u, hybrid_intersect, scanned);
-          if (stats) {
+RunReport<std::uint64_t> pasgal_tc(const Graph& g, const AlgoOptions& opt) {
+  admit(guard_of("tc", "pasgal"), g);
+  return run_traced(opt, [&](Tracer* stats) {
+    std::size_t n = g.num_vertices();
+    Dag dag = build_dag(g);
+    // Sources are processed in blocks: the block boundary is where the round
+    // master checks the deadline and records a round, so a server query on a
+    // huge graph still honours its deadline mid-count.
+    constexpr std::size_t kBlock = 1 << 16;
+    std::uint64_t triangles = 0;
+    for (std::size_t lo = 0; lo < n; lo += kBlock) {
+      if (opt.cancel != nullptr) {
+        opt.cancel->check("tc block boundary");
+      }
+      std::size_t hi = std::min(n, lo + kBlock);
+      triangles += reduce_indexed<std::uint64_t>(
+          hi - lo, 0, std::plus<std::uint64_t>{}, [&](std::size_t rel) {
+            VertexId u = static_cast<VertexId>(lo + rel);
+            std::uint64_t scanned = 0;
+            std::uint64_t local =
+                count_from(dag, u, hybrid_intersect, scanned);
             stats->add_edges(scanned);
             stats->add_visits(1);
-          }
-          return local;
-        });
-    if (stats) stats->end_round(hi - lo, RoundKind::kLocal);
-  }
-  return triangles;
+            return local;
+          });
+      stats->end_round(hi - lo, RoundKind::kLocal);
+    }
+    return triangles;
+  });
 }
 
 }  // namespace pasgal

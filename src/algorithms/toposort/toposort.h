@@ -11,8 +11,8 @@
 // Both produce `level[v]` = length of the longest path ending at v — a
 // canonical topological layering (u -> v implies level[u] < level[v]) that
 // is schedule-independent, so parallel and sequential outputs are directly
-// comparable. A cyclic input is reported as a kValidation Status (with the
-// number of vertices stuck on cycles) and `levels` is left empty.
+// comparable. A cyclic input throws a kValidation Error naming the number
+// of vertices stuck on cycles.
 #pragma once
 
 #include <cstdint>
@@ -26,19 +26,8 @@
 
 namespace pasgal {
 
-Status seq_toposort(const Graph& g, std::vector<std::uint32_t>& levels,
-                    Tracer* stats = nullptr);
-
-struct ToposortParams {
-  VgcParams vgc;
-};
-
-Status pasgal_toposort(const Graph& g, std::vector<std::uint32_t>& levels,
-                       ToposortParams params = {}, Tracer* stats = nullptr);
-
-// --- Modern entry points (algorithms/run_api.cpp) ---------------------------
-// Unlike the legacy Status forms these throw the kValidation Error on cyclic
-// inputs, so RunReport can carry the levels directly.
+// Library-only (no driver or daemon verb), so their guards are not catalog
+// rows. pasgal_toposort reads opt.vgc.
 RunReport<std::vector<std::uint32_t>> seq_toposort(const Graph& g,
                                                    const AlgoOptions& opt);
 RunReport<std::vector<std::uint32_t>> pasgal_toposort(const Graph& g,

@@ -5,7 +5,7 @@
 namespace pasgal {
 
 std::uint32_t degeneracy(const Graph& g) {
-  auto core = seq_kcore(g);
+  auto core = seq_kcore(g, {}).output;
   std::uint32_t best = 0;
   for (auto c : core) best = std::max(best, c);
   return best;

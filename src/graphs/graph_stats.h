@@ -55,7 +55,7 @@ inline std::uint64_t diameter_lower_bound(const Graph& g, const Graph& gt,
   Random rng(seed);
   VertexId source = 0;
   for (int s = 0; s < samples; ++s) {
-    auto dist = pasgal_bfs(g, gt, source);
+    auto dist = pasgal_bfs(g, gt, {.source = source}).output;
     std::uint64_t ecc = 0;
     VertexId far = source;
     for (VertexId v = 0; v < n; ++v) {

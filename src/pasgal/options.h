@@ -1,17 +1,18 @@
 // Unified run context for the algorithm entry points.
 //
-// Every algorithm variant has a modern signature
+// Every algorithm variant has exactly one signature,
 //
 //   RunReport<T> variant(const Graph& g, [const Graph& gt,] const AlgoOptions&)
 //
-// declared next to its positional form in the family header. The positional
-// `(..., Params, Tracer*)` functions are the implementations; the modern
-// entry points in algorithms/run_api.cpp check the variant's catalog guard
-// (algorithms/catalog.h), build the Params from the AlgoOptions, and call
-// them. `AlgoOptions` carries the union of all per-family tuning knobs (each
-// family reads only its own), the source vertex, and an optional
-// caller-owned Tracer; `RunReport` bundles the output with the run's wall
-// time and aggregated telemetry.
+// declared in its family header and defined in its own .cpp. The body checks
+// the variant's catalog guard (admit, algorithms/catalog.h), then runs inside
+// run_traced() below, reading its knobs from the AlgoOptions. `AlgoOptions`
+// carries the union of all per-family tuning knobs (each family reads only
+// its own), the source vertex, and an optional caller-owned Tracer;
+// `RunReport` bundles the output with the run's wall time and aggregated
+// telemetry. Callers name only the fields they set:
+//
+//   pasgal_bfs(g, gt, {.source = s}).output
 //
 // Batched multi-source queries use the same shape one level up:
 // `BatchOptions` (a source list plus the shared AlgoOptions) in,
@@ -21,6 +22,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -37,16 +39,12 @@ struct AlgoOptions {
   VertexId source = 0;
 
   // VGC knobs (BFS, SSSP, SCC, k-core, toposort).
-  VgcParams vgc;
-  std::uint32_t vgc_engage_factor = 16;
+  VgcParams vgc = {};
 
-  // Direction optimization (BFS, SCC).
+  // Direction optimization (BFS, SCC): dense rounds when frontier work
+  // exceeds m/dense_threshold_den.
   EdgeId dense_threshold_den = 20;
   bool use_dense = true;
-
-  // GAPBS hysteresis controller (gapbs_bfs only).
-  int gapbs_alpha = 15;
-  int gapbs_beta = 18;
 
   // Stepping SSSP: rho-stepping by default, delta-stepping if
   // sssp_delta_mode is set.
@@ -66,7 +64,8 @@ struct AlgoOptions {
 
   // When non-null the run records into this tracer (reset at run start) and
   // the caller can keep it for later inspection; when null a run-local
-  // tracer is used and survives only as RunReport::telemetry.
+  // tracer is used and survives only as RunReport::telemetry. A variant that
+  // runs another inside its own run passes its tracer here; see run_traced.
   Tracer* tracer = nullptr;
 
   // Cooperative cancellation/deadline token (see pasgal/cancel.h). Checked
@@ -99,7 +98,7 @@ inline constexpr std::size_t kMaxBatchSources = 64;  // one source per bit
 // ignored — the batch is the source set).
 struct BatchOptions {
   std::vector<VertexId> sources;
-  AlgoOptions algo;
+  AlgoOptions algo = {};
 };
 
 // Output of one batched run: one RunReport slice per source, in the order
@@ -125,24 +124,27 @@ struct BatchReport {
 // non-empty, at most kMaxBatchSources entries, duplicate-free, every vertex
 // < n. Throws a typed kUsage Error naming the offending entry — the shared
 // contract for the drivers' --sources flag, the server's sources= key, and
-// the batch entry points themselves (implemented in algorithms/run_api.cpp).
+// the batch entry points themselves (implemented in algorithms/catalog.cpp).
 void check_batch_sources(std::span<const VertexId> sources, std::size_t n);
 
-// Shared harness for the run_api entry points: route recording through the
-// caller's tracer (or a run-local one), time the body, aggregate at the end.
+// Shared harness for the entry points: route recording through the caller's
+// tracer (or a run-local one), time the body, aggregate at the end. The body
+// always gets a non-null tracer. A run nested inside another (opt.tracer is
+// the outer run's tracer) records into the outer run: only the outermost run
+// resets the tracer and fills RunReport::telemetry.
 template <typename F>
 auto run_traced(const AlgoOptions& opt, F&& body)
     -> RunReport<decltype(body(static_cast<Tracer*>(nullptr)))> {
-  Tracer local;
-  Tracer* tracer = opt.tracer != nullptr ? opt.tracer : &local;
-  tracer->reset();
+  std::optional<Tracer> local;
+  Tracer* tracer = opt.tracer != nullptr ? opt.tracer : &local.emplace();
+  Tracer::Run run(*tracer);
   auto start = std::chrono::steady_clock::now();
   RunReport<decltype(body(static_cast<Tracer*>(nullptr)))> report{
       body(tracer), 0.0, {}};
   report.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  report.telemetry = tracer->aggregate();
+  if (run.outermost()) report.telemetry = tracer->aggregate();
   return report;
 }
 

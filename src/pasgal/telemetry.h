@@ -159,6 +159,25 @@ class Tracer {
   // --- aggregation (run end; not concurrency-safe with recording) ----------
   RunTelemetry aggregate() const;
 
+  // --- run scope (run_traced; round master only) ---------------------------
+  // Runs nest when a variant runs another inside its own run and hands it
+  // this tracer: the inner run records into the outer one, so only the
+  // outermost scope resets the tracer.
+  class Run {
+   public:
+    explicit Run(Tracer& t) : t_(t), outermost_(t.open_runs_++ == 0) {
+      if (outermost_) t_.reset();
+    }
+    ~Run() { --t_.open_runs_; }
+    Run(const Run&) = delete;
+    Run& operator=(const Run&) = delete;
+    bool outermost() const { return outermost_; }
+
+   private:
+    Tracer& t_;
+    bool outermost_;
+  };
+
  private:
   struct alignas(64) Slot {
     std::uint64_t edges = 0;
@@ -191,6 +210,7 @@ class Tracer {
   std::vector<PhaseTiming> phases_;
   const char* open_phase_ = nullptr;
   std::chrono::steady_clock::time_point phase_start_;
+  int open_runs_ = 0;  // Run scopes open on this tracer
 };
 
 // RAII phase mark; a null tracer makes it a no-op, so call sites stay

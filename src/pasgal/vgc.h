@@ -27,9 +27,10 @@ struct VgcParams {
   // Minimum vertices a local search processes before spilling to the shared
   // frontier. tau = 1 degenerates to the classic one-hop frontier algorithm.
   std::uint32_t tau = 512;
-  // Hard cap on the task-local stack (bounds per-task memory).
-  std::uint32_t local_stack_cap = 4096;
 };
+
+// Hard cap on a task-local stack (bounds per-task memory).
+inline constexpr std::uint32_t kVgcLocalStackCap = 4096;
 
 // Generic reachability-flavoured local search.
 //
@@ -56,7 +57,7 @@ std::uint64_t local_search(const Graph& g, VertexId root, const VgcParams& p,
     for (VertexId v : g.neighbors(u)) {
       ++edges;
       if (try_mark(v)) {
-        if (expanded < p.tau && stack.size() < p.local_stack_cap) {
+        if (expanded < p.tau && stack.size() < kVgcLocalStackCap) {
           stack.push_back(v);
         } else {
           next.insert(v);
@@ -104,7 +105,7 @@ std::uint64_t local_search_dist(VertexId root, std::uint32_t root_dist,
     Entry e = queue[head++];
     ++expanded;
     relax(e.v, e.dist, [&](VertexId v, std::uint32_t d) {
-      if (expanded < p.tau && queue.size() < p.local_stack_cap) {
+      if (expanded < p.tau && queue.size() < kVgcLocalStackCap) {
         queue.push_back({v, d});
       } else {
         spill(v, d);

@@ -72,8 +72,8 @@ INSTANTIATE_TEST_SUITE_P(Workers, BccTest, ::testing::Values(1, 4));
 
 TEST_P(BccTest, FastBccMatchesHopcroftTarjan) {
   for (const auto& [name, g] : bcc_graphs()) {
-    auto expected = hopcroft_tarjan_bcc(g);
-    auto got = fast_bcc(g);
+    auto expected = hopcroft_tarjan_bcc(g, {}).output;
+    auto got = fast_bcc(g, {}).output;
     EXPECT_EQ(normalize_bcc_labels(got.edge_label),
               normalize_bcc_labels(expected.edge_label))
         << name;
@@ -83,8 +83,8 @@ TEST_P(BccTest, FastBccMatchesHopcroftTarjan) {
 
 TEST_P(BccTest, TarjanVishkinMatchesHopcroftTarjan) {
   for (const auto& [name, g] : bcc_graphs()) {
-    auto expected = hopcroft_tarjan_bcc(g);
-    auto got = tarjan_vishkin_bcc(g);
+    auto expected = hopcroft_tarjan_bcc(g, {}).output;
+    auto got = tarjan_vishkin_bcc(g, {}).output;
     EXPECT_EQ(normalize_bcc_labels(got.edge_label),
               normalize_bcc_labels(expected.edge_label))
         << name;
@@ -94,8 +94,8 @@ TEST_P(BccTest, TarjanVishkinMatchesHopcroftTarjan) {
 
 TEST_P(BccTest, GbbsBccMatchesHopcroftTarjan) {
   for (const auto& [name, g] : bcc_graphs()) {
-    auto expected = hopcroft_tarjan_bcc(g);
-    auto got = gbbs_bcc(g);
+    auto expected = hopcroft_tarjan_bcc(g, {}).output;
+    auto got = gbbs_bcc(g, {}).output;
     EXPECT_EQ(normalize_bcc_labels(got.edge_label),
               normalize_bcc_labels(expected.edge_label))
         << name;
@@ -107,8 +107,8 @@ TEST(BccRounds, GbbsBccNeedsDiameterRounds) {
   Scheduler::reset(1);
   Graph g = gen::rectangle_grid(3, 800);  // diameter ~ 800
   Tracer fast_stats, gbbs_stats;
-  auto a = fast_bcc(g, &fast_stats);
-  auto b = gbbs_bcc(g, &gbbs_stats);
+  auto a = fast_bcc(g, {.tracer = &fast_stats}).output;
+  auto b = gbbs_bcc(g, {.tracer = &gbbs_stats}).output;
   EXPECT_EQ(normalize_bcc_labels(a.edge_label),
             normalize_bcc_labels(b.edge_label));
   EXPECT_GT(gbbs_stats.rounds(), 700u);
@@ -117,7 +117,9 @@ TEST(BccRounds, GbbsBccNeedsDiameterRounds) {
 
 TEST_P(BccTest, BothCopiesAgree) {
   Graph g = gen::rectangle_grid(10, 12);
-  for (auto result : {fast_bcc(g), tarjan_vishkin_bcc(g), hopcroft_tarjan_bcc(g)}) {
+  for (auto result :
+       {fast_bcc(g, {}).output, tarjan_vishkin_bcc(g, {}).output,
+        hopcroft_tarjan_bcc(g, {}).output}) {
     for (VertexId u = 0; u < g.num_vertices(); ++u) {
       for (EdgeId e = g.edge_begin(u); e < g.edge_end(u); ++e) {
         VertexId v = g.edge_target(e);
@@ -132,22 +134,22 @@ TEST_P(BccTest, BothCopiesAgree) {
 
 TEST_P(BccTest, TreeHasOneBccPerEdge) {
   Graph g = gen::binary_tree(127);
-  auto result = fast_bcc(g);
+  auto result = fast_bcc(g, {}).output;
   EXPECT_EQ(result.num_bccs, 126u);  // every edge is a bridge
   EXPECT_EQ(count_bridges(g, result), 126u);
 }
 
 TEST_P(BccTest, CycleIsOneBcc) {
   Graph g = gen::cycle(50).symmetrize();
-  auto result = fast_bcc(g);
+  auto result = fast_bcc(g, {}).output;
   EXPECT_EQ(result.num_bccs, 1u);
   EXPECT_EQ(count_bridges(g, result), 0u);
 }
 
 TEST_P(BccTest, CliqueIsOneBcc) {
   Graph g = gen::complete(12).symmetrize();
-  EXPECT_EQ(fast_bcc(g).num_bccs, 1u);
-  EXPECT_EQ(tarjan_vishkin_bcc(g).num_bccs, 1u);
+  EXPECT_EQ(fast_bcc(g, {}).output.num_bccs, 1u);
+  EXPECT_EQ(tarjan_vishkin_bcc(g, {}).output.num_bccs, 1u);
 }
 
 // Brute-force articulation points: v is articulation iff removing it
@@ -198,7 +200,7 @@ std::vector<VertexId> brute_articulation(const Graph& g) {
 TEST_P(BccTest, ArticulationPointsMatchBruteForce) {
   for (const auto& [name, g] : bcc_graphs()) {
     if (g.num_vertices() > 300) continue;  // brute force is quadratic
-    auto result = fast_bcc(g);
+    auto result = fast_bcc(g, {}).output;
     auto got = articulation_points(g, result);
     auto expected = brute_articulation(g);
     EXPECT_EQ(got, expected) << name;
@@ -210,7 +212,7 @@ TEST_P(BccTest, BarbellStructure) {
   const auto& cases = bcc_graphs();
   for (const auto& [name, g] : cases) {
     if (name != "barbell") continue;
-    auto result = fast_bcc(g);
+    auto result = fast_bcc(g, {}).output;
     EXPECT_EQ(result.num_bccs, 2u + 4u);
     EXPECT_EQ(count_bridges(g, result), 4u);
     auto arts = articulation_points(g, result);
@@ -220,12 +222,12 @@ TEST_P(BccTest, BarbellStructure) {
 
 TEST_P(BccTest, EmptyAndEdgelessGraphs) {
   Graph empty = Graph::from_edges(0, {});
-  EXPECT_EQ(fast_bcc(empty).num_bccs, 0u);
+  EXPECT_EQ(fast_bcc(empty, {}).output.num_bccs, 0u);
   Graph edgeless = Graph::from_edges(10, {});
-  auto r = fast_bcc(edgeless);
+  auto r = fast_bcc(edgeless, {}).output;
   EXPECT_EQ(r.num_bccs, 0u);
-  EXPECT_EQ(tarjan_vishkin_bcc(edgeless).num_bccs, 0u);
-  EXPECT_EQ(hopcroft_tarjan_bcc(edgeless).num_bccs, 0u);
+  EXPECT_EQ(tarjan_vishkin_bcc(edgeless, {}).output.num_bccs, 0u);
+  EXPECT_EQ(hopcroft_tarjan_bcc(edgeless, {}).output.num_bccs, 0u);
 }
 
 }  // namespace

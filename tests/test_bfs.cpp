@@ -54,12 +54,12 @@ TEST_P(BfsVariants, AllVariantsMatchSequential) {
     for (VertexId source :
          {VertexId{0}, static_cast<VertexId>(c.g.num_vertices() / 2),
           static_cast<VertexId>(c.g.num_vertices() - 1)}) {
-      auto expected = seq_bfs(c.g, source);
-      EXPECT_EQ(gbbs_bfs(c.g, gt, source), expected)
+      auto expected = seq_bfs(c.g, {.source = source}).output;
+      EXPECT_EQ(gbbs_bfs(c.g, gt, {.source = source}).output, expected)
           << "gbbs_bfs on " << c.name << " src=" << source;
-      EXPECT_EQ(gapbs_bfs(c.g, gt, source), expected)
+      EXPECT_EQ(gapbs_bfs(c.g, gt, {.source = source}).output, expected)
           << "gapbs_bfs on " << c.name << " src=" << source;
-      EXPECT_EQ(pasgal_bfs(c.g, gt, source), expected)
+      EXPECT_EQ(pasgal_bfs(c.g, gt, {.source = source}).output, expected)
           << "pasgal_bfs on " << c.name << " src=" << source;
     }
   }
@@ -68,11 +68,10 @@ TEST_P(BfsVariants, AllVariantsMatchSequential) {
 TEST_P(BfsVariants, PasgalBfsTauSweep) {
   Graph g = gen::road_grid(15, 80, 0.75, 5);
   Graph gt = g.transpose();
-  auto expected = seq_bfs(g, 0);
+  auto expected = seq_bfs(g, {}).output;
   for (std::uint32_t tau : {1u, 2u, 16u, 256u, 4096u}) {
-    PasgalBfsParams p;
-    p.vgc.tau = tau;
-    EXPECT_EQ(pasgal_bfs(g, gt, 0, p), expected) << "tau=" << tau;
+    EXPECT_EQ(pasgal_bfs(g, gt, {.vgc = {.tau = tau}}).output, expected)
+        << "tau=" << tau;
   }
 }
 
@@ -80,10 +79,9 @@ TEST_P(BfsVariants, PasgalBfsNoDenseMatches)
 {
   Graph g = gen::rmat(11, 30000, 3);
   Graph gt = g.transpose();
-  auto expected = seq_bfs(g, 1);
-  PasgalBfsParams p;
-  p.use_dense = false;
-  EXPECT_EQ(pasgal_bfs(g, gt, 1, p), expected);
+  auto expected = seq_bfs(g, {.source = 1}).output;
+  EXPECT_EQ(pasgal_bfs(g, gt, {.source = 1, .use_dense = false}).output,
+            expected);
 }
 
 TEST(BfsRounds, VgcReducesRoundsOnLargeDiameter) {
@@ -92,10 +90,9 @@ TEST(BfsRounds, VgcReducesRoundsOnLargeDiameter) {
   // PASGAL's VGC should advance many hops per round.
   Graph g = gen::rectangle_grid(4, 500);
   Tracer gbbs_stats, pasgal_stats;
-  auto a = gbbs_bfs(g, g, 0, &gbbs_stats);
-  PasgalBfsParams p;
-  p.vgc.tau = 512;
-  auto b = pasgal_bfs(g, g, 0, p, &pasgal_stats);
+  auto a = gbbs_bfs(g, g, {.source = 0, .tracer = &gbbs_stats}).output;
+  auto b =
+      pasgal_bfs(g, g, {.vgc = {.tau = 512}, .tracer = &pasgal_stats}).output;
   EXPECT_EQ(a, b);
   EXPECT_GT(gbbs_stats.rounds(), 400u);
   EXPECT_LT(pasgal_stats.rounds(), gbbs_stats.rounds() / 5)
@@ -112,8 +109,8 @@ TEST(BfsRounds, DirectionOptimizationKicksInOnSocialGraphs) {
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     if (g.out_degree(v) > g.out_degree(best)) best = v;
   }
-  auto d = pasgal_bfs(g, gt, best, {}, &stats);
-  EXPECT_EQ(d, seq_bfs(g, best));
+  auto d = pasgal_bfs(g, gt, {.source = best, .tracer = &stats}).output;
+  EXPECT_EQ(d, seq_bfs(g, {.source = best}).output);
   // Low-diameter graph: few rounds.
   EXPECT_LT(stats.rounds(), 40u);
 }
@@ -122,14 +119,14 @@ TEST(BfsStats, EdgesScannedAtLeastReachableEdges) {
   Scheduler::reset(1);
   Graph g = gen::rectangle_grid(10, 100);
   Tracer stats;
-  pasgal_bfs(g, g, 0, {}, &stats);
+  pasgal_bfs(g, g, {.source = 0, .tracer = &stats});
   EXPECT_GE(stats.edges_scanned(), g.num_edges());  // every edge looked at
   EXPECT_GE(stats.vertices_visited(), g.num_vertices());
 }
 
 TEST(BfsSeq, HandlesUnreachable) {
   Graph g = Graph::from_edges(4, std::vector<Edge>{{0, 1}, {2, 3}});
-  auto d = seq_bfs(g, 0);
+  auto d = seq_bfs(g, {}).output;
   EXPECT_EQ(d[0], 0u);
   EXPECT_EQ(d[1], 1u);
   EXPECT_EQ(d[2], kInfDist);
@@ -138,7 +135,7 @@ TEST(BfsSeq, HandlesUnreachable) {
 
 TEST(BfsSeq, DistancesOnChain) {
   Graph g = gen::chain(50);
-  auto d = seq_bfs(g, 10);
+  auto d = seq_bfs(g, {.source = 10}).output;
   for (VertexId v = 0; v < 50; ++v) {
     EXPECT_EQ(d[v], static_cast<std::uint32_t>(std::abs(static_cast<int>(v) - 10)));
   }

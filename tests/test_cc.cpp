@@ -71,24 +71,24 @@ std::vector<std::pair<std::string, Graph>> cc_graphs() {
 TEST_P(CcTest, UnionFindMatchesReference) {
   for (const auto& [name, g] : cc_graphs()) {
     auto expected = reference_cc(g);
-    auto result = connected_components(g);
+    auto result = connected_components(g, {}).output;
     EXPECT_EQ(result.label, expected) << name;  // both use min-vertex labels
   }
 }
 
 TEST_P(CcTest, LabelPropMatchesReference) {
   for (const auto& [name, g] : cc_graphs()) {
-    EXPECT_EQ(label_prop_cc(g), reference_cc(g)) << name;
+    EXPECT_EQ(label_prop_cc(g, {}).output, reference_cc(g)) << name;
   }
 }
 
 TEST_P(CcTest, ComponentCount) {
-  auto r = connected_components(gen::chain(100));
+  auto r = connected_components(gen::chain(100), {}).output;
   EXPECT_EQ(r.num_components, 1u);
-  auto r2 = connected_components(Graph::from_edges(5, {}));
+  auto r2 = connected_components(Graph::from_edges(5, {}), {}).output;
   EXPECT_EQ(r2.num_components, 5u);
   auto grid = gen::sampled_edges(gen::rectangle_grid(25, 25), 0.4, 9).symmetrize();
-  auto r3 = connected_components(grid);
+  auto r3 = connected_components(grid, {}).output;
   auto ref = reference_cc(grid);
   std::set<VertexId> roots(ref.begin(), ref.end());
   EXPECT_EQ(r3.num_components, roots.size());
@@ -96,7 +96,7 @@ TEST_P(CcTest, ComponentCount) {
 
 TEST_P(CcTest, SpanningForestSizeAndAcyclicity) {
   for (const auto& [name, g] : cc_graphs()) {
-    auto r = connected_components(g);
+    auto r = connected_components(g, {}).output;
     std::size_t n = g.num_vertices();
     ASSERT_EQ(r.forest.size(), n - r.num_components) << name;
     // A forest with n - c edges and no cycles: union-find over forest edges
@@ -124,7 +124,7 @@ TEST_P(CcTest, SpanningForestSizeAndAcyclicity) {
 
 TEST_P(CcTest, ForestSpansComponents) {
   Graph g = gen::rectangle_grid(15, 15);
-  auto r = connected_components(g);
+  auto r = connected_components(g, {}).output;
   // Flood fill over forest edges alone must reach everything.
   std::vector<std::vector<VertexId>> adj(g.num_vertices());
   for (const Edge& e : r.forest) {
@@ -152,7 +152,7 @@ TEST_P(CcTest, ForestSpansComponents) {
 TEST_P(CcTest, DirectedEdgesTreatedAsUndirected) {
   // connected_components must treat one-directional edges as connections.
   Graph g = Graph::from_edges(4, std::vector<Edge>{{0, 1}, {2, 1}, {3, 2}});
-  auto r = connected_components(g);
+  auto r = connected_components(g, {}).output;
   EXPECT_EQ(r.num_components, 1u);
   for (VertexId v = 0; v < 4; ++v) EXPECT_EQ(r.label[v], 0u);
 }
@@ -161,8 +161,8 @@ TEST(CcRounds, LabelPropNeedsDiameterRounds) {
   Scheduler::reset(1);
   Graph g = gen::chain(2000);
   Tracer uf_stats, lp_stats;
-  connected_components(g, &uf_stats);
-  label_prop_cc(g, &lp_stats);
+  connected_components(g, {.tracer = &uf_stats});
+  label_prop_cc(g, {.tracer = &lp_stats});
   EXPECT_LE(uf_stats.rounds(), 2u);
   EXPECT_GT(lp_stats.rounds(), 5u);  // min labels crawl along the chain
 }

@@ -153,14 +153,17 @@ void run_equivalence_grid(Graph base, std::uint64_t seed) {
 
     for (int workers : {1, 4, 8}) {
       Scheduler::reset(workers);
-      EXPECT_EQ(gbbs_bfs(g, gt, source), gbbs_bfs(ref, ref_t, source))
+      EXPECT_EQ(gbbs_bfs(g, gt, {.source = source}).output,
+                gbbs_bfs(ref, ref_t, {.source = source}).output)
           << "bfs diverged: round " << round << ", " << workers << " workers";
-      ConnectivityResult cc_overlay = connected_components(g.symmetrize());
-      ConnectivityResult cc_ref = connected_components(ref.symmetrize());
+      ConnectivityResult cc_overlay =
+          connected_components(g.symmetrize(), {}).output;
+      ConnectivityResult cc_ref =
+          connected_components(ref.symmetrize(), {}).output;
       EXPECT_EQ(cc_overlay.label, cc_ref.label)
           << "cc diverged: round " << round << ", " << workers << " workers";
-      PagerankResult pr_overlay = pasgal_pagerank(g, gt);
-      PagerankResult pr_ref = pasgal_pagerank(ref, ref_t);
+      PagerankResult pr_overlay = pasgal_pagerank(g, gt, {}).output;
+      PagerankResult pr_ref = pasgal_pagerank(ref, ref_t, {}).output;
       ASSERT_EQ(pr_overlay.rank.size(), pr_ref.rank.size());
       EXPECT_EQ(pr_overlay.iterations, pr_ref.iterations);
       for (std::size_t v = 0; v < pr_ref.rank.size(); ++v) {
@@ -499,11 +502,12 @@ TEST(Incremental, BfsRepairIsExactAndResettlesFewerOnSmallChurn) {
   VertexId source = max_degree_vertex(g);
   UpdateModel model(g, /*seed=*/23);
 
-  std::vector<std::uint32_t> dist = gbbs_bfs(g, gt, source);
+  std::vector<std::uint32_t> dist = gbbs_bfs(g, gt, {.source = source}).output;
   for (int round = 0; round < 4; ++round) {
     std::vector<EdgeUpdate> batch = model.make_batch(15);  // < 1% churn
     apply_updates(g, batch);
-    std::vector<std::uint32_t> expect = gbbs_bfs(g, gt, source);
+    std::vector<std::uint32_t> expect =
+        gbbs_bfs(g, gt, {.source = source}).output;
     IncrementalStats st = incremental_bfs(g, gt, source, batch, dist);
     EXPECT_EQ(dist, expect) << "repair diverged in round " << round;
     EXPECT_EQ(st.full_settled, g.num_vertices());
@@ -520,21 +524,21 @@ TEST(Incremental, BfsDeleteCascadeRepairsACorridor) {
   // whole suffix. The repair must invalidate exactly that suffix.
   Graph g = gen::chain(64, /*directed=*/true);
   Graph gt = g.transpose();
-  std::vector<std::uint32_t> dist = gbbs_bfs(g, gt, 0);
+  std::vector<std::uint32_t> dist = gbbs_bfs(g, gt, {}).output;
   std::vector<EdgeUpdate> batch{{EdgeUpdate::Op::kDelete, 31, 32}};
   apply_updates(g, batch);
   IncrementalOptions opt;
   opt.churn_threshold = 1.0;  // never fall back; exercise the cascade
   IncrementalStats st = incremental_bfs(g, gt, 0, batch, dist, opt);
   EXPECT_FALSE(st.fallback);
-  EXPECT_EQ(dist, gbbs_bfs(g, gt, 0));
+  EXPECT_EQ(dist, gbbs_bfs(g, gt, {}).output);
   for (VertexId v = 32; v < 64; ++v) EXPECT_EQ(dist[v], kInfDist);
 
   // Re-inserting the edge repairs the corridor back via the insert seeds.
   std::vector<EdgeUpdate> fix{{EdgeUpdate::Op::kInsert, 31, 32}};
   apply_updates(g, fix);
   st = incremental_bfs(g, gt, 0, fix, dist, opt);
-  EXPECT_EQ(dist, gbbs_bfs(g, gt, 0));
+  EXPECT_EQ(dist, gbbs_bfs(g, gt, {}).output);
   EXPECT_EQ(dist[63], 63u);
 }
 
@@ -543,7 +547,7 @@ TEST(Incremental, BfsChurnFallbackIsStillExact) {
   Graph gt = g.transpose();
   VertexId source = max_degree_vertex(g);
   UpdateModel model(g, /*seed=*/31);
-  std::vector<std::uint32_t> dist = gbbs_bfs(g, gt, source);
+  std::vector<std::uint32_t> dist = gbbs_bfs(g, gt, {.source = source}).output;
   std::vector<EdgeUpdate> batch = model.make_batch(200);
   apply_updates(g, batch);
   IncrementalOptions opt;
@@ -551,7 +555,7 @@ TEST(Incremental, BfsChurnFallbackIsStillExact) {
   IncrementalStats st = incremental_bfs(g, gt, source, batch, dist, opt);
   EXPECT_TRUE(st.fallback);
   EXPECT_EQ(st.resettled, st.full_settled);
-  EXPECT_EQ(dist, gbbs_bfs(g, gt, source));
+  EXPECT_EQ(dist, gbbs_bfs(g, gt, {.source = source}).output);
 }
 
 TEST(Incremental, CcInsertOnlyUnionsLabels) {
@@ -559,7 +563,7 @@ TEST(Incremental, CcInsertOnlyUnionsLabels) {
   // components without any traversal.
   std::vector<Edge> edges{{0, 1}, {1, 2}, {3, 4}, {4, 5}, {6, 7}, {7, 8}};
   Graph g = Graph::from_edges(12, edges);
-  ConnectivityResult base = connected_components(g.symmetrize());
+  ConnectivityResult base = connected_components(g.symmetrize(), {}).output;
   EXPECT_EQ(base.num_components, 6u);
   std::vector<VertexId> label = base.label;
 
@@ -568,14 +572,14 @@ TEST(Incremental, CcInsertOnlyUnionsLabels) {
   apply_updates(g, batch);
   IncrementalStats st = incremental_cc(g, batch, label);
   EXPECT_FALSE(st.fallback);
-  ConnectivityResult expect = connected_components(g.symmetrize());
+  ConnectivityResult expect = connected_components(g.symmetrize(), {}).output;
   EXPECT_EQ(label, expect.label);
   EXPECT_EQ(count_distinct_labels(label), 4u);
 }
 
 TEST(Incremental, CcDeleteFallsBackToFullRecompute) {
   Graph g = gen::rectangle_grid(24, 4);
-  ConnectivityResult base = connected_components(g.symmetrize());
+  ConnectivityResult base = connected_components(g.symmetrize(), {}).output;
   std::vector<VertexId> label = base.label;
 
   VertexId nbr = g.neighbors(10)[0];
@@ -584,7 +588,7 @@ TEST(Incremental, CcDeleteFallsBackToFullRecompute) {
   apply_updates(g, batch);
   IncrementalStats st = incremental_cc(g, batch, label);
   EXPECT_TRUE(st.fallback);
-  ConnectivityResult expect = connected_components(g.symmetrize());
+  ConnectivityResult expect = connected_components(g.symmetrize(), {}).output;
   EXPECT_EQ(label, expect.label);
 }
 
@@ -595,7 +599,8 @@ TEST(Incremental, RepairIsDeterministicAcrossWorkerCounts) {
   UpdateModel model(g, /*seed=*/41);
   std::vector<EdgeUpdate> batch = model.make_batch(40);
 
-  std::vector<std::uint32_t> base_dist = gbbs_bfs(g, gt, source);
+  std::vector<std::uint32_t> base_dist =
+      gbbs_bfs(g, gt, {.source = source}).output;
   apply_updates(g, batch);
   std::vector<std::vector<std::uint32_t>> repaired;
   for (int workers : {1, 4, 8}) {
@@ -607,7 +612,7 @@ TEST(Incremental, RepairIsDeterministicAcrossWorkerCounts) {
   }
   EXPECT_EQ(repaired[0], repaired[1]);
   EXPECT_EQ(repaired[0], repaired[2]);
-  EXPECT_EQ(repaired[0], gbbs_bfs(g, gt, source));
+  EXPECT_EQ(repaired[0], gbbs_bfs(g, gt, {.source = source}).output);
 }
 
 }  // namespace

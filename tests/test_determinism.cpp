@@ -51,8 +51,8 @@ TEST(Determinism, TransposeAndSymmetrizeScheduleIndependent) {
 TEST(Determinism, BfsDistancesScheduleIndependent) {
   Graph g = gen::road_grid(25, 40, 0.75, 11);
   Graph gt = g.transpose();
-  auto d1 = with_workers(1, [&] { return pasgal_bfs(g, gt, 0); });
-  auto d4 = with_workers(4, [&] { return pasgal_bfs(g, gt, 0); });
+  auto d1 = with_workers(1, [&] { return pasgal_bfs(g, gt, {}).output; });
+  auto d4 = with_workers(4, [&] { return pasgal_bfs(g, gt, {}).output; });
   EXPECT_EQ(d1, d4);  // distances are unique, so full equality holds
 }
 
@@ -60,10 +60,10 @@ TEST(Determinism, SccPartitionScheduleIndependent) {
   Graph g = gen::random_graph(1500, 6000, 13);
   Graph gt = g.transpose();
   auto l1 = with_workers(1, [&] {
-    return normalize_scc_labels(pasgal_scc(g, gt));
+    return normalize_scc_labels(pasgal_scc(g, gt, {}).output);
   });
   auto l4 = with_workers(4, [&] {
-    return normalize_scc_labels(pasgal_scc(g, gt));
+    return normalize_scc_labels(pasgal_scc(g, gt, {}).output);
   });
   EXPECT_EQ(l1, l4);
 }
@@ -71,10 +71,10 @@ TEST(Determinism, SccPartitionScheduleIndependent) {
 TEST(Determinism, BccPartitionScheduleIndependent) {
   Graph g = gen::random_graph(800, 2500, 17).symmetrize();
   auto l1 = with_workers(1, [&] {
-    return normalize_bcc_labels(fast_bcc(g).edge_label);
+    return normalize_bcc_labels(fast_bcc(g, {}).output.edge_label);
   });
   auto l4 = with_workers(4, [&] {
-    return normalize_bcc_labels(fast_bcc(g).edge_label);
+    return normalize_bcc_labels(fast_bcc(g, {}).output.edge_label);
   });
   // The spanning forest itself may differ by schedule (union-find races),
   // but the biconnectivity PARTITION may not.
@@ -83,19 +83,20 @@ TEST(Determinism, BccPartitionScheduleIndependent) {
 
 TEST(Determinism, SsspAndKcoreScheduleIndependent) {
   auto g = gen::add_weights(gen::rectangle_grid(20, 40), 50, 19);
-  auto d1 = with_workers(1, [&] { return rho_stepping(g, 0); });
-  auto d4 = with_workers(4, [&] { return rho_stepping(g, 0); });
+  auto d1 = with_workers(1, [&] { return stepping_sssp(g, {}).output; });
+  auto d4 = with_workers(4, [&] { return stepping_sssp(g, {}).output; });
   EXPECT_EQ(d1, d4);
   Graph u = gen::rmat(10, 8000, 23).symmetrize();
-  auto c1 = with_workers(1, [&] { return pasgal_kcore(u); });
-  auto c4 = with_workers(4, [&] { return pasgal_kcore(u); });
+  auto c1 = with_workers(1, [&] { return pasgal_kcore(u, {}).output; });
+  auto c4 = with_workers(4, [&] { return pasgal_kcore(u, {}).output; });
   EXPECT_EQ(c1, c4);
 }
 
 TEST(Determinism, ConnectivityLabelsScheduleIndependent) {
   Graph g = gen::sampled_edges(gen::rectangle_grid(30, 30), 0.5, 29).symmetrize();
-  auto l1 = with_workers(1, [&] { return connected_components(g).label; });
-  auto l4 = with_workers(4, [&] { return connected_components(g).label; });
+  auto labels = [&] { return connected_components(g, {}).output.label; };
+  auto l1 = with_workers(1, labels);
+  auto l4 = with_workers(4, labels);
   EXPECT_EQ(l1, l4);  // labels are component minima: schedule-free
 }
 

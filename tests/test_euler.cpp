@@ -66,7 +66,7 @@ bool ancestor_by_walk(const EulerForest& f, VertexId anc, VertexId v) {
 }
 
 void check_forest(const Graph& g) {
-  auto cc = connected_components(g);
+  auto cc = connected_components(g, {}).output;
   EulerForest f = euler_tour_forest(g.num_vertices(), cc.forest, cc.label);
   std::size_t n = g.num_vertices();
 
@@ -118,7 +118,7 @@ TEST_P(EulerTest, RandomGraphForest) {
 TEST_P(EulerTest, IsolatedVertices) {
   Graph g = Graph::from_edges(5, std::vector<Edge>{{0, 1}, {1, 0}});
   check_forest(g);
-  auto cc = connected_components(g);
+  auto cc = connected_components(g, {}).output;
   EulerForest f = euler_tour_forest(5, cc.forest, cc.label);
   for (VertexId v = 2; v < 5; ++v) {
     EXPECT_EQ(f.parent[v], v);
@@ -129,7 +129,7 @@ TEST_P(EulerTest, SubtreeSizesViaIntervals) {
   // In a binary tree, subtree size from intervals: each vertex contributes
   // two tour positions, so last - first == 2 * size(subtree) - 1.
   Graph g = gen::binary_tree(127);
-  auto cc = connected_components(g);
+  auto cc = connected_components(g, {}).output;
   EulerForest f = euler_tour_forest(127, cc.forest, cc.label);
   std::vector<std::size_t> size(127, 1);
   // Compute sizes bottom-up by sorting vertices by depth (walk parents).

@@ -662,8 +662,8 @@ TEST_F(GraphIoFuzzTest, BfsOnUnvalidatedOutOfRangeTargetsThrowsTyped) {
   ASSERT_NE(g.storage(), nullptr);
   EXPECT_FALSE(g.storage()->validated());
   Graph gt = g.transpose();  // embedded sections: no rebuild, no crash
-  expect_rejected([&] { gbbs_bfs(g, gt, 0); }, ErrorCategory::kValidation);
-  expect_rejected([&] { gapbs_bfs(g, gt, 0); }, ErrorCategory::kValidation);
+  expect_rejected([&] { gbbs_bfs(g, gt, {}); }, ErrorCategory::kValidation);
+  expect_rejected([&] { gapbs_bfs(g, gt, {}); }, ErrorCategory::kValidation);
 }
 
 TEST_F(GraphIoFuzzTest, CcAndKcoreOnUnvalidatedOutOfRangeTargetsThrowTyped) {
@@ -680,12 +680,12 @@ TEST_F(GraphIoFuzzTest, CcAndKcoreOnUnvalidatedOutOfRangeTargetsThrowTyped) {
   Graph g = read_pgr(path);
   ASSERT_NE(g.storage(), nullptr);
   EXPECT_FALSE(g.storage()->validated());
-  expect_rejected([&] { connected_components(g); },
+  expect_rejected([&] { connected_components(g, {}); },
                   ErrorCategory::kValidation);
-  expect_rejected([&] { label_prop_cc(g); }, ErrorCategory::kValidation);
-  expect_rejected([&] { ldd_cc(g); }, ErrorCategory::kValidation);
-  expect_rejected([&] { seq_kcore(g); }, ErrorCategory::kValidation);
-  expect_rejected([&] { pasgal_kcore(g); }, ErrorCategory::kValidation);
+  expect_rejected([&] { label_prop_cc(g, {}); }, ErrorCategory::kValidation);
+  expect_rejected([&] { ldd_cc(g, {}); }, ErrorCategory::kValidation);
+  expect_rejected([&] { seq_kcore(g, {}); }, ErrorCategory::kValidation);
+  expect_rejected([&] { pasgal_kcore(g, {}); }, ErrorCategory::kValidation);
 }
 
 TEST_F(GraphIoFuzzTest, EnsureValidatedAcceptsAndMemoizesCleanGraphs) {
@@ -696,7 +696,7 @@ TEST_F(GraphIoFuzzTest, EnsureValidatedAcceptsAndMemoizesCleanGraphs) {
   g.ensure_validated();
   EXPECT_TRUE(g.storage()->validated());
   Graph gt = g.transpose();
-  EXPECT_EQ(gbbs_bfs(g, gt, 0), seq_bfs(g, 0));
+  EXPECT_EQ(gbbs_bfs(g, gt, {}).output, seq_bfs(g, {}).output);
 }
 
 }  // namespace

@@ -44,35 +44,34 @@ std::vector<std::pair<std::string, Graph>> kcore_graphs() {
 
 TEST_P(KcoreTest, ParallelMatchesSequential) {
   for (const auto& [name, g] : kcore_graphs()) {
-    EXPECT_EQ(pasgal_kcore(g), seq_kcore(g)) << name;
+    EXPECT_EQ(pasgal_kcore(g, {}).output, seq_kcore(g, {}).output) << name;
   }
 }
 
 TEST_P(KcoreTest, TauSweepMatches) {
   Graph g = gen::rmat(10, 12000, 9).symmetrize();
-  auto expected = seq_kcore(g);
+  auto expected = seq_kcore(g, {}).output;
   for (std::uint32_t tau : {1u, 16u, 512u, 4096u}) {
-    KcoreParams p;
-    p.vgc.tau = tau;
-    EXPECT_EQ(pasgal_kcore(g, p), expected) << "tau=" << tau;
+    EXPECT_EQ(pasgal_kcore(g, {.vgc = {.tau = tau}}).output, expected)
+        << "tau=" << tau;
   }
 }
 
 TEST_P(KcoreTest, KnownCorenessValues) {
   // Chain: everything coreness 1 (ends peel first but land at level 1).
-  auto chain_core = seq_kcore(gen::chain(50));
+  auto chain_core = seq_kcore(gen::chain(50), {}).output;
   for (auto c : chain_core) EXPECT_EQ(c, 1u);
   // Cycle: coreness 2 everywhere.
-  auto cyc = seq_kcore(gen::cycle(30).symmetrize());
+  auto cyc = seq_kcore(gen::cycle(30).symmetrize(), {}).output;
   for (auto c : cyc) EXPECT_EQ(c, 2u);
   // k-clique: coreness k-1.
-  auto clique = seq_kcore(gen::complete(12).symmetrize());
+  auto clique = seq_kcore(gen::complete(12).symmetrize(), {}).output;
   for (auto c : clique) EXPECT_EQ(c, 11u);
   // Star: leaves and center all coreness 1.
-  auto star = seq_kcore(gen::star(20));
+  auto star = seq_kcore(gen::star(20), {}).output;
   for (auto c : star) EXPECT_EQ(c, 1u);
   // Tree: coreness 1 except... no, all 1.
-  auto tree = seq_kcore(gen::binary_tree(127));
+  auto tree = seq_kcore(gen::binary_tree(127), {}).output;
   for (auto c : tree) EXPECT_EQ(c, 1u);
 }
 
@@ -81,7 +80,7 @@ TEST_P(KcoreTest, CorenessDefiningProperty) {
   // {u : core(u) >= c} has min degree >= c (v's c-core exists), and v has
   // degree < c+1 within {u : core(u) >= c+1} union {v}.
   Graph g = gen::random_graph(800, 6000, 11).symmetrize();
-  auto core = pasgal_kcore(g);
+  auto core = pasgal_kcore(g, {}).output;
   std::uint32_t max_core = 0;
   for (auto c : core) max_core = std::max(max_core, c);
   for (std::uint32_t c = 1; c <= max_core; ++c) {
@@ -100,13 +99,11 @@ TEST(KcoreRounds, VgcCollapsesPeelingChains) {
   Scheduler::reset(1);
   // A long path peels end-inward: one wave per position without VGC.
   Graph g = gen::chain(20000);
-  KcoreParams no_vgc;
-  no_vgc.vgc.tau = 1;
   Tracer chain_stats, vgc_stats;
-  auto a = pasgal_kcore(g, no_vgc, &chain_stats);
-  KcoreParams with_vgc;
-  with_vgc.vgc.tau = 512;
-  auto b = pasgal_kcore(g, with_vgc, &vgc_stats);
+  auto a =
+      pasgal_kcore(g, {.vgc = {.tau = 1}, .tracer = &chain_stats}).output;
+  auto b =
+      pasgal_kcore(g, {.vgc = {.tau = 512}, .tracer = &vgc_stats}).output;
   EXPECT_EQ(a, b);
   EXPECT_LT(vgc_stats.rounds() * 10, chain_stats.rounds())
       << "in-task peeling chains must collapse rounds";
@@ -116,7 +113,7 @@ TEST(KcoreStats, WorkIsLinear) {
   Scheduler::reset(1);
   Graph g = gen::rectangle_grid(40, 40);
   Tracer stats;
-  pasgal_kcore(g, {}, &stats);
+  pasgal_kcore(g, {.tracer = &stats});
   // Every edge is scanned O(1) times during peeling.
   EXPECT_LE(stats.edges_scanned(), 3 * g.num_edges());
   EXPECT_GE(stats.edges_scanned(), g.num_edges());

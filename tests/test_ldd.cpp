@@ -96,15 +96,16 @@ TEST_P(LddTest, LddCcMatchesUnionFind) {
            {"rmat", gen::rmat(10, 6000, 9).symmetrize()},
            {"isolated", Graph::from_edges(10, std::vector<Edge>{{1, 2}, {2, 1}})},
            {"edgeless", Graph::from_edges(7, {})}}) {
-    auto expected = connected_components(g).label;
-    EXPECT_EQ(ldd_cc(g, 0.2, 17), expected) << name;
+    auto expected = connected_components(g, {}).output.label;
+    EXPECT_EQ(ldd_cc(g, {.scc_beta = 0.2, .scc_seed = 17}).output, expected)
+        << name;
   }
 }
 
 TEST_P(LddTest, LddCcSeedIndependent) {
   Graph g = gen::bubbles(15, 8);
-  auto a = ldd_cc(g, 0.2, 1);
-  auto b = ldd_cc(g, 0.5, 999);
+  auto a = ldd_cc(g, {.scc_beta = 0.2, .scc_seed = 1}).output;
+  auto b = ldd_cc(g, {.scc_beta = 0.5, .scc_seed = 999}).output;
   EXPECT_EQ(a, b);
 }
 

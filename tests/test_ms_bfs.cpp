@@ -70,10 +70,10 @@ TEST_P(MsBfsTest, MatchesSequentialAcrossFamiliesAndBatchSizes) {
     for (std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{7},
                           std::size_t{64}}) {
       auto sources = pick_sources(c.g.num_vertices(), k, 17 + k);
-      auto dists = ms_bfs(c.g, gt, sources);
+      auto dists = ms_bfs(c.g, gt, {.sources = sources}).per_source;
       ASSERT_EQ(dists.size(), sources.size()) << c.name << " k=" << k;
       for (std::size_t i = 0; i < sources.size(); ++i) {
-        EXPECT_EQ(dists[i], seq_bfs(c.g, sources[i]))
+        EXPECT_EQ(dists[i].output, seq_bfs(c.g, {.source = sources[i]}).output)
             << c.name << " k=" << k << " src=" << sources[i];
       }
     }
@@ -85,10 +85,10 @@ TEST_P(MsBfsTest, RandomizedSourcesFullBatch) {
   Graph gt = g.transpose();
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     auto sources = pick_sources(g.num_vertices(), 64, seed);
-    auto dists = ms_bfs(g, gt, sources);
+    auto dists = ms_bfs(g, gt, {.sources = sources}).per_source;
     for (std::size_t i = 0; i < sources.size(); ++i) {
-      EXPECT_EQ(dists[i], seq_bfs(g, sources[i])) << "seed=" << seed
-                                                  << " src=" << sources[i];
+      EXPECT_EQ(dists[i].output, seq_bfs(g, {.source = sources[i]}).output)
+          << "seed=" << seed << " src=" << sources[i];
     }
   }
 }
@@ -97,11 +97,12 @@ TEST_P(MsBfsTest, SparseOnlyMatches) {
   Graph g = gen::road_grid(15, 60, 0.75, 5);
   Graph gt = g.transpose();
   auto sources = pick_sources(g.num_vertices(), 8, 5);
-  MsBfsParams p;
-  p.use_dense = false;
-  auto dists = ms_bfs(g, gt, sources, p);
+  auto dists =
+      ms_bfs(g, gt, {.sources = sources, .algo = {.use_dense = false}})
+          .per_source;
   for (std::size_t i = 0; i < sources.size(); ++i) {
-    EXPECT_EQ(dists[i], seq_bfs(g, sources[i])) << "src=" << sources[i];
+    EXPECT_EQ(dists[i].output, seq_bfs(g, {.source = sources[i]}).output)
+        << "src=" << sources[i];
   }
 }
 
@@ -110,11 +111,13 @@ TEST_P(MsBfsTest, DenseBiasedMatches) {
   Graph g = gen::rmat(11, 30000, 31);
   Graph gt = g.transpose();
   auto sources = pick_sources(g.num_vertices(), 64, 9);
-  MsBfsParams p;
-  p.dense_threshold_den = 1000;
-  auto dists = ms_bfs(g, gt, sources, p);
+  auto dists = ms_bfs(g, gt,
+                      {.sources = sources,
+                       .algo = {.dense_threshold_den = 1000}})
+                   .per_source;
   for (std::size_t i = 0; i < sources.size(); ++i) {
-    EXPECT_EQ(dists[i], seq_bfs(g, sources[i])) << "src=" << sources[i];
+    EXPECT_EQ(dists[i].output, seq_bfs(g, {.source = sources[i]}).output)
+        << "src=" << sources[i];
   }
 }
 
@@ -122,13 +125,11 @@ TEST(MsBfsCancel, ExpiredDeadlineUnwindsMidBatch) {
   // A long chain guarantees many round boundaries; the already-expired
   // token must unwind the whole batch with a typed kTimeout.
   Graph g = gen::chain(20000, true);
-  MsBfsParams p;
   CancelToken token;
   token.set_deadline_ms(0);
-  p.cancel = &token;
   std::vector<VertexId> sources{0, 1, 2, 3};
   try {
-    ms_bfs(g, g.transpose(), sources, p);
+    ms_bfs(g, g.transpose(), {.sources = sources, .algo = {.cancel = &token}});
     FAIL() << "expired deadline did not cancel the batch";
   } catch (const Error& e) {
     EXPECT_EQ(e.category(), ErrorCategory::kTimeout);
@@ -172,7 +173,8 @@ TEST(MsBfsContract, BatchReportShape) {
   EXPECT_GT(report.seconds, 0.0);
   EXPECT_GT(report.qps(), 0.0);
   for (std::size_t i = 0; i < opt.sources.size(); ++i) {
-    EXPECT_EQ(report.per_source[i].output, seq_bfs(g, opt.sources[i]))
+    EXPECT_EQ(report.per_source[i].output,
+              seq_bfs(g, {.source = opt.sources[i]}).output)
         << "src=" << opt.sources[i];
   }
 }

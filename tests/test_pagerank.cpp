@@ -45,8 +45,8 @@ double l1_distance(const std::vector<double>& a, const std::vector<double>& b) {
 TEST_P(PagerankTest, ParallelMatchesSequential) {
   for (const auto& [name, g] : pagerank_graphs()) {
     Graph gt = g.transpose();
-    PagerankResult seq = seq_pagerank(g, gt);
-    PagerankResult par = pasgal_pagerank(g, gt);
+    PagerankResult seq = seq_pagerank(g, gt, {}).output;
+    PagerankResult par = pasgal_pagerank(g, gt, {}).output;
     ASSERT_EQ(seq.rank.size(), par.rank.size()) << name;
     EXPECT_EQ(seq.iterations, par.iterations) << name;
     // Same math, different summation order: agree to well below epsilon.
@@ -58,7 +58,7 @@ TEST_P(PagerankTest, RanksSumToOne) {
   for (const auto& [name, g] : pagerank_graphs()) {
     if (g.num_vertices() == 0) continue;
     Graph gt = g.transpose();
-    PagerankResult r = pasgal_pagerank(g, gt);
+    PagerankResult r = pasgal_pagerank(g, gt, {}).output;
     double sum = std::accumulate(r.rank.begin(), r.rank.end(), 0.0);
     // Dangling mass is redistributed each round, so the distribution stays
     // normalized even on graphs full of zero-out-degree vertices.
@@ -69,7 +69,7 @@ TEST_P(PagerankTest, RanksSumToOne) {
 TEST_P(PagerankTest, CycleConvergesToUniform) {
   Graph g = gen::cycle(64);
   Graph gt = g.transpose();
-  PagerankResult r = pasgal_pagerank(g, gt);
+  PagerankResult r = pasgal_pagerank(g, gt, {}).output;
   for (double v : r.rank) EXPECT_NEAR(v, 1.0 / 64, 1e-12);
   EXPECT_LT(r.delta, 1e-7);              // converged, not capped
   EXPECT_LT(r.iterations, 100u);
@@ -80,7 +80,7 @@ TEST_P(PagerankTest, StarCenterDominates) {
   // splits its rank across all leaves.
   Graph g = gen::star(50);
   Graph gt = g.transpose();
-  PagerankResult r = pasgal_pagerank(g, gt);
+  PagerankResult r = pasgal_pagerank(g, gt, {}).output;
   for (std::size_t v = 1; v < r.rank.size(); ++v) {
     EXPECT_GT(r.rank[0], r.rank[v]) << v;
     EXPECT_NEAR(r.rank[v], r.rank[1], 1e-12) << v;  // leaves symmetric
@@ -92,7 +92,7 @@ TEST_P(PagerankTest, EdgelessIsUniformAfterOneRound) {
   // very first round reproduces the initial vector and delta hits zero.
   Graph g = Graph::from_edges(8, {});
   Graph gt = g.transpose();
-  PagerankResult r = pasgal_pagerank(g, gt);
+  PagerankResult r = pasgal_pagerank(g, gt, {}).output;
   EXPECT_EQ(r.iterations, 1u);
   for (double v : r.rank) EXPECT_NEAR(v, 1.0 / 8, 1e-15);
 }
@@ -100,18 +100,18 @@ TEST_P(PagerankTest, EdgelessIsUniformAfterOneRound) {
 TEST_P(PagerankTest, IterationCapAndEpsilonKnobs) {
   Graph g = gen::rmat(10, 12000, 7);
   Graph gt = g.transpose();
-  PagerankParams one;
-  one.max_iterations = 1;
-  EXPECT_EQ(pasgal_pagerank(g, gt, one).iterations, 1u);
+  EXPECT_EQ(
+      pasgal_pagerank(g, gt, {.pagerank_iterations = 1}).output.iterations,
+      1u);
 
   // A loose epsilon must converge in no more rounds than a tight one, and
   // the tight run's final delta must respect its threshold.
-  PagerankParams loose, tight;
-  loose.epsilon = 1e-3;
-  tight.epsilon = 1e-10;
-  tight.max_iterations = 1000;
-  PagerankResult rl = pasgal_pagerank(g, gt, loose);
-  PagerankResult rt = pasgal_pagerank(g, gt, tight);
+  PagerankResult rl =
+      pasgal_pagerank(g, gt, {.pagerank_epsilon = 1e-3}).output;
+  PagerankResult rt =
+      pasgal_pagerank(
+          g, gt, {.pagerank_iterations = 1000, .pagerank_epsilon = 1e-10})
+          .output;
   EXPECT_LE(rl.iterations, rt.iterations);
   EXPECT_LT(rt.delta, 1e-10);
 }
@@ -120,9 +120,8 @@ TEST_P(PagerankTest, DampingZeroIsUniform) {
   // d=0: rank'(v) = 1/n regardless of structure.
   Graph g = gen::rmat(9, 5000, 11);
   Graph gt = g.transpose();
-  PagerankParams p;
-  p.damping = 0.0;
-  PagerankResult r = pasgal_pagerank(g, gt, p);
+  PagerankResult r =
+      pasgal_pagerank(g, gt, {.pagerank_damping = 0.0}).output;
   for (double v : r.rank) EXPECT_NEAR(v, 1.0 / g.num_vertices(), 1e-15);
 }
 
@@ -130,9 +129,9 @@ TEST(PagerankDeterminism, ByteIdenticalAcrossWorkers) {
   Graph g = gen::rmat(11, 40000, 13);
   Graph gt = g.transpose();
   Scheduler::reset(1);
-  PagerankResult one = pasgal_pagerank(g, gt);
+  PagerankResult one = pasgal_pagerank(g, gt, {}).output;
   Scheduler::reset(4);
-  PagerankResult four = pasgal_pagerank(g, gt);
+  PagerankResult four = pasgal_pagerank(g, gt, {}).output;
   Scheduler::reset(1);
   EXPECT_EQ(one.iterations, four.iterations);
   // The fixed block tree makes the sums byte-identical, not merely close.
@@ -146,12 +145,10 @@ TEST(PagerankDeterminism, ByteIdenticalAcrossWorkers) {
 TEST(PagerankCancel, ExpiredDeadlineUnwinds) {
   Graph g = gen::rmat(10, 12000, 3);
   Graph gt = g.transpose();
-  PagerankParams p;
   CancelToken token;
   token.set_deadline_ms(0);
-  p.cancel = &token;
   try {
-    pasgal_pagerank(g, gt, p);
+    pasgal_pagerank(g, gt, {.cancel = &token});
     FAIL() << "expired deadline did not cancel the run";
   } catch (const Error& e) {
     EXPECT_EQ(e.category(), ErrorCategory::kTimeout);

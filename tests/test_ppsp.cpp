@@ -28,7 +28,7 @@ TEST_F(PpspTest, MatchesFullDijkstraOnSuite) {
       VertexId s = static_cast<VertexId>(rng.ith_rand(2 * trial) % g.num_vertices());
       VertexId t =
           static_cast<VertexId>(rng.ith_rand(2 * trial + 1) % g.num_vertices());
-      Dist expected = dijkstra(g, s)[t];
+      Dist expected = dijkstra(g, {.source = s}).output[t];
       EXPECT_EQ(ppsp_dijkstra(g, s, t), expected)
           << name << " s=" << s << " t=" << t;
       EXPECT_EQ(ppsp_bidirectional(g, gt, s, t), expected)

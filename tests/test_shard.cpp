@@ -9,6 +9,7 @@
 #include <numeric>
 
 #include "algorithms/bfs/bfs.h"
+#include "algorithms/catalog.h"
 #include "algorithms/cc/cc.h"
 #include "algorithms/cc/ldd.h"
 #include "algorithms/kcore/kcore.h"
@@ -224,8 +225,8 @@ TEST_F(ShardTest, GbbsBfsIdenticalShardedRaw) {
   PgrShardSpec spec;
   spec.window_bytes = 16 << 10;
   Graph sharded = read_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
-  auto want = gbbs_bfs(in_core, in_core.transpose(), 0);
-  auto got = gbbs_bfs(sharded, sharded.transpose(), 0);
+  auto want = gbbs_bfs(in_core, in_core.transpose(), {}).output;
+  auto got = gbbs_bfs(sharded, sharded.transpose(), {}).output;
   EXPECT_EQ(want, got);
 }
 
@@ -241,24 +242,8 @@ TEST_F(ShardTest, GbbsBfsIdenticalShardedCompressed) {
   spec.window_bytes = 16 << 10;
   Graph sharded = read_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
   ASSERT_TRUE(sharded.windowed());
-  auto want = gbbs_bfs(in_core, in_core.transpose(), 0);
-  auto got = gbbs_bfs(sharded, sharded.transpose(), 0);
-  EXPECT_EQ(want, got);
-}
-
-TEST_F(ShardTest, MsBfsBatchIdenticalSharded) {
-  Graph g = random_graph(6000, 80000, 11);
-  auto path = temp_path("ms.pgr");
-  PgrWriteOptions wopts;
-  wopts.include_transpose = true;
-  write_pgr(g, path, wopts);
-  Graph in_core = read_pgr(path);
-  PgrShardSpec spec;
-  spec.window_bytes = 16 << 10;
-  Graph sharded = read_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
-  std::vector<VertexId> sources = {0, 17, 900, 4099};
-  auto want = ms_bfs(in_core, in_core.transpose(), sources);
-  auto got = ms_bfs(sharded, sharded.transpose(), sources);
+  auto want = gbbs_bfs(in_core, in_core.transpose(), {}).output;
+  auto got = gbbs_bfs(sharded, sharded.transpose(), {}).output;
   EXPECT_EQ(want, got);
 }
 
@@ -277,8 +262,8 @@ TEST_F(ShardTest, EmBellmanFordIdenticalShardedCompressed) {
   ASSERT_TRUE(sharded.unweighted().windowed());
   // Ground truth from Dijkstra on the in-core open; the edge_map Bellman-
   // Ford must converge to the same distances through the window.
-  auto want = dijkstra(in_core, 0);
-  auto got = em_bellman_ford(sharded, 0);
+  auto want = dijkstra(in_core, {}).output;
+  auto got = em_bellman_ford(sharded, {}).output;
   EXPECT_EQ(want, got);
 }
 
@@ -362,9 +347,9 @@ TEST_F(ShardTest, CancelMidSweepUnwindsAtShardBoundaryAndWindowIsReusable) {
   // correct traversal afterwards.
   MappedWindow& w = *sharded.storage()->shard_window();
   w.reset_counters();
-  auto got = gbbs_bfs(sharded, sharded.transpose(), 0);
+  auto got = gbbs_bfs(sharded, sharded.transpose(), {}).output;
   Graph in_core = read_pgr(path);
-  EXPECT_EQ(got, gbbs_bfs(in_core, in_core.transpose(), 0));
+  EXPECT_EQ(got, gbbs_bfs(in_core, in_core.transpose(), {}).output);
   EXPECT_GT(w.sweeps(), 0u);
 }
 
@@ -401,39 +386,60 @@ TEST_F(ShardTest, CheckWindowedFootprintScalesWithWindow) {
 // --- whole-graph algorithm families on sharded opens ------------------------
 
 TEST_F(ShardTest, WholeGraphFamiliesAreTypedUsageErrorsOnShardedOpens) {
-  // cc, kcore and tc walk the whole CSR at random, so both sharded flavors
-  // (raw advisory window and compressed decode window) must refuse with the
-  // typed kUsage error from ensure_in_core — never fault past the window.
+  // Every catalog row whose guard keeps g in core walks the CSR at random,
+  // so both sharded flavors (raw advisory window and compressed decode
+  // window) must refuse with the typed kUsage error from ensure_in_core —
+  // never fault past the window. Walking the catalog means an entry point
+  // that lost its admit() fails here.
   Graph g = random_graph(3000, 30000, 16);
+  WeightedGraph<std::uint32_t> wg = gen::add_weights(g, 50);
+  std::vector<VertexId> batch = {0, 1};
   for (bool compress : {false, true}) {
     SCOPED_TRACE(compress ? "compressed" : "raw");
     auto path = temp_path(compress ? "fam_v2.pgr" : "fam_raw.pgr");
+    auto wpath = temp_path(compress ? "fam_w_v2.pgr" : "fam_w_raw.pgr");
     PgrWriteOptions wopts;
+    wopts.include_transpose = true;
     wopts.compress_targets = compress;
     write_pgr(g, path, wopts);
+    wopts.include_transpose = false;
+    write_pgr(wg, wpath, wopts);
     PgrShardSpec spec;
     spec.window_bytes = 8 << 10;
     Graph sharded = read_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
-    AlgoOptions opt;
-    auto expect_usage = [&](const char* what, auto&& fn) {
+    Graph sharded_t = sharded.transpose();
+    WeightedGraph<std::uint32_t> sharded_w =
+        read_weighted_pgr(wpath, PgrOpen::kMmap, false, nullptr, spec);
+    std::size_t checked = 0;
+    for (const AlgoSpec& row : algo_catalog()) {
+      if (row.guard.in_core != InCore::kGraph &&
+          row.guard.in_core != InCore::kBoth) {
+        continue;
+      }
+      std::string what = std::string(row.family) + "/" + row.name;
+      AlgoArgs args;
+      args.g = row.input == AlgoInput::kWeighted ? &sharded_w.unweighted()
+                                                 : &sharded;
+      args.gt = &sharded_t;
+      args.wg = &sharded_w;
+      if (row.sources == AlgoSources::kBatch) args.sources = batch;
       try {
-        fn();
+        row.run(args, AlgoOptions{});
         ADD_FAILURE() << what << " on a sharded open must throw";
       } catch (const Error& e) {
         EXPECT_EQ(e.category(), ErrorCategory::kUsage) << what;
         EXPECT_NE(std::string(e.what()).find("windowed"), std::string::npos)
             << what;
       }
-    };
-    expect_usage("connected_components",
-                 [&] { connected_components(sharded, opt); });
-    expect_usage("label_prop_cc", [&] { label_prop_cc(sharded, opt); });
-    expect_usage("ldd_cc", [&] { ldd_cc(sharded, opt); });
-    expect_usage("seq_kcore", [&] { seq_kcore(sharded, opt); });
-    expect_usage("pasgal_kcore", [&] { pasgal_kcore(sharded, opt); });
-    expect_usage("seq_tc", [&] { seq_tc(sharded, opt); });
-    expect_usage("pasgal_tc", [&] { pasgal_tc(sharded, opt); });
-    expect_usage("symmetrize", [&] { sharded.symmetrize(); });
+      ++checked;
+    }
+    EXPECT_GT(checked, 0u);
+    try {
+      sharded.symmetrize();
+      ADD_FAILURE() << "symmetrize on a sharded open must throw";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.category(), ErrorCategory::kUsage);
+    }
   }
 }
 
@@ -454,8 +460,10 @@ TEST_F(ShardTest, PagerankIdenticalShardedRawAndCompressed) {
     PgrShardSpec spec;
     spec.window_bytes = 16 << 10;
     Graph sharded = read_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
-    PagerankResult want = pasgal_pagerank(in_core, in_core.transpose());
-    PagerankResult got = pasgal_pagerank(sharded, sharded.transpose());
+    PagerankResult want =
+        pasgal_pagerank(in_core, in_core.transpose(), {}).output;
+    PagerankResult got =
+        pasgal_pagerank(sharded, sharded.transpose(), {}).output;
     EXPECT_EQ(want.iterations, got.iterations);
     EXPECT_EQ(want.delta, got.delta);
     ASSERT_EQ(want.rank.size(), got.rank.size());

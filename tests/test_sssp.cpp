@@ -42,7 +42,9 @@ INSTANTIATE_TEST_SUITE_P(Workers, SsspTest, ::testing::Values(1, 4));
 TEST_P(SsspTest, BellmanFordMatchesDijkstra) {
   for (const auto& [name, g] : sssp_graphs()) {
     for (VertexId src : {VertexId{0}, static_cast<VertexId>(g.num_vertices() / 2)}) {
-      EXPECT_EQ(bellman_ford(g, src), dijkstra(g, src)) << name << " src=" << src;
+      EXPECT_EQ(bellman_ford(g, {.source = src}).output,
+                dijkstra(g, {.source = src}).output)
+          << name << " src=" << src;
     }
   }
 }
@@ -50,16 +52,22 @@ TEST_P(SsspTest, BellmanFordMatchesDijkstra) {
 TEST_P(SsspTest, RhoSteppingMatchesDijkstra) {
   for (const auto& [name, g] : sssp_graphs()) {
     for (VertexId src : {VertexId{0}, static_cast<VertexId>(g.num_vertices() - 1)}) {
-      EXPECT_EQ(rho_stepping(g, src), dijkstra(g, src)) << name << " src=" << src;
+      EXPECT_EQ(stepping_sssp(g, {.source = src}).output,
+                dijkstra(g, {.source = src}).output)
+          << name << " src=" << src;
     }
   }
 }
 
 TEST_P(SsspTest, DeltaSteppingMatchesDijkstra) {
   for (const auto& [name, g] : sssp_graphs()) {
-    auto expected = dijkstra(g, 0);
+    auto expected = dijkstra(g, {}).output;
     for (Dist delta : {Dist{1}, Dist{16}, Dist{256}}) {
-      EXPECT_EQ(delta_stepping(g, 0, delta), expected)
+      EXPECT_EQ(stepping_sssp(g, {.source = 0,
+                                  .sssp_delta_mode = true,
+                                  .sssp_delta = delta})
+                    .output,
+                expected)
           << name << " delta=" << delta;
     }
   }
@@ -67,29 +75,28 @@ TEST_P(SsspTest, DeltaSteppingMatchesDijkstra) {
 
 TEST_P(SsspTest, SteppingWithoutVgcMatches) {
   auto g = gen::add_weights(gen::road_grid(12, 40, 0.7, 13), 100, 13);
-  auto expected = dijkstra(g, 0);
-  SteppingParams p;
-  p.vgc.tau = 1;  // VGC off
-  EXPECT_EQ(stepping_sssp(g, 0, p), expected);
+  auto expected = dijkstra(g, {}).output;
+  // tau = 1 turns VGC off.
+  EXPECT_EQ(stepping_sssp(g, {.vgc = {.tau = 1}}).output, expected);
 }
 
 TEST_P(SsspTest, SteppingTauSweep) {
   auto g = gen::add_weights(gen::rectangle_grid(10, 60), 50, 14);
-  auto expected = dijkstra(g, 5);
+  auto expected = dijkstra(g, {.source = 5}).output;
   for (std::uint32_t tau : {1u, 8u, 128u, 4096u}) {
-    SteppingParams p;
-    p.vgc.tau = tau;
-    EXPECT_EQ(stepping_sssp(g, 5, p), expected) << "tau=" << tau;
+    EXPECT_EQ(stepping_sssp(g, {.source = 5, .vgc = {.tau = tau}}).output,
+              expected)
+        << "tau=" << tau;
   }
 }
 
 TEST_P(SsspTest, RhoSweep) {
   auto g = gen::add_weights(gen::random_graph(1500, 9000, 15), 100, 15);
-  auto expected = dijkstra(g, 1);
+  auto expected = dijkstra(g, {.source = 1}).output;
   for (std::size_t rho : {std::size_t{1}, std::size_t{64}, std::size_t{100000}}) {
-    SteppingParams p;
-    p.rho = rho;
-    EXPECT_EQ(stepping_sssp(g, 1, p), expected) << "rho=" << rho;
+    EXPECT_EQ(stepping_sssp(g, {.source = 1, .sssp_rho = rho}).output,
+              expected)
+        << "rho=" << rho;
   }
 }
 
@@ -99,17 +106,22 @@ TEST_P(SsspTest, DeltaNearSaturationTerminates) {
   // loop re-inserted the same bucket forever. A saturating threshold must
   // settle everything instead, degenerating into one big step.
   auto g = gen::add_weights(gen::rectangle_grid(20, 25), 100, 18);
-  auto expected = dijkstra(g, 0);
+  auto expected = dijkstra(g, {}).output;
   for (Dist delta : {kInfWeightDist, std::numeric_limits<Dist>::max(),
                      std::numeric_limits<Dist>::max() - 1}) {
-    EXPECT_EQ(delta_stepping(g, 0, delta), expected) << "delta=" << delta;
+    EXPECT_EQ(stepping_sssp(g, {.source = 0,
+                                .sssp_delta_mode = true,
+                                .sssp_delta = delta})
+                  .output,
+              expected)
+        << "delta=" << delta;
   }
 }
 
 TEST_P(SsspTest, UnreachableVerticesAreInf) {
   auto g = gen::add_weights(
       Graph::from_edges(4, std::vector<Edge>{{0, 1}, {2, 3}}), 10, 16);
-  auto d = rho_stepping(g, 0);
+  auto d = stepping_sssp(g, {}).output;
   EXPECT_EQ(d[0], 0u);
   EXPECT_LT(d[1], kInfWeightDist);
   EXPECT_EQ(d[2], kInfWeightDist);
@@ -122,8 +134,9 @@ TEST_P(SsspTest, WeightedShorterThanFewerHops) {
   std::vector<WeightedEdge<std::uint32_t>> edges = {
       {0, 1, 1}, {1, 2, 1}, {0, 2, 5}};
   auto g = WGraph::from_edges(3, edges);
-  for (auto d : {dijkstra(g, 0), rho_stepping(g, 0), bellman_ford(g, 0),
-                 delta_stepping(g, 0, 4)}) {
+  AlgoOptions delta{.source = 0, .sssp_delta_mode = true, .sssp_delta = 4};
+  for (auto d : {dijkstra(g, {}).output, stepping_sssp(g, {}).output,
+                 bellman_ford(g, {}).output, stepping_sssp(g, delta).output}) {
     EXPECT_EQ(d[2], 2u);
   }
 }
@@ -132,8 +145,8 @@ TEST(SsspRounds, SteppingBeatsBellmanFordRoundsOnChain) {
   Scheduler::reset(1);
   auto g = gen::add_weights(gen::chain(3000), 10, 17);
   Tracer bf_stats, step_stats;
-  auto a = bellman_ford(g, 0, &bf_stats);
-  auto b = rho_stepping(g, 0, &step_stats);
+  auto a = bellman_ford(g, {.source = 0, .tracer = &bf_stats}).output;
+  auto b = stepping_sssp(g, {.source = 0, .tracer = &step_stats}).output;
   EXPECT_EQ(a, b);
   EXPECT_GT(bf_stats.rounds(), 2000u);
   EXPECT_LT(step_stats.rounds(), bf_stats.rounds() / 5);

@@ -119,7 +119,7 @@ TEST_F(StorageTest, MmapAndHeapGiveIdenticalBfsDistances) {
   Graph mapped = read_pgr(path, PgrOpen::kMmap);
   Graph gt = g.transpose();
   Graph mt = mapped.transpose();
-  EXPECT_EQ(pasgal_bfs(mapped, mt, 0), pasgal_bfs(g, gt, 0));
+  EXPECT_EQ(pasgal_bfs(mapped, mt, {}).output, pasgal_bfs(g, gt, {}).output);
 }
 
 TEST_F(StorageTest, GraphCopiesShareStorage) {

@@ -63,19 +63,20 @@ std::vector<std::pair<std::string, Graph>> tc_graphs() {
 TEST_P(TcTest, MatchesBruteForce) {
   for (const auto& [name, g] : tc_graphs()) {
     std::uint64_t expected = brute_force_tc(g);
-    EXPECT_EQ(seq_tc(g), expected) << name;
-    EXPECT_EQ(pasgal_tc(g), expected) << name;
+    EXPECT_EQ(seq_tc(g, {}).output, expected) << name;
+    EXPECT_EQ(pasgal_tc(g, {}).output, expected) << name;
   }
 }
 
 TEST_P(TcTest, KnownCounts) {
   // Triangle-free families count zero; K_n counts n-choose-3.
-  EXPECT_EQ(pasgal_tc(gen::cycle(3).symmetrize()), 1u);
-  EXPECT_EQ(pasgal_tc(gen::complete(4).symmetrize()), 4u);
-  EXPECT_EQ(pasgal_tc(gen::complete(10).symmetrize()), 120u);  // C(10,3)
-  EXPECT_EQ(pasgal_tc(gen::rectangle_grid(10, 10)), 0u);
-  EXPECT_EQ(pasgal_tc(gen::binary_tree(127)), 0u);
-  EXPECT_EQ(pasgal_tc(gen::star(30)), 0u);
+  EXPECT_EQ(pasgal_tc(gen::cycle(3).symmetrize(), {}).output, 1u);
+  EXPECT_EQ(pasgal_tc(gen::complete(4).symmetrize(), {}).output, 4u);
+  // C(10,3) triangles.
+  EXPECT_EQ(pasgal_tc(gen::complete(10).symmetrize(), {}).output, 120u);
+  EXPECT_EQ(pasgal_tc(gen::rectangle_grid(10, 10), {}).output, 0u);
+  EXPECT_EQ(pasgal_tc(gen::binary_tree(127), {}).output, 0u);
+  EXPECT_EQ(pasgal_tc(gen::star(30), {}).output, 0u);
 }
 
 TEST_P(TcTest, HybridIntersectionThreshold) {
@@ -98,27 +99,25 @@ TEST_P(TcTest, HybridIntersectionThreshold) {
   Graph g = Graph::from_edges(k + 1 + leaves, e).symmetrize();
   std::uint64_t expected = 220u + 66u;  // C(12,3) + C(12,2)
   EXPECT_EQ(brute_force_tc(g), expected);
-  EXPECT_EQ(seq_tc(g), expected);
-  EXPECT_EQ(pasgal_tc(g), expected);
+  EXPECT_EQ(seq_tc(g, {}).output, expected);
+  EXPECT_EQ(pasgal_tc(g, {}).output, expected);
 }
 
 TEST_P(TcTest, SelfLoopsIgnored) {
   std::vector<Edge> e = {{0, 1}, {1, 2}, {0, 2}, {0, 0}, {2, 2}};
   Graph g = Graph::from_edges(3, e).symmetrize();
-  EXPECT_EQ(seq_tc(g), 1u);
-  EXPECT_EQ(pasgal_tc(g), 1u);
+  EXPECT_EQ(seq_tc(g, {}).output, 1u);
+  EXPECT_EQ(pasgal_tc(g, {}).output, 1u);
 }
 
 TEST(TcCancel, ExpiredDeadlineUnwinds) {
   // Enough DAG sources for several 1<<16 blocks? Not needed: the token is
   // checked before the first block too, so any graph unwinds immediately.
   Graph g = gen::rmat(10, 20000, 3).symmetrize();
-  TcParams p;
   CancelToken token;
   token.set_deadline_ms(0);
-  p.cancel = &token;
   try {
-    pasgal_tc(g, p);
+    pasgal_tc(g, {.cancel = &token});
     FAIL() << "expired deadline did not cancel the run";
   } catch (const Error& e) {
     EXPECT_EQ(e.category(), ErrorCategory::kTimeout);

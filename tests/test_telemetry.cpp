@@ -146,15 +146,15 @@ TEST(TelemetrySingleThread, SchedulerCountersZeroWhenSequential) {
 
 // --- end-to-end: traced BFS -------------------------------------------------
 
-TEST_F(Telemetry, TracedBfsMatchesLegacyAndRecordsStructure) {
+TEST_F(Telemetry, TracedBfsMatchesSequentialAndRecordsStructure) {
   Graph g = gen::rmat(11, 20000, 5);
   Graph gt = g.transpose();
-  auto legacy = pasgal_bfs(g, gt, 0);
+  auto expected = seq_bfs(g, {}).output;
 
   AlgoOptions opt;
   opt.source = 0;
   RunReport<std::vector<std::uint32_t>> report = pasgal_bfs(g, gt, opt);
-  EXPECT_EQ(report.output, legacy);
+  EXPECT_EQ(report.output, expected);
   EXPECT_GT(report.seconds, 0.0);
 
   const RunTelemetry& tel = report.telemetry;

@@ -32,18 +32,15 @@ Graph random_dag(std::size_t n, std::size_t m, std::uint64_t seed) {
 TEST_P(ToposortTest, ParallelMatchesSequentialOnDags) {
   for (std::uint64_t seed : {1, 2, 3}) {
     Graph g = random_dag(1000, 5000, seed);
-    std::vector<std::uint32_t> expected, levels;
-    ASSERT_TRUE(seq_toposort(g, expected).ok());
+    auto expected = seq_toposort(g, {}).output;
     ASSERT_FALSE(expected.empty());
-    ASSERT_TRUE(pasgal_toposort(g, levels).ok());
-    EXPECT_EQ(levels, expected) << "seed=" << seed;
+    EXPECT_EQ(pasgal_toposort(g, {}).output, expected) << "seed=" << seed;
   }
 }
 
 TEST_P(ToposortTest, LevelsRespectEdges) {
   Graph g = random_dag(2000, 12000, 7);
-  std::vector<std::uint32_t> levels;
-  ASSERT_TRUE(pasgal_toposort(g, levels).ok());
+  auto levels = pasgal_toposort(g, {}).output;
   ASSERT_FALSE(levels.empty());
   for (VertexId u = 0; u < g.num_vertices(); ++u) {
     for (VertexId v : g.neighbors(u)) {
@@ -56,36 +53,33 @@ TEST_P(ToposortTest, LevelsAreLongestPaths) {
   // Diamond with a long lower path: 0->1->2->3->9 and 0->9.
   std::vector<Edge> e = {{0, 1}, {1, 2}, {2, 3}, {3, 9}, {0, 9}};
   Graph g = Graph::from_edges(10, e);
-  std::vector<std::uint32_t> levels;
-  ASSERT_TRUE(pasgal_toposort(g, levels).ok());
+  auto levels = pasgal_toposort(g, {}).output;
   ASSERT_FALSE(levels.empty());
   EXPECT_EQ(levels[9], 4u);  // the long path dominates
   EXPECT_EQ(levels[0], 0u);
 }
 
 TEST_P(ToposortTest, CycleDetected) {
-  Graph g = gen::cycle(10);
-  std::vector<std::uint32_t> levels;
-  Status s = seq_toposort(g, levels);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.category(), ErrorCategory::kValidation);
-  EXPECT_TRUE(levels.empty());
-  s = pasgal_toposort(g, levels);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.category(), ErrorCategory::kValidation);
-  EXPECT_NE(s.message().find("cycle"), std::string::npos);
-  EXPECT_TRUE(levels.empty());
+  auto expect_cycle = [](const Graph& g) {
+    for (auto run : {seq_toposort, pasgal_toposort}) {
+      try {
+        run(g, {});
+        ADD_FAILURE() << "cyclic input accepted";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kValidation);
+        EXPECT_NE(std::string(e.what()).find("cycle"), std::string::npos);
+      }
+    }
+  };
+  expect_cycle(gen::cycle(10));
   // Partial cycle: DAG portion plus a 3-cycle.
   std::vector<Edge> e = {{0, 1}, {1, 2}, {2, 0}, {3, 4}};
-  Graph h = Graph::from_edges(5, e);
-  EXPECT_FALSE(seq_toposort(h, levels).ok());
-  EXPECT_FALSE(pasgal_toposort(h, levels).ok());
+  expect_cycle(Graph::from_edges(5, e));
 }
 
 TEST_P(ToposortTest, TopologicalOrderIsValid) {
   Graph g = random_dag(500, 2500, 11);
-  std::vector<std::uint32_t> levels;
-  ASSERT_TRUE(pasgal_toposort(g, levels).ok());
+  auto levels = pasgal_toposort(g, {}).output;
   auto order = topological_order(levels);
   std::vector<std::size_t> position(g.num_vertices());
   for (std::size_t i = 0; i < order.size(); ++i) position[order[i]] = i;
@@ -98,14 +92,10 @@ TEST_P(ToposortTest, TopologicalOrderIsValid) {
 
 TEST_P(ToposortTest, TauSweep) {
   Graph g = gen::chain(5000, /*directed=*/true);
-  std::vector<std::uint32_t> expected;
-  ASSERT_TRUE(seq_toposort(g, expected).ok());
+  auto expected = seq_toposort(g, {}).output;
   for (std::uint32_t tau : {1u, 32u, 1024u}) {
-    ToposortParams p;
-    p.vgc.tau = tau;
-    std::vector<std::uint32_t> levels;
-    ASSERT_TRUE(pasgal_toposort(g, levels, p).ok()) << "tau=" << tau;
-    EXPECT_EQ(levels, expected) << "tau=" << tau;
+    EXPECT_EQ(pasgal_toposort(g, {.vgc = {.tau = tau}}).output, expected)
+        << "tau=" << tau;
   }
 }
 
@@ -113,11 +103,9 @@ TEST(ToposortRounds, VgcCollapsesDeepChains) {
   Scheduler::reset(1);
   Graph g = gen::chain(20000, /*directed=*/true);
   Tracer no_vgc_stats, vgc_stats;
-  ToposortParams no_vgc;
-  no_vgc.vgc.tau = 1;
-  std::vector<std::uint32_t> a, b;
-  ASSERT_TRUE(pasgal_toposort(g, a, no_vgc, &no_vgc_stats).ok());
-  ASSERT_TRUE(pasgal_toposort(g, b, {}, &vgc_stats).ok());
+  auto a =
+      pasgal_toposort(g, {.vgc = {.tau = 1}, .tracer = &no_vgc_stats}).output;
+  auto b = pasgal_toposort(g, {.tracer = &vgc_stats}).output;
   EXPECT_EQ(a, b);
   EXPECT_LT(vgc_stats.rounds() * 10, no_vgc_stats.rounds());
 }
@@ -126,12 +114,11 @@ TEST_P(ToposortTest, CondensationIsAcyclicAndFaithful) {
   for (std::uint64_t seed : {5, 6}) {
     Graph g = gen::random_graph(800, 3000, seed);
     Graph gt = g.transpose();
-    auto labels = normalize_scc_labels(pasgal_scc(g, gt));
+    auto labels = normalize_scc_labels(pasgal_scc(g, gt, {}).output);
     Condensation cond = scc_condensation(g, labels);
     // The condensation is a DAG.
-    std::vector<std::uint32_t> levels;
-    EXPECT_TRUE(pasgal_toposort(cond.dag, levels).ok()) << "seed=" << seed;
-    EXPECT_FALSE(levels.empty()) << "seed=" << seed;
+    EXPECT_FALSE(pasgal_toposort(cond.dag, {}).output.empty())
+        << "seed=" << seed;
     // component_of respects labels.
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       EXPECT_EQ(cond.representative[cond.component_of[v]], labels[v]);
@@ -161,7 +148,7 @@ TEST_P(ToposortTest, CondensationIsAcyclicAndFaithful) {
 TEST_P(ToposortTest, CondensationOfDagIsIsomorphic) {
   Graph g = random_dag(300, 900, 13);
   Graph gt = g.transpose();
-  auto labels = normalize_scc_labels(pasgal_scc(g, gt));
+  auto labels = normalize_scc_labels(pasgal_scc(g, gt, {}).output);
   Condensation cond = scc_condensation(g, labels);
   EXPECT_EQ(cond.dag.num_vertices(), g.num_vertices());
 }
