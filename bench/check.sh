@@ -44,6 +44,10 @@ echo "--- metrics schema gate (drivers + bench envelope) ---"
 echo "--- storage backends (heap vs mmap must be observationally identical) ---"
 "$prefix-san/apps/graph_convert" "$tmp/grid.bin" "$tmp/grid.pgr" \
     --transpose --validate > /dev/null
+# The same graph without transpose sections: the symmetrizing families then
+# merge against a transpose built on demand instead of the embedded one.
+"$prefix-san/apps/graph_convert" "$tmp/grid.bin" "$tmp/grid_nt.pgr" \
+    --validate > /dev/null
 for app in bfs scc bcc sssp cc kcore pagerank tc; do
   # Normalize per-run wall times and drop backend-specific lines so the diff
   # compares algorithm results (counts, rounds, edges scanned) only.
@@ -58,6 +62,14 @@ for app in bfs scc bcc sssp cc kcore pagerank tc; do
     echo "FAIL: $app output differs between mmap and copy backends" >&2; exit 1
   }
   "$prefix-san/apps/metrics_check" "$tmp/${app}_mmap.json" "$tmp/${app}_copy.json"
+  case $app in cc|kcore|tc|bcc)
+    "$prefix-san/apps/$app" "$tmp/grid_nt.pgr" --load mmap -r 1 \
+        | normalize > "$tmp/${app}_nt.txt"
+    diff "$tmp/${app}_mmap.txt" "$tmp/${app}_nt.txt" || {
+      echo "FAIL: $app output differs with and without transpose sections" >&2
+      exit 1
+    }
+  esac
 done
 "$prefix-san/apps/graph_convert" "$tmp/grid.pgr" "$tmp/grid_rt.bin" > /dev/null
 cmp "$tmp/grid.bin" "$tmp/grid_rt.bin" || {

@@ -185,8 +185,8 @@ IncrementalStats incremental_cc(const Graph& g,
         });
     if (has_delete) {
       // A deletion can split a component; labels alone cannot witness the
-      // split. symmetrize() collapses the overlay (graph.h), so the recompute
-      // runs on the effective graph.
+      // split. symmetrize() reads through the overlay (graph.h), so the
+      // recompute runs on the effective graph.
       label =
           connected_components(g.symmetrize(), {.tracer = t}).output.label;
       stats.resettled = n;

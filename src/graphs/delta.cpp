@@ -3,7 +3,6 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -54,29 +53,6 @@ bool sorted_erase(std::vector<VertexId>& v, VertexId x) {
 
 bool sorted_contains(std::span<const VertexId> v, VertexId x) {
   return std::binary_search(v.begin(), v.end(), x);
-}
-
-// The merge in edge_map and the membership checks below binary-search base
-// adjacency lists; verify sortedness once per storage handle. All pasgal
-// builders and writers sort per-vertex lists, but an externally produced
-// `.pgr` (converted from an unsorted `.bin`) may not be.
-void ensure_sorted_adjacency(const Graph& g) {
-  const StorageRef& s = g.storage();
-  if (s->adjacency_sorted()) return;
-  std::atomic<bool> ok{true};
-  parallel_for(0, g.num_vertices(), [&](std::size_t v) {
-    std::span<const VertexId> nb = g.neighbors(static_cast<VertexId>(v));
-    if (!std::is_sorted(nb.begin(), nb.end())) {
-      ok.store(false, std::memory_order_relaxed);
-    }
-  });
-  if (!ok.load(std::memory_order_relaxed)) {
-    throw Error(ErrorCategory::kValidation,
-                "graph updates require per-vertex sorted adjacency lists; "
-                "rebuild the graph with graph_convert first",
-                s->source_path());
-  }
-  s->mark_adjacency_sorted();
 }
 
 ApplyStats stats_from(const std::shared_ptr<const DeltaSnapshot>& snap,
@@ -136,7 +112,16 @@ ApplyStats apply_updates(const Graph& g, std::span<const EdgeUpdate> batch) {
   }
   g.ensure_in_core("graph updates");
   g.ensure_validated();
-  ensure_sorted_adjacency(g);
+  // The merge in edge_map and the membership checks below binary-search base
+  // adjacency lists. All pasgal builders and writers sort per-vertex lists,
+  // but an externally produced `.pgr` (converted from an unsorted `.bin`)
+  // may not be.
+  if (!g.adjacency_sorted()) {
+    throw Error(ErrorCategory::kValidation,
+                "graph updates require per-vertex sorted adjacency lists; "
+                "rebuild the graph with graph_convert first",
+                g.storage()->source_path());
+  }
 
   std::size_t n = g.num_vertices();
   std::shared_ptr<const DeltaSnapshot> old = g.storage()->delta_snapshot();

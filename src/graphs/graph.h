@@ -9,11 +9,13 @@
 // Storage model: a Graph is spans over a shared GraphStorage handle
 // (graphs/storage.h), which owns the arrays either as heap buffers or as an
 // mmap'd read-only `.pgr` segment. Copying a Graph shares the storage;
-// `transpose()` is memoized on the handle, so every copy (and every bench
-// variant) pays for the reverse CSR at most once.
+// `transpose()` and `symmetrize()` are memoized side by side on the handle,
+// so every copy (and every bench variant) pays for the reverse CSR at most
+// once and for the undirected view at most once per overlay version.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -165,8 +167,28 @@ class Graph {
   Graph transpose() const;
 
   // Union of each edge with its reverse, deduplicated, self-loops dropped:
-  // the symmetrized graph used for BCC / undirected problems.
+  // the symmetrized graph used for BCC / undirected problems. Row v is the
+  // merge of v's effective out-list and its in-list from the memoized
+  // transpose (graphs/symmetrize.cpp). Memoized on the storage handle beside
+  // the transpose, keyed to the overlay snapshot it was built against:
+  // apply_updates drops it, so the view always matches the current version.
   Graph symmetrize() const;
+
+  // Whether every adjacency list is non-decreasing. One parallel pass per
+  // storage handle; a positive answer is memoized on it.
+  bool adjacency_sorted() const {
+    if (storage_ == nullptr || storage_->adjacency_sorted()) return true;
+    std::atomic<bool> ok{true};
+    parallel_for(0, num_vertices(), [&](std::size_t v) {
+      std::span<const VertexId> nb = neighbors(static_cast<VertexId>(v));
+      if (!std::is_sorted(nb.begin(), nb.end())) {
+        ok.store(false, std::memory_order_relaxed);
+      }
+    });
+    if (!ok.load(std::memory_order_relaxed)) return false;
+    storage_->mark_adjacency_sorted();
+    return true;
+  }
 
   bool is_symmetric() const;
 
@@ -406,7 +428,9 @@ inline Graph Graph::transpose_uncached() const {
                   targets.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
       },
       64);
-  return Graph(std::move(offsets), std::move(targets));
+  Graph t(std::move(offsets), std::move(targets));
+  t.storage_->mark_adjacency_sorted();
+  return t;
 }
 
 inline Graph Graph::transpose() const {
@@ -417,23 +441,9 @@ inline Graph Graph::transpose() const {
   // A windowed open pre-populates the cache from the file's transpose
   // sections; without them the reverse CSR cannot be built shard-at-a-time.
   ensure_in_core("transpose construction");
+  ensure_validated();  // the build indexes counts[target]
   Graph t = transpose_uncached();
   return Graph(storage_->set_transpose_cache(t.storage_));
-}
-
-inline Graph Graph::symmetrize() const {
-  ensure_in_core("symmetrization");
-  if (has_delta()) return materialize_effective(*this).symmetrize();
-  std::size_t n = num_vertices();
-  std::size_t m = num_edges();
-  std::vector<Edge> both(2 * m);
-  parallel_for(0, n, [&](std::size_t v) {
-    for (EdgeId e = offsets_[v]; e < offsets_[v + 1]; ++e) {
-      both[2 * e] = Edge{static_cast<VertexId>(v), targets_[e]};
-      both[2 * e + 1] = Edge{targets_[e], static_cast<VertexId>(v)};
-    }
-  });
-  return from_edges(n, both, /*dedup=*/true, /*drop_self_loops=*/true);
 }
 
 inline bool Graph::is_symmetric() const {

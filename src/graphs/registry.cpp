@@ -19,6 +19,11 @@ std::uint64_t now_ns() {
 
 }  // namespace
 
+std::uint64_t GraphRegistry::Entry::resident_bytes(
+    const StorageRef& live) const {
+  return live != nullptr ? bytes + live->derived_heap_bytes() : bytes;
+}
+
 GraphRegistry& GraphRegistry::instance() {
   static GraphRegistry registry;
   return registry;
@@ -172,7 +177,7 @@ std::uint64_t GraphRegistry::evict_lru(std::uint64_t bytes_needed) {
     std::lock_guard<std::mutex> entry_lock(entry->mu);
     if (entry->strong != nullptr && !entry->pinned) {
       candidates.push_back({key, entry->last_use_ns, entry->seq,
-                            entry->bytes});
+                            entry->resident_bytes(entry->strong)});
     }
   }
   // Equal timestamps happen (entries touched within one steady_clock tick);
@@ -232,12 +237,13 @@ GraphRegistry::Stats GraphRegistry::stats() const {
   out.entries = table_.size();
   for (const auto& [key, entry] : table_) {
     std::lock_guard<std::mutex> entry_lock(entry->mu);
-    bool live = !entry->storage.expired();
-    if (live) out.resident_bytes += entry->bytes;
+    StorageRef live = entry->storage.lock();
+    std::uint64_t bytes = entry->resident_bytes(live);
+    if (live != nullptr) out.resident_bytes += bytes;
     if (entry->strong != nullptr) {
       if (entry->pinned) {
         ++out.pinned_entries;
-        out.pinned_bytes += entry->bytes;
+        out.pinned_bytes += bytes;
       } else {
         ++out.retained_entries;
         if (out.lru_last_use_ns == 0 ||
@@ -256,13 +262,14 @@ std::vector<GraphRegistry::EntryInfo> GraphRegistry::entry_stats() const {
   out.reserve(table_.size());
   for (const auto& [key, entry] : table_) {
     std::lock_guard<std::mutex> entry_lock(entry->mu);
+    StorageRef live = entry->storage.lock();
     EntryInfo info;
     info.path = entry->path;
-    info.bytes = entry->bytes;
+    info.bytes = entry->resident_bytes(live);
     info.last_use_ns = entry->last_use_ns;
     info.pinned = entry->strong != nullptr && entry->pinned;
     info.retained = entry->strong != nullptr && !entry->pinned;
-    info.live = !entry->storage.expired();
+    info.live = live != nullptr;
     out.push_back(std::move(info));
   }
   return out;

@@ -27,11 +27,14 @@
 // `evict()` drops an entry, pinned or not.
 //
 // Memory pressure: every entry tracks its last use (open/pin/retain, steady
-// clock) and its mapped byte size. `evict_lru(bytes_needed)` walks
-// retained-but-unpinned entries oldest-first, dropping strong references
-// and entries until it has released at least `bytes_needed` bytes of
-// mappings (best effort: bytes whose storage is still referenced by
-// in-flight graphs are released only when those graphs drop).
+// clock) and its resident bytes: the mapping plus any decoded heap, plus the
+// heap of the views memoized on its storage since (a built transpose, the
+// symmetric view; see GraphStorage::derived_heap_bytes).
+// `evict_lru(bytes_needed)` walks retained-but-unpinned entries
+// oldest-first, dropping strong references and entries until it has
+// released at least `bytes_needed` resident bytes (best effort: bytes whose
+// storage is still referenced by in-flight graphs are released only when
+// those graphs drop).
 //
 // Concurrency: a global table mutex guards the key -> entry map, and a
 // per-entry mutex is held across the opener callback, so two threads racing
@@ -70,9 +73,9 @@ class GraphRegistry {
     std::uint64_t bytes_mapped = 0;
     std::uint64_t entries = 0;           // live table entries (incl. expired)
     std::uint64_t pinned_entries = 0;    // pin()ned (LRU-protected) entries
-    std::uint64_t pinned_bytes = 0;      // their mapped bytes
+    std::uint64_t pinned_bytes = 0;      // their resident bytes
     std::uint64_t retained_entries = 0;  // retain()ed (LRU-evictable) entries
-    std::uint64_t resident_bytes = 0;    // mapped bytes of all live entries
+    std::uint64_t resident_bytes = 0;    // resident bytes of live entries
     // Steady-clock ns of the least-recently-used *evictable* (retained,
     // unpinned, live) entry; 0 when there is none. The LRU decision and the
     // metrics documents read the same number.
@@ -130,8 +133,8 @@ class GraphRegistry {
   std::size_t evict_expired();
 
   // Memory-pressure eviction: drops retained-but-unpinned entries in
-  // least-recently-used order until at least `bytes_needed` bytes of
-  // mappings have been released (or no candidates remain). Each drop counts
+  // least-recently-used order until at least `bytes_needed` resident bytes
+  // have been released (or no candidates remain). Each drop counts
   // as an eviction. Returns the bytes released. Pinned entries are never
   // touched; neither are plain weak entries (they hold no memory).
   std::uint64_t evict_lru(std::uint64_t bytes_needed);
@@ -165,7 +168,9 @@ class GraphRegistry {
     StorageRef strong;   // non-null after pin()/retain(); cleared by unpin()
     bool pinned = false;  // strong && pinned => protected from evict_lru()
     std::uint64_t last_use_ns = 0;  // steady clock; open/pin/retain update it
-    std::uint64_t bytes = 0;        // mapped bytes of this entry's storage
+    std::uint64_t bytes = 0;  // resident bytes of the storage as opened
+    // `bytes` plus the heap of the views memoized on `live` (null: expired).
+    std::uint64_t resident_bytes(const StorageRef& live) const;
     // Insertion order, for LRU tie-breaking: two entries created in the same
     // steady_clock tick have equal last_use_ns, and sorting on the timestamp
     // alone would evict one of them nondeterministically.

@@ -480,6 +480,33 @@ StorageRef GraphStorage::set_transpose_cache(StorageRef t) {
   return transpose_;
 }
 
+StorageRef GraphStorage::symmetric_cache() const {
+  std::lock_guard<std::mutex> lock(transpose_mu_);
+  return symmetric_;
+}
+
+StorageRef GraphStorage::set_symmetric_cache(
+    StorageRef s, const std::shared_ptr<const DeltaSnapshot>& built_against) {
+  std::lock_guard<std::mutex> lock(transpose_mu_);
+  if (delta_ != built_against) return s;
+  if (symmetric_ == nullptr) symmetric_ = std::move(s);
+  return symmetric_;
+}
+
+std::uint64_t GraphStorage::derived_heap_bytes() const {
+  StorageRef views[2];
+  {
+    std::lock_guard<std::mutex> lock(transpose_mu_);
+    views[0] = transpose_;
+    views[1] = symmetric_;
+  }
+  std::uint64_t bytes = 0;
+  for (const StorageRef& v : views) {
+    if (v != nullptr) bytes += v->heap_bytes() + v->derived_heap_bytes();
+  }
+  return bytes;
+}
+
 std::shared_ptr<const DeltaSnapshot> GraphStorage::delta_snapshot() const {
   if (!has_delta()) return nullptr;
   std::lock_guard<std::mutex> lock(transpose_mu_);
@@ -488,11 +515,13 @@ std::shared_ptr<const DeltaSnapshot> GraphStorage::delta_snapshot() const {
 
 void GraphStorage::set_delta(std::shared_ptr<const DeltaSnapshot> d) {
   StorageRef t;
+  StorageRef stale_symmetric;  // freed outside the lock
   {
     std::lock_guard<std::mutex> lock(transpose_mu_);
     delta_ = d;
     has_delta_.store(d != nullptr, std::memory_order_release);
     t = transpose_;
+    stale_symmetric = std::move(symmetric_);
   }
   // Propagate outside the lock (the transpose's own set_delta takes its own
   // transpose_mu_; it has no cached transpose of its own, so this cannot

@@ -14,7 +14,9 @@
 // several variants build it once. A `.pgr` file written with
 // `include_transpose` carries the transpose as extra sections, and the mmap
 // open path pre-populates the cache from them — reverse edges then cost no
-// construction work at all.
+// construction work at all. Beside it sits the memoized `Graph::symmetrize()`
+// view, which is built from that transpose and dropped whenever the update
+// overlay changes.
 //
 // Allocation discipline: every heap allocation whose size is dictated by
 // untrusted input goes through `allocate()`, which checks the CSR byte
@@ -330,6 +332,11 @@ class GraphStorage {
     if (resident_override_ != 0) return resident_override_;
     return bytes_mapped() + decode_heap_bytes_;
   }
+  // Heap bytes of the views memoized on this handle (a built transpose, the
+  // symmetric view, and the views memoized on those in turn). An embedded
+  // transpose section lives in the shared mapping and adds nothing. The
+  // registry adds this to resident_bytes() for admission and eviction.
+  std::uint64_t derived_heap_bytes() const;
   // True when targets exist only shard-at-a-time (see mapped_windowed).
   bool windowed() const { return window_only_; }
 
@@ -381,20 +388,32 @@ class GraphStorage {
   // overlay version immediately.
   StorageRef set_transpose_cache(StorageRef t);
 
+  // --- symmetric-view memoization --------------------------------------------
+  // The cached Graph::symmetrize() result, or null. It describes the overlay
+  // version it was built against; set_delta() drops it.
+  StorageRef symmetric_cache() const;
+  // First-wins publish of a view built against overlay snapshot
+  // `built_against` (null: no overlay). A build that raced an update (the
+  // overlay is no longer `built_against`) is returned to its caller but not
+  // published. Returns the handle the caller should use.
+  StorageRef set_symmetric_cache(
+      StorageRef s, const std::shared_ptr<const DeltaSnapshot>& built_against);
+
   // --- delta overlay ---------------------------------------------------------
   // The pending update overlay (graphs/delta.h), or null. Readers take the
   // lock-free fast path when has_delta() is false — the common case for
   // static graphs — and fetch the shared snapshot once per traversal entry
   // otherwise. set_delta() also pushes the snapshot's flipped (in-edge) side
-  // onto the cached transpose, and accepts null to clear (compaction).
+  // onto the cached transpose, drops the symmetric view, and accepts null to
+  // clear (compaction).
   bool has_delta() const { return has_delta_.load(std::memory_order_acquire); }
   std::shared_ptr<const DeltaSnapshot> delta_snapshot() const;
   void set_delta(std::shared_ptr<const DeltaSnapshot> d);
 
-  // One-time memo for the overlay's sorted-adjacency invariant: the merge in
-  // edge_map and the membership checks in apply_updates binary-search the
-  // base lists, so the first apply_updates on a handle verifies per-vertex
-  // sortedness once and records it here.
+  // One-time memo for the sorted-adjacency invariant (Graph::
+  // adjacency_sorted records it): the merge in edge_map, the membership
+  // checks in apply_updates and the symmetrize merge all rely on sorted base
+  // lists, so the first of them verifies per-vertex sortedness once.
   bool adjacency_sorted() const {
     return adjacency_sorted_.load(std::memory_order_acquire);
   }
@@ -423,9 +442,18 @@ class GraphStorage {
   mutable std::atomic<bool> validated_{false};
   mutable std::atomic<bool> adjacency_sorted_{false};
 
-  // transpose_mu_ also guards delta_; has_delta_ is the lock-free fast path.
+  // Heap bytes owned by this handle's own arrays.
+  std::uint64_t heap_bytes() const {
+    return own_offsets_.size() * sizeof(StorageEdgeId) +
+           own_targets_.size() * sizeof(StorageVertexId) +
+           own_weights_.size() * sizeof(StorageWeight);
+  }
+
+  // transpose_mu_ also guards symmetric_ and delta_; has_delta_ is the
+  // lock-free fast path.
   mutable std::mutex transpose_mu_;
   StorageRef transpose_;
+  StorageRef symmetric_;
   std::shared_ptr<const DeltaSnapshot> delta_;
   std::atomic<bool> has_delta_{false};
 };

@@ -36,15 +36,17 @@ TEST(Determinism, GeneratorsScheduleIndependent) {
 }
 
 TEST(Determinism, TransposeAndSymmetrizeScheduleIndependent) {
-  Graph g = gen::rmat(11, 12000, 3);
-  // transpose() memoizes per storage handle, so a second call on the same
-  // graph would just return the cached result — build a fresh copy of the
-  // graph for each worker count to actually exercise both schedules.
+  // transpose() and symmetrize() memoize per storage handle, so a second
+  // call on the same graph would just return the cached result — build a
+  // fresh copy of the graph for each worker count to actually exercise both
+  // schedules.
   auto t1 = with_workers(1, [] { return gen::rmat(11, 12000, 3).transpose(); });
   auto t4 = with_workers(4, [] { return gen::rmat(11, 12000, 3).transpose(); });
   EXPECT_EQ(t1, t4);
-  auto s1 = with_workers(1, [&] { return g.symmetrize(); });
-  auto s4 = with_workers(4, [&] { return g.symmetrize(); });
+  auto s1 = with_workers(
+      1, [] { return gen::rmat(11, 12000, 3).symmetrize(); });
+  auto s4 = with_workers(
+      4, [] { return gen::rmat(11, 12000, 3).symmetrize(); });
   EXPECT_EQ(s1, s4);
 }
 

@@ -61,14 +61,15 @@ class GraphIoFuzzTest : public ::testing::Test {
     return path;
   }
 
-  // A small valid .pgr to corrupt: the same 4-cycle, with transpose
-  // sections so every section kind in the format is present.
-  std::string make_valid_pgr(const std::string& name) {
+  // A small valid .pgr to corrupt: the same 4-cycle, by default with
+  // transpose sections so every section kind in the format is present.
+  std::string make_valid_pgr(const std::string& name,
+                             bool include_transpose = true) {
     std::vector<Edge> edges = {{0, 1}, {1, 2}, {2, 3}, {3, 0}};
     Graph g = Graph::from_edges(4, edges);
     auto path = temp_path(name);
     PgrWriteOptions opts;
-    opts.include_transpose = true;
+    opts.include_transpose = include_transpose;
     write_pgr(g, path, opts);
     return path;
   }
@@ -686,6 +687,60 @@ TEST_F(GraphIoFuzzTest, CcAndKcoreOnUnvalidatedOutOfRangeTargetsThrowTyped) {
   expect_rejected([&] { ldd_cc(g, {}); }, ErrorCategory::kValidation);
   expect_rejected([&] { seq_kcore(g, {}); }, ErrorCategory::kValidation);
   expect_rejected([&] { pasgal_kcore(g, {}); }, ErrorCategory::kValidation);
+}
+
+TEST_F(GraphIoFuzzTest, DerivedViewsOnUnvalidatedTargetsThrowTyped) {
+  // Without embedded transpose sections, transpose() and symmetrize() build
+  // from the forward CSR and index per-target counters: they must hit the
+  // lazy ensure_validated() choke point before writing out of bounds.
+  auto path = make_valid_pgr("lazyoob_build.pgr", /*include_transpose=*/false);
+  auto bytes = slurp(path);
+  std::size_t off = targets_off(bytes);
+  poke<std::uint32_t>(bytes, off, 1000u);  // target 1000 in a 4-vertex graph
+  reseal_pgr_section(bytes, 1);
+  dump(path, bytes);
+  Graph g = read_pgr(path);
+  ASSERT_EQ(g.storage()->transpose_cache(), nullptr);
+  EXPECT_FALSE(g.storage()->validated());
+  expect_rejected([&] { g.transpose(); }, ErrorCategory::kValidation);
+  expect_rejected([&] { g.symmetrize(); }, ErrorCategory::kValidation);
+
+  // An embedded transpose section is an input to symmetrize() as well: a
+  // poisoned one is rejected, not merged.
+  auto tpath = make_valid_pgr("lazyoob_tsection.pgr");
+  bytes = slurp(tpath);
+  std::size_t t_targets_off =
+      static_cast<std::size_t>(peek<std::uint64_t>(bytes, 40 + 4 * 24));
+  poke<std::uint32_t>(bytes, t_targets_off, 1000u);
+  reseal_pgr_section(bytes, 4);
+  dump(tpath, bytes);
+  Graph gt_poisoned = read_pgr(tpath);
+  expect_rejected([&] { gt_poisoned.symmetrize(); },
+                  ErrorCategory::kValidation);
+}
+
+TEST_F(GraphIoFuzzTest, UnsortedTransposeSectionIsNotMergedAsIs) {
+  // symmetrize() merges sorted in-lists. A transpose section whose rows are
+  // in range but unsorted is rebuilt from the forward CSR instead of being
+  // merged into a view with unsorted, duplicated rows.
+  std::vector<Edge> edges = {{0, 1}, {2, 1}, {3, 1}};
+  Graph g = Graph::from_edges(4, edges);
+  auto path = temp_path("unsorted_t.pgr");
+  PgrWriteOptions opts;
+  opts.include_transpose = true;
+  write_pgr(g, path, opts);
+  auto bytes = slurp(path);
+  // Only vertex 1 has in-edges, so the section is exactly its row [0, 2, 3].
+  std::size_t t_targets_off =
+      static_cast<std::size_t>(peek<std::uint64_t>(bytes, 40 + 4 * 24));
+  poke<std::uint32_t>(bytes, t_targets_off, 3u);
+  poke<std::uint32_t>(bytes, t_targets_off + 8, 0u);
+  reseal_pgr_section(bytes, 4);
+  dump(path, bytes);
+  Graph mapped = read_pgr(path);
+  EXPECT_FALSE(mapped.transpose().adjacency_sorted());
+  std::vector<Edge> both = {{0, 1}, {1, 0}, {2, 1}, {1, 2}, {3, 1}, {1, 3}};
+  EXPECT_EQ(mapped.symmetrize(), Graph::from_edges(4, both));
 }
 
 TEST_F(GraphIoFuzzTest, EnsureValidatedAcceptsAndMemoizesCleanGraphs) {

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "algorithms/cc/cc.h"
 #include "graphs/generators.h"
 #include "graphs/graph.h"
 #include "graphs/graph_io.h"
@@ -293,6 +294,37 @@ TEST_F(RegistryTest, RetainKeepsAliveButEvictable) {
   Graph again = read_pgr(path, PgrOpen::kMmap);
   EXPECT_EQ(GraphRegistry::instance().stats().misses, 2u)
       << "after LRU eviction the reopen maps afresh";
+}
+
+TEST_F(RegistryTest, MemoizedViewsCountTowardResidentBytes) {
+  // A cc on a file without transpose sections memoizes two heap views on
+  // the shared storage: the built transpose and the symmetric view. The
+  // entry's resident bytes must include them, and eviction releases them.
+  std::string path = write_graph("views.pgr");
+  std::uint64_t mapped = 0, views = 0;
+  {
+    Graph g = read_pgr(path, PgrOpen::kMmap);
+    ASSERT_TRUE(GraphRegistry::instance().retain(path));
+    mapped = g.storage()->bytes_mapped();
+    EXPECT_EQ(GraphRegistry::instance().stats().resident_bytes, mapped);
+    Graph sym = g.symmetrize();
+    (void)connected_components(sym, {});
+    Graph gt = g.transpose();
+    for (const Graph* view : {&gt, &sym}) {
+      views += (view->num_vertices() + 1) * sizeof(EdgeId) +
+               view->num_edges() * sizeof(VertexId);
+    }
+  }
+  ASSERT_GT(views, 0u);
+  GraphRegistry::Stats stats = GraphRegistry::instance().stats();
+  EXPECT_EQ(stats.resident_bytes, mapped + views);
+  std::vector<GraphRegistry::EntryInfo> entries =
+      GraphRegistry::instance().entry_stats();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].bytes, mapped + views);
+
+  EXPECT_EQ(GraphRegistry::instance().evict_lru(1), mapped + views);
+  EXPECT_EQ(GraphRegistry::instance().stats().resident_bytes, 0u);
 }
 
 TEST_F(RegistryTest, EvictLruNeverTouchesPinnedEntries) {

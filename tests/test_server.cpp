@@ -533,6 +533,43 @@ TEST_F(ServerTest, MissingAndCorruptFilesGetTypedErrors) {
       << "sssp on an unweighted file is a typed error, not a crash";
 }
 
+TEST_F(ServerTest, UnvalidatedOutOfRangeTargetsGetTypedValidationErrors) {
+  // A plain mmap open skips per-element checks. Without transpose sections
+  // the bfs verb builds the transpose and cc builds the symmetric view from
+  // the raw targets: both must answer [validation], not index out of bounds.
+  std::string path = write_graph("poisoned.pgr");
+  std::vector<char> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  // Section table slot i sits at byte 40 + 24 i: {offset, bytes, checksum}.
+  auto field = [&](std::size_t at) {
+    std::uint64_t v;
+    std::memcpy(&v, bytes.data() + at, sizeof(v));
+    return v;
+  };
+  std::uint64_t targets_at = field(40 + 24), targets_len = field(40 + 32);
+  std::uint32_t poison = 1u << 30;
+  std::memcpy(bytes.data() + targets_at, &poison, sizeof(poison));
+  std::uint64_t sum = hash_bytes(bytes.data() + targets_at, targets_len);
+  std::memcpy(bytes.data() + 40 + 40, &sum, sizeof(sum));
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+
+  start_server();
+  std::string good = write_graph("healthy.pgr");
+  for (const std::string& verb :
+       {"bfs graph=" + path + " source=0", "cc graph=" + path}) {
+    std::string resp = request_once(verb);
+    EXPECT_EQ(resp.rfind("error [validation]", 0), 0u) << verb << ": " << resp;
+  }
+  EXPECT_TRUE(is_metrics_json(request_once("bfs graph=" + good + " source=0")))
+      << "the daemon keeps serving after the rejected requests";
+  EXPECT_TRUE(is_metrics_json(request_once("cc graph=" + good)));
+}
+
 TEST_F(ServerTest, OversizedRequestLineIsRejected) {
   start_server();
   Client c = connect_client();
