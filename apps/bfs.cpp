@@ -104,10 +104,9 @@ int main(int argc, char** argv) {
         doc.add_trial(base.seconds, base.telemetry);
         std::vector<std::uint32_t> dist = std::move(base.output);
         IncrementalStats repair = apps::replay_repairs(
-            updates_path, g, doc, " (churn fallback: full recompute)",
-            [&](std::span<const EdgeUpdate> batch, Tracer* t) {
-              return incremental_bfs(g, *in.gt, aopt.source, batch, dist, {},
-                                     t);
+            updates_path, g, aopt, doc, " (churn fallback: full recompute)",
+            [&](std::span<const EdgeUpdate> batch, const AlgoOptions& o) {
+              return incremental_bfs(g, *in.gt, batch, dist, o);
             });
         std::printf("after updates: %s\n", bfs_summary(dist).c_str());
         return repair;

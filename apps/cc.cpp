@@ -57,9 +57,9 @@ int main(int argc, char** argv) {
         doc.add_trial(base.seconds, base.telemetry);
         std::vector<VertexId> label = std::move(base.output.label);
         IncrementalStats repair = apps::replay_repairs(
-            updates_path, g, doc, " (delete fallback: full recompute)",
-            [&](std::span<const EdgeUpdate> batch, Tracer* t) {
-              return incremental_cc(g, batch, label, t);
+            updates_path, g, aopt, doc, " (delete fallback: full recompute)",
+            [&](std::span<const EdgeUpdate> batch, const AlgoOptions& o) {
+              return incremental_cc(g, batch, label, o);
             });
         std::printf("after updates: %s\n", cc_summary(label).c_str());
         return repair;

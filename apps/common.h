@@ -620,21 +620,23 @@ inline int run_driver(const std::string& spec, const CommonOptions& common,
 }
 
 // The incremental --updates loop (bfs, cc): applies each batch of the log to
-// `g` as a delta overlay, repairs in place through `repair(batch, tracer)`,
-// and records one traced trial per batch. Repeats don't apply: a batch folds
-// into the overlay exactly once. Returns the summed repair scope.
+// `g` as a delta overlay, repairs in place through `repair(batch, opt)` (the
+// driver's `aopt` with a per-batch tracer), and records one traced trial per
+// batch. Repeats don't apply: a batch folds into the overlay exactly once.
+// Returns the summed repair scope.
 template <typename Repair>
 IncrementalStats replay_repairs(const std::string& log_path, const Graph& g,
-                                MetricsDoc& doc, const char* fallback_note,
-                                Repair&& repair) {
+                                const AlgoOptions& aopt, MetricsDoc& doc,
+                                const char* fallback_note, Repair&& repair) {
   IncrementalStats total;
   std::vector<std::vector<EdgeUpdate>> log = read_update_log(log_path);
   for (std::size_t b = 0; b < log.size(); ++b) {
     apply_updates(g, log[b]);
     Tracer tracer;
+    AlgoOptions opt = aopt;
+    opt.tracer = &tracer;
     auto t0 = std::chrono::steady_clock::now();
-    IncrementalStats st =
-        repair(std::span<const EdgeUpdate>(log[b]), &tracer);
+    IncrementalStats st = repair(std::span<const EdgeUpdate>(log[b]), opt);
     double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();

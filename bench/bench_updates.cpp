@@ -93,8 +93,9 @@ int main() {
           make_batch(g, present, edges, rng, kBatchOps);
       double apply_s = time_seconds([&] { apply_updates(g, batch); });
       IncrementalStats st;
-      double repair_s = time_seconds(
-          [&] { st = incremental_bfs(g, gt, source, batch, dist); });
+      double repair_s = time_seconds([&] {
+        st = incremental_bfs(g, gt, batch, dist, {.source = source});
+      });
       std::printf("%-8d %12.4f %14.0f %12.4f %11.1fx %10llu\n", b + 1,
                   apply_s, static_cast<double>(batch.size()) / apply_s,
                   repair_s, repair_s > 0 ? full_seconds / repair_s : 0.0,

@@ -448,17 +448,25 @@ expect 4 "$prefix/apps/bfs"  "$tmp/shard.pgr" -a gbbs -r 1 \
 expect 4 "$prefix/apps/sssp" "$tmp/shard.pgr" -a em   -r 1 \
     --mem-limit-mb "$sssp_cap_mb"
 
+# gapbs pulls through the same shard sweep as gbbs (its bottom-up rounds
+# are edge_map_dense rounds), under the bfs ceiling.
+gapbs_cap_mb=$bfs_cap_mb
 "$prefix/apps/bfs"  "$tmp/shard.pgr" -a gbbs -r 1 \
     | normalize > "$tmp/shard_bfs_ref.txt"
+"$prefix/apps/bfs"  "$tmp/shard.pgr" -a gapbs -r 1 \
+    | normalize > "$tmp/shard_gapbs_ref.txt"
 "$prefix/apps/sssp" "$tmp/shard.pgr" -a em   -r 1 \
     | normalize > "$tmp/shard_sssp_ref.txt"
 "$prefix/apps/bfs"  "$tmp/shard.pgr" -a gbbs -r 1 --shard-mb 8 \
     --mem-limit-mb "$bfs_cap_mb" --json-metrics "$tmp/shard_bfs.json" \
     | normalize > "$tmp/shard_bfs.txt"
+"$prefix/apps/bfs"  "$tmp/shard.pgr" -a gapbs -r 1 --shard-mb 8 \
+    --mem-limit-mb "$gapbs_cap_mb" --json-metrics "$tmp/shard_gapbs.json" \
+    | normalize > "$tmp/shard_gapbs.txt"
 "$prefix/apps/sssp" "$tmp/shard.pgr" -a em   -r 1 --shard-mb 8 \
     --mem-limit-mb "$sssp_cap_mb" --json-metrics "$tmp/shard_sssp.json" \
     | normalize > "$tmp/shard_sssp.txt"
-for algo in bfs sssp; do
+for algo in bfs gapbs sssp; do
   eval "cap_mb=\$${algo}_cap_mb"
   diff "$tmp/shard_${algo}_ref.txt" "$tmp/shard_${algo}.txt" || {
     echo "FAIL: $algo sharded output differs from the in-core run" >&2; exit 1

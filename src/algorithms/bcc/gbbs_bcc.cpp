@@ -50,8 +50,8 @@ RunReport<BccResult> gbbs_bcc(const Graph& g, const AlgoOptions& opt) {
       auto cond = [&](VertexId v) {
         return parent[v].load(std::memory_order_relaxed) == kInvalidVertex;
       };
-      frontier = edge_map(g, g, frontier, update, update_seq, cond,
-                          EdgeMapOptions{}, stats);
+      frontier =
+          edge_map(g, g, frontier, update, update_seq, cond, opt, stats);
     }
 
     auto forest_edges = pack_indexed<Edge>(

@@ -7,13 +7,16 @@
 //  * gbbs_bfs    — GBBS-style level-synchronous edge_map BFS with
 //                  sparse/dense direction optimization.
 //  * gapbs_bfs   — GAPBS-style direction-optimizing BFS (Beamer's alpha/beta
-//                  hysteresis controller).
+//                  hysteresis controller over edge_map_sparse/_dense).
 //  * pasgal_bfs  — this paper: hash-bag frontiers, vertical granularity
 //                  control with multi-frontier (2^i) distance buckets, and
 //                  direction optimization on clean dense levels (§2.2).
 //  * ms_bfs      — bit-parallel multi-source BFS (Then et al., VLDB'14 style):
 //                  one shared frontier sweep advances up to 64 sources, one
 //                  per bit of a per-vertex machine word.
+//
+// Every dense (pull) round runs through edge_map_dense, which counts n
+// visits per round (each vertex is tested against cond).
 #pragma once
 
 #include <cstdint>
@@ -35,8 +38,9 @@ RunReport<std::vector<std::uint32_t>> seq_bfs(const Graph& g,
                                               const AlgoOptions& opt);
 
 // `gt` is the transpose (pass g itself for symmetric graphs); needed for the
-// dense (pull) direction. `opt.cancel`, when non-null, is checked at every
-// level boundary (throws kTimeout on expiry).
+// dense (pull) direction. Both read dense_threshold_den/use_dense (gapbs
+// only through edge_map's knobs, its alpha/beta controller picks the
+// direction) and cancel, checked at every level boundary (kTimeout).
 RunReport<std::vector<std::uint32_t>> gbbs_bfs(const Graph& g, const Graph& gt,
                                                const AlgoOptions& opt);
 
@@ -54,7 +58,8 @@ RunReport<std::vector<std::uint32_t>> gapbs_bfs(const Graph& g, const Graph& gt,
 // machine it happens to run on.
 inline constexpr std::uint32_t kVgcEngageFactor = 16;
 // Reads vgc, dense_threshold_den/use_dense (dense pull rounds) and cancel
-// (checked at every sparse round and dense level).
+// (checked at every sparse round and, inside edge_map_dense, every dense
+// level).
 RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
                                                  const Graph& gt,
                                                  const AlgoOptions& opt);
@@ -65,8 +70,9 @@ RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
 // sweep advances the whole batch: sparse rounds push `visit` masks along
 // out-edges, OR-ing new bits into the targets and collecting first-touched
 // vertices through a hash bag; dense rounds pull every unsaturated vertex's
-// in-edges via edge_map_dense (pull_exhaustive — the AND-NOT against `seen`
-// must gather bits from every in-neighbour, not stop at the first hit).
+// in-edges via edge_map_dense (cond stays true until the vertex saturates —
+// the AND-NOT against `seen` must gather bits from every in-neighbour, not
+// stop at the first hit).
 // The per-source distances are byte-identical to running the single-source
 // variants once per source.
 //

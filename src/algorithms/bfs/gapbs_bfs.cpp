@@ -9,16 +9,12 @@ namespace pasgal {
 // GAPBS-style direction-optimizing BFS (Beamer et al., SC'12): top-down
 // (push) by default; bottom-up (pull) when the frontier's unexplored edge
 // count exceeds remaining/alpha; back to top-down when the frontier shrinks
-// below n/beta. Still one global synchronization per level.
+// below n/beta. Still one global synchronization per level. The controller
+// picks the direction; edge_map_dense/edge_map_sparse run the rounds.
 RunReport<std::vector<std::uint32_t>> gapbs_bfs(const Graph& g, const Graph& gt,
                                                 const AlgoOptions& opt) {
   admit(guard_of("bfs", "gapbs"), g, &gt);
   return run_traced(opt, [&](Tracer* stats) {
-    // The bottom-up loop below indexes in_frontier[u] with raw gt targets
-    // (it bypasses edge_map and its validation choke point), so un-deep-
-    // validated mmap handles are checked here.
-    g.ensure_validated();
-    gt.ensure_validated();
     std::size_t n = g.num_vertices();
     std::vector<std::atomic<std::uint32_t>> dist(n);
     parallel_for(0, n, [&](std::size_t i) {
@@ -49,35 +45,20 @@ RunReport<std::vector<std::uint32_t>> gapbs_bfs(const Graph& g, const Graph& gt,
         return dist[v].load(std::memory_order_relaxed) == kInfDist;
       };
       if (bottom_up) {
-        frontier.to_dense();
-        const auto& in_frontier = frontier.dense_mask();
-        std::vector<std::uint8_t> next(n, 0);
-        parallel_for(0, n, [&](std::size_t vi) {
-          VertexId v = static_cast<VertexId>(vi);
-          if (!cond(v)) return;
-          std::uint64_t scanned = 0;
-          for (VertexId u : gt.neighbors(v)) {
-            ++scanned;
-            if (in_frontier[u]) {
-              dist[v].store(level, std::memory_order_relaxed);
-              next[vi] = 1;
-              break;
-            }
-          }
-          stats->add_edges(scanned);
-        });
-        stats->add_visits(n);
-        frontier = VertexSubset::dense(std::move(next));
+        // One task per v: a plain store, and cond(v) turns false with it.
+        auto update_seq = [&](VertexId, VertexId v) {
+          dist[v].store(level, std::memory_order_relaxed);
+          return true;
+        };
+        frontier = edge_map_dense(g, gt, frontier, update_seq, cond, opt,
+                                  stats);
       } else {
         auto update = [&](VertexId, VertexId v) {
           std::uint32_t expected = kInfDist;
           return dist[v].compare_exchange_strong(expected, level,
                                                  std::memory_order_relaxed);
         };
-        EdgeMapOptions emopt;
-        emopt.allow_dense = false;  // direction decided above, not by edge_map
-        frontier =
-            edge_map(g, gt, frontier, update, update, cond, emopt, stats);
+        frontier = edge_map_sparse(g, frontier, update, cond, opt, stats);
       }
     }
 

@@ -41,9 +41,7 @@ RunReport<std::vector<std::uint32_t>> gbbs_bfs(const Graph& g, const Graph& gt,
       auto cond = [&](VertexId v) {
         return dist[v].load(std::memory_order_relaxed) == kInfDist;
       };
-      EdgeMapOptions emopt;
-      emopt.cancel = opt.cancel;
-      frontier = edge_map(g, gt, frontier, update, update_seq, cond, emopt,
+      frontier = edge_map(g, gt, frontier, update, update_seq, cond, opt,
                           stats);
     }
 

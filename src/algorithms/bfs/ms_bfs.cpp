@@ -14,12 +14,12 @@
 //                   pack).
 //   dense (pull):   every vertex whose mask is not yet saturated scans its
 //                   in-neighbours through edge_map_dense, AND-NOT-ing their
-//                   visit masks against its own seen bits. `pull_exhaustive`
-//                   is essential: unlike single-source BFS, one hit does not
-//                   decide the vertex — bits keep arriving from later
-//                   in-neighbours at this same level, and stopping early
-//                   would push those sources' arrival to a later (wrong)
-//                   level.
+//                   visit masks against its own seen bits. cond(v) stays
+//                   true until v saturates: unlike single-source BFS, one
+//                   hit does not decide the vertex — bits keep arriving from
+//                   later in-neighbours at this same level, and stopping
+//                   early would push those sources' arrival to a later
+//                   (wrong) level.
 //
 // The round boundary settles each touched vertex exactly once: the freshly
 // gathered bits become this level's distances for the corresponding sources,
@@ -52,7 +52,6 @@ BatchReport<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
 
     std::size_t n = g.num_vertices();
     std::size_t k = sources.size();
-    EdgeId m = g.num_edges();
     std::uint64_t full =
         k == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << k) - 1;
 
@@ -99,11 +98,8 @@ BatchReport<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
                 next[v].load(std::memory_order_relaxed)) != full;
       };
 
-      EdgeId work = frontier.out_degree_sum(g) + frontier.size();
-      bool go_dense =
-          opt.algo.use_dense && work > m / opt.algo.dense_threshold_den;
       VertexSubset activated = VertexSubset::empty(n);
-      if (go_dense) {
+      if (go_dense(g, frontier, opt.algo)) {
         // Pull: v is scanned by a single task, so next[v] needs no CAS. The
         // activation signal (first bits queued for v) feeds the trusted
         // activation count inside edge_map_dense.
@@ -115,11 +111,8 @@ BatchReport<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
           next[v].store(old | add, std::memory_order_relaxed);
           return old == 0;
         };
-        EdgeMapOptions emopt;
-        emopt.cancel = opt.algo.cancel;
-        emopt.pull_exhaustive = true;
-        activated = edge_map_dense(g, gt, frontier, update_seq, cond, emopt,
-                                   stats);
+        activated = edge_map_dense(g, gt, frontier, update_seq, cond,
+                                   opt.algo, stats);
       } else {
         // Push: OR the frontier masks through the hash bag — exactly one
         // insert per newly touched vertex (the fetch_or's first setter wins).

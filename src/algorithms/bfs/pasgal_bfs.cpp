@@ -4,6 +4,7 @@
 
 #include "algorithms/bfs/bfs.h"
 #include "algorithms/catalog.h"
+#include "pasgal/edge_map.h"
 #include "pasgal/hashbag.h"
 
 namespace pasgal {
@@ -38,15 +39,15 @@ std::uint32_t entry_dist(std::uint64_t e) {
 //  * Entries carry the tentative distance they were enqueued with; stale
 //    entries are skipped (a vertex may be visited more than once — the extra
 //    work the paper accepts in exchange for fewer rounds).
-//  * On clean dense levels, direction-optimized pull rounds take over, as in
-//    the best low-diameter BFS implementations.
+//  * On clean dense levels, direction-optimized pull rounds (edge_map_dense)
+//    take over, as in the best low-diameter BFS implementations.
 RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
                                                  const Graph& gt,
                                                  const AlgoOptions& opt) {
   admit(guard_of("bfs", "pasgal"), g, &gt);
   return run_traced(opt, [&](Tracer* stats) {
     std::size_t n = g.num_vertices();
-    std::size_t m = g.num_edges();
+    EdgeId m = g.num_edges();
     std::vector<std::atomic<std::uint32_t>> dist(n);
     parallel_for(0, n, [&](std::size_t i) {
       dist[i].store(kInfDist, std::memory_order_relaxed);
@@ -61,16 +62,13 @@ RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
     }
     bags[0]->insert(encode(opt.source, 0));
 
-    const EdgeId dense_limit =
-        m / static_cast<EdgeId>(opt.dense_threshold_den) + 1;
     // VGC applies throughout the sparse regime: any frontier below the density
     // threshold is scheduling-bound on a many-core machine, which is exactly
     // what local searches amortize. (kVgcEngageFactor*tau acts as a floor so
     // tiny tau values still engage near the source.)
-    const std::uint64_t vgc_limit =
-        std::max<std::uint64_t>(static_cast<std::uint64_t>(opt.vgc.tau) *
-                                    kVgcEngageFactor,
-                                dense_limit);
+    const std::uint64_t vgc_limit = std::max<std::uint64_t>(
+        static_cast<std::uint64_t>(opt.vgc.tau) * kVgcEngageFactor,
+        m / opt.dense_threshold_den + 1);
 
     for (;;) {
       if (opt.cancel != nullptr) opt.cancel->check("pasgal_bfs round");
@@ -127,54 +125,40 @@ RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
       }
 
       // --- Dense (direction-optimized) phase -------------------------------
-      if (opt.use_dense && bags_quiet && ready_work > dense_limit) {
-        std::uint32_t level = base;
-        for (;;) {
-          if (opt.cancel != nullptr) {
-            opt.cancel->check("pasgal_bfs dense level");
-          }
-          // Frontier by value: every vertex currently at `level`.
-          std::vector<std::uint8_t> frontier(n);
-          parallel_for(0, n, [&](std::size_t v) {
-            frontier[v] =
-                dist[v].load(std::memory_order_relaxed) == level ? 1 : 0;
-          });
-          std::size_t fsize = count_if_index(
-              n, [&](std::size_t v) { return frontier[v] != 0; });
-          if (fsize == 0) break;
-          EdgeId fwork = reduce_indexed<EdgeId>(
-                             n, 0, std::plus<EdgeId>{},
-                             [&](std::size_t v) {
-                               if (!frontier[v]) return EdgeId{0};
-                               return g.out_degree(static_cast<VertexId>(v));
-                             }) +
-                         fsize;
-          if (fwork <= dense_limit) {
+      // Level-synchronous pull rounds through edge_map_dense. The entry mask
+      // is scattered from `ready`: with the bags quiet, every vertex at
+      // `base` without an entry there has already relaxed its out-edges.
+      if (bags_quiet && go_dense(ready_work, m, opt)) {
+        std::vector<std::uint8_t> mask(n, 0);
+        parallel_for(0, ready.size(), [&](std::size_t i) {
+          mask[entry_vertex(ready[i])] = 1;
+        });
+        VertexSubset frontier =
+            VertexSubset::dense(std::move(mask), ready.size());
+        for (std::uint32_t level = base;; ++level) {
+          stats->end_round(frontier.size(), RoundKind::kDense);
+          std::uint32_t next_level = level + 1;
+          frontier = edge_map_dense(
+              g, gt, frontier,
+              [&](VertexId, VertexId v) {
+                dist[v].store(next_level, std::memory_order_relaxed);
+                return true;
+              },
+              [&](VertexId v) {
+                return dist[v].load(std::memory_order_relaxed) > next_level;
+              },
+              opt, stats);
+          if (frontier.empty()) break;
+          if (!go_dense(g, frontier, opt)) {
             // Hand the frontier back to the sparse machinery.
+            const auto& next = frontier.dense_mask();
             parallel_for(0, n, [&](std::size_t v) {
-              if (frontier[v]) {
-                bags[0]->insert(encode(static_cast<VertexId>(v), level));
+              if (next[v]) {
+                bags[0]->insert(encode(static_cast<VertexId>(v), next_level));
               }
             });
             break;
           }
-          stats->end_round(fsize, RoundKind::kDense);
-          std::uint32_t next_level = level + 1;
-          parallel_for(0, n, [&](std::size_t vi) {
-            VertexId v = static_cast<VertexId>(vi);
-            if (dist[v].load(std::memory_order_relaxed) <= next_level) return;
-            std::uint64_t scanned = 0;
-            for (VertexId u : gt.neighbors(v)) {
-              ++scanned;
-              if (dist[u].load(std::memory_order_relaxed) == level) {
-                dist[v].store(next_level, std::memory_order_relaxed);
-                break;
-              }
-            }
-            stats->add_edges(scanned);
-          });
-          stats->add_visits(fsize);
-          level = next_level;
         }
         continue;
       }

@@ -158,8 +158,8 @@ const AlgoSpec kCatalog[] = {
      }},
     {"bfs", "gbbs", In::kTranspose, Src::kOne, kServed, {},
      [](A a, O o) { return single(gbbs_bfs(*a.g, *a.gt, o), a, bfs_summary); }},
-    {"bfs", "gapbs", In::kTranspose, Src::kOne, kDriverOnly,
-     {InCore::kTranspose, "gapbs-bfs bottom-up", "gapbs-bfs"},
+    // Both directions run through edge_map, so gapbs takes any storage.
+    {"bfs", "gapbs", In::kTranspose, Src::kOne, kDriverOnly, {},
      [](A a, O o) {
        return single(gapbs_bfs(*a.g, *a.gt, o), a, bfs_summary);
      }},

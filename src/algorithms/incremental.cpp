@@ -32,13 +32,13 @@ bool for_each_effective(const Graph& g, const DeltaSnapshot* d, VertexId v,
 }  // namespace
 
 IncrementalStats incremental_bfs(const Graph& g, const Graph& gt,
-                                 VertexId source,
                                  std::span<const EdgeUpdate> batch,
                                  std::vector<std::uint32_t>& dist,
-                                 const IncrementalOptions& opt,
-                                 Tracer* tracer) {
+                                 const AlgoOptions& opt,
+                                 const IncrementalOptions& inc) {
   // A churn fallback recomputes inside this repair, on the same tracer.
-  return run_traced({.tracer = tracer}, [&](Tracer* t) {
+  return run_traced(opt, [&](Tracer* t) {
+    const VertexId source = opt.source;
     g.ensure_validated();
     gt.ensure_validated();
     std::size_t n = g.num_vertices();
@@ -111,8 +111,10 @@ IncrementalStats incremental_bfs(const Graph& g, const Graph& gt,
     t->end_round(invalidated.size());
 
     if (static_cast<double>(invalidated.size() + seeds.size()) >
-        opt.churn_threshold * static_cast<double>(n)) {
-      dist = gbbs_bfs(g, gt, {.source = source, .tracer = t}).output;
+        inc.churn_threshold * static_cast<double>(n)) {
+      AlgoOptions recompute = opt;
+      recompute.tracer = t;
+      dist = gbbs_bfs(g, gt, recompute).output;
       stats.resettled = n;
       stats.fallback = true;
       return stats;
@@ -149,13 +151,11 @@ IncrementalStats incremental_bfs(const Graph& g, const Graph& gt,
       return false;
     };
     auto cond = [](VertexId) { return true; };
-    EdgeMapOptions emopt;
-    // Repair frontiers are tiny by construction (churn-bounded); dense pull
-    // with cond=true would rescan every in-list each round.
-    emopt.allow_dense = false;
+    // Push only: repair frontiers are tiny by construction (churn-bounded),
+    // and a pull with cond=true would rescan every in-list each round.
     while (!frontier.empty()) {
       std::uint64_t size = frontier.size();
-      frontier = edge_map_sparse(g, frontier, update, cond, emopt, t);
+      frontier = edge_map_sparse(g, frontier, update, cond, opt, t);
       t->end_round(size);
     }
 
@@ -172,9 +172,10 @@ IncrementalStats incremental_bfs(const Graph& g, const Graph& gt,
 
 IncrementalStats incremental_cc(const Graph& g,
                                 std::span<const EdgeUpdate> batch,
-                                std::vector<VertexId>& label, Tracer* tracer) {
+                                std::vector<VertexId>& label,
+                                const AlgoOptions& opt) {
   // A delete fallback recomputes inside this repair, on the same tracer.
-  return run_traced({.tracer = tracer}, [&](Tracer* t) {
+  return run_traced(opt, [&](Tracer* t) {
     std::size_t n = g.num_vertices();
     IncrementalStats stats;
     stats.full_settled = n;
@@ -187,8 +188,9 @@ IncrementalStats incremental_cc(const Graph& g,
       // A deletion can split a component; labels alone cannot witness the
       // split. symmetrize() reads through the overlay (graph.h), so the
       // recompute runs on the effective graph.
-      label =
-          connected_components(g.symmetrize(), {.tracer = t}).output.label;
+      AlgoOptions recompute = opt;
+      recompute.tracer = t;
+      label = connected_components(g.symmetrize(), recompute).output.label;
       stats.resettled = n;
       stats.fallback = true;
       return stats;

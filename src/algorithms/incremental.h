@@ -13,10 +13,13 @@
 // loses to a straight recompute; the functions then recompute via the
 // overlay-aware kernels and report fallback=true.
 //
-// Telemetry: a non-null `tracer` records the repair like any kernel run —
-// the edges and vertices each phase touches, one round per phase or
-// relaxation sweep, or the recompute's own rounds on fallback (the repair
-// runs inside run_traced, so the recompute nests in it; pasgal/options.h).
+// Options: `opt` is the kernels' AlgoOptions. incremental_bfs reads
+// `source`; both read `tracer` and `cancel`, which reach the repair's
+// edge_map rounds and the fallback recompute. A non-null tracer records the
+// repair like any kernel run — the edges and vertices each phase touches,
+// one round per phase or relaxation sweep, or the recompute's own rounds on
+// fallback (the repair runs inside run_traced, so the recompute nests in
+// it; pasgal/options.h).
 #pragma once
 
 #include <cstdint>
@@ -25,7 +28,7 @@
 
 #include "graphs/delta.h"
 #include "graphs/graph.h"
-#include "pasgal/telemetry.h"
+#include "pasgal/options.h"
 
 namespace pasgal {
 
@@ -44,9 +47,9 @@ struct IncrementalStats {
   bool fallback = false;
 };
 
-// Repairs hop distances from `source` in place. `g`/`gt` are the post-apply
+// Repairs hop distances from `opt.source` in place. `g`/`gt` are the post-apply
 // graph and its transpose (overlay attached); `dist` holds the pre-batch
-// distances and is repaired to exactly gbbs_bfs(g, gt, source).
+// distances and is repaired to exactly gbbs_bfs(g, gt, opt).
 //
 // Delete phase: a deleted tree edge (u,v) with dist[v] == dist[u]+1 makes v
 // a candidate; a candidate without a surviving effective in-neighbor at
@@ -55,11 +58,10 @@ struct IncrementalStats {
 // the invalidated region plus the settled sources of inserted edges —
 // monotone atomic-min relaxation, so the fixpoint is the exact BFS level.
 IncrementalStats incremental_bfs(const Graph& g, const Graph& gt,
-                                 VertexId source,
                                  std::span<const EdgeUpdate> batch,
                                  std::vector<std::uint32_t>& dist,
-                                 const IncrementalOptions& opt = {},
-                                 Tracer* tracer = nullptr);
+                                 const AlgoOptions& opt,
+                                 const IncrementalOptions& inc = {});
 
 // Repairs min-vertex component labels (connected_components semantics on
 // the symmetrized graph) in place. Insert-only batches union label classes
@@ -69,6 +71,6 @@ IncrementalStats incremental_bfs(const Graph& g, const Graph& gt,
 IncrementalStats incremental_cc(const Graph& g,
                                 std::span<const EdgeUpdate> batch,
                                 std::vector<VertexId>& label,
-                                Tracer* tracer = nullptr);
+                                const AlgoOptions& opt = {});
 
 }  // namespace pasgal

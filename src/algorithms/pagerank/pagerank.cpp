@@ -122,9 +122,6 @@ RunReport<PagerankResult> pasgal_pagerank(const Graph& g, const Graph& gt,
     // is a contiguous destination range carrying its whole in-edge payload.
     VertexSubset all =
         VertexSubset::dense(std::vector<std::uint8_t>(n, 1), n);
-    EdgeMapOptions eopt;
-    eopt.cancel = opt.cancel;
-    eopt.pull_exhaustive = true;
 
     for (std::uint32_t iter = 0; iter < opt.pagerank_iterations; ++iter) {
       parallel_for(0, n, [&](std::size_t u) {
@@ -137,7 +134,7 @@ RunReport<PagerankResult> pasgal_pagerank(const Graph& g, const Graph& gt,
             sum[v] += contrib[u];
             return false;  // no activation semantics; the frontier stays `all`
           },
-          [](VertexId) { return true; }, eopt, stats);
+          [](VertexId) { return true; }, opt, stats);
       result.delta =
           combine_round(n, opt.pagerank_damping, prev, sum, inv_out, next);
       std::swap(prev, next);

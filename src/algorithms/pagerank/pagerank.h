@@ -4,7 +4,7 @@
 //
 //  * seq_pagerank    — textbook power iteration, one thread; the reference
 //                      the parallel kernel is compared against in tests.
-//  * pasgal_pagerank — dense edge_map pull (pull_exhaustive: every vertex
+//  * pasgal_pagerank — dense edge_map pull (cond stays true, so every vertex
 //                      accumulates from ALL in-neighbours each round). Each
 //                      destination's in-edges are summed sequentially by one
 //                      task and the convergence reduction uses the fixed

@@ -4,7 +4,8 @@
 // Marks reached[v] for every v reachable from `roots` along edges that stay
 // inside the same subproblem (sub[u] == sub[v]) and only through vertices
 // where live(v) holds. Subproblems are disjoint and each has at most one
-// root, so a single byte array serves all searches at once.
+// root, so a single byte array serves all searches at once. Huge frontiers
+// take edge_map_dense pull rounds; the rest run as VGC local searches.
 #pragma once
 
 #include <atomic>
@@ -12,9 +13,8 @@
 #include <vector>
 
 #include "graphs/graph.h"
+#include "pasgal/edge_map.h"
 #include "pasgal/hashbag.h"
-#include "pasgal/options.h"
-#include "pasgal/telemetry.h"
 #include "pasgal/vgc.h"
 
 namespace pasgal::internal {
@@ -27,8 +27,6 @@ void multi_reach(const Graph& g, const Graph& gt,
                  const AlgoOptions& opt, Tracer* stats = nullptr) {
   std::size_t n = g.num_vertices();
   EdgeId m = g.num_edges();
-  const EdgeId dense_limit =
-      m / static_cast<EdgeId>(opt.dense_threshold_den) + 1;
 
   std::vector<VertexId> current;
   current.reserve(roots.size());
@@ -48,40 +46,27 @@ void multi_reach(const Graph& g, const Graph& gt,
                       [&](std::size_t i) { return g.out_degree(current[i]); }) +
                   current.size();
 
-    if (opt.use_dense && work > dense_limit) {
-      // Dense pull rounds until the wave subsides.
-      for (;;) {
-        if (stats) stats->end_round(current.size(), RoundKind::kDense);
-        std::vector<std::uint8_t> newly(n, 0);
-        parallel_for(0, n, [&](std::size_t vi) {
-          VertexId v = static_cast<VertexId>(vi);
-          if (!live(v) || reached[v].load(std::memory_order_relaxed)) return;
-          std::uint64_t scanned = 0;
-          for (VertexId u : gt.neighbors(v)) {
-            ++scanned;
-            if (reached[u].load(std::memory_order_relaxed) &&
-                sub[u] == sub[v]) {
-              reached[v].store(1, std::memory_order_relaxed);
-              newly[vi] = 1;
-              break;
-            }
-          }
-          if (stats) stats->add_edges(scanned);
-        });
-        if (stats) stats->add_visits(n);
-        auto next = pack_indexed<VertexId>(
-            n, [&](std::size_t v) { return newly[v] != 0; },
-            [&](std::size_t v) { return static_cast<VertexId>(v); });
-        if (next.empty()) return;
-        EdgeId next_work =
-            reduce_indexed<EdgeId>(next.size(), 0, std::plus<EdgeId>{},
-                                   [&](std::size_t i) {
-                                     return g.out_degree(next[i]);
-                                   }) +
-            next.size();
-        current = std::move(next);
-        if (next_work <= dense_limit) break;  // back to sparse
-      }
+    if (go_dense(work, m, opt)) {
+      // One pull round; the next round re-decides from the sparse list.
+      if (stats) stats->end_round(current.size(), RoundKind::kDense);
+      std::vector<std::uint8_t> mask(n, 0);
+      parallel_for(0, current.size(),
+                   [&](std::size_t i) { mask[current[i]] = 1; });
+      VertexSubset frontier =
+          VertexSubset::dense(std::move(mask), current.size());
+      VertexSubset next = edge_map_dense(
+          g, gt, frontier,
+          [&](VertexId u, VertexId v) {
+            if (sub[u] != sub[v]) return false;
+            reached[v].store(1, std::memory_order_relaxed);
+            return true;
+          },
+          [&](VertexId v) {
+            return live(v) && !reached[v].load(std::memory_order_relaxed);
+          },
+          opt, stats);
+      next.to_sparse();
+      current = next.sparse_vertices();
       continue;
     }
 

@@ -8,8 +8,8 @@
 //                    explicit stack; safe on million-vertex chains).
 //  * pasgal_scc    — this paper: trimming + randomized batched pivots, with
 //                    reachability searches run as VGC local searches over
-//                    hash-bag frontiers (plus dense pull rounds when the
-//                    frontier is huge).
+//                    hash-bag frontiers (plus edge_map_dense pull rounds,
+//                    n visits each, when the frontier is huge).
 //  * gbbs_scc      — identical framework, but reachability in strict
 //                    BFS order (tau = 1): the baseline whose O(D)-round
 //                    synchronization cost the paper measures.
@@ -30,7 +30,8 @@ namespace pasgal {
 using SccLabel = std::uint64_t;
 
 // pasgal_scc/gbbs_scc read vgc, dense_threshold_den/use_dense (dense pull
-// reachability rounds), scc_beta (round r uses ~beta^r pivots) and scc_seed;
+// reachability rounds), cancel (checked at each dense round), scc_beta
+// (round r uses ~beta^r pivots) and scc_seed;
 // gbbs_scc forces tau = 1. multistep_scc switches to sequential Tarjan when
 // multistep_cutoff vertices remain.
 RunReport<std::vector<SccLabel>> tarjan_scc(const Graph& g,

@@ -40,14 +40,11 @@ RunReport<std::vector<Dist>> em_bellman_ford(
     };
     // Label-correcting: any vertex may improve again in a later round.
     auto cond = [](VertexId) { return true; };
-    EdgeMapOptions emopt;
-    emopt.allow_dense = false;
-    emopt.cancel = opt.cancel;
 
     VertexSubset frontier = VertexSubset::single(n, opt.source);
     while (!frontier.empty()) {
       stats->end_round(frontier.size());
-      frontier = edge_map_sparse(ug, frontier, update, cond, emopt, stats);
+      frontier = edge_map_sparse(ug, frontier, update, cond, opt, stats);
     }
 
     return tabulate(n, [&](std::size_t v) {

@@ -1,5 +1,5 @@
-// edge_map with direction optimization (Beamer et al., SC'12), as used by the
-// GBBS/GAPBS-style baselines and by PASGAL's dense phases.
+// edge_map with direction optimization (Beamer et al., SC'12): the one
+// frontier traversal of the library, used by every level-synchronous kernel.
 //
 //   update(u, v)       — try to activate v from u (must be atomic; returns
 //                        true iff this call activated v)
@@ -9,13 +9,16 @@
 //
 // Sparse ("push") mode maps over the frontier's out-edges and collects newly
 // activated vertices. Dense ("pull") mode iterates all eligible vertices and
-// scans their in-neighbours. The mode is chosen by the frontier's size +
-// out-degree sum against m / kDenseThresholdDen.
+// scans v's in-edges while cond(v) holds (Ligra's edgeMapDense rule): a
+// first-hit traversal (BFS, reachability) makes cond(v) false in the update
+// that activates v, so the scan stops there; a gathering one (ms_bfs,
+// PageRank) keeps cond(v) true and scans every in-edge.
 //
-// Both directions are also exposed as named entry points (edge_map_sparse /
-// edge_map_dense) for callers that make their own direction decision — the
-// bit-parallel ms_bfs pushes sparse rounds through a hash bag but reuses the
-// dense pull here with `pull_exhaustive` set.
+// Knobs come from the caller's AlgoOptions: use_dense/dense_threshold_den
+// drive go_dense() below, and cancel is checked at every round and shard
+// boundary. Both directions are also exposed as named entry points
+// (edge_map_sparse / edge_map_dense) for callers that steer their own
+// rounds (gapbs_bfs, pasgal_bfs, multi_reach, ms_bfs, PageRank).
 #pragma once
 
 #include <algorithm>
@@ -26,7 +29,7 @@
 #include "graphs/delta.h"
 #include "graphs/graph.h"
 #include "parlay/primitives.h"
-#include "pasgal/cancel.h"
+#include "pasgal/options.h"
 #include "pasgal/telemetry.h"
 #include "pasgal/vertex_subset.h"
 
@@ -48,28 +51,27 @@ inline bool invoke_update(F& f, VertexId u, VertexId v, EdgeId e) {
 
 }  // namespace internal
 
-struct EdgeMapOptions {
-  bool allow_dense = true;
-  // Dense when (|F| + outdeg(F)) > m / den  (GAPBS uses m/20).
-  EdgeId dense_threshold_den = 20;
-  // Cooperative cancellation, checked once at edge_map entry — the round
-  // boundary — from the round master. Null disables the check.
-  const CancelToken* cancel = nullptr;
-  // Dense pull normally stops scanning a vertex's in-edges at the first
-  // activation — correct when one hit fully decides the vertex (single-
-  // source BFS: the level is the level). Mask-accumulating traversals
-  // (ms_bfs: a vertex gathers source bits from *every* in-neighbour in the
-  // frontier, and stopping early would assign later arrivals a wrong, larger
-  // level) must keep scanning until cond() reports the vertex saturated.
-  bool pull_exhaustive = false;
-};
+// The direction rule, shared by edge_map and every caller that steers its
+// own rounds: pull when the frontier's work, |F| + outdeg(F), exceeds
+// m / dense_threshold_den (GAPBS uses m/20).
+inline bool go_dense(EdgeId frontier_work, EdgeId m, const AlgoOptions& opt) {
+  return opt.use_dense && frontier_work > m / opt.dense_threshold_den;
+}
 
-// Dense ("pull") direction: iterate all cond()-eligible vertices, scan their
-// in-neighbours (gt supplies in-edges; pass g itself for symmetric graphs).
+inline bool go_dense(const Graph& g, const VertexSubset& frontier,
+                     const AlgoOptions& opt) {
+  return go_dense(frontier.out_degree_sum(g) + frontier.size(),
+                  g.num_edges(), opt);
+}
+
+// Dense ("pull") direction: iterate all cond()-eligible vertices, scan each
+// one's in-neighbours while cond(v) holds (gt supplies in-edges; pass g
+// itself for symmetric graphs). Visits count n per round: every vertex is
+// tested against cond.
 template <typename UpdateSeq, typename Cond>
 VertexSubset edge_map_dense(const Graph& g, const Graph& gt,
                             VertexSubset& frontier, UpdateSeq update_seq,
-                            Cond cond, const EdgeMapOptions& opt = {},
+                            Cond cond, const AlgoOptions& opt = {},
                             Tracer* stats = nullptr) {
   // Unchecked indexing below (neighbors(), in_frontier[u]) requires in-range
   // targets; un-deep-validated mmap storages are checked once here (a
@@ -109,9 +111,8 @@ VertexSubset edge_map_dense(const Graph& g, const Graph& gt,
                 internal::invoke_update(update_seq, u, v, e)) {
               next[v] = 1;
               hit = 1;
-              if (!opt.pull_exhaustive) return false;  // one hit decides v
             }
-            return cond(v);  // false: saturated, nothing more to gather
+            return cond(v);  // false: v is decided, nothing more to gather
           };
           if (delta != nullptr && delta->touches(v)) {
             // Merged scan visits effective in-neighbours in the same
@@ -154,7 +155,7 @@ VertexSubset edge_map_dense(const Graph& g, const Graph& gt,
 template <typename Update, typename Cond>
 VertexSubset edge_map_sparse(const Graph& g, VertexSubset& frontier,
                              Update update, Cond cond,
-                             const EdgeMapOptions& opt = {},
+                             const AlgoOptions& opt = {},
                              Tracer* stats = nullptr) {
   g.ensure_validated();
   if (opt.cancel != nullptr) opt.cancel->check("edge_map round boundary");
@@ -258,12 +259,9 @@ VertexSubset edge_map_sparse(const Graph& g, VertexSubset& frontier,
 template <typename Update, typename UpdateSeq, typename Cond>
 VertexSubset edge_map(const Graph& g, const Graph& gt, VertexSubset& frontier,
                       Update update, UpdateSeq update_seq, Cond cond,
-                      const EdgeMapOptions& opt = {}, Tracer* stats = nullptr) {
+                      const AlgoOptions& opt = {}, Tracer* stats = nullptr) {
   g.ensure_validated();
-  EdgeId frontier_work = frontier.out_degree_sum(g) + frontier.size();
-  bool go_dense = opt.allow_dense &&
-                  frontier_work > g.num_edges() / opt.dense_threshold_den;
-  if (go_dense) {
+  if (go_dense(g, frontier, opt)) {
     return edge_map_dense(g, gt, frontier, update_seq, cond, opt, stats);
   }
   return edge_map_sparse(g, frontier, update, cond, opt, stats);
@@ -272,7 +270,7 @@ VertexSubset edge_map(const Graph& g, const Graph& gt, VertexSubset& frontier,
 // Convenience overload when the same update works in both modes.
 template <typename Update, typename Cond>
 VertexSubset edge_map(const Graph& g, const Graph& gt, VertexSubset& frontier,
-                      Update update, Cond cond, const EdgeMapOptions& opt = {},
+                      Update update, Cond cond, const AlgoOptions& opt = {},
                       Tracer* stats = nullptr) {
   return edge_map(g, gt, frontier, update, update, cond, opt, stats);
 }

@@ -8,6 +8,7 @@
 
 #include "algorithms/bcc/bcc.h"
 #include "graphs/generators.h"
+#include "pasgal/cancel.h"
 
 namespace pasgal {
 namespace {
@@ -113,6 +114,19 @@ TEST(BccRounds, GbbsBccNeedsDiameterRounds) {
             normalize_bcc_labels(b.edge_label));
   EXPECT_GT(gbbs_stats.rounds(), 700u);
   EXPECT_LT(fast_stats.rounds(), 30u);
+}
+
+TEST(BccOptions, GbbsBccHonoursCancel) {
+  Scheduler::reset(1);
+  Graph g = gen::rectangle_grid(20, 20);
+  CancelToken token;
+  token.set_deadline_ms(0);
+  try {
+    gbbs_bcc(g, {.cancel = &token});
+    FAIL() << "expired token must unwind gbbs_bcc";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kTimeout);
+  }
 }
 
 TEST_P(BccTest, BothCopiesAgree) {

@@ -84,6 +84,64 @@ TEST_P(BfsVariants, PasgalBfsNoDenseMatches)
             expected);
 }
 
+std::size_t dense_rounds(const RunTelemetry& t) {
+  std::size_t dense = 0;
+  for (const RoundTrace& r : t.rounds) {
+    dense += r.kind == RoundKind::kDense ? 1 : 0;
+  }
+  return dense;
+}
+
+VertexId max_degree_vertex(const Graph& g) {
+  VertexId best = 0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (g.out_degree(v) > g.out_degree(best)) best = v;
+  }
+  return best;
+}
+
+// dense_threshold_den = 1e9 puts the threshold at m / 1e9 == 0, so every
+// round that may pull does: pasgal's dense phase from the first quiet
+// level on, driven through edge_map_dense to the last level.
+TEST_P(BfsVariants, ForcedDenseMatchesSequential) {
+  std::vector<std::pair<std::string, Graph>> cases;
+  cases.emplace_back("rmat", gen::rmat(11, 20000, 5));
+  cases.emplace_back("grid", gen::rectangle_grid(30, 40));
+  cases.emplace_back("chain", gen::chain(300));
+  for (const auto& [name, g] : cases) {
+    Graph gt = g.transpose();
+    for (VertexId source : {VertexId{0}, VertexId{150}}) {
+      auto expected = seq_bfs(g, {.source = source}).output;
+      auto got = pasgal_bfs(
+          g, gt, {.source = source, .dense_threshold_den = 1'000'000'000});
+      EXPECT_EQ(got.output, expected) << name << " src=" << source;
+      EXPECT_GT(dense_rounds(got.telemetry), 0u) << name << " src=" << source;
+    }
+  }
+}
+
+TEST(BfsOptions, GbbsHonoursUseDense) {
+  Scheduler::reset(1);
+  Graph g = gen::rmat(13, 120000, 1);
+  Graph gt = g.transpose();
+  VertexId hub = max_degree_vertex(g);
+  auto with = gbbs_bfs(g, gt, {.source = hub});
+  auto without = gbbs_bfs(g, gt, {.source = hub, .use_dense = false});
+  EXPECT_GT(dense_rounds(with.telemetry), 0u);
+  EXPECT_EQ(dense_rounds(without.telemetry), 0u);
+  EXPECT_EQ(without.output, with.output);
+}
+
+TEST(BfsRounds, GapbsBottomUpRoundsAreDense) {
+  Scheduler::reset(1);
+  Graph g = gen::rmat(13, 120000, 1);
+  Graph gt = g.transpose();
+  VertexId hub = max_degree_vertex(g);
+  auto got = gapbs_bfs(g, gt, {.source = hub});
+  EXPECT_EQ(got.output, seq_bfs(g, {.source = hub}).output);
+  EXPECT_GE(dense_rounds(got.telemetry), 1u);
+}
+
 TEST(BfsRounds, VgcReducesRoundsOnLargeDiameter) {
   Scheduler::reset(1);
   // A long skinny grid: diameter ~ 500. GBBS needs one round per level;
@@ -105,10 +163,7 @@ TEST(BfsRounds, DirectionOptimizationKicksInOnSocialGraphs) {
   Graph gt = g.transpose();
   Tracer stats;
   // Pick a high-degree source so the frontier explodes.
-  VertexId best = 0;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (g.out_degree(v) > g.out_degree(best)) best = v;
-  }
+  VertexId best = max_degree_vertex(g);
   auto d = pasgal_bfs(g, gt, {.source = best, .tracer = &stats}).output;
   EXPECT_EQ(d, seq_bfs(g, {.source = best}).output);
   // Low-diameter graph: few rounds.

@@ -32,6 +32,7 @@
 #include "graphs/generators.h"
 #include "graphs/graph.h"
 #include "graphs/storage.h"
+#include "pasgal/cancel.h"
 #include "pasgal/error.h"
 
 namespace pasgal {
@@ -156,6 +157,10 @@ void run_equivalence_grid(Graph base, std::uint64_t seed) {
       EXPECT_EQ(gbbs_bfs(g, gt, {.source = source}).output,
                 gbbs_bfs(ref, ref_t, {.source = source}).output)
           << "bfs diverged: round " << round << ", " << workers << " workers";
+      EXPECT_EQ(gapbs_bfs(g, gt, {.source = source}).output,
+                gbbs_bfs(ref, ref_t, {.source = source}).output)
+          << "gapbs diverged: round " << round << ", " << workers
+          << " workers";
       ConnectivityResult cc_overlay =
           connected_components(g.symmetrize(), {}).output;
       ConnectivityResult cc_ref =
@@ -508,7 +513,8 @@ TEST(Incremental, BfsRepairIsExactAndResettlesFewerOnSmallChurn) {
     apply_updates(g, batch);
     std::vector<std::uint32_t> expect =
         gbbs_bfs(g, gt, {.source = source}).output;
-    IncrementalStats st = incremental_bfs(g, gt, source, batch, dist);
+    IncrementalStats st =
+        incremental_bfs(g, gt, batch, dist, {.source = source});
     EXPECT_EQ(dist, expect) << "repair diverged in round " << round;
     EXPECT_EQ(st.full_settled, g.num_vertices());
     if (!st.fallback) {
@@ -529,7 +535,7 @@ TEST(Incremental, BfsDeleteCascadeRepairsACorridor) {
   apply_updates(g, batch);
   IncrementalOptions opt;
   opt.churn_threshold = 1.0;  // never fall back; exercise the cascade
-  IncrementalStats st = incremental_bfs(g, gt, 0, batch, dist, opt);
+  IncrementalStats st = incremental_bfs(g, gt, batch, dist, {}, opt);
   EXPECT_FALSE(st.fallback);
   EXPECT_EQ(dist, gbbs_bfs(g, gt, {}).output);
   for (VertexId v = 32; v < 64; ++v) EXPECT_EQ(dist[v], kInfDist);
@@ -537,7 +543,7 @@ TEST(Incremental, BfsDeleteCascadeRepairsACorridor) {
   // Re-inserting the edge repairs the corridor back via the insert seeds.
   std::vector<EdgeUpdate> fix{{EdgeUpdate::Op::kInsert, 31, 32}};
   apply_updates(g, fix);
-  st = incremental_bfs(g, gt, 0, fix, dist, opt);
+  st = incremental_bfs(g, gt, fix, dist, {}, opt);
   EXPECT_EQ(dist, gbbs_bfs(g, gt, {}).output);
   EXPECT_EQ(dist[63], 63u);
 }
@@ -552,10 +558,31 @@ TEST(Incremental, BfsChurnFallbackIsStillExact) {
   apply_updates(g, batch);
   IncrementalOptions opt;
   opt.churn_threshold = 0.0;  // force the fallback path
-  IncrementalStats st = incremental_bfs(g, gt, source, batch, dist, opt);
+  IncrementalStats st =
+      incremental_bfs(g, gt, batch, dist, {.source = source}, opt);
   EXPECT_TRUE(st.fallback);
   EXPECT_EQ(st.resettled, st.full_settled);
   EXPECT_EQ(dist, gbbs_bfs(g, gt, {.source = source}).output);
+}
+
+TEST(Incremental, BfsRepairHonoursAnExpiredToken) {
+  // The insert seeds a repair frontier, so the repair reaches its
+  // edge_map round boundary, where the caller's token is checked.
+  Graph g = gen::chain(64, /*directed=*/true);
+  Graph gt = g.transpose();
+  std::vector<std::uint32_t> dist = gbbs_bfs(g, gt, {}).output;
+  std::vector<EdgeUpdate> batch{{EdgeUpdate::Op::kInsert, 0, 40}};
+  apply_updates(g, batch);
+  CancelToken token;
+  token.set_deadline_ms(0);
+  IncrementalOptions inc;
+  inc.churn_threshold = 1.0;  // never fall back; exercise the repair
+  try {
+    incremental_bfs(g, gt, batch, dist, {.cancel = &token}, inc);
+    FAIL() << "expired token must unwind the repair";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kTimeout);
+  }
 }
 
 TEST(Incremental, CcInsertOnlyUnionsLabels) {
@@ -606,7 +633,7 @@ TEST(Incremental, RepairIsDeterministicAcrossWorkerCounts) {
   for (int workers : {1, 4, 8}) {
     Scheduler::reset(workers);
     std::vector<std::uint32_t> dist = base_dist;
-    incremental_bfs(g, gt, source, batch, dist);
+    incremental_bfs(g, gt, batch, dist, {.source = source});
     repaired.push_back(std::move(dist));
     Scheduler::reset(1);
   }

@@ -41,18 +41,13 @@ void check_one_hop(const Graph& g, const Graph& gt,
     auto cond = [&](VertexId v) {
       return visited[v].load(std::memory_order_relaxed) == 0;
     };
-    EdgeMapOptions opt;
-    opt.allow_dense = force_dense;
-    opt.dense_threshold_den = force_dense ? 1'000'000'000 : 20;
-    if (force_dense) {
-      // force dense: threshold 0-ish
-      opt.dense_threshold_den = 1;
-      opt.allow_dense = true;
-    } else {
-      opt.allow_dense = false;
-    }
+    // m / 1e9 == 0: any non-empty frontier takes the dense path.
+    AlgoOptions opt;
+    opt.dense_threshold_den = 1'000'000'000;
+    opt.use_dense = force_dense;
     VertexSubset frontier = VertexSubset::sparse(g.num_vertices(), frontier_verts);
     VertexSubset next = edge_map(g, gt, frontier, update, update, cond, opt);
+    EXPECT_EQ(next.is_dense(), force_dense);
     next.to_sparse();
     std::set<VertexId> got(next.sparse_vertices().begin(),
                            next.sparse_vertices().end());
@@ -103,7 +98,7 @@ TEST_P(EdgeMapTest, AutoSwitchesToDenseOnHugeFrontier) {
   Tracer stats;
   auto next = edge_map(
       g, gt, frontier, [](VertexId, VertexId) { return false; },
-      [](VertexId) { return true; }, EdgeMapOptions{}, &stats);
+      [](VertexId) { return true; }, AlgoOptions{}, &stats);
   EXPECT_TRUE(next.is_dense());
   EXPECT_EQ(next.size(), 0u);
 }
@@ -127,24 +122,53 @@ TEST_P(EdgeMapTest, DenseRoundSizeAgreesWithSparseList) {
   auto seed = iota<VertexId>(g.num_vertices() / 4);
   for (VertexId u : seed) visited[u].store(1, std::memory_order_relaxed);
   VertexSubset frontier = VertexSubset::sparse(g.num_vertices(), seed);
-  EdgeMapOptions opt;
-  opt.dense_threshold_den = 1'000'000'000;  // force the dense path
-  VertexSubset next = edge_map(g, gt, frontier, update, update, cond, opt);
+  VertexSubset next = edge_map(g, gt, frontier, update, update, cond,
+                               {.dense_threshold_den = 1'000'000'000});
   ASSERT_TRUE(next.is_dense());
   std::size_t counted = next.size();
   next.to_sparse();
   EXPECT_EQ(counted, next.sparse_vertices().size());
 }
 
+TEST_P(EdgeMapTest, DensePullScansWhileCondHolds) {
+  // In-edges of 0 are 1..5, scanned in that order. The update counts hits
+  // and cond(0) turns false at the k-th, so the scan of 0 ends at the k-th
+  // frontier in-neighbour (Ligra's edgeMapDense rule); 1..5 have no
+  // in-edges. Non-frontier in-neighbours scanned before it count too.
+  Graph g = Graph::from_edges(
+      6, std::vector<Edge>{{1, 0}, {2, 0}, {3, 0}, {4, 0}, {5, 0}});
+  Graph gt = g.transpose();
+  struct Case {
+    std::vector<VertexId> frontier;
+    int k;
+    std::uint64_t scanned;
+  };
+  for (const Case& c :
+       {Case{{1, 2, 3, 4, 5}, 1, 1}, Case{{1, 2, 3, 4, 5}, 2, 2},
+        Case{{2, 4, 5}, 2, 4}, Case{{2, 4, 5}, 3, 5}, Case{{2, 4, 5}, 4, 5}}) {
+    std::vector<int> hits(6, 0);
+    Tracer stats;
+    VertexSubset frontier = VertexSubset::sparse(6, c.frontier);
+    VertexSubset next = edge_map_dense(
+        g, gt, frontier,
+        [&](VertexId, VertexId v) { return ++hits[v] == 1; },
+        [&](VertexId v) { return hits[v] < c.k; }, {}, &stats);
+    EXPECT_EQ(stats.edges_scanned(), c.scanned)
+        << "k=" << c.k << " |F|=" << c.frontier.size();
+    EXPECT_EQ(stats.vertices_visited(), 6u);
+    EXPECT_EQ(hits[0], std::min<int>(c.k, static_cast<int>(c.frontier.size())));
+    EXPECT_EQ(next.size(), 1u);
+    EXPECT_TRUE(next.contains(0));
+  }
+}
+
 TEST_P(EdgeMapTest, StatsCountEdges) {
   Graph g = gen::rectangle_grid(10, 10);
   Tracer stats;
   VertexSubset frontier = VertexSubset::single(g.num_vertices(), 0);
-  EdgeMapOptions opt;
-  opt.allow_dense = false;
   edge_map(
       g, g, frontier, [](VertexId, VertexId) { return true; },
-      [](VertexId) { return true; }, opt, &stats);
+      [](VertexId) { return true; }, {.use_dense = false}, &stats);
   EXPECT_EQ(stats.edges_scanned(), g.out_degree(0));
   EXPECT_EQ(stats.vertices_visited(), 1u);
 }

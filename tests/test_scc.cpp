@@ -174,6 +174,24 @@ TEST_P(SccTest, NoDenseStillCorrect) {
       kosaraju(g, gt));
 }
 
+// dense_threshold_den = 1e9 puts the threshold at m / 1e9 == 0: every
+// reachability round pulls through edge_map_dense.
+TEST_P(SccTest, ForcedDenseMatchesTarjan) {
+  std::vector<std::pair<std::string, Graph>> cases;
+  cases.emplace_back("rmat", gen::rmat(11, 16000, 7));
+  cases.emplace_back("road_grid", gen::road_grid(15, 60, 0.75, 9));
+  cases.emplace_back("chain", gen::chain(300, /*directed=*/true));
+  const AlgoOptions dense{.dense_threshold_den = 1'000'000'000};
+  for (const auto& [name, g] : cases) {
+    Graph gt = g.transpose();
+    auto expected = normalize_scc_labels(tarjan_scc(g, {}).output);
+    EXPECT_EQ(normalize_scc_labels(pasgal_scc(g, gt, dense).output), expected)
+        << name;
+    EXPECT_EQ(normalize_scc_labels(gbbs_scc(g, gt, dense).output), expected)
+        << name;
+  }
+}
+
 TEST(SccRounds, VgcReducesRoundsOnRoadGraphs) {
   Scheduler::reset(1);
   Graph g = gen::road_grid(8, 400, 0.9, 3);  // long strip, mostly two-way

@@ -247,6 +247,35 @@ TEST_F(ShardTest, GbbsBfsIdenticalShardedCompressed) {
   EXPECT_EQ(want, got);
 }
 
+TEST_F(ShardTest, GapbsBfsIdenticalShardedRawAndCompressed) {
+  // Both of gapbs's directions run through edge_map, so its bottom-up
+  // rounds sweep gt's shard plan like gbbs's dense rounds.
+  Graph g = random_graph(6000, 80000, 11);
+  for (bool compress : {false, true}) {
+    SCOPED_TRACE(compress ? "compressed" : "raw");
+    auto path = temp_path(compress ? "gapbs_v2.pgr" : "gapbs_raw.pgr");
+    PgrWriteOptions wopts;
+    wopts.include_transpose = true;
+    wopts.compress_targets = compress;
+    write_pgr(g, path, wopts);
+    Graph in_core = read_pgr(path);
+    PgrShardSpec spec;
+    spec.window_bytes = 16 << 10;
+    Graph sharded = read_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
+    ASSERT_GE(sharded.storage()->shard_plan()->size(), 3u);
+    for (VertexId source : {VertexId{0}, VertexId{4321}}) {
+      auto want = gbbs_bfs(in_core, in_core.transpose(), {.source = source});
+      auto got = gapbs_bfs(sharded, sharded.transpose(), {.source = source});
+      EXPECT_EQ(want.output, got.output) << "source " << source;
+      bool pulled = false;
+      for (const RoundTrace& r : got.telemetry.rounds) {
+        pulled = pulled || r.kind == RoundKind::kDense;
+      }
+      EXPECT_TRUE(pulled) << "no bottom-up round exercised the shard sweep";
+    }
+  }
+}
+
 TEST_F(ShardTest, EmBellmanFordIdenticalShardedCompressed) {
   Graph g = random_graph(4000, 50000, 12);
   WeightedGraph<std::uint32_t> wg = gen::add_weights(g, 50);
@@ -326,8 +355,7 @@ TEST_F(ShardTest, CancelMidSweepUnwindsAtShardBoundaryAndWindowIsReusable) {
   std::vector<VertexId> all(g.num_vertices());
   std::iota(all.begin(), all.end(), 0);
   VertexSubset frontier = VertexSubset::sparse(g.num_vertices(), all);
-  EdgeMapOptions opt;
-  opt.allow_dense = false;
+  AlgoOptions opt;
   opt.cancel = &token;
   auto update = [&](VertexId, VertexId) {
     token.cancel();
