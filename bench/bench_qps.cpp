@@ -8,8 +8,11 @@
 //   bench_qps                              — suite subset, batch of 64
 //   bench_qps <graph.pgr> [k]              — one graph, batch of k
 //   bench_qps <graph.pgr> [k] --min-speedup F
-//       gate mode for bench/check.sh: exit 1 unless every measured batch
-//       reaches F times the sequential singles' queries/sec.
+//       gate mode for bench/check.sh: the batch and the sequential singles
+//       run kGateRuns times, alternating, and the exit code is 1 unless the
+//       median per-run speedup of every measured batch reaches F (one
+//       wall-clock sample is at the mercy of a busy host).
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <unordered_set>
@@ -32,6 +35,14 @@ std::vector<VertexId> pick_sources(std::size_t n, std::size_t k) {
     if (seen.insert(v).second) sources.push_back(v);
   }
   return sources;
+}
+
+constexpr int kGateRuns = 5;
+
+double median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  std::size_t h = xs.size() / 2;
+  return xs.size() % 2 == 1 ? xs[h] : (xs[h - 1] + xs[h]) / 2;
 }
 
 }  // namespace
@@ -69,45 +80,53 @@ int main(int argc, char** argv) {
 
     BatchOptions bopt;
     bopt.sources = sources;
-    BatchReport<std::vector<std::uint32_t>> batch = ms_bfs(g, gt, bopt);
-
     AlgoOptions sopt;
-    double singles_seconds = 0;
+    MetricsDoc batch_doc("bfs", "ms", name, g.num_vertices(), g.num_edges());
     MetricsDoc singles_doc("bfs", "pasgal-singles", name, g.num_vertices(),
                            g.num_edges());
     singles_doc.set_param("batch_size", static_cast<std::uint64_t>(k));
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      sopt.source = sources[i];
-      RunReport<std::vector<std::uint32_t>> single = pasgal_bfs(g, gt, sopt);
-      singles_seconds += single.seconds;
-      singles_doc.add_trial(single.seconds, single.telemetry);
-      if (single.output != batch.per_source[i].output) {
-        std::fprintf(stderr,
-                     "QPS MISMATCH on %s: batch distances for source %u "
-                     "differ from the single-source run\n",
-                     name.c_str(), sources[i]);
-        return false;
+    const int runs = min_speedup > 0 ? kGateRuns : 1;
+    std::vector<double> batch_runs, singles_runs, speedup_runs;
+    for (int r = 0; r < runs; ++r) {
+      BatchReport<std::vector<std::uint32_t>> batch = ms_bfs(g, gt, bopt);
+      batch_doc.add_trial(batch.seconds, batch.telemetry);
+      double singles_seconds = 0;
+      for (std::size_t i = 0; i < sources.size(); ++i) {
+        sopt.source = sources[i];
+        RunReport<std::vector<std::uint32_t>> single = pasgal_bfs(g, gt, sopt);
+        singles_seconds += single.seconds;
+        singles_doc.add_trial(single.seconds, single.telemetry);
+        if (single.output != batch.per_source[i].output) {
+          std::fprintf(stderr,
+                       "QPS MISMATCH on %s: batch distances for source %u "
+                       "differ from the single-source run\n",
+                       name.c_str(), sources[i]);
+          return false;
+        }
       }
+      batch_runs.push_back(batch.seconds);
+      singles_runs.push_back(singles_seconds);
+      speedup_runs.push_back(
+          batch.seconds > 0 ? singles_seconds / batch.seconds : 0);
     }
-
-    MetricsDoc batch_doc("bfs", "ms", name, g.num_vertices(), g.num_edges());
-    batch_doc.set_batch(sources, batch.seconds);
-    batch_doc.add_trial(batch.seconds, batch.telemetry);
+    double batch_seconds = median(batch_runs);
+    double singles_seconds = median(singles_runs);
+    double speedup = median(speedup_runs);
+    batch_doc.set_batch(sources, batch_seconds);
     metrics.add(batch_doc);
     metrics.add(singles_doc);
 
     double kd = static_cast<double>(k);
-    double qps_batch = batch.seconds > 0 ? kd / batch.seconds : 0;
+    double qps_batch = batch_seconds > 0 ? kd / batch_seconds : 0;
     double qps_single = singles_seconds > 0 ? kd / singles_seconds : 0;
-    double speedup = batch.seconds > 0 ? singles_seconds / batch.seconds : 0;
     table.add_row(cls, name,
-                  {batch.seconds, singles_seconds, qps_batch, qps_single,
+                  {batch_seconds, singles_seconds, qps_batch, qps_single,
                    speedup});
     if (min_speedup > 0 && speedup < min_speedup) {
       std::fprintf(stderr,
                    "QPS GATE FAIL on %s: batch of %zu reached %.2fx the "
-                   "sequential singles (need >= %.2fx)\n",
-                   name.c_str(), k, speedup, min_speedup);
+                   "sequential singles (median of %d runs; need >= %.2fx)\n",
+                   name.c_str(), k, speedup, runs, min_speedup);
       gate_ok = false;
     }
     return true;

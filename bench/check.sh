@@ -414,7 +414,9 @@ drain "$dpid" "$tmp/daemon_upd.log"
 echo "--- QPS gate (batch-of-64 ms_bfs vs 64 sequential singles) ---"
 # Plain build, not sanitized: this is a throughput gate. bench_qps itself
 # cross-checks every per-source distance array against a single-source run,
-# so passing also re-proves batch/single equivalence on this graph.
+# so passing also re-proves batch/single equivalence on this graph. The gate
+# reads the median speedup of 5 alternating batch/singles runs: a single
+# wall-clock sample flakes on a busy host.
 "$prefix/apps/graph_gen" rmat:15:500000 "$tmp/qps.pgr" > /dev/null
 PASGAL_BENCH_DIR="$tmp" "$prefix/bench/bench_qps" "$tmp/qps.pgr" 64 \
     --min-speedup 4 > "$tmp/qps.txt"
@@ -429,6 +431,27 @@ grep -q 'qps gate: ok' "$tmp/qps.txt" || {
     --json-metrics "$tmp/qps_drv.json" > /dev/null
 "$prefix/apps/metrics_check" "$tmp/qps_drv.json"
 expect 2 "$prefix/apps/bfs" "$tmp/qps.pgr" --sources 5,5
+
+echo "--- BFS work gate (pasgal_bfs pulls once the lowest level is heavy) ---"
+# Plain build, 1 worker (work counters are then reproducible). On rmat:18
+# gbbs scans ~m/20 edges; pasgal_bfs must stay within m/4 and run at least
+# one dense round. Source 0 is the hub, whose local search stops at its edge
+# budget; source 1 is not, so its local searches leave entries in several
+# buckets when the pull should start.
+for src in 0 1; do
+  PASGAL_NUM_THREADS=1 "$prefix/apps/bfs" rmat:18:4000000 -a pasgal -s "$src" \
+      -r 1 --json-metrics "$tmp/work_$src.json" > "$tmp/work_$src.txt"
+  m=$(sed -n 's/^graph: .* m=\([0-9]*\).*/\1/p' "$tmp/work_$src.txt")
+  edges=$(sed -n 's/.*| edges scanned \([0-9]*\) |.*/\1/p' "$tmp/work_$src.txt")
+  [ -n "$m" ] && [ -n "$edges" ] && [ $((4 * edges)) -le "$m" ] || {
+    echo "FAIL: pasgal_bfs from source $src scanned $edges edges" \
+         "(m=$m; need <= m/4)" >&2
+    exit 1
+  }
+  grep -q '"kind":"dense"' "$tmp/work_$src.json" || {
+    echo "FAIL: pasgal_bfs from source $src ran no dense round" >&2; exit 1
+  }
+done
 
 echo "--- bounded-RSS shard gate (beyond-ceiling graph through --shard-mb) ---"
 # Plain build. rmat:18:9M weighted: a bfs open prices ~35 MB of core CSR

@@ -10,7 +10,8 @@
 //                  hysteresis controller over edge_map_sparse/_dense).
 //  * pasgal_bfs  — this paper: hash-bag frontiers, vertical granularity
 //                  control with multi-frontier (2^i) distance buckets, and
-//                  direction optimization on clean dense levels (§2.2).
+//                  direction optimization from the global-minimum pending
+//                  level once the lowest bucket is heavy (§2.2).
 //  * ms_bfs      — bit-parallel multi-source BFS (Then et al., VLDB'14 style):
 //                  one shared frontier sweep advances up to 64 sources, one
 //                  per bit of a per-vertex machine word.
@@ -51,12 +52,10 @@ inline constexpr int kGapbsBeta = 18;
 RunReport<std::vector<std::uint32_t>> gapbs_bfs(const Graph& g, const Graph& gt,
                                                 const AlgoOptions& opt);
 
-// Engage VGC only when the frontier's work is below kVgcEngageFactor*tau
-// edge operations — i.e. when per-round work is too small to amortize
-// scheduling on a many-core machine. Deliberately NOT scaled by the current
-// worker count: the algorithm's round structure should not change with the
-// machine it happens to run on.
-inline constexpr std::uint32_t kVgcEngageFactor = 16;
+// pasgal_bfs engages VGC only when the frontier's work is below
+// kVgcEngageFactor*tau edge operations (pasgal/vgc.h) — i.e. when per-round
+// work is too small to amortize scheduling on a many-core machine — and each
+// of its local searches stops at that many scanned edges.
 // Reads vgc, dense_threshold_den/use_dense (dense pull rounds) and cancel
 // (checked at every sparse round and, inside edge_map_dense, every dense
 // level).
@@ -69,8 +68,9 @@ RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
 // a `visit` mask (sources that reached it last round). One level-synchronous
 // sweep advances the whole batch: sparse rounds push `visit` masks along
 // out-edges, OR-ing new bits into the targets and collecting first-touched
-// vertices through a hash bag; dense rounds pull every unsaturated vertex's
-// in-edges via edge_map_dense (cond stays true until the vertex saturates —
+// vertices through a hash bag; dense rounds pull the in-edges of every
+// vertex still missing a live bit (a source that advanced last level) via
+// edge_map_dense (cond stays true until the vertex holds every live bit —
 // the AND-NOT against `seen` must gather bits from every in-neighbour, not
 // stop at the first hit).
 // The per-source distances are byte-identical to running the single-source

@@ -12,14 +12,18 @@
 //                   the round extracts as the next frontier (the pasgal_bfs
 //                   idiom: footprint proportional to the frontier, no O(n)
 //                   pack).
-//   dense (pull):   every vertex whose mask is not yet saturated scans its
+//   dense (pull):   every vertex still missing a live bit scans its
 //                   in-neighbours through edge_map_dense, AND-NOT-ing their
-//                   visit masks against its own seen bits. cond(v) stays
-//                   true until v saturates: unlike single-source BFS, one
-//                   hit does not decide the vertex — bits keep arriving from
-//                   later in-neighbours at this same level, and stopping
-//                   early would push those sources' arrival to a later
-//                   (wrong) level.
+//                   visit masks against its own seen bits. The live bits
+//                   are the sources that advanced last level (the OR of the
+//                   frontier's visit masks); no other bit can arrive this
+//                   round. cond(v) stays true until v holds every live bit:
+//                   unlike single-source BFS, one hit does not decide the
+//                   vertex — bits keep arriving from later in-neighbours at
+//                   this same level, and stopping early would push those
+//                   sources' arrival to a later (wrong) level. Testing
+//                   against the live bits rather than all k lets a vertex
+//                   stop even when some source can never reach it.
 //
 // The round boundary settles each touched vertex exactly once: the freshly
 // gathered bits become this level's distances for the corresponding sources,
@@ -84,6 +88,7 @@ BatchReport<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
     bag.attach_tracer(stats);
 
     std::uint32_t level = 0;
+    std::uint64_t live = full;
     while (!frontier.empty()) {
       if (opt.algo.cancel != nullptr) {
         opt.algo.cancel->check("ms_bfs round boundary");
@@ -91,11 +96,11 @@ BatchReport<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
       stats->end_round(frontier.size());
       ++level;
 
-      // A vertex stays eligible while some source has neither reached it nor
-      // already queued a bit for it this round.
+      // A vertex stays eligible while some live source has neither reached
+      // it nor already queued a bit for it this round.
       auto cond = [&](VertexId v) {
-        return (seen[v].load(std::memory_order_relaxed) |
-                next[v].load(std::memory_order_relaxed)) != full;
+        return (live & ~(seen[v].load(std::memory_order_relaxed) |
+                         next[v].load(std::memory_order_relaxed))) != 0;
       };
 
       VertexSubset activated = VertexSubset::empty(n);
@@ -141,9 +146,15 @@ BatchReport<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
       // Settle at the round boundary: each touched vertex's fresh bits become
       // this level's distances and its visit mask for the next round. next[]
       // holds only bits absent from seen (both directions filtered against the
-      // round-stable seen), so the exchange is exactly the new arrivals.
+      // round-stable seen), so the exchange is exactly the new arrivals. Their
+      // union is the next round's live set; the load before the fetch_or keeps
+      // the shared word read-mostly (a worker writes only a bit it lacks).
+      std::atomic<std::uint64_t> next_live{0};
       auto settle = [&](VertexId v) {
         std::uint64_t fresh = next[v].exchange(0, std::memory_order_relaxed);
+        if ((fresh & ~next_live.load(std::memory_order_relaxed)) != 0) {
+          next_live.fetch_or(fresh, std::memory_order_relaxed);
+        }
         seen[v].fetch_or(fresh, std::memory_order_relaxed);
         visit[v] = fresh;
         while (fresh != 0) {
@@ -163,6 +174,7 @@ BatchReport<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
                      [&](std::size_t i) { settle(verts[i]); });
       }
       frontier = std::move(activated);
+      live = next_live.load(std::memory_order_relaxed);
     }
     return out;
   });

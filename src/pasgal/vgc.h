@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "graphs/graph.h"
@@ -28,6 +29,14 @@ struct VgcParams {
   // frontier. tau = 1 degenerates to the classic one-hop frontier algorithm.
   std::uint32_t tau = 512;
 };
+
+// A local search's edge budget, in units of tau: a distance search whose
+// relax reports the edges it scanned stops at kVgcEngageFactor*tau of them
+// (8192 at tau 512), so one hub cannot serialize a round. BFS also engages
+// VGC only below this much frontier work (see pasgal_bfs). Deliberately
+// NOT scaled by the worker count: the round structure should not change
+// with the machine it runs on.
+inline constexpr std::uint32_t kVgcEngageFactor = 16;
 
 // Hard cap on a task-local stack (bounds per-task memory).
 inline constexpr std::uint32_t kVgcLocalStackCap = 4096;
@@ -79,8 +88,13 @@ std::uint64_t local_search(const Graph& g, VertexId root, const VgcParams& p,
 //
 //   relax(u, d_u, emit) : relax all out-edges of u given its distance d_u;
 //                         for each improved neighbour call emit(v, d_v).
+//                         May return the number of edges it scanned.
 //
-// Vertices improved beyond the budget go to `spill(v, d_v)`.
+// The budget is tau expanded vertices or, when relax returns its edge
+// count, kVgcEngageFactor*tau scanned edges, whichever is spent first.
+// Vertices improved beyond the vertex budget go to `spill(v, d_v)`; once
+// the edge budget is spent the search stops and spills everything it still
+// holds, so no emitted entry is lost.
 //
 // Unlike the reachability search, this one expands FIFO: the task explores a
 // *ball* around the root rather than a DFS tendril, so the tentative
@@ -101,18 +115,32 @@ std::uint64_t local_search_dist(VertexId root, std::uint32_t root_dist,
   queue.push_back({root, root_dist});
   std::size_t head = 0;
   std::uint64_t expanded = 0;
+  const std::uint64_t edge_budget =
+      static_cast<std::uint64_t>(p.tau) * kVgcEngageFactor;
+  std::uint64_t work = 0;
   while (head < queue.size()) {
     Entry e = queue[head++];
     ++expanded;
-    relax(e.v, e.dist, [&](VertexId v, std::uint32_t d) {
+    auto emit = [&](VertexId v, std::uint32_t d) {
       if (expanded < p.tau && queue.size() < kVgcLocalStackCap) {
         queue.push_back({v, d});
       } else {
         spill(v, d);
       }
-    });
+    };
+    if constexpr (std::is_void_v<decltype(relax(e.v, e.dist, emit))>) {
+      relax(e.v, e.dist, emit);
+    } else {
+      work += relax(e.v, e.dist, emit);
+      if (work >= edge_budget) {
+        for (; head < queue.size(); ++head) {
+          spill(queue[head].v, queue[head].dist);
+        }
+      }
+    }
   }
   if (stats) {
+    stats->add_edges(work);  // 0 for a void relax, which counts its own
     stats->add_visits(expanded);
     stats->add_local_depth(expanded);
   }

@@ -101,8 +101,8 @@ VertexId max_degree_vertex(const Graph& g) {
 }
 
 // dense_threshold_den = 1e9 puts the threshold at m / 1e9 == 0, so every
-// round that may pull does: pasgal's dense phase from the first quiet
-// level on, driven through edge_map_dense to the last level.
+// round that may pull does: pasgal's dense phase from the first round
+// on, driven through edge_map_dense to the last level.
 TEST_P(BfsVariants, ForcedDenseMatchesSequential) {
   std::vector<std::pair<std::string, Graph>> cases;
   cases.emplace_back("rmat", gen::rmat(11, 20000, 5));
@@ -118,6 +118,75 @@ TEST_P(BfsVariants, ForcedDenseMatchesSequential) {
       EXPECT_GT(dense_rounds(got.telemetry), 0u) << name << " src=" << source;
     }
   }
+}
+
+// Differential sweep: 25 sources (the hub plus an even spread) per graph
+// class, covering low and high diameter, directed and symmetric inputs.
+TEST_P(BfsVariants, PasgalMatchesSequentialSweep) {
+  std::vector<BfsCase> cases;
+  cases.push_back({"rmat16", gen::rmat(16, 600000, 7), false});
+  cases.push_back({"rmat14_sym", gen::rmat(14, 150000, 8).symmetrize(), true});
+  cases.push_back({"road300x300", gen::road_grid(300, 300, 0.8, 4), false});
+  cases.push_back({"knn", gen::knn_graph(20000, 6, 12), false});
+  cases.push_back({"random", gen::random_graph(20000, 120000, 13), false});
+  cases.push_back({"star", gen::star(5000), true});
+  for (const auto& c : cases) {
+    Graph gt = c.symmetric ? c.g : c.g.transpose();
+    std::size_t n = c.g.num_vertices();
+    std::vector<VertexId> sources = {max_degree_vertex(c.g)};
+    for (std::size_t i = 0; i < 24; ++i) {
+      sources.push_back(static_cast<VertexId>(i * (n - 1) / 23));
+    }
+    for (VertexId source : sources) {
+      EXPECT_EQ(pasgal_bfs(c.g, gt, {.source = source}).output,
+                seq_bfs(c.g, {.source = source}).output)
+          << c.name << " src=" << source;
+    }
+  }
+}
+
+// Sweeping the direction threshold moves the pull's entry point across
+// rounds, so it starts with pending entries in varied buckets (some below
+// the lowest bucket's minimum) and hands back at varied levels.
+TEST_P(BfsVariants, PasgalDenseEntryPointsMatchSequential) {
+  std::vector<std::pair<std::string, Graph>> cases;
+  cases.emplace_back("rmat", gen::rmat(12, 60000, 9));
+  cases.emplace_back("knn", gen::knn_graph(4000, 5, 3));
+  cases.emplace_back("road", gen::road_grid(40, 60, 0.8, 2));
+  for (const auto& [name, g] : cases) {
+    Graph gt = g.transpose();
+    for (VertexId source : {VertexId{0}, VertexId{777}, VertexId{1999}}) {
+      auto expected = seq_bfs(g, {.source = source}).output;
+      for (EdgeId den : {2, 8, 50, 400, 5000}) {
+        AlgoOptions opt{.source = source, .dense_threshold_den = den};
+        for (std::uint32_t tau : {4u, 512u}) {
+          opt.vgc.tau = tau;
+          EXPECT_EQ(pasgal_bfs(g, gt, opt).output, expected)
+              << name << " src=" << source << " den=" << den
+              << " tau=" << tau;
+        }
+      }
+    }
+  }
+}
+
+// From an rmat hub the source's local search spreads entries over several
+// buckets; the pull must still start as soon as the lowest level is heavy,
+// not wait for the other buckets to drain.
+TEST(BfsRounds, DenseEntersWithPendingBuckets) {
+  Scheduler::reset(1);
+  Graph g = gen::rmat(16, 900000, 2);
+  Graph gt = g.transpose();
+  VertexId hub = max_degree_vertex(g);
+  auto got = pasgal_bfs(g, gt, {.source = hub});
+  EXPECT_EQ(got.output, seq_bfs(g, {.source = hub}).output);
+  const auto& rounds = got.telemetry.rounds;
+  bool early_dense = false;
+  for (std::size_t i = 0; i < rounds.size() && i <= 2; ++i) {
+    early_dense = early_dense || rounds[i].kind == RoundKind::kDense;
+  }
+  EXPECT_TRUE(early_dense);
+  EXPECT_LT(got.telemetry.edges_scanned, g.num_edges() / 4);
 }
 
 TEST(BfsOptions, GbbsHonoursUseDense) {

@@ -121,6 +121,33 @@ TEST_P(MsBfsTest, DenseBiasedMatches) {
   }
 }
 
+// A source that reaches nothing must not hold every vertex's pull open:
+// after round 1 the pull waits only for the sources that advanced last
+// level, so batching the hub with a dead-end vertex costs at most one extra
+// pass over the in-edges, not one per level.
+TEST(MsBfsWork, DeadSourceStopsHoldingPullsOpen) {
+  Scheduler::reset(1);
+  Graph g = gen::rmat(12, 60000, 4);
+  Graph gt = g.transpose();
+  VertexId hub = 0;
+  VertexId dead = 0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (g.out_degree(v) > g.out_degree(hub)) hub = v;
+  }
+  while (g.out_degree(dead) != 0) ++dead;
+  AlgoOptions all_dense{.dense_threshold_den = 1000000000};
+  std::vector<VertexId> one = {hub};
+  std::vector<VertexId> two = {hub, dead};
+  auto alone = ms_bfs(g, gt, {.sources = one, .algo = all_dense});
+  auto paired = ms_bfs(g, gt, {.sources = two, .algo = all_dense});
+  ASSERT_GE(alone.telemetry.rounds.size(), 4u);
+  EXPECT_EQ(paired.per_source[0].output, alone.per_source[0].output);
+  EXPECT_EQ(paired.per_source[1].output,
+            seq_bfs(g, {.source = dead}).output);
+  EXPECT_LE(paired.telemetry.edges_scanned,
+            alone.telemetry.edges_scanned + g.num_edges());
+}
+
 TEST(MsBfsCancel, ExpiredDeadlineUnwindsMidBatch) {
   // A long chain guarantees many round boundaries; the already-expired
   // token must unwind the whole batch with a typed kTimeout.

@@ -121,6 +121,52 @@ TEST_P(VgcTest, DistSearchExploresBall) {
   EXPECT_FALSE(spilled.empty());
 }
 
+// A relax that reports its scanned edges caps the search at
+// kVgcEngageFactor*tau edges: the search stops right after the relax that
+// reaches the budget and spills what it still holds. Every emitted entry is
+// either expanded by the search or spilled.
+TEST_P(VgcTest, DistSearchStopsAtEdgeBudget) {
+  Graph g = gen::random_graph(4000, 128000, 5);  // average out-degree 32
+  std::vector<std::atomic<std::uint32_t>> dist(g.num_vertices());
+  for (auto& d : dist) d.store(kInfDist, std::memory_order_relaxed);
+  dist[0].store(0, std::memory_order_relaxed);
+  using Entry = std::pair<VertexId, std::uint32_t>;
+  std::multiset<Entry> emitted, expanded, spilled;
+  std::vector<std::uint64_t> scans;
+  VgcParams p;
+  p.tau = 64;
+  std::uint64_t count = local_search_dist(
+      0, 0, p,
+      [&](VertexId u, std::uint32_t du, auto&& emit) -> std::uint64_t {
+        expanded.insert({u, du});
+        if (dist[u].load(std::memory_order_relaxed) != du) return 0;
+        for (VertexId v : g.neighbors(u)) {
+          if (write_min(dist[v], du + 1)) {
+            emitted.insert({v, du + 1});
+            emit(v, du + 1);
+          }
+        }
+        scans.push_back(g.out_degree(u));
+        return g.out_degree(u);
+      },
+      [&](VertexId v, std::uint32_t d) { spilled.insert({v, d}); });
+  const std::uint64_t budget =
+      static_cast<std::uint64_t>(p.tau) * kVgcEngageFactor;
+  std::uint64_t work = 0;
+  for (std::uint64_t s : scans) work += s;
+  EXPECT_EQ(count, expanded.size());
+  EXPECT_LT(count, p.tau) << "the edge budget, not tau, must stop the search";
+  EXPECT_GE(work, budget);
+  EXPECT_LT(work - scans.back(), budget) << "expanded past the budget";
+  EXPECT_FALSE(spilled.empty());
+  // No entry is lost: expanded (minus the root) plus spilled is exactly the
+  // emitted multiset.
+  expanded.erase(expanded.find({0, 0}));
+  std::multiset<Entry> covered = expanded;
+  covered.insert(spilled.begin(), spilled.end());
+  EXPECT_EQ(covered, emitted);
+}
+
 TEST(VgcKinfDist, SentinelValue) {
   EXPECT_EQ(kInfDist, 0xffffffffu);
 }
