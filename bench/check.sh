@@ -453,6 +453,34 @@ for src in 0 1; do
   }
 done
 
+echo "--- TC gate (pasgal_tc matches seq_tc, work repeats across workers) ---"
+# Plain build. pasgal_tc closes wedges against per-worker marker rows, seq_tc
+# by sorted merges: the counts must agree. pasgal_tc's list reads depend on
+# the DAG alone, so edges_scanned must not move between 1 and 4 workers.
+tc_count() { sed -n 's/^\([0-9][0-9]*\) triangles$/\1/p' "$1"; }
+tc_edges() {
+  sed -n 's/.*"totals":{[^}]*"edges_scanned":\([0-9]*\).*/\1/p' "$1"
+}
+for w in 1 4; do
+  env PASGAL_NUM_THREADS=$w "$prefix/apps/tc" rmat:16:1000000 -a pasgal -r 1 \
+      --json-metrics "$tmp/tc_pasgal_$w.json" > "$tmp/tc_pasgal_$w.txt"
+  "$prefix/apps/metrics_check" "$tmp/tc_pasgal_$w.json"
+done
+"$prefix/apps/tc" rmat:16:1000000 -a seq -r 1 > "$tmp/tc_seq.txt"
+tri_par=$(tc_count "$tmp/tc_pasgal_4.txt")
+tri_seq=$(tc_count "$tmp/tc_seq.txt")
+[ -n "$tri_par" ] && [ "$tri_par" = "$tri_seq" ] || {
+  echo "FAIL: pasgal_tc counted '$tri_par' triangles, seq_tc '$tri_seq'" >&2
+  exit 1
+}
+edges_1=$(tc_edges "$tmp/tc_pasgal_1.json")
+edges_4=$(tc_edges "$tmp/tc_pasgal_4.json")
+[ -n "$edges_1" ] && [ "$edges_1" = "$edges_4" ] || {
+  echo "FAIL: pasgal_tc scanned $edges_1 edges at 1 worker," \
+       "$edges_4 at 4" >&2
+  exit 1
+}
+
 echo "--- bounded-RSS shard gate (beyond-ceiling graph through --shard-mb) ---"
 # Plain build. rmat:18:9M weighted: a bfs open prices ~35 MB of core CSR
 # arrays ((n+1)*8 + m*4) and a weighted sssp open ~67 MB (weights ride

@@ -74,38 +74,39 @@ std::uint64_t merge_intersect(std::span<const VertexId> a,
   return count;
 }
 
-std::uint64_t search_intersect(std::span<const VertexId> small,
-                               std::span<const VertexId> big) {
-  std::uint64_t count = 0;
-  for (VertexId v : small) {
-    count += std::binary_search(big.begin(), big.end(), v) ? 1 : 0;
-  }
-  return count;
-}
-
-// Merge-vs-binary-search hybrid keyed on the list-length ratio.
-std::uint64_t hybrid_intersect(std::span<const VertexId> a,
-                               std::span<const VertexId> b) {
-  if (a.size() > b.size()) std::swap(a, b);
-  if (a.empty()) return 0;
-  if (b.size() / a.size() >= kTcBinarySearchRatio) {
-    return search_intersect(a, b);
-  }
-  return merge_intersect(a, b);
-}
-
-// One vertex's wedge closures: intersect its DAG list with each DAG
-// neighbour's list. `scanned` counts list elements read, for telemetry.
-template <typename Intersect>
-std::uint64_t count_from(const Dag& dag, VertexId u, const Intersect& inter,
-                         std::uint64_t& scanned) {
+// One vertex's wedge closures by merge: intersect its DAG list with each
+// DAG neighbour's list. `scanned` counts list elements read, for telemetry.
+std::uint64_t merge_from(const Dag& dag, VertexId u, std::uint64_t& scanned) {
   std::uint64_t local = 0;
   std::span<const VertexId> lu = dag.list(u);
   for (VertexId v : lu) {
     std::span<const VertexId> lv = dag.list(v);
     scanned += lu.size() + lv.size();
-    local += inter(lu, lv);
+    local += merge_intersect(lu, lv);
   }
+  return local;
+}
+
+inline std::uint64_t bit_of(VertexId v) { return std::uint64_t{1} << (v & 63); }
+
+// The same closures against a marked row: set one bit per vertex of u's
+// list, count the set bits each neighbour's list hits, then clear exactly
+// the bits that were set, so `row` is all-zero again on return. Reads
+// |lu| + sum |lv| list elements instead of the merge's |lu|^2 + sum |lv|.
+// A list shorter than two closes no wedge and is not read at all.
+std::uint64_t mark_from(const Dag& dag, VertexId u, std::uint64_t* row,
+                        std::uint64_t& scanned) {
+  std::span<const VertexId> lu = dag.list(u);
+  if (lu.size() < 2) return 0;
+  for (VertexId v : lu) row[v >> 6] |= bit_of(v);
+  std::uint64_t local = 0;
+  scanned += lu.size();
+  for (VertexId v : lu) {
+    std::span<const VertexId> lv = dag.list(v);
+    scanned += lv.size();
+    for (VertexId w : lv) local += (row[w >> 6] >> (w & 63)) & 1;
+  }
+  for (VertexId v : lu) row[v >> 6] &= ~bit_of(v);
   return local;
 }
 
@@ -119,7 +120,7 @@ RunReport<std::uint64_t> seq_tc(const Graph& g, const AlgoOptions& opt) {
     std::uint64_t triangles = 0;
     std::uint64_t scanned = 0;
     for (VertexId u = 0; u < n; ++u) {
-      triangles += count_from(dag, u, merge_intersect, scanned);
+      triangles += merge_from(dag, u, scanned);
     }
     stats->add_edges(scanned);
     stats->add_visits(n);
@@ -132,7 +133,17 @@ RunReport<std::uint64_t> pasgal_tc(const Graph& g, const AlgoOptions& opt) {
   admit(guard_of("tc", "pasgal"), g);
   return run_traced(opt, [&](Tracer* stats) {
     std::size_t n = g.num_vertices();
-    Dag dag = build_dag(g);
+    Dag dag = [&] {
+      ScopedPhase phase(stats, "dag");
+      return build_dag(g);
+    }();
+    ScopedPhase phase(stats, "count");
+    // One marker row of ceil(n/64) words per worker, picked by worker_id():
+    // a source runs start to finish on one worker, and one caller drives the
+    // pool at a time, so no row is ever shared and plain words suffice.
+    std::size_t words = (n + 63) / 64;
+    std::vector<std::uint64_t> rows(
+        static_cast<std::size_t>(num_workers()) * words, 0);
     // Sources are processed in blocks: the block boundary is where the round
     // master checks the deadline and records a round, so a server query on a
     // huge graph still honours its deadline mid-count.
@@ -146,9 +157,10 @@ RunReport<std::uint64_t> pasgal_tc(const Graph& g, const AlgoOptions& opt) {
       triangles += reduce_indexed<std::uint64_t>(
           hi - lo, 0, std::plus<std::uint64_t>{}, [&](std::size_t rel) {
             VertexId u = static_cast<VertexId>(lo + rel);
+            std::uint64_t* row =
+                rows.data() + static_cast<std::size_t>(worker_id()) * words;
             std::uint64_t scanned = 0;
-            std::uint64_t local =
-                count_from(dag, u, hybrid_intersect, scanned);
+            std::uint64_t local = mark_from(dag, u, row, scanned);
             stats->add_edges(scanned);
             stats->add_visits(1);
             return local;

@@ -1,9 +1,11 @@
 // Triangle counting: both kernels against a brute-force triple loop, known
-// closed-form counts, and the merge-vs-binary-search hybrid exercised on a
-// skewed star+clique graph where the degree ratio forces both paths.
+// closed-form counts, a skewed star+clique graph, marker-row hygiene across
+// back-to-back graphs, reproducible work counters across worker counts, and
+// the dag/count phase split in the metrics document.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "algorithms/tc/tc.h"
 #include "graphs/generators.h"
@@ -57,6 +59,15 @@ std::vector<std::pair<std::string, Graph>> tc_graphs() {
   cases.emplace_back("rmat", gen::rmat(9, 8000, 3).symmetrize());
   cases.emplace_back("random", gen::random_graph(400, 3000, 5).symmetrize());
   cases.emplace_back("knn", gen::knn_graph(500, 4, 7).symmetrize());
+  // pasgal_tc marks DAG lists in one 64-bit-word row per worker: cliques
+  // whose ids end just before, on and just after a word boundary, and an n
+  // that leaves the last word partly used. A bit left set by one source or
+  // one graph miscounts a later one, since the cases run back to back.
+  cases.emplace_back("clique63", gen::complete(63).symmetrize());
+  cases.emplace_back("clique64", gen::complete(64).symmetrize());
+  cases.emplace_back("clique65", gen::complete(65).symmetrize());
+  cases.emplace_back("random_n203",
+                     gen::random_graph(203, 1500, 11).symmetrize());
   return cases;
 }
 
@@ -79,12 +90,12 @@ TEST_P(TcTest, KnownCounts) {
   EXPECT_EQ(pasgal_tc(gen::star(30), {}).output, 0u);
 }
 
-TEST_P(TcTest, HybridIntersectionThreshold) {
+TEST_P(TcTest, SkewedHubAndClique) {
   // A clique whose every vertex also touches a huge star center: the
-  // center's DAG list dwarfs the clique lists by far more than
-  // kTcBinarySearchRatio, forcing the binary-search path, while
-  // clique-vs-clique intersections stay on the merge path. Triangles:
-  // C(k,3) inside the clique plus C(k,2) through the center.
+  // center's degree dwarfs the clique's, so it ranks last and every clique
+  // vertex's DAG list ends in it, while the leaves' lists hold only the
+  // center. Triangles: C(k,3) inside the clique plus C(k,2) through the
+  // center.
   constexpr VertexId k = 12;
   constexpr VertexId leaves = 400;
   std::vector<Edge> e;
@@ -133,6 +144,52 @@ TEST(TcContract, ModernEntryPointsRecordTriangleRounds) {
   RunReport<std::uint64_t> seq = seq_tc(g, opt);
   EXPECT_EQ(par.output, seq.output);
   EXPECT_EQ(par.output, brute_force_tc(g));
+}
+
+TEST(TcWork, CountersRepeatAcrossWorkersAndRuns) {
+  // Work counters are a function of the graph alone: each source reads its
+  // own DAG list once and each DAG neighbour's list once, whatever worker
+  // runs it, and the 2^16-source blocks fix the round count.
+  Graph g = gen::rmat(12, 40000).symmetrize();
+  RunReport<std::uint64_t> ref = pasgal_tc(g, {});
+  EXPECT_EQ(ref.output, seq_tc(g));
+  EXPECT_GT(ref.telemetry.edges_scanned, 0u);
+  for (int workers : {1, 2, 4}) {
+    Scheduler::reset(workers);
+    for (int rep = 0; rep < 3; ++rep) {
+      RunReport<std::uint64_t> r = pasgal_tc(g, {});
+      EXPECT_EQ(r.output, ref.output) << workers << " workers";
+      EXPECT_EQ(r.telemetry.edges_scanned, ref.telemetry.edges_scanned)
+          << workers << " workers";
+      EXPECT_EQ(r.telemetry.rounds.size(), ref.telemetry.rounds.size())
+          << workers << " workers";
+    }
+  }
+  Scheduler::reset(1);
+}
+
+TEST(TcPhases, DagAndCountSplitTheTrial) {
+  Graph g = gen::rmat(11, 20000, 9).symmetrize();
+  RunReport<std::uint64_t> r = pasgal_tc(g, {});
+  MetricsDoc doc("tc", "pasgal", "rmat:11:20000:9", g.num_vertices(),
+                 g.num_edges());
+  doc.set_param("triangles", r.output);
+  doc.add_trial(r.seconds, r.telemetry);
+  json::Value parsed;
+  ASSERT_TRUE(json::parse(doc.to_json(), parsed).ok());
+  Status valid = validate_metrics(parsed);
+  ASSERT_TRUE(valid.ok()) << valid.to_string();
+  const json::Value& trial = parsed.find("trials")->array.at(0);
+  const json::Value* phases = trial.find("telemetry")->find("phases");
+  ASSERT_NE(phases, nullptr);
+  std::vector<std::string> names;
+  double sum_ns = 0;
+  for (const json::Value& p : phases->array) {
+    names.push_back(p.find("name")->str);
+    sum_ns += p.find("ns")->number;
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"dag", "count"}));
+  EXPECT_LE(sum_ns / 1e9, trial.find("seconds")->number);
 }
 
 }  // namespace
