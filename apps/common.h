@@ -542,18 +542,9 @@ inline int run_driver(const std::string& spec, const CommonOptions& common,
                       std::to_string(loaded.graph.num_vertices()) +
                       " vertices)");
     }
-    AlgoArgs in;
-    in.g = &loaded.graph;
-    in.wg = &loaded.weighted;
+    PreparedInput prepared(row, loaded.graph, &loaded.weighted);
+    AlgoArgs& in = prepared.args;
     in.sources = d.sources;
-    Graph prepared;
-    if (row.input == AlgoInput::kTranspose) {
-      prepared = loaded.graph.transpose();
-      in.gt = &prepared;
-    } else if (row.input == AlgoInput::kSymmetric) {
-      prepared = loaded.graph.symmetrize();
-      in.g = &prepared;
-    }
     if (d.after_open) d.after_open(loaded.graph);
 
     const Graph& g = *in.g;

@@ -411,6 +411,16 @@ grep -q '"delta":' "$tmp/upd_client0.out" || {
 }
 drain "$dpid" "$tmp/daemon_upd.log"
 
+echo "--- paper tables gate (every catalog row against its oracle, full suite) ---"
+# Plain build. bench_tables runs each catalog row that takes one source or
+# none on every suite graph and checks it against its family's oracle
+# through answer_mismatch; a mismatch prints a MISMATCH line and exits 1.
+PASGAL_BENCH_DIR="$tmp" "$prefix/bench/bench_tables" > "$tmp/tables.txt" || {
+  echo "FAIL: bench_tables exited nonzero (mismatch or metrics write)" >&2
+  exit 1
+}
+"$prefix/apps/metrics_check" "$tmp/BENCH_tables.json"
+
 echo "--- QPS gate (batch-of-64 ms_bfs vs 64 sequential singles) ---"
 # Plain build, not sanitized: this is a throughput gate. bench_qps itself
 # cross-checks every per-source distance array against a single-source run,

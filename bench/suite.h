@@ -237,7 +237,7 @@ class Table {
     std::printf("\n");
     for (const auto& r : rows_) {
       std::printf("%-10s %-10s", r.cls.c_str(), r.graph.c_str());
-      for (double v : r.values) std::printf(" %12.4g", v);
+      for (double v : r.values) print_cell(v);
       std::printf("\n");
     }
     // Geometric means per class.
@@ -255,13 +255,22 @@ class Table {
             ++count;
           }
         }
-        std::printf(" %12.4g", count ? std::exp(log_sum / count) : 0.0);
+        print_cell(count ? std::exp(log_sum / count) : std::nan(""));
       }
       std::printf("\n");
     }
   }
 
  private:
+  // NaN (a skipped run, or a class with no value to average) prints as "-".
+  static void print_cell(double v) {
+    if (std::isnan(v)) {
+      std::printf(" %12s", "-");
+    } else {
+      std::printf(" %12.4g", v);
+    }
+  }
+
   struct Row {
     std::string cls, graph;
     std::vector<double> values;

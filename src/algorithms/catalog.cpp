@@ -1,6 +1,7 @@
 #include "algorithms/catalog.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <map>
@@ -35,18 +36,38 @@ std::string format(const char* fmt, ...) {
   return out;
 }
 
-// A single run's report and, for drivers, its result line.
+// The output of each family as an AlgoAnswer.
+AlgoAnswer answer_of(const std::vector<std::uint32_t>& v) {
+  return {{v.begin(), v.end()}, {}};
+}
+AlgoAnswer answer_of(std::vector<std::uint64_t>&& v) {
+  return {std::move(v), {}};
+}
+AlgoAnswer answer_of(ConnectivityResult&& c) { return answer_of(c.label); }
+AlgoAnswer answer_of(BccResult&& b) {
+  return answer_of(std::move(b.edge_label));
+}
+AlgoAnswer answer_of(PagerankResult&& r) {
+  return {{r.iterations}, std::move(r.rank)};
+}
+AlgoAnswer answer_of(std::uint64_t triangles) { return {{triangles}, {}}; }
+
+// A single run's report and, for drivers and cross-checks, its result line
+// and answer.
 template <typename T, typename Line>
 AlgoRun single(RunReport<T> r, const AlgoArgs& a, Line line) {
-  AlgoRun out{r.seconds, std::move(r.telemetry), {}, {}};
-  if (a.summarize) out.summary = line(r.output);
+  AlgoRun out{r.seconds, std::move(r.telemetry), {}, {}, {}};
+  if (a.summarize) {
+    out.summary = line(r.output);
+    out.answer = answer_of(std::move(r.output));
+  }
   return out;
 }
 
 // A batch's report; its result lines are "batch source <s>: <line>".
 template <typename T, typename Line>
 AlgoRun batch(BatchReport<T> r, const AlgoArgs& a, Line line) {
-  AlgoRun out{r.seconds, std::move(r.telemetry), {}, {}};
+  AlgoRun out{r.seconds, std::move(r.telemetry), {}, {}, {}};
   for (std::size_t i = 0; a.summarize && i < r.per_source.size(); ++i) {
     if (i) out.summary += '\n';
     out.summary += format("batch source %u: ", a.sources[i]) +
@@ -138,6 +159,23 @@ AlgoRun stepping(const AlgoArgs& a, AlgoOptions opt, bool delta_mode) {
   }
   return batch(batch_sssp(*a.wg, batch_options(a, opt)), a, sssp_line);
 }
+
+// The first index where `want` and `got` differ, as "<what> <i>: want <x>,
+// got <y>"; "" when they are equal.
+template <typename V>
+std::string first_difference(const V& want, const V& got, const char* what) {
+  if (want.size() != got.size()) {
+    return format("%zu values, want %zu", got.size(), want.size());
+  }
+  auto [w, g] = std::mismatch(want.begin(), want.end(), got.begin());
+  if (w == want.end()) return {};
+  return format("%s %zu: want %llu, got %llu", what,
+                static_cast<std::size_t>(w - want.begin()),
+                (unsigned long long)*w, (unsigned long long)*g);
+}
+
+// The largest rank L1 distance two pagerank rows may agree within.
+constexpr double kPagerankL1 = 1e-9;
 
 // --- the table -------------------------------------------------------------
 
@@ -268,6 +306,19 @@ const AlgoSpec& algo_spec(std::string_view family, std::string_view name) {
                          std::string(name));
 }
 
+const AlgoSpec& algo_oracle(std::string_view family) {
+  const AlgoSpec* first = nullptr;
+  for (const AlgoSpec& row : kCatalog) {
+    if (row.family != family) continue;
+    if (row.name == std::string_view("seq")) return row;
+    if (first == nullptr) first = &row;
+  }
+  if (first == nullptr) {
+    throw std::logic_error("no catalog family " + std::string(family));
+  }
+  return *first;
+}
+
 std::vector<std::string> algo_names(std::string_view family) {
   std::vector<std::string> names;
   for (const AlgoSpec& row : kCatalog) {
@@ -279,6 +330,51 @@ std::vector<std::string> algo_names(std::string_view family) {
 bool is_algo_family(std::string_view family) {
   return std::any_of(std::begin(kCatalog), std::end(kCatalog),
                      [&](const AlgoSpec& row) { return row.family == family; });
+}
+
+PreparedInput::PreparedInput(const AlgoSpec& row, const Graph& g,
+                             const WeightedGraph<std::uint32_t>* wg) {
+  args.g = &g;
+  args.wg = wg;
+  if (row.input == AlgoInput::kTranspose) {
+    derived_ = g.transpose();
+    args.gt = &derived_;
+  } else if (row.input == AlgoInput::kSymmetric) {
+    derived_ = g.symmetrize();
+    args.g = &derived_;
+  }
+}
+
+std::string answer_mismatch(std::string_view family, const AlgoAnswer& want,
+                            const AlgoAnswer& got) {
+  if (family == "pagerank") {
+    if (std::string d = first_difference(want.values, got.values,
+                                         "iteration count");
+        !d.empty()) {
+      return d;
+    }
+    if (want.rank.size() != got.rank.size()) {
+      return format("%zu ranks, want %zu", got.rank.size(),
+                    want.rank.size());
+    }
+    double l1 = 0;
+    for (std::size_t v = 0; v < want.rank.size(); ++v) {
+      l1 += std::fabs(want.rank[v] - got.rank[v]);
+    }
+    return l1 <= kPagerankL1 ? std::string()
+                             : format("rank L1 %g, want <= %g", l1,
+                                      kPagerankL1);
+  }
+  if (family == "scc" || family == "cc") {
+    return first_difference(normalize_scc_labels(want.values),
+                            normalize_scc_labels(got.values), "vertex");
+  }
+  if (family == "bcc") {
+    return first_difference(normalize_bcc_labels(want.values),
+                            normalize_bcc_labels(got.values), "edge");
+  }
+  return first_difference(want.values, got.values,
+                          family == "tc" ? "count" : "vertex");
 }
 
 void check_batch_sources(std::span<const VertexId> sources, std::size_t n) {

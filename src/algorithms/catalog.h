@@ -69,8 +69,18 @@ struct AlgoArgs {
   const WeightedGraph<std::uint32_t>* wg = nullptr;
   // Non-empty: run the batch form (rows whose sources allow a batch).
   std::span<const VertexId> sources;
-  // Fill AlgoRun::summary (drivers print it; the daemon skips the work).
+  // Fill AlgoRun::summary and AlgoRun::answer (drivers print the summary,
+  // cross-checks compare answers; the daemon skips the work).
   bool summarize = false;
+};
+
+// A run's result in the form answer_mismatch compares. `values` holds the
+// output vector as the variant returned it (bfs/sssp distances, kcore
+// coreness, scc/cc vertex labels, bcc edge labels), or tc's {triangles} or
+// pagerank's {iterations}; `rank` holds pagerank's ranks.
+struct AlgoAnswer {
+  std::vector<std::uint64_t> values;
+  std::vector<double> rank;
 };
 
 // What one run reports.
@@ -83,6 +93,9 @@ struct AlgoRun {
   // The driver's result line(s), without a trailing newline; a batch gives
   // one "batch source <s>: ..." line per source.
   std::string summary;
+  // Set with `summary` for a single-source or whole-graph run; empty for a
+  // batch.
+  AlgoAnswer answer;
 };
 
 struct AlgoSpec {
@@ -103,12 +116,46 @@ struct AlgoSpec {
   }
 };
 
+// The input one run of `row` reads, prepared from the opened graph `g` and,
+// for kWeighted rows, its weighted form `wg`: `args.g` is `g` (its
+// symmetrized view for kSymmetric), `args.gt` its transpose for kTranspose,
+// and `args.wg` is `wg`. Both views are memoized on g's storage handle;
+// symmetrize() needs the whole edge set in core, so on a windowed open it
+// throws the typed kUsage error instead of faulting past the window. `args`
+// may point into this object, so it is neither copied nor moved; `g` and `wg`
+// must outlive it.
+class PreparedInput {
+ public:
+  PreparedInput(const AlgoSpec& row, const Graph& g,
+                const WeightedGraph<std::uint32_t>* wg);
+  PreparedInput(const PreparedInput&) = delete;
+  PreparedInput& operator=(const PreparedInput&) = delete;
+
+  AlgoArgs args;
+
+ private:
+  Graph derived_;
+};
+
+// Compares two answers of `family`'s rows as strictly as the family allows:
+// distances, coreness and triangle counts must be equal; scc/cc and bcc
+// labels must name the same partition (normalize_scc_labels,
+// normalize_bcc_labels); pagerank must take the same number of iterations
+// and its ranks must be within L1 1e-9. Returns "" when they agree, else the
+// first difference.
+std::string answer_mismatch(std::string_view family, const AlgoAnswer& want,
+                            const AlgoAnswer& got);
+
 // Every row, families grouped, in table order.
 std::span<const AlgoSpec> algo_catalog();
 
 // The row `family`/`name`; a missing row throws std::logic_error (entry
 // points and drivers only name rows that exist).
 const AlgoSpec& algo_spec(std::string_view family, std::string_view name);
+
+// The row every other row of `family` is checked against: its seq row, or
+// its first row when it has none (cc: union-find).
+const AlgoSpec& algo_oracle(std::string_view family);
 
 // The row names of `family` in table order (a driver's `-a` choices; the
 // first is the default).

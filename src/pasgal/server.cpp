@@ -609,22 +609,9 @@ std::string Server::do_run(const AlgoSpec& row, const std::string& path,
                 "source=" + std::to_string(*source) + " out of range (n=" +
                     std::to_string(g.num_vertices()) + ")");
   }
-  AlgoArgs args;
-  args.g = &g;
-  args.wg = &wg;
-  args.sources = sources;
-  Graph prepared;
-  if (row.input == AlgoInput::kTranspose) {
-    prepared = g.transpose();  // memoized on the shared storage handle
-    args.gt = &prepared;
-  } else if (row.input == AlgoInput::kSymmetric) {
-    // symmetrize() needs the whole edge set in core, so on a sharded open it
-    // throws the typed kUsage error instead of silently faulting past the
-    // window.
-    prepared = g.symmetrize();
-    args.g = &prepared;
-  }
-  AlgoRun run = row.run(args, opt);
+  PreparedInput prepared(row, g, &wg);
+  prepared.args.sources = sources;
+  AlgoRun run = row.run(prepared.args, opt);
 
   MetricsDoc doc(row.family, row.name, path, g.num_vertices(), g.num_edges());
   if (source) doc.set_param("source", *source);
