@@ -20,7 +20,7 @@ cmake --build "$prefix-san" -j > /dev/null
 
 echo "--- sanitized input-hardening tests ---"
 (cd "$prefix-san" && ctest --output-on-failure -j "$(nproc)" \
-    -R 'test_graph_io|test_graph_io_fuzz|test_hashbag|test_graph$|test_storage|test_registry|test_resource|test_pagerank|test_tc|test_delta|test_vertex_subset|app_exit_|storage_|registry_')
+    -R 'test_graph_io|test_graph_io_fuzz|test_hashbag|test_graph$|test_storage|test_registry|test_resource|test_pagerank|test_kcore|test_tc|test_delta|test_vertex_subset|app_exit_|storage_|registry_')
 
 echo "--- sanitized app drivers (success paths, with metrics emission) ---"
 tmp="$(mktemp -d)"
@@ -190,7 +190,13 @@ echo "--- serve daemon gate (TSan build): concurrency, faults, deadlines, drain 
 # JSON / "error [category] ..."), every injected fault must surface as a
 # typed error on exactly one response, and SIGTERM must drain to exit 0.
 cmake -B "$prefix-tsan" -S . -DPASGAL_SANITIZE=thread > /dev/null
-cmake --build "$prefix-tsan" -j --target app_serve > /dev/null
+cmake --build "$prefix-tsan" -j --target app_serve test_kcore > /dev/null
+# pasgal_kcore's peel chains share degree counters and per-level buckets
+# across workers; its suite (1 and 4 workers) runs under TSan too.
+"$prefix-tsan/tests/test_kcore" > "$tmp/tsan_kcore.log" 2>&1 || {
+  echo "FAIL: test_kcore under TSan:" >&2; tail -40 "$tmp/tsan_kcore.log" >&2
+  exit 1
+}
 SERVE="$prefix-tsan/apps/serve"
 sock="$tmp/daemon.sock"
 
@@ -490,6 +496,31 @@ edges_4=$(tc_edges "$tmp/tc_pasgal_4.json")
        "$edges_4 at 4" >&2
   exit 1
 }
+
+echo "--- k-core gate (pasgal_kcore matches seq_kcore, scans every edge once) ---"
+# Plain build. rmat:16 peels past the first 64-level bucket window, so the
+# window advance runs. Peeling scans each symmetrized edge exactly once, at
+# any worker count.
+"$prefix/apps/kcore" rmat:16:1000000 -a seq -r 1 > "$tmp/kcore_seq.txt"
+core_seq=$(grep '^max coreness' "$tmp/kcore_seq.txt")
+for w in 1 4; do
+  env PASGAL_NUM_THREADS=$w "$prefix/apps/kcore" rmat:16:1000000 -a pasgal \
+      -r 1 --json-metrics "$tmp/kcore_pasgal_$w.json" > "$tmp/kcore_pasgal_$w.txt"
+  "$prefix/apps/metrics_check" "$tmp/kcore_pasgal_$w.json"
+  core_par=$(grep '^max coreness' "$tmp/kcore_pasgal_$w.txt")
+  [ -n "$core_seq" ] && [ "$core_par" = "$core_seq" ] || {
+    echo "FAIL: pasgal_kcore at $w workers printed '$core_par'," \
+         "seq_kcore '$core_seq'" >&2
+    exit 1
+  }
+  m=$(sed -n 's/^graph.* m=\([0-9]*\).*/\1/p' "$tmp/kcore_pasgal_$w.txt")
+  edges=$(sed -n 's/.*| edges scanned \([0-9]*\) |.*/\1/p' \
+      "$tmp/kcore_pasgal_$w.txt")
+  [ -n "$m" ] && [ "$edges" = "$m" ] || {
+    echo "FAIL: pasgal_kcore at $w workers scanned $edges edges (m=$m)" >&2
+    exit 1
+  }
+done
 
 echo "--- bounded-RSS shard gate (beyond-ceiling graph through --shard-mb) ---"
 # Plain build. rmat:18:9M weighted: a bfs open prices ~35 MB of core CSR

@@ -15,6 +15,12 @@
 //                   round per peeling wave — the same large-diameter
 //                   pathology BFS has, since peeling chains can be O(n) long
 //                   (e.g. a path peels end-in, one wave per round).
+//                   Buckets exist only for an open window of 64 levels;
+//                   a decrement inserts its neighbour only when the new
+//                   degree lands in that window. Vertices above it wait in
+//                   one compacted list, which each window advance filters
+//                   once to seed the next window: O(n + m/64) list work
+//                   and no overflow bucket re-inserting hubs.
 #pragma once
 
 #include <cstdint>

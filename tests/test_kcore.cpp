@@ -2,6 +2,8 @@
 // both must satisfy the defining property of coreness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "algorithms/kcore/kcore.h"
 #include "graphs/generators.h"
 
@@ -46,6 +48,61 @@ TEST_P(KcoreTest, ParallelMatchesSequential) {
   for (const auto& [name, g] : kcore_graphs()) {
     EXPECT_EQ(pasgal_kcore(g, {}).output, seq_kcore(g, {}).output) << name;
   }
+}
+
+// Graphs whose coreness reaches past the first 64-level bucket window, so
+// peeling advances the window and reseeds it from the above-window list.
+std::vector<std::pair<std::string, Graph>> deep_core_graphs() {
+  std::vector<std::pair<std::string, Graph>> cases;
+  cases.emplace_back("complete200", gen::complete(200));
+  cases.emplace_back("rmat14", gen::rmat(14, 400000, 5).symmetrize());
+  cases.emplace_back("clique_with_star", [] {
+    // A 150-clique with 5000 leaves hung off clique vertex 0: the hub sits
+    // above the window until the leaves peel, then the window jumps to 149.
+    constexpr VertexId kClique = 150, kLeaves = 5000;
+    std::vector<Edge> e;
+    for (VertexId i = 0; i < kClique; ++i) {
+      for (VertexId j = 0; j < kClique; ++j) {
+        if (i != j) e.push_back({i, j});
+      }
+    }
+    for (VertexId leaf = kClique; leaf < kClique + kLeaves; ++leaf) {
+      e.push_back({0, leaf});
+      e.push_back({leaf, 0});
+    }
+    return Graph::from_edges(kClique + kLeaves, e);
+  }());
+  return cases;
+}
+
+TEST_P(KcoreTest, WindowAdvanceMatchesSequential) {
+  for (const auto& [name, g] : deep_core_graphs()) {
+    auto expected = seq_kcore(g, {}).output;
+    ASSERT_GE(*std::max_element(expected.begin(), expected.end()), 64u)
+        << name << " must leave the first bucket window";
+    for (std::uint32_t tau : {1u, 16u, 512u}) {
+      auto first = pasgal_kcore(g, {.vgc = {.tau = tau}}).output;
+      EXPECT_EQ(first, expected) << name << " tau=" << tau;
+      EXPECT_EQ(pasgal_kcore(g, {.vgc = {.tau = tau}}).output, first)
+          << name << " repeat, tau=" << tau;
+    }
+  }
+}
+
+TEST_P(KcoreTest, DecrementsInsertOnlyIntoTheWindow) {
+  // A star's hub loses 19999 neighbours at level 1, but only the decrements
+  // that land inside the open window may enter a bucket.
+  Tracer star_stats;
+  Graph star = gen::star(20000);
+  EXPECT_EQ(pasgal_kcore(star, {.tracer = &star_stats}).output,
+            seq_kcore(star, {}).output);
+  EXPECT_LT(star_stats.aggregate().hashbag.inserts, 1000u);
+
+  Tracer rmat_stats;
+  Graph rmat = gen::rmat(14, 400000, 5).symmetrize();
+  EXPECT_EQ(pasgal_kcore(rmat, {.tracer = &rmat_stats}).output,
+            seq_kcore(rmat, {}).output);
+  EXPECT_LE(rmat_stats.aggregate().hashbag.inserts, 4 * rmat.num_vertices());
 }
 
 TEST_P(KcoreTest, TauSweepMatches) {
