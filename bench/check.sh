@@ -371,9 +371,10 @@ drain "$dpid" "$tmp/daemon_pin.log"
 
 # Daemon update mix: concurrent clients each mutate their own graph through
 # the update/compact verbs while querying it. TSan checks the overlay
-# publish (apply_updates) against concurrent traversals; every response must
-# stay one of the three legal shapes and compaction must leave a clean file
-# the default kernel accepts again.
+# publish (apply_updates) against concurrent traversals, among them the
+# Adjacency reads of pasgal_bfs and the ms batch; every response must stay
+# one of the three legal shapes and compaction must leave a clean file the
+# default kernel accepts again.
 rm -f "$sock"
 "$SERVE" --socket "$sock" > "$tmp/daemon_upd.log" 2>&1 &
 dpid=$!
@@ -385,6 +386,8 @@ while [ "$i" -lt 4 ]; do
       "open graph=$tmp/d_u$i.pgr" \
       "update graph=$tmp/d_u$i.pgr add=0:3599,1:3598 del=0:1" \
       "bfs graph=$tmp/d_u$i.pgr source=0 algo=gbbs" \
+      "bfs graph=$tmp/d_u$i.pgr source=0 algo=pasgal" \
+      "bfs graph=$tmp/d_u$i.pgr sources=0,1,3599" \
       "pagerank graph=$tmp/d_u$i.pgr" \
       "update graph=$tmp/d_u$i.pgr del=1:3598" \
       "cc graph=$tmp/d_u$i.pgr" \
@@ -411,6 +414,12 @@ fi
 grep -q 'ok compacted' "$tmp/upd_client0.out" || {
   echo "FAIL: update mix never compacted" >&2; exit 1
 }
+# Every kernel in the mix reads the overlay, so none may refuse it.
+if grep -h '^error \[usage\]' "$tmp"/upd_client*.out | grep -q .; then
+  echo "FAIL: update mix refused a query on an overlaid graph:" >&2
+  grep -h '^error \[usage\]' "$tmp"/upd_client*.out >&2
+  exit 1
+fi
 # The queried responses on the overlaid graph carry the delta subsection.
 grep -q '"delta":' "$tmp/upd_client0.out" || {
   echo "FAIL: overlaid query metrics lack the delta subsection" >&2; exit 1

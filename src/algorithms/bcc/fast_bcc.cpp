@@ -87,7 +87,7 @@ BccResult bcc_from_prep(const Graph& g, const BccPrep& prep, Tracer* stats) {
 }  // namespace internal
 
 RunReport<BccResult> fast_bcc(const Graph& g, const AlgoOptions& opt) {
-  admit(guard_of("bcc", "pasgal"), g);
+  admit(algo_spec("bcc", "pasgal"), g);
   return run_traced(opt, [&](Tracer* stats) -> BccResult {
     if (g.num_vertices() == 0) return {};
     stats->phase_begin("spanning_forest");

@@ -13,7 +13,7 @@ namespace pasgal {
 // BCC: the O(D) BFS rounds dominate on large-diameter graphs (the remainder
 // of the pipeline is round-efficient).
 RunReport<BccResult> gbbs_bcc(const Graph& g, const AlgoOptions& opt) {
-  admit(guard_of("bcc", "gbbs"), g);
+  admit(algo_spec("bcc", "gbbs"), g);
   return run_traced(opt, [&](Tracer* stats) -> BccResult {
     std::size_t n = g.num_vertices();
     if (n == 0) return {};

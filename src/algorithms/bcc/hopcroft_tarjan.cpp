@@ -23,7 +23,7 @@ EdgeId reverse_slot(const Graph& g, VertexId u, VertexId v) {
 // recursion would overflow on the paper's large-diameter inputs.
 RunReport<BccResult> hopcroft_tarjan_bcc(const Graph& g,
                                          const AlgoOptions& opt) {
-  admit(guard_of("bcc", "seq"), g);
+  admit(algo_spec("bcc", "seq"), g);
   return run_traced(opt, [&](Tracer* stats) {
     std::size_t n = g.num_vertices();
     std::size_t m = g.num_edges();

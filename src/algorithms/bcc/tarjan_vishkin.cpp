@@ -23,7 +23,7 @@ namespace pasgal {
 // FAST-BCC's O(n) skeleton.
 RunReport<BccResult> tarjan_vishkin_bcc(const Graph& g,
                                         const AlgoOptions& opt) {
-  admit(guard_of("bcc", "tv"), g);
+  admit(algo_spec("bcc", "tv"), g);
   return run_traced(opt, [&](Tracer* stats) {
     std::size_t n = g.num_vertices();
     std::size_t m = g.num_edges();

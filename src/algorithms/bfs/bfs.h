@@ -17,7 +17,8 @@
 //                  per bit of a per-vertex machine word.
 //
 // Every dense (pull) round runs through edge_map_dense, which counts n
-// visits per round (each vertex is tested against cond).
+// visits per round (each vertex is tested against cond). Every variant runs
+// on a graph with a pending update overlay (it reads Graph::adjacency()).
 #pragma once
 
 #include <cstdint>

@@ -13,7 +13,7 @@ namespace pasgal {
 // picks the direction; edge_map_dense/edge_map_sparse run the rounds.
 RunReport<std::vector<std::uint32_t>> gapbs_bfs(const Graph& g, const Graph& gt,
                                                 const AlgoOptions& opt) {
-  admit(guard_of("bfs", "gapbs"), g, &gt);
+  admit(algo_spec("bfs", "gapbs"), g, &gt);
   return run_traced(opt, [&](Tracer* stats) {
     std::size_t n = g.num_vertices();
     std::vector<std::atomic<std::uint32_t>> dist(n);

@@ -11,7 +11,7 @@ namespace pasgal {
 // paper identifies as the large-diameter bottleneck.
 RunReport<std::vector<std::uint32_t>> gbbs_bfs(const Graph& g, const Graph& gt,
                                                const AlgoOptions& opt) {
-  admit(guard_of("bfs", "gbbs"), g, &gt);
+  admit(algo_spec("bfs", "gbbs"), g, &gt);
   return run_traced(opt, [&](Tracer* stats) {
     std::size_t n = g.num_vertices();
     std::vector<std::atomic<std::uint32_t>> dist(n);

@@ -47,13 +47,10 @@ namespace pasgal {
 
 BatchReport<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
                                                const BatchOptions& opt) {
-  admit(guard_of("bfs", "ms"), g, &gt);
+  admit(algo_spec("bfs", "ms"), g, &gt);
   check_batch_sources(opt.sources, g.num_vertices());
   std::span<const VertexId> sources = opt.sources;
   auto run = run_traced(opt.algo, [&](Tracer* stats) {
-    g.ensure_validated();
-    gt.ensure_validated();
-
     std::size_t n = g.num_vertices();
     std::size_t k = sources.size();
     std::uint64_t full =
@@ -86,6 +83,7 @@ BatchReport<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
 
     HashBag<VertexId> bag;
     bag.attach_tracer(stats);
+    Adjacency adj = g.adjacency();
 
     std::uint32_t level = 0;
     std::uint64_t live = full;
@@ -128,15 +126,15 @@ BatchReport<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
           VertexId u = verts[i];
           std::uint64_t mask = visit[u];
           std::uint64_t scanned = 0;
-          for (VertexId v : g.neighbors(u)) {
+          adj.scan(u, [&](VertexId v) {
             ++scanned;
             std::uint64_t add =
                 mask & ~seen[v].load(std::memory_order_relaxed);
-            if (add == 0) continue;
+            if (add == 0) return;
             if (next[v].fetch_or(add, std::memory_order_relaxed) == 0) {
               bag.insert(v);
             }
-          }
+          });
           stats->add_edges(scanned);
           stats->add_visits(1);
         });

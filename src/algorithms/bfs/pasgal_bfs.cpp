@@ -54,10 +54,11 @@ std::uint32_t entry_dist(std::uint64_t e) {
 RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
                                                  const Graph& gt,
                                                  const AlgoOptions& opt) {
-  admit(guard_of("bfs", "pasgal"), g, &gt);
+  admit(algo_spec("bfs", "pasgal"), g, &gt);
   return run_traced(opt, [&](Tracer* stats) {
     std::size_t n = g.num_vertices();
     EdgeId m = g.num_edges();
+    Adjacency adj = g.adjacency();
     std::vector<std::atomic<std::uint32_t>> dist(n);
     parallel_for(0, n, [&](std::size_t i) {
       dist[i].store(kInfDist, std::memory_order_relaxed);
@@ -128,7 +129,7 @@ RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
       EdgeId ready_work =
           reduce_indexed<EdgeId>(ready.size(), 0, std::plus<EdgeId>{},
                                  [&](std::size_t i) {
-                                   return g.out_degree(entry_vertex(ready[i]));
+                                   return adj.degree(entry_vertex(ready[i]));
                                  }) +
           ready.size();
 
@@ -201,10 +202,10 @@ RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
                     auto&& emit) -> std::uint64_t {
                   if (dist[u].load(std::memory_order_relaxed) != du) return 0;
                   std::uint32_t nd = du + 1;
-                  for (VertexId v : g.neighbors(u)) {
+                  adj.scan(u, [&](VertexId v) {
                     if (write_min(dist[v], nd)) emit(v, nd);
-                  }
-                  return g.out_degree(u);
+                  });
+                  return adj.degree(u);
                 },
                 [&](VertexId v, std::uint32_t d) {
                   bags[bucket_for(d - base)]->insert(encode(v, d));

@@ -8,8 +8,9 @@ namespace pasgal {
 // The paper's sequential baseline: textbook queue-based BFS.
 RunReport<std::vector<std::uint32_t>> seq_bfs(const Graph& g,
                                               const AlgoOptions& opt) {
-  admit(guard_of("bfs", "seq"), g);
+  admit(algo_spec("bfs", "seq"), g);
   return run_traced(opt, [&](Tracer* stats) {
+    Adjacency adj = g.adjacency();
     std::vector<std::uint32_t> dist(g.num_vertices(), kInfDist);
     std::queue<VertexId> queue;
     dist[opt.source] = 0;
@@ -19,13 +20,13 @@ RunReport<std::vector<std::uint32_t>> seq_bfs(const Graph& g,
       VertexId u = queue.front();
       queue.pop();
       ++visits;
-      for (VertexId v : g.neighbors(u)) {
+      adj.scan(u, [&](VertexId v) {
         ++edges;
         if (dist[v] == kInfDist) {
           dist[v] = dist[u] + 1;
           queue.push(v);
         }
-      }
+      });
     }
     stats->add_edges(edges);
     stats->add_visits(visits);

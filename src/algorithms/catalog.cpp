@@ -187,10 +187,10 @@ constexpr bool kServed = true;
 constexpr bool kDriverOnly = false;
 
 // Columns: family, name, input, sources, served, guard {graph(s) kept in
-// core, in-core label, overlay label}, run.
+// core, in-core label}, run.
 const AlgoSpec kCatalog[] = {
     {"bfs", "pasgal", In::kTranspose, Src::kOne, kServed,
-     {InCore::kBoth, "pasgal-bfs", "pasgal-bfs"},
+     {InCore::kBoth, "pasgal-bfs"},
      [](A a, O o) {
        return single(pasgal_bfs(*a.g, *a.gt, o), a, bfs_summary);
      }},
@@ -202,61 +202,61 @@ const AlgoSpec kCatalog[] = {
        return single(gapbs_bfs(*a.g, *a.gt, o), a, bfs_summary);
      }},
     {"bfs", "seq", In::kGraph, Src::kOne, kDriverOnly,
-     {InCore::kGraph, "seq-bfs", "seq-bfs"},
+     {InCore::kGraph, "seq-bfs"},
      [](A a, O o) { return single(seq_bfs(*a.g, o), a, bfs_summary); }},
     {"bfs", "ms", In::kTranspose, Src::kBatch, kServed,
-     {InCore::kGraph, "ms-bfs", "ms-bfs"},
+     {InCore::kGraph, "ms-bfs"},
      [](A a, O o) {
        return batch(ms_bfs(*a.g, *a.gt, batch_options(a, o)), a, bfs_summary);
      }},
 
     {"sssp", "rho", In::kWeighted, Src::kOneOrBatch, kServed,
-     {InCore::kGraph, "stepping SSSP (use -a em for sharded runs)", nullptr},
+     {InCore::kGraph, "stepping SSSP (use -a em for sharded runs)"},
      [](A a, O o) { return stepping(a, o, /*delta_mode=*/false); }},
     {"sssp", "delta", In::kWeighted, Src::kOneOrBatch, kServed,
-     {InCore::kGraph, "stepping SSSP (use -a em for sharded runs)", nullptr},
+     {InCore::kGraph, "stepping SSSP (use -a em for sharded runs)"},
      [](A a, O o) { return stepping(a, o, /*delta_mode=*/true); }},
     {"sssp", "bf", In::kWeighted, Src::kOne, kDriverOnly,
-     {InCore::kGraph, "bellman-ford (use -a em for sharded runs)", nullptr},
+     {InCore::kGraph, "bellman-ford (use -a em for sharded runs)"},
      [](A a, O o) { return single(bellman_ford(*a.wg, o), a, sssp_line); }},
     {"sssp", "em", In::kWeighted, Src::kOne, kServed, {},
      [](A a, O o) {
        return single(em_bellman_ford(*a.wg, o), a, sssp_line);
      }},
     {"sssp", "seq", In::kWeighted, Src::kOne, kDriverOnly,
-     {InCore::kGraph, "dijkstra", nullptr},
+     {InCore::kGraph, "dijkstra"},
      [](A a, O o) { return single(dijkstra(*a.wg, o), a, sssp_line); }},
 
     {"scc", "pasgal", In::kTranspose, Src::kNone, kDriverOnly,
-     {InCore::kBoth, "pasgal-scc", "pasgal-scc"},
+     {InCore::kBoth, "pasgal-scc"},
      [](A a, O o) { return single(pasgal_scc(*a.g, *a.gt, o), a, scc_line); }},
     {"scc", "gbbs", In::kTranspose, Src::kNone, kDriverOnly,
-     {InCore::kBoth, "gbbs-scc", "gbbs-scc"},
+     {InCore::kBoth, "gbbs-scc"},
      [](A a, O o) { return single(gbbs_scc(*a.g, *a.gt, o), a, scc_line); }},
     {"scc", "multistep", In::kTranspose, Src::kNone, kDriverOnly,
-     {InCore::kBoth, "multistep-scc", "multistep-scc"},
+     {InCore::kBoth, "multistep-scc"},
      [](A a, O o) {
        return single(multistep_scc(*a.g, *a.gt, o), a, scc_line);
      }},
     {"scc", "seq", In::kGraph, Src::kNone, kDriverOnly,
-     {InCore::kGraph, "tarjan-scc", "tarjan-scc"},
+     {InCore::kGraph, "tarjan-scc"},
      [](A a, O o) { return single(tarjan_scc(*a.g, o), a, scc_line); }},
 
     {"bcc", "pasgal", In::kSymmetric, Src::kNone, kDriverOnly,
-     {InCore::kGraph, "fast-bcc", "fast-bcc"},
+     {InCore::kGraph, "fast-bcc"},
      [](A a, O o) { return bcc(fast_bcc(*a.g, o), a); }},
     {"bcc", "gbbs", In::kSymmetric, Src::kNone, kDriverOnly,
-     {InCore::kGraph, "gbbs-bcc", "gbbs-bcc"},
+     {InCore::kGraph, "gbbs-bcc"},
      [](A a, O o) { return bcc(gbbs_bcc(*a.g, o), a); }},
     {"bcc", "tv", In::kSymmetric, Src::kNone, kDriverOnly,
-     {InCore::kGraph, "tarjan-vishkin-bcc", "tarjan-vishkin-bcc"},
+     {InCore::kGraph, "tarjan-vishkin-bcc"},
      [](A a, O o) { return bcc(tarjan_vishkin_bcc(*a.g, o), a); }},
     {"bcc", "seq", In::kSymmetric, Src::kNone, kDriverOnly,
-     {InCore::kGraph, "hopcroft-tarjan-bcc", "hopcroft-tarjan-bcc"},
+     {InCore::kGraph, "hopcroft-tarjan-bcc"},
      [](A a, O o) { return bcc(hopcroft_tarjan_bcc(*a.g, o), a); }},
 
     {"cc", "uf", In::kSymmetric, Src::kNone, kServed,
-     {InCore::kGraph, "connected-components", "connected-components"},
+     {InCore::kGraph, "connected-components"},
      [](A a, O o) {
        return single(connected_components(*a.g, o), a,
                      [](const ConnectivityResult& c) {
@@ -264,17 +264,17 @@ const AlgoSpec kCatalog[] = {
                      });
      }},
     {"cc", "lp", In::kSymmetric, Src::kNone, kServed,
-     {InCore::kGraph, "label-prop-cc", "label-prop-cc"},
+     {InCore::kGraph, "label-prop-cc"},
      [](A a, O o) { return single(label_prop_cc(*a.g, o), a, cc_summary); }},
     {"cc", "ldd", In::kSymmetric, Src::kNone, kServed,
-     {InCore::kGraph, "ldd-cc", "ldd-cc"},
+     {InCore::kGraph, "ldd-cc"},
      [](A a, O o) { return single(ldd_cc(*a.g, o), a, cc_summary); }},
 
     {"kcore", "pasgal", In::kSymmetric, Src::kNone, kServed,
-     {InCore::kGraph, "pasgal-kcore", "pasgal-kcore"},
+     {InCore::kGraph, "pasgal-kcore"},
      [](A a, O o) { return single(pasgal_kcore(*a.g, o), a, kcore_line); }},
     {"kcore", "seq", In::kSymmetric, Src::kNone, kServed,
-     {InCore::kGraph, "seq-kcore", "seq-kcore"},
+     {InCore::kGraph, "seq-kcore"},
      [](A a, O o) { return single(seq_kcore(*a.g, o), a, kcore_line); }},
 
     // The pasgal pull runs shard-at-a-time through gt's window (out-degrees
@@ -282,15 +282,14 @@ const AlgoSpec kCatalog[] = {
     {"pagerank", "pasgal", In::kTranspose, Src::kNone, kServed, {},
      [](A a, O o) { return pagerank(pasgal_pagerank(*a.g, *a.gt, o), a); }},
     {"pagerank", "seq", In::kTranspose, Src::kNone, kServed,
-     {InCore::kTranspose, "seq-pagerank (use -a pasgal for sharded runs)",
-      nullptr},
+     {InCore::kTranspose, "seq-pagerank (use -a pasgal for sharded runs)"},
      [](A a, O o) { return pagerank(seq_pagerank(*a.g, *a.gt, o), a); }},
 
     {"tc", "pasgal", In::kSymmetric, Src::kNone, kServed,
-     {InCore::kGraph, "pasgal-tc", "pasgal-tc"},
+     {InCore::kGraph, "pasgal-tc"},
      [](A a, O o) { return tc(pasgal_tc(*a.g, o), a); }},
     {"tc", "seq", In::kSymmetric, Src::kNone, kServed,
-     {InCore::kGraph, "seq-tc", "seq-tc"},
+     {InCore::kGraph, "seq-tc"},
      [](A a, O o) { return tc(seq_tc(*a.g, o), a); }},
 };
 
@@ -415,7 +414,17 @@ void admit(const Guard& guard, const Graph& g, const Graph* gt) {
   if (guard.in_core == InCore::kTranspose || guard.in_core == InCore::kBoth) {
     gt->ensure_in_core(guard.in_core_what);
   }
-  if (guard.overlay_what != nullptr) g.ensure_no_delta(guard.overlay_what);
+}
+
+void admit(const AlgoSpec& row, const Graph& g, const Graph* gt) {
+  admit(row.guard, g, gt);
+  if (row.input == AlgoInput::kSymmetric && g.has_delta()) {
+    throw Error(ErrorCategory::kUsage,
+                std::string(row.guard.in_core_what) +
+                    " needs a symmetric graph, and this one has a pending "
+                    "update overlay; compact it or pass its symmetrize()",
+                g.storage()->source_path());
+  }
 }
 
 std::string bfs_summary(std::span<const std::uint32_t> dist) {

@@ -3,7 +3,7 @@
 //
 // A row says what the variant is called, what input it runs on, whether it
 // takes a source vertex or a source batch, whether the daemon serves it, the
-// storage guards its entry point checks (admit), and a type-erased `run`
+// in-core guard its entry point checks (admit), and a type-erased `run`
 // returning what a driver prints and a metrics document records. Everything
 // that used to spell the variant list out reads it from here instead: the
 // drivers' `-a` choices and defaults, the daemon's algo= vocabulary and
@@ -13,8 +13,10 @@
 // every "expected a|b|c" list prints the family's names in table order.
 //
 // Adding a variant: write its entry point in its own .cpp (the body calls
-// `admit(guard_of("family", "name"), g, ...)`, then runs inside run_traced;
-// see pasgal/options.h) and add one row to kCatalog in catalog.cpp.
+// `admit(algo_spec("family", "name"), g, ...)`, then runs inside
+// run_traced; see pasgal/options.h), read adjacency through
+// Graph::adjacency() so it runs on overlaid graphs, and add one row to
+// kCatalog in catalog.cpp.
 #pragma once
 
 #include <cstdint>
@@ -50,14 +52,12 @@ enum class AlgoSources : std::uint8_t {
 // Which prepared graph must be open in core (Graph::ensure_in_core).
 enum class InCore : std::uint8_t { kNone, kGraph, kTranspose, kBoth };
 
-// A variant's storage policy, checked by admit() before every run.
+// A variant's storage policy, checked by admit() before every run. Overlays
+// need no column: kernels read Graph::adjacency() (see admit).
 struct Guard {
   InCore in_core = InCore::kNone;
-  // Names the variant in the in-core error.
+  // Names the variant in the in-core and overlay errors.
   const char* in_core_what = nullptr;
-  // Non-null: refuse a pending update overlay on the graph (the kernel reads
-  // the base CSR directly); names the variant in that error.
-  const char* overlay_what = nullptr;
 };
 
 // The prepared input of one run. Which graph pointers are set follows the
@@ -165,14 +165,15 @@ std::vector<std::string> algo_names(std::string_view family);
 bool is_algo_family(std::string_view family);
 
 // Lazily validates the graphs (see Graph::ensure_validated), then applies the
-// guard: in-core checks (g before gt), then the overlay refusal on g. Every
-// failure is a typed kUsage Error naming the variant.
+// guard's in-core checks (g before gt). Every failure is a typed kUsage Error
+// naming the variant.
 void admit(const Guard& guard, const Graph& g, const Graph* gt = nullptr);
 
-// The guard of row `family`/`name` (entry points call admit with it).
-inline const Guard& guard_of(std::string_view family, std::string_view name) {
-  return algo_spec(family, name).guard;
-}
+// admit(row.guard, ...), plus the one overlay refusal, derived from the row's
+// input: a kSymmetric kernel needs every edge in both directions (bcc labels
+// edges by id), so it refuses an overlaid g. Through the catalog it gets
+// symmetrize(), which folds the overlay into a fresh graph.
+void admit(const AlgoSpec& row, const Graph& g, const Graph* gt = nullptr);
 
 // Result lines shared with the drivers' incremental --updates modes.
 std::string bfs_summary(std::span<const std::uint32_t> dist);

@@ -43,11 +43,8 @@ bool unite(std::vector<std::atomic<VertexId>>& parent, VertexId u, VertexId v) {
 
 RunReport<ConnectivityResult> connected_components(const Graph& g,
                                                    const AlgoOptions& opt) {
-  admit(guard_of("cc", "uf"), g);
+  admit(algo_spec("cc", "uf"), g);
   return run_traced(opt, [&](Tracer* stats) {
-    // Manual CSR walk below (edge_target, unchecked unions indexed by target):
-    // an un-deep-validated mmap open must fail typed here, not out of bounds.
-    g.ensure_validated();
     std::size_t n = g.num_vertices();
     std::size_t m = g.num_edges();
     std::vector<std::atomic<VertexId>> parent(n);
@@ -97,13 +94,12 @@ RunReport<ConnectivityResult> connected_components(const Graph& g,
 
 RunReport<std::vector<VertexId>> label_prop_cc(const Graph& g,
                                                const AlgoOptions& opt) {
-  admit(guard_of("cc", "lp"), g);
+  admit(algo_spec("cc", "lp"), g);
   return run_traced(opt, [&](Tracer* stats) {
     // Classic synchronous min-label propagation: every round each vertex takes
     // the minimum of its own and its neighbours' previous-round labels. Needs
     // O(D) rounds — the per-round global synchronization cost the paper's
     // techniques eliminate; kept as the ablation baseline.
-    g.ensure_validated();  // label[v] indexing below trusts targets < n
     std::size_t n = g.num_vertices();
     auto label =
         tabulate(n, [](std::size_t i) { return static_cast<VertexId>(i); });

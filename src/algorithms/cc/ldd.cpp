@@ -97,9 +97,8 @@ LddResult ldd(const Graph& g, double beta, std::uint64_t seed, Tracer* stats) {
 
 RunReport<std::vector<VertexId>> ldd_cc(const Graph& g,
                                         const AlgoOptions& opt) {
-  admit(guard_of("cc", "ldd"), g);
+  admit(algo_spec("cc", "ldd"), g);
   return run_traced(opt, [&](Tracer* stats) {
-    g.ensure_validated();  // edge_target() feeds the contraction unchecked
     std::size_t n = g.num_vertices();
     // label[v]: current component representative in the ORIGINAL graph.
     auto label =

@@ -10,27 +10,6 @@
 
 namespace pasgal {
 
-namespace {
-
-// Sequential visit of v's effective out-adjacency (base minus deletes plus
-// inserts). `f(t)` returns false to stop. The cascade/seed phases below are
-// worklist-sequential, so no snapshot re-fetch or atomics are needed here.
-template <typename F>
-bool for_each_effective(const Graph& g, const DeltaSnapshot* d, VertexId v,
-                        F&& f) {
-  if (d != nullptr && d->touches(v)) {
-    return d->scan_effective(v, g.neighbors(v).data(), g.edge_begin(v),
-                             g.edge_end(v),
-                             [&](VertexId t, EdgeId) { return f(t); });
-  }
-  for (VertexId t : g.neighbors(v)) {
-    if (!f(t)) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 IncrementalStats incremental_bfs(const Graph& g, const Graph& gt,
                                  std::span<const EdgeUpdate> batch,
                                  std::vector<std::uint32_t>& dist,
@@ -45,12 +24,9 @@ IncrementalStats incremental_bfs(const Graph& g, const Graph& gt,
     IncrementalStats stats;
     stats.full_settled = n;
 
-    std::shared_ptr<const DeltaSnapshot> dfwd_hold =
-        g.storage() != nullptr ? g.storage()->delta_snapshot() : nullptr;
-    std::shared_ptr<const DeltaSnapshot> dbwd_hold =
-        gt.storage() != nullptr ? gt.storage()->delta_snapshot() : nullptr;
-    const DeltaSnapshot* dfwd = dfwd_hold.get();
-    const DeltaSnapshot* dbwd = dbwd_hold.get();
+    // Effective out- and in-edges. The cascade and seed phases below are
+    // worklist-sequential: one view each serves the whole repair.
+    Adjacency out = g.adjacency(), in = gt.adjacency();
 
     // --- delete phase: cascade invalidation over the old distances ----------
     // A candidate is a vertex that may have lost its last parent. It is
@@ -73,7 +49,7 @@ IncrementalStats incremental_bfs(const Graph& g, const Graph& gt,
       work.pop_front();
       if (invalid[v] || v == source || dist[v] == kInfDist) continue;
       ++checked;
-      bool supported = !for_each_effective(gt, dbwd, v, [&](VertexId u) {
+      bool supported = !in.scan(v, [&](VertexId u) {
         ++scanned;
         // Stop (return false) as soon as one valid parent is found.
         return !(dist[u] != kInfDist && !invalid[u] && dist[u] + 1 == dist[v]);
@@ -81,20 +57,18 @@ IncrementalStats incremental_bfs(const Graph& g, const Graph& gt,
       if (supported) continue;
       invalid[v] = 1;
       invalidated.push_back(v);
-      for_each_effective(g, dfwd, v, [&](VertexId w) {
+      out.scan(v, [&](VertexId w) {
         ++scanned;
         if (!invalid[w] && dist[w] == dist[v] + 1) work.push_back(w);
-        return true;
       });
     }
 
     // --- seeds: settled boundary of the invalid region + insert sources ------
     std::vector<VertexId> seeds;
     for (VertexId v : invalidated) {
-      for_each_effective(gt, dbwd, v, [&](VertexId u) {
+      in.scan(v, [&](VertexId u) {
         ++scanned;
         if (!invalid[u] && dist[u] != kInfDist) seeds.push_back(u);
-        return true;
       });
     }
     for (const EdgeUpdate& up : batch) {

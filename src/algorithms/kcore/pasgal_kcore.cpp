@@ -45,11 +45,8 @@ struct alignas(64) WorkerStack {
 // window at the lowest such degree and seeds its levels directly.
 RunReport<std::vector<std::uint32_t>> pasgal_kcore(const Graph& g,
                                                    const AlgoOptions& opt) {
-  admit(guard_of("kcore", "pasgal"), g);
+  admit(algo_spec("kcore", "pasgal"), g);
   return run_traced(opt, [&](Tracer* stats) {
-    // degree[u].fetch_sub below indexes unchecked neighbour ids; an
-    // un-deep-validated mmap open must fail typed, not corrupt the buckets.
-    g.ensure_validated();
     std::size_t n = g.num_vertices();
     std::vector<std::atomic<std::uint32_t>> degree(n);
     std::vector<std::atomic<std::uint8_t>> peeled(n);

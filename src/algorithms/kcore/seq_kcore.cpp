@@ -10,9 +10,8 @@ namespace pasgal {
 // bucket). O(n + m), the standard sequential baseline.
 RunReport<std::vector<std::uint32_t>> seq_kcore(const Graph& g,
                                                 const AlgoOptions& opt) {
-  admit(guard_of("kcore", "seq"), g);
+  admit(algo_spec("kcore", "seq"), g);
   return run_traced(opt, [&](Tracer* stats) {
-    g.ensure_validated();  // degree[u] bucket moves index unchecked targets
     std::size_t n = g.num_vertices();
     std::vector<std::uint32_t> degree(n);
     std::uint32_t max_degree = 0;

@@ -37,15 +37,10 @@ std::vector<double> inverse_out_degrees(const Graph& g) {
   std::size_t n = g.num_vertices();
   // Contribution splits over the *effective* out-degree when an update
   // overlay is attached — the base degree would mis-weight patched vertices.
-  std::shared_ptr<const DeltaSnapshot> delta_hold =
-      g.storage() != nullptr ? g.storage()->delta_snapshot() : nullptr;
-  const DeltaSnapshot* delta = delta_hold.get();
+  Adjacency out = g.adjacency();
   std::vector<double> inv_out(n);
   parallel_for(0, n, [&](std::size_t u) {
-    EdgeId d = g.out_degree(static_cast<VertexId>(u));
-    if (delta != nullptr) {
-      d = delta->effective_degree(static_cast<VertexId>(u), d);
-    }
+    EdgeId d = out.degree(static_cast<VertexId>(u));
     inv_out[u] = d == 0 ? 0.0 : 1.0 / static_cast<double>(d);
   });
   return inv_out;
@@ -55,7 +50,7 @@ std::vector<double> inverse_out_degrees(const Graph& g) {
 
 RunReport<PagerankResult> seq_pagerank(const Graph& g, const Graph& gt,
                                        const AlgoOptions& opt) {
-  admit(guard_of("pagerank", "seq"), g, &gt);
+  admit(algo_spec("pagerank", "seq"), g, &gt);
   return run_traced(opt, [&](Tracer* stats) {
     std::size_t n = g.num_vertices();
     PagerankResult result;
@@ -63,12 +58,10 @@ RunReport<PagerankResult> seq_pagerank(const Graph& g, const Graph& gt,
     std::vector<double> inv_out = inverse_out_degrees(g);
     std::vector<double> prev(n, 1.0 / static_cast<double>(n));
     std::vector<double> contrib(n), sum(n), next(n);
-    // In-edge overlay for the gather (gt carries the flipped snapshot); the
-    // merged scan keeps ascending source order, so the FP summation order —
-    // and thus the printed ranks — match a from-scratch rebuild exactly.
-    std::shared_ptr<const DeltaSnapshot> din_hold =
-        gt.storage() != nullptr ? gt.storage()->delta_snapshot() : nullptr;
-    const DeltaSnapshot* din = din_hold.get();
+    // In-edges through the overlay (gt carries the flipped snapshot); the
+    // scan keeps ascending source order, so the FP summation order — and
+    // thus the printed ranks — match a from-scratch rebuild exactly.
+    Adjacency in = gt.adjacency();
     for (std::uint32_t iter = 0; iter < opt.pagerank_iterations; ++iter) {
       if (opt.cancel != nullptr) {
         opt.cancel->check("pagerank round boundary");
@@ -76,18 +69,8 @@ RunReport<PagerankResult> seq_pagerank(const Graph& g, const Graph& gt,
       for (std::size_t u = 0; u < n; ++u) contrib[u] = prev[u] * inv_out[u];
       for (std::size_t v = 0; v < n; ++v) {
         double acc = 0;
-        VertexId vv = static_cast<VertexId>(v);
-        if (din != nullptr && din->touches(vv)) {
-          din->scan_effective(vv, gt.neighbors(vv).data(), gt.edge_begin(vv),
-                              gt.edge_end(vv), [&](VertexId u, EdgeId) {
-                                acc += contrib[u];
-                                return true;
-                              });
-        } else {
-          for (VertexId u : gt.neighbors(vv)) {
-            acc += contrib[u];
-          }
-        }
+        in.scan(static_cast<VertexId>(v),
+                [&](VertexId u) { acc += contrib[u]; });
         sum[v] = acc;
       }
       result.delta =
@@ -107,7 +90,7 @@ RunReport<PagerankResult> seq_pagerank(const Graph& g, const Graph& gt,
 
 RunReport<PagerankResult> pasgal_pagerank(const Graph& g, const Graph& gt,
                                           const AlgoOptions& opt) {
-  admit(guard_of("pagerank", "pasgal"), g, &gt);
+  admit(algo_spec("pagerank", "pasgal"), g, &gt);
   return run_traced(opt, [&](Tracer* stats) {
     std::size_t n = g.num_vertices();
     PagerankResult result;

@@ -24,7 +24,7 @@ SccLabel scc_label_of(VertexId p) { return 4 * static_cast<SccLabel>(p); }
 // O(D) synchronized rounds, which our instrumentation exposes.
 RunReport<std::vector<SccLabel>> multistep_scc(const Graph& g, const Graph& gt,
                                                const AlgoOptions& opt) {
-  admit(guard_of("scc", "multistep"), g, &gt);
+  admit(algo_spec("scc", "multistep"), g, &gt);
   return run_traced(opt, [&](Tracer* stats) -> std::vector<SccLabel> {
     std::size_t n = g.num_vertices();
     if (n == 0) return {};
@@ -35,23 +35,15 @@ RunReport<std::vector<SccLabel>> multistep_scc(const Graph& g, const Graph& gt,
     auto live = [&](VertexId v) {
       return label[v].load(std::memory_order_relaxed) == kUnassigned;
     };
+    Adjacency out = g.adjacency(), in = gt.adjacency();
 
     // --- 1. Trim.
     parallel_for(0, n, [&](std::size_t vi) {
       VertexId v = static_cast<VertexId>(vi);
-      bool has_out = false, has_in = false;
-      for (VertexId u : g.neighbors(v)) {
-        if (u != v) {
-          has_out = true;
-          break;
-        }
-      }
-      for (VertexId u : gt.neighbors(v)) {
-        if (u != v) {
-          has_in = true;
-          break;
-        }
-      }
+      // A scan stops (returns false) at the first neighbour other than v.
+      auto self = [&](VertexId u) { return u == v; };
+      bool has_out = !out.scan(v, self);
+      bool has_in = !in.scan(v, self);
       if (!has_in || !has_out) {
         label[v].store(scc_label_of(v), std::memory_order_relaxed);
       }
@@ -67,8 +59,8 @@ RunReport<std::vector<SccLabel>> multistep_scc(const Graph& g, const Graph& gt,
     std::uint64_t best_product = 0;
     for (VertexId v = 0; v < n; ++v) {
       if (!live(v)) continue;
-      std::uint64_t prod = static_cast<std::uint64_t>(g.out_degree(v)) *
-                           static_cast<std::uint64_t>(gt.out_degree(v));
+      std::uint64_t prod = static_cast<std::uint64_t>(out.degree(v)) *
+                           static_cast<std::uint64_t>(in.degree(v));
       if (pivot == kInvalidVertex || prod > best_product) {
         pivot = v;
         best_product = prod;
@@ -115,12 +107,11 @@ RunReport<std::vector<SccLabel>> multistep_scc(const Graph& g, const Graph& gt,
           VertexId u = static_cast<VertexId>(ui);
           if (!live(u)) return;
           std::uint64_t cu = color[u].load(std::memory_order_relaxed);
-          for (VertexId v : g.neighbors(u)) {
-            if (!live(v)) continue;
-            if (write_max(color[v], cu)) {
+          out.scan(u, [&](VertexId v) {
+            if (live(v) && write_max(color[v], cu)) {
               changed.store(true, std::memory_order_relaxed);
             }
-          }
+          });
         });
         stats->add_edges(g.num_edges());
         stats->end_round(remaining);
@@ -164,11 +155,11 @@ RunReport<std::vector<SccLabel>> multistep_scc(const Graph& g, const Graph& gt,
       });
       std::vector<Edge> sub_edges;
       for (VertexId u : live_vertices) {
-        for (VertexId v : g.neighbors(u)) {
+        out.scan(u, [&](VertexId v) {
           if (dense_id[v] != kInvalidVertex) {
             sub_edges.push_back(Edge{dense_id[u], dense_id[v]});
           }
-        }
+        });
       }
       Graph sub = Graph::from_edges(live_vertices.size(), sub_edges);
       auto sub_labels = tarjan_scc(sub, {.tracer = stats}).output;

@@ -29,7 +29,7 @@ SccLabel scc_label_of(VertexId p) { return 4 * static_cast<SccLabel>(p); }
 // or strict frontier order (gbbs_scc via tau=1).
 RunReport<std::vector<SccLabel>> pasgal_scc(const Graph& g, const Graph& gt,
                                             const AlgoOptions& opt) {
-  admit(guard_of("scc", "pasgal"), g, &gt);
+  admit(algo_spec("scc", "pasgal"), g, &gt);
   return run_traced(opt, [&](Tracer* stats) {
     std::size_t n = g.num_vertices();
     std::vector<std::atomic<SccLabel>> label(n);
@@ -39,6 +39,7 @@ RunReport<std::vector<SccLabel>> pasgal_scc(const Graph& g, const Graph& gt,
     auto live = [&](VertexId v) {
       return label[v].load(std::memory_order_relaxed) == kUnassigned;
     };
+    Adjacency out = g.adjacency(), in = gt.adjacency();
 
     // --- Trim: vertices with no live in- or out-neighbour are singleton SCCs.
     // One pass (as in Multistep/GBBS); repeated trimming would itself need
@@ -46,19 +47,10 @@ RunReport<std::vector<SccLabel>> pasgal_scc(const Graph& g, const Graph& gt,
     stats->phase_begin("trim");
     parallel_for(0, n, [&](std::size_t vi) {
       VertexId v = static_cast<VertexId>(vi);
-      bool has_in = false, has_out = false;
-      for (VertexId u : g.neighbors(v)) {
-        if (u != v) {
-          has_out = true;
-          break;
-        }
-      }
-      for (VertexId u : gt.neighbors(v)) {
-        if (u != v) {
-          has_in = true;
-          break;
-        }
-      }
+      // A scan stops (returns false) at the first neighbour other than v.
+      auto self = [&](VertexId u) { return u == v; };
+      bool has_out = !out.scan(v, self);
+      bool has_in = !in.scan(v, self);
       if (!has_in || !has_out) {
         label[v].store(scc_label_of(v), std::memory_order_relaxed);
       }
@@ -82,8 +74,10 @@ RunReport<std::vector<SccLabel>> pasgal_scc(const Graph& g, const Graph& gt,
     // component elect pivots independently from round one (instead of burning
     // batch rounds while one global subproblem splits). The 4r+3 encoding is
     // the same "neither side of the pivot" id that r itself would produce,
-    // so uniqueness of labels is preserved.
-    ConnectivityResult weak = connected_components(g, {}).output;
+    // so uniqueness of labels is preserved. connected_components reads the
+    // raw CSR, so an update overlay is folded in first.
+    ConnectivityResult weak =
+        connected_components(materialize_effective(g), {}).output;
     std::vector<std::uint64_t> sub(n);
     parallel_for(0, n, [&](std::size_t v) {
       sub[v] = 4 * static_cast<std::uint64_t>(weak.label[v]) + 3;
@@ -193,7 +187,7 @@ RunReport<std::vector<SccLabel>> pasgal_scc(const Graph& g, const Graph& gt,
 
 RunReport<std::vector<SccLabel>> gbbs_scc(const Graph& g, const Graph& gt,
                                           const AlgoOptions& opt) {
-  admit(guard_of("scc", "gbbs"), g, &gt);
+  admit(algo_spec("scc", "gbbs"), g, &gt);
   return run_traced(opt, [&](Tracer* stats) {
     // Same framework, reachability in strict one-hop frontier order: this is
     // the GBBS-style baseline whose round count scales with the diameter.

@@ -27,6 +27,7 @@ void multi_reach(const Graph& g, const Graph& gt,
                  const AlgoOptions& opt, Tracer* stats = nullptr) {
   std::size_t n = g.num_vertices();
   EdgeId m = g.num_edges();
+  Adjacency adj = g.adjacency();
 
   std::vector<VertexId> current;
   current.reserve(roots.size());
@@ -43,7 +44,7 @@ void multi_reach(const Graph& g, const Graph& gt,
   while (!current.empty()) {
     EdgeId work = reduce_indexed<EdgeId>(
                       current.size(), 0, std::plus<EdgeId>{},
-                      [&](std::size_t i) { return g.out_degree(current[i]); }) +
+                      [&](std::size_t i) { return adj.degree(current[i]); }) +
                   current.size();
 
     if (go_dense(work, m, opt)) {
@@ -80,7 +81,7 @@ void multi_reach(const Graph& g, const Graph& gt,
           VertexId root = current[i];
           std::uint64_t root_sub = sub[root];
           local_search(
-              g, root, opt.vgc,
+              adj, root, opt.vgc,
               [&](VertexId v) {
                 if (!live(v) || sub[v] != root_sub) return false;
                 std::uint8_t expected = 0;

@@ -15,6 +15,9 @@
 //                    synchronization cost the paper measures.
 //  * multistep_scc — Slota et al. (IPDPS'14): trim, FW-BW for the giant SCC,
 //                    coloring for the rest, sequential cleanup.
+//
+// Every variant runs on a graph with a pending update overlay (it reads
+// Graph::adjacency(); tarjan_scc through its resumable cursor).
 #pragma once
 
 #include <cstdint>

@@ -8,7 +8,7 @@ namespace pasgal {
 // cannot overflow the call stack.
 RunReport<std::vector<SccLabel>> tarjan_scc(const Graph& g,
                                             const AlgoOptions& opt) {
-  admit(guard_of("scc", "seq"), g);
+  admit(algo_spec("scc", "seq"), g);
   return run_traced(opt, [&](Tracer* stats) {
     std::size_t n = g.num_vertices();
     constexpr std::uint32_t kUnvisited = static_cast<std::uint32_t>(-1);
@@ -21,30 +21,27 @@ RunReport<std::vector<SccLabel>> tarjan_scc(const Graph& g,
     SccLabel next_scc = 0;
     std::uint64_t edges_scanned = 0;
 
-    struct Frame {
-      VertexId v;
-      EdgeId next_edge;
-    };
-    std::vector<Frame> dfs;
+    // Each DFS frame is a cursor into its vertex's effective out-list.
+    Adjacency adj = g.adjacency();
+    std::vector<Adjacency::Cursor> dfs;
 
     for (VertexId root = 0; root < n; ++root) {
       if (index[root] != kUnvisited) continue;
-      dfs.push_back({root, g.edge_begin(root)});
+      dfs.push_back(adj.cursor(root));
       index[root] = lowlink[root] = next_index++;
       scc_stack.push_back(root);
       on_stack[root] = 1;
 
       while (!dfs.empty()) {
-        Frame& frame = dfs.back();
-        VertexId v = frame.v;
-        if (frame.next_edge < g.edge_end(v)) {
-          VertexId w = g.edge_target(frame.next_edge++);
+        VertexId v = dfs.back().v;
+        VertexId w = 0;
+        if (adj.next(dfs.back(), w)) {
           ++edges_scanned;
           if (index[w] == kUnvisited) {
             index[w] = lowlink[w] = next_index++;
             scc_stack.push_back(w);
             on_stack[w] = 1;
-            dfs.push_back({w, g.edge_begin(w)});
+            dfs.push_back(adj.cursor(w));
           } else if (on_stack[w]) {
             lowlink[v] = std::min(lowlink[v], index[w]);
           }

@@ -12,7 +12,7 @@ namespace pasgal {
 // round-count pathology the stepping framework avoids.
 RunReport<std::vector<Dist>> bellman_ford(const WeightedGraph<std::uint32_t>& g,
                                           const AlgoOptions& opt) {
-  admit(guard_of("sssp", "bf"), g.unweighted());
+  admit(algo_spec("sssp", "bf"), g.unweighted());
   return run_traced(opt, [&](Tracer* stats) {
     check_sssp_preconditions(g, opt.source, kInfWeightDist - 1)
         .throw_if_error();

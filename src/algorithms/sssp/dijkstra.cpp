@@ -9,7 +9,7 @@ namespace pasgal {
 // sequential SSSP baseline.
 RunReport<std::vector<Dist>> dijkstra(const WeightedGraph<std::uint32_t>& g,
                                       const AlgoOptions& opt) {
-  admit(guard_of("sssp", "seq"), g.unweighted());
+  admit(algo_spec("sssp", "seq"), g.unweighted());
   return run_traced(opt, [&](Tracer* stats) {
     check_sssp_preconditions(g, opt.source, kInfWeightDist - 1)
         .throw_if_error();

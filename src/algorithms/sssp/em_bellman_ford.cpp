@@ -21,7 +21,7 @@ namespace pasgal {
 // are byte-identical to bellman_ford/dijkstra on the same graph.
 RunReport<std::vector<Dist>> em_bellman_ford(
     const WeightedGraph<std::uint32_t>& g, const AlgoOptions& opt) {
-  admit(guard_of("sssp", "em"), g.unweighted());
+  admit(algo_spec("sssp", "em"), g.unweighted());
   return run_traced(opt, [&](Tracer* stats) {
     check_sssp_preconditions(g, opt.source, kInfWeightDist - 1)
         .throw_if_error();

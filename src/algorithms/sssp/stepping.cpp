@@ -43,7 +43,7 @@ int bucket_for(std::uint32_t gap) {
 //   rho-stepping:   threshold = distance of the rho-th closest entry.
 RunReport<std::vector<Dist>> stepping_sssp(
     const WeightedGraph<std::uint32_t>& g, const AlgoOptions& opt) {
-  admit(guard_of("sssp", opt.sssp_delta_mode ? "delta" : "rho"),
+  admit(algo_spec("sssp", opt.sssp_delta_mode ? "delta" : "rho"),
         g.unweighted());
   return run_traced(opt, [&](Tracer* stats) {
     // Tentative distances are packed into 32 bits (see encode() above), so the
@@ -169,7 +169,7 @@ RunReport<std::vector<Dist>> stepping_sssp(
 BatchReport<std::vector<Dist>> batch_sssp(const WeightedGraph<std::uint32_t>& g,
                                           const BatchOptions& opt) {
   // Not a catalog row of its own: the rho/delta rows run it for a batch.
-  admit({InCore::kGraph, "batched SSSP", nullptr}, g.unweighted());
+  admit({InCore::kGraph, "batched SSSP"}, g.unweighted());
   check_batch_sources(opt.sources, g.num_vertices());
   auto run = run_traced(opt.algo, [&](Tracer* stats) {
     AlgoOptions one = opt.algo;

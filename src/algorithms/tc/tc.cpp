@@ -113,7 +113,7 @@ std::uint64_t mark_from(const Dag& dag, VertexId u, std::uint64_t* row,
 }  // namespace
 
 RunReport<std::uint64_t> seq_tc(const Graph& g, const AlgoOptions& opt) {
-  admit(guard_of("tc", "seq"), g);
+  admit(algo_spec("tc", "seq"), g);
   return run_traced(opt, [&](Tracer* stats) {
     std::size_t n = g.num_vertices();
     Dag dag = build_dag(g);
@@ -130,7 +130,7 @@ RunReport<std::uint64_t> seq_tc(const Graph& g, const AlgoOptions& opt) {
 }
 
 RunReport<std::uint64_t> pasgal_tc(const Graph& g, const AlgoOptions& opt) {
-  admit(guard_of("tc", "pasgal"), g);
+  admit(algo_spec("tc", "pasgal"), g);
   return run_traced(opt, [&](Tracer* stats) {
     std::size_t n = g.num_vertices();
     Dag dag = [&] {

@@ -22,14 +22,15 @@ Status cycle_status(std::size_t unfinished, std::size_t n) {
 
 RunReport<std::vector<std::uint32_t>> seq_toposort(const Graph& g,
                                                    const AlgoOptions& opt) {
-  admit({InCore::kGraph, "seq-toposort", "seq-toposort"}, g);
+  admit({InCore::kGraph, "seq-toposort"}, g);
   return run_traced(opt, [&](Tracer* stats) {
     std::size_t n = g.num_vertices();
     Graph gt = g.transpose();
+    Adjacency out = g.adjacency(), in = gt.adjacency();
     std::vector<std::uint32_t> indeg(n), level(n, 0);
     std::queue<VertexId> queue;
     for (VertexId v = 0; v < n; ++v) {
-      indeg[v] = static_cast<std::uint32_t>(gt.out_degree(v));
+      indeg[v] = static_cast<std::uint32_t>(in.degree(v));
       if (indeg[v] == 0) queue.push(v);
     }
     std::size_t done = 0;
@@ -38,11 +39,11 @@ RunReport<std::vector<std::uint32_t>> seq_toposort(const Graph& g,
       VertexId u = queue.front();
       queue.pop();
       ++done;
-      for (VertexId v : g.neighbors(u)) {
+      out.scan(u, [&](VertexId v) {
         ++edges;
         level[v] = std::max(level[v], level[u] + 1);
         if (--indeg[v] == 0) queue.push(v);
-      }
+      });
     }
     stats->add_edges(edges);
     stats->add_visits(done);
@@ -58,14 +59,15 @@ RunReport<std::vector<std::uint32_t>> seq_toposort(const Graph& g,
 // predecessors have contributed their level, so level[v] is final.
 RunReport<std::vector<std::uint32_t>> pasgal_toposort(const Graph& g,
                                                       const AlgoOptions& opt) {
-  admit({InCore::kGraph, "pasgal-toposort", "pasgal-toposort"}, g);
+  admit({InCore::kGraph, "pasgal-toposort"}, g);
   return run_traced(opt, [&](Tracer* stats) {
     std::size_t n = g.num_vertices();
     Graph gt = g.transpose();
+    Adjacency out = g.adjacency(), in = gt.adjacency();
     std::vector<std::atomic<std::uint32_t>> indeg(n), level(n);
     parallel_for(0, n, [&](std::size_t v) {
       indeg[v].store(
-          static_cast<std::uint32_t>(gt.out_degree(static_cast<VertexId>(v))),
+          static_cast<std::uint32_t>(in.degree(static_cast<VertexId>(v))),
           std::memory_order_relaxed);
       level[v].store(0, std::memory_order_relaxed);
     });
@@ -96,7 +98,7 @@ RunReport<std::vector<std::uint32_t>> pasgal_toposort(const Graph& g,
               stack.pop_back();
               ++processed;
               std::uint32_t lu = level[u].load(std::memory_order_relaxed);
-              for (VertexId v : g.neighbors(u)) {
+              out.scan(u, [&](VertexId v) {
                 ++edges;
                 write_max(level[v], lu + 1);
                 if (indeg[v].fetch_sub(1, std::memory_order_acq_rel) - 1 == 0) {
@@ -107,7 +109,7 @@ RunReport<std::vector<std::uint32_t>> pasgal_toposort(const Graph& g,
                     bag.insert(v);
                   }
                 }
-              }
+              });
             }
             finished.fetch_add(processed, std::memory_order_relaxed);
             stats->add_edges(edges);

@@ -112,10 +112,10 @@ ApplyStats apply_updates(const Graph& g, std::span<const EdgeUpdate> batch) {
   }
   g.ensure_in_core("graph updates");
   g.ensure_validated();
-  // The merge in edge_map and the membership checks below binary-search base
-  // adjacency lists. All pasgal builders and writers sort per-vertex lists,
-  // but an externally produced `.pgr` (converted from an unsorted `.bin`)
-  // may not be.
+  // The overlay merge (Adjacency) and the membership checks below rely on
+  // sorted base adjacency lists. All pasgal builders and writers sort
+  // per-vertex lists, but an externally produced `.pgr` (converted from an
+  // unsorted `.bin`) may not be.
   if (!g.adjacency_sorted()) {
     throw Error(ErrorCategory::kValidation,
                 "graph updates require per-vertex sorted adjacency lists; "
@@ -223,26 +223,17 @@ Graph materialize_effective(const Graph& g) {
   if (!g.has_delta()) return g;
   g.ensure_in_core("update-overlay materialization");
   g.ensure_validated();
-  std::shared_ptr<const DeltaSnapshot> d = g.storage()->delta_snapshot();
-  if (d == nullptr) return g;
+  Adjacency adj = g.adjacency();
   std::size_t n = g.num_vertices();
   std::vector<EdgeId> offsets(n + 1);
   offsets[n] = scan_indexed<EdgeId>(
-      n,
-      [&](std::size_t v) {
-        return d->effective_degree(static_cast<VertexId>(v),
-                                   g.out_degree(static_cast<VertexId>(v)));
-      },
+      n, [&](std::size_t v) { return adj.degree(static_cast<VertexId>(v)); },
       [&](std::size_t v, EdgeId x) { offsets[v] = x; });
   std::vector<VertexId> targets(offsets[n]);
   parallel_for(0, n, [&](std::size_t v) {
     EdgeId out = offsets[v];
-    d->scan_effective(static_cast<VertexId>(v),
-                      g.targets().data() + g.edge_begin(v), g.edge_begin(v),
-                      g.edge_end(v), [&](VertexId t, EdgeId) {
-                        targets[out++] = t;
-                        return true;
-                      });
+    adj.scan(static_cast<VertexId>(v),
+             [&](VertexId t) { targets[out++] = t; });
   });
   return Graph(std::move(offsets), std::move(targets));
 }

@@ -3,12 +3,11 @@
 // A registered `.pgr` is immutable — the mmap'd CSR never changes. Updates
 // are instead accumulated as a **DeltaSnapshot**: an immutable per-vertex
 // patch set (sorted insert targets, sorted delete targets) attached to the
-// graph's storage handle. The traversal layer merges it at the edge_map
-// choke point — dense pull and sparse push iterate (base minus deletes)
-// union inserts in ascending target order, which is exactly the adjacency
-// order `from_edges` produces — so the static kernels (bfs/cc/pagerank/sssp)
-// run unmodified and their results are byte-identical to a from-scratch
-// rebuild of the updated graph.
+// graph's storage handle. Every kernel that can meet an overlay reads
+// adjacency through one view, `Adjacency` below (Graph::adjacency()), which
+// merges it: (base minus deletes) union inserts, in ascending target order —
+// exactly the adjacency order `from_edges` produces — so their results are
+// byte-identical to a from-scratch rebuild of the updated graph.
 //
 // Apply model: `apply_updates(g, batch)` validates a batch against the
 // *effective* graph (base ⊕ current overlay), builds the next snapshot
@@ -40,6 +39,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "graphs/graph.h"
@@ -57,7 +57,7 @@ struct EdgeUpdate {
 
 // Immutable per-vertex patch set: full (n+1) offset arrays over sorted
 // insert/delete target arrays. O(1) per-vertex lookup with no hashing, and
-// `touches(v)` — the traversal fast path — is two offset compares. Holds its
+// `touches(v)` — the Adjacency fast path — is two offset compares. Holds its
 // flipped (in-edge) counterpart, built in the same apply step, for pull
 // traversals over the cached transpose.
 class DeltaSnapshot {
@@ -96,34 +96,6 @@ class DeltaSnapshot {
     return flipped_;
   }
 
-  // Merge iteration over v's *effective* adjacency in ascending target
-  // order: base copies not suppressed by a delete, interleaved with overlay
-  // inserts. `base` spans v's base targets (sorted; element i is global
-  // edge id e_begin + i). `f(target, edge_id)` returns false to stop early;
-  // inserts carry kInvalidEdge. Returns false when f stopped the scan.
-  template <typename F>
-  bool scan_effective(VertexId v, const VertexId* base, EdgeId e_begin,
-                      EdgeId e_end, F&& f) const {
-    std::span<const VertexId> ins = inserts(v);
-    std::span<const VertexId> del = deletes(v);
-    std::size_t ii = 0, di = 0;
-    for (EdgeId e = e_begin; e < e_end; ++e) {
-      VertexId t = base[e - e_begin];
-      while (ii < ins.size() && ins[ii] < t) {
-        if (!f(ins[ii++], kInvalidEdge)) return false;
-      }
-      while (di < del.size() && del[di] < t) ++di;
-      // One delete entry suppresses every base copy of t (deliberately not
-      // advancing di: the next base element may be a duplicate of t).
-      if (di < del.size() && del[di] == t) continue;
-      if (!f(t, e)) return false;
-    }
-    while (ii < ins.size()) {
-      if (!f(ins[ii++], kInvalidEdge)) return false;
-    }
-    return true;
-  }
-
   // Construction is delta.cpp's job (apply_updates / log replay); tests and
   // the builder go through this factory. The per-vertex lists must be
   // sorted, duplicate-free, and disjoint in the apply-model sense.
@@ -142,6 +114,134 @@ class DeltaSnapshot {
   std::uint64_t batches_ = 0;
   std::shared_ptr<const DeltaSnapshot> flipped_;
 };
+
+// One graph's effective adjacency, read per vertex: the base CSR with the
+// update overlay merged in. Take it once per traversal (Graph::adjacency()):
+// it holds one snapshot, so a racing apply_updates cannot change the lists
+// under it; the graph must outlive it. With no overlay, or on a vertex the
+// overlay leaves untouched, a read is the raw CSR loop. A merged list is the
+// base copies no delete suppresses, interleaved with the inserts, ascending —
+// the order a rebuild stores — so kernels answer as on the rebuilt graph.
+// Inserts carry kInvalidEdge. A visitor `f` takes (target) or (target,
+// edge_id) and returns void or bool; false stops the scan.
+class Adjacency {
+ public:
+  // Reads g's CSR with `overlay` merged in (null: the raw CSR), for a caller
+  // that pairs a graph with a snapshot it fetched itself.
+  Adjacency(const Graph& g, std::shared_ptr<const DeltaSnapshot> overlay)
+      : offsets_(g.offsets().data()),
+        targets_(g.targets().data()),
+        delta_(std::move(overlay)) {}
+
+  // The snapshot this view merges (null: none).
+  const std::shared_ptr<const DeltaSnapshot>& overlay() const { return delta_; }
+
+  EdgeId degree(VertexId v) const {
+    EdgeId d = offsets_[v + 1] - offsets_[v];
+    return delta_ == nullptr ? d : delta_->effective_degree(v, d);
+  }
+
+  // Visits v's effective out-edges in ascending target order; false when f
+  // stopped the scan. A shard window passes its payload as `tgt`, holding
+  // the base targets from global edge id `e_base` on.
+  template <typename F>
+  bool scan(VertexId v, F&& f, const VertexId* tgt = nullptr,
+            EdgeId e_base = 0) const {
+    if (tgt == nullptr) tgt = targets_;
+    EdgeId begin = offsets_[v], end = offsets_[v + 1];
+    if (delta_ == nullptr || !delta_->touches(v)) [[likely]] {
+      for (EdgeId e = begin; e < end; ++e) {
+        if (!call(f, tgt[e - e_base], e)) return false;
+      }
+      return true;
+    }
+    Cursor c{v, 0, 0, begin};
+    return merge(c, tgt, e_base, f);
+  }
+
+  // v's effective list as one span: the base row itself when the overlay
+  // leaves v untouched, else the merged list appended to the empty `buf`.
+  std::span<const VertexId> row(VertexId v, std::vector<VertexId>& buf) const {
+    if (delta_ == nullptr || !delta_->touches(v)) {
+      return {targets_ + offsets_[v],
+              static_cast<std::size_t>(offsets_[v + 1] - offsets_[v])};
+    }
+    scan(v, [&](VertexId t) { buf.push_back(t); });
+    return buf;
+  }
+
+  // A resumable position in v's effective list (Tarjan's DFS frames).
+  struct Cursor {
+    VertexId v;
+    std::uint32_t ins;  // next overlay insert of v
+    std::uint32_t del;  // next overlay delete of v
+    EdgeId e;           // next base edge
+  };
+  Cursor cursor(VertexId v) const { return {v, 0, 0, offsets_[v]}; }
+
+  // Moves c past the next effective out-neighbour, stored in `target`;
+  // false once the list is exhausted.
+  bool next(Cursor& c, VertexId& target) const {
+    if (delta_ == nullptr || !delta_->touches(c.v)) [[likely]] {
+      if (c.e == offsets_[c.v + 1]) return false;
+      target = targets_[c.e++];
+      return true;
+    }
+    auto take = [&](VertexId t) { target = t; return false; };
+    return !merge(c, targets_, 0, take);
+  }
+
+ private:
+  // Calls f(t) or f(t, e); a void visitor never stops the scan.
+  template <typename F>
+  static bool call(F& f, VertexId t, EdgeId e) {
+    auto run = [&] {
+      if constexpr (std::is_invocable_v<F&, VertexId, EdgeId>) return f(t, e);
+      else return f(t);
+    };
+    if constexpr (std::is_void_v<decltype(run())>) return run(), true;
+    else return run();
+  }
+
+  // The overlay merge of c.v's list, resumed from c. Returns false when f
+  // stopped it; c then points just past the entry f stopped on. Kept out of
+  // line so the raw loop above stays as small as a plain CSR loop.
+  template <typename F>
+  [[gnu::noinline]] bool merge(Cursor& c, const VertexId* tgt, EdgeId e_base,
+                               F& f) const {
+    std::span<const VertexId> ins, del;
+    if (delta_ != nullptr) {
+      ins = delta_->inserts(c.v);
+      del = delta_->deletes(c.v);
+    }
+    for (EdgeId end = offsets_[c.v + 1]; c.e < end;) {
+      VertexId t = tgt[c.e - e_base];
+      if (c.ins < ins.size() && ins[c.ins] < t) {
+        if (!call(f, ins[c.ins++], kInvalidEdge)) return false;
+        continue;
+      }
+      while (c.del < del.size() && del[c.del] < t) ++c.del;
+      EdgeId e = c.e++;
+      // One delete entry suppresses every base copy of t (c.del stays put:
+      // the next base element may be a duplicate of t).
+      if (c.del < del.size() && del[c.del] == t) continue;
+      if (!call(f, t, e)) return false;
+    }
+    while (c.ins < ins.size()) {
+      if (!call(f, ins[c.ins++], kInvalidEdge)) return false;
+    }
+    return true;
+  }
+
+  const EdgeId* offsets_;
+  const VertexId* targets_;
+  std::shared_ptr<const DeltaSnapshot> delta_;
+};
+
+inline Adjacency Graph::adjacency() const {
+  return Adjacency(*this,
+                   storage_ != nullptr ? storage_->delta_snapshot() : nullptr);
+}
 
 // Result of one apply (or replay): the batch's op mix plus the pending
 // overlay totals after it, for metrics and admission pricing.

@@ -37,12 +37,13 @@ static_assert(std::is_same_v<VertexId, StorageVertexId>);
 static_assert(std::is_same_v<EdgeId, StorageEdgeId>);
 
 inline constexpr VertexId kInvalidVertex = static_cast<VertexId>(-1);
-// Edge id handed to edge_map updates for overlay-inserted edges: they have no
-// slot in the base targets array (weighted traversals never see one — updates
-// on weighted graphs are rejected at apply_updates).
+// Edge id an Adjacency scan (graphs/delta.h) hands out for overlay-inserted
+// edges: they have no slot in the base targets array (weighted traversals
+// never see one — updates on weighted graphs are rejected at apply_updates).
 inline constexpr EdgeId kInvalidEdge = static_cast<EdgeId>(-1);
 
 class Graph;
+class Adjacency;
 
 // The delta overlay collapsed into a plain heap CSR: (base minus deleted
 // edges) plus inserted edges, per-vertex sorted — the same adjacency order a
@@ -118,23 +119,15 @@ class Graph {
   bool windowed() const { return storage_ != nullptr && storage_->windowed(); }
 
   // True when a pending update overlay (graphs/delta.h) is attached: the
-  // base spans alone no longer describe the graph. edge_map merges the
-  // overlay in; direct CSR readers must materialize_effective() or guard
-  // with ensure_no_delta().
+  // base spans alone no longer describe the graph. Kernels read the
+  // effective adjacency through adjacency(); whole-graph readers of the
+  // spans materialize_effective() first.
   bool has_delta() const { return storage_ != nullptr && storage_->has_delta(); }
 
-  // Typed guard for algorithms that random-access offsets()/targets()
-  // directly: on an overlaid graph they would silently compute against the
-  // stale base adjacency.
-  void ensure_no_delta(const char* what) const {
-    if (!has_delta()) return;
-    throw Error(ErrorCategory::kUsage,
-                std::string(what) +
-                    " reads the base CSR directly and cannot see this "
-                    "graph's pending update overlay; compact the graph "
-                    "first or use an edge_map-based variant",
-                storage_->source_path());
-  }
+  // The per-vertex read kernels scan through: the base CSR with the
+  // pending update overlay merged in, its snapshot fetched once here and
+  // held by the view. Take one per traversal (graphs/delta.h).
+  Adjacency adjacency() const;
 
   // Typed guard for algorithms that random-access the adjacency arrays.
   // Rejects BOTH sharded modes: windowed (compressed) opens have no
@@ -486,3 +479,7 @@ WeightedGraph<W> WeightedGraph<W>::transpose() const {
 }
 
 }  // namespace pasgal
+
+// Adjacency, the view Graph::adjacency() returns, needs DeltaSnapshot, which
+// needs Graph: its header comes last, so every includer of this one gets it.
+#include "graphs/delta.h"  // IWYU pragma: export

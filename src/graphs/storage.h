@@ -402,8 +402,8 @@ class GraphStorage {
   // --- delta overlay ---------------------------------------------------------
   // The pending update overlay (graphs/delta.h), or null. Readers take the
   // lock-free fast path when has_delta() is false — the common case for
-  // static graphs — and fetch the shared snapshot once per traversal entry
-  // otherwise. set_delta() also pushes the snapshot's flipped (in-edge) side
+  // static graphs — and fetch the shared snapshot once per traversal
+  // otherwise (Graph::adjacency()). set_delta() also pushes the snapshot's flipped (in-edge) side
   // onto the cached transpose, drops the symmetric view, and accepts null to
   // clear (compaction).
   bool has_delta() const { return has_delta_.load(std::memory_order_acquire); }
@@ -411,9 +411,10 @@ class GraphStorage {
   void set_delta(std::shared_ptr<const DeltaSnapshot> d);
 
   // One-time memo for the sorted-adjacency invariant (Graph::
-  // adjacency_sorted records it): the merge in edge_map, the membership
-  // checks in apply_updates and the symmetrize merge all rely on sorted base
-  // lists, so the first of them verifies per-vertex sortedness once.
+  // adjacency_sorted records it): the overlay merge (Adjacency), the
+  // membership checks in apply_updates and the symmetrize merge all rely on
+  // sorted base lists, so the first of them verifies per-vertex sortedness
+  // once.
   bool adjacency_sorted() const {
     return adjacency_sorted_.load(std::memory_order_acquire);
   }

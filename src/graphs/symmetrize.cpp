@@ -7,9 +7,9 @@
 // writer; the transpose is sorted by construction), so the view is built in
 // two linear passes — count each row, scan the offsets, fill the targets —
 // instead of sorting a 2m edge array. On an overlaid graph both sides are
-// read through DeltaSnapshot::scan_effective: the out side with the
-// snapshot, the in side with its flipped half over the transpose's base, so
-// no materialized copy of the effective graph is needed.
+// read through Adjacency views: the out side with the snapshot, the in side
+// with its flipped half over the transpose's base, so no materialized copy
+// of the effective graph is needed.
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -23,21 +23,6 @@
 namespace pasgal {
 
 namespace {
-
-// v's effective adjacency: the base row itself, or, when the overlay
-// touches v, its scan_effective merge appended to the empty `buf`.
-std::span<const VertexId> effective_row(const Graph& g, const DeltaSnapshot* d,
-                                        VertexId v,
-                                        std::vector<VertexId>& buf) {
-  std::span<const VertexId> base = g.neighbors(v);
-  if (d == nullptr || !d->touches(v)) return base;
-  d->scan_effective(v, base.data(), g.edge_begin(v), g.edge_end(v),
-                    [&](VertexId t, EdgeId) {
-                      buf.push_back(t);
-                      return true;
-                    });
-  return buf;
-}
 
 // Sorted, deduplicated union of two non-decreasing lists with `self`
 // dropped; emit(x) receives each output target in ascending order.
@@ -62,12 +47,10 @@ void merge_row(std::span<const VertexId> a, std::span<const VertexId> b,
 Graph Graph::symmetrize() const {
   ensure_in_core("symmetrization");
   ensure_validated();  // the merge indexes rows by target
-  std::shared_ptr<const DeltaSnapshot> d;
   if (storage_ != nullptr) {
     if (StorageRef cached = storage_->symmetric_cache()) {
       return Graph(std::move(cached));
     }
-    d = storage_->delta_snapshot();
   }
 
   // In-lists from the memoized transpose. An embedded transpose section is
@@ -80,13 +63,15 @@ Graph Graph::symmetrize() const {
   // converter takes the detour: the transpose of the transpose is this
   // graph with every row sorted.
   Graph out = adjacency_sorted() ? *this : in.transpose_uncached();
-  const DeltaSnapshot* d_out = d.get();
-  const DeltaSnapshot* d_in = d != nullptr ? d->flipped().get() : nullptr;
+  // Both sides read one overlay version: the out view's snapshot, and its
+  // flipped half over the transpose's base. The view is keyed to it below.
+  Adjacency out_adj = out.adjacency();
+  const std::shared_ptr<const DeltaSnapshot>& d = out_adj.overlay();
+  Adjacency in_adj(in, d != nullptr ? d->flipped() : nullptr);
 
   auto row = [&](VertexId v, auto&& emit) {
     std::vector<VertexId> out_buf, in_buf;
-    merge_row(effective_row(out, d_out, v, out_buf),
-              effective_row(in, d_in, v, in_buf), v, emit);
+    merge_row(out_adj.row(v, out_buf), in_adj.row(v, in_buf), v, emit);
   };
   std::size_t n = num_vertices();
   std::vector<EdgeId> offsets(n + 1);

@@ -26,7 +26,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "graphs/delta.h"
 #include "graphs/graph.h"
 #include "parlay/primitives.h"
 #include "pasgal/options.h"
@@ -84,13 +83,11 @@ VertexSubset edge_map_dense(const Graph& g, const Graph& gt,
   frontier.to_dense();
   const auto& in_frontier = frontier.dense_mask();
   std::vector<std::uint8_t> next(n, 0);
-  // Update overlay, fetched once per round: the scanned graph's own snapshot
-  // (gt carries the flipped, in-edge side — see graphs/delta.h). Sharded
-  // opens never carry one (apply_updates rejects them), so the window path
-  // below stays overlay-free.
-  std::shared_ptr<const DeltaSnapshot> delta_hold =
-      gt.storage() != nullptr ? gt.storage()->delta_snapshot() : nullptr;
-  const DeltaSnapshot* delta = delta_hold.get();
+  // In-edges through the overlay, taken once per round (gt carries the
+  // flipped, in-edge side — see graphs/delta.h). The merged lists keep the
+  // ascending order a rebuilt CSR stores, so activation order (and every
+  // downstream pack) matches a from-scratch rebuild.
+  Adjacency in = gt.adjacency();
   // One destination range, in-edge targets supplied by the caller (the whole
   // mapped array in-core, the active shard's window when sharded).
   // Activations are counted as they happen, so the resulting subset's
@@ -114,18 +111,7 @@ VertexSubset edge_map_dense(const Graph& g, const Graph& gt,
             }
             return cond(v);  // false: v is decided, nothing more to gather
           };
-          if (delta != nullptr && delta->touches(v)) {
-            // Merged scan visits effective in-neighbours in the same
-            // ascending order a rebuilt CSR stores them, so activation order
-            // (and every downstream pack) matches a from-scratch rebuild.
-            delta->scan_effective(v, tgt + (gt.edge_begin(v) - e_base),
-                                  gt.edge_begin(v), gt.edge_end(v), visit);
-          } else {
-            EdgeId e_end = gt.edge_end(v);
-            for (EdgeId e = gt.edge_begin(v); e < e_end; ++e) {
-              if (!visit(tgt[e - e_base], e)) break;
-            }
-          }
+          in.scan(v, visit, tgt, e_base);
           if (stats) stats->add_edges(scanned);
           return hit;
         });
@@ -163,22 +149,15 @@ VertexSubset edge_map_sparse(const Graph& g, VertexSubset& frontier,
   if (stats) stats->set_round_kind(RoundKind::kSparse);
   frontier.to_sparse();
   const auto& verts = frontier.sparse_vertices();
-  // Update overlay, fetched once per round (push walks out-edges, so this is
-  // the forward snapshot). Sharded opens never carry one.
-  std::shared_ptr<const DeltaSnapshot> delta_hold =
-      g.storage() != nullptr ? g.storage()->delta_snapshot() : nullptr;
-  const DeltaSnapshot* delta = delta_hold.get();
-  // Two-phase pack: count activations per frontier vertex, then fill. With
-  // an overlay the scatter slots are sized by *effective* degree — exactly
-  // the number of edges the merged scan visits.
+  // Out-edges through the overlay, taken once per round.
+  Adjacency out_edges = g.adjacency();
+  // Two-phase pack: count activations per frontier vertex, then fill. The
+  // scatter slots are sized by effective degree — exactly the number of
+  // edges the scan visits.
   std::size_t k = verts.size();
   std::vector<EdgeId> offsets(k + 1);
   offsets[k] = scan_indexed<EdgeId>(
-      k,
-      [&](std::size_t i) {
-        EdgeId deg = g.out_degree(verts[i]);
-        return delta != nullptr ? delta->effective_degree(verts[i], deg) : deg;
-      },
+      k, [&](std::size_t i) { return out_edges.degree(verts[i]); },
       [&](std::size_t i, EdgeId v) { offsets[i] = v; });
   // Process the frontier slice [lo, hi) with the given targets view, writing
   // activations at out[offsets[i] - out_base ..].
@@ -189,22 +168,13 @@ VertexSubset edge_map_sparse(const Graph& g, VertexSubset& frontier,
       EdgeId base = offsets[i] - out_base;
       std::uint64_t scanned = 0;
       EdgeId slot = 0;
-      auto try_push = [&](VertexId v, EdgeId e) -> bool {
+      auto try_push = [&](VertexId v, EdgeId e) {
         ++scanned;
         if (cond(v) && internal::invoke_update(update, u, v, e)) {
           out[base + slot++] = v;
         }
-        return true;
       };
-      if (delta != nullptr && delta->touches(u)) {
-        delta->scan_effective(u, tgt + (g.edge_begin(u) - e_base),
-                              g.edge_begin(u), g.edge_end(u), try_push);
-      } else {
-        EdgeId e_end = g.edge_end(u);
-        for (EdgeId e = g.edge_begin(u); e < e_end; ++e) {
-          try_push(tgt[e - e_base], e);
-        }
-      }
+      out_edges.scan(u, try_push, tgt, e_base);
       if (stats) {
         stats->add_edges(scanned);
         stats->add_visits(1);

@@ -47,12 +47,13 @@ inline constexpr std::uint32_t kVgcLocalStackCap = 4096;
 //                         claimed it. Called at most once per discovery.
 //
 // Starting from `root` (which must already be claimed), explores out-edges of
-// claimed vertices. Claimed vertices beyond the budget are inserted into
-// `next` for the following round. Returns the number of vertices expanded.
+// claimed vertices through `adj`, the traversal's view of the graph. Claimed
+// vertices beyond the budget are inserted into `next` for the following
+// round. Returns the number of vertices expanded.
 template <typename TryMark>
-std::uint64_t local_search(const Graph& g, VertexId root, const VgcParams& p,
-                           TryMark&& try_mark, HashBag<VertexId>& next,
-                           Tracer* stats = nullptr) {
+std::uint64_t local_search(const Adjacency& adj, VertexId root,
+                           const VgcParams& p, TryMark&& try_mark,
+                           HashBag<VertexId>& next, Tracer* stats = nullptr) {
   // Task-local stack; plain vector, no sharing.
   std::vector<VertexId> stack;
   stack.reserve(64);
@@ -63,7 +64,7 @@ std::uint64_t local_search(const Graph& g, VertexId root, const VgcParams& p,
     VertexId u = stack.back();
     stack.pop_back();
     ++expanded;
-    for (VertexId v : g.neighbors(u)) {
+    adj.scan(u, [&](VertexId v) {
       ++edges;
       if (try_mark(v)) {
         if (expanded < p.tau && stack.size() < kVgcLocalStackCap) {
@@ -72,7 +73,7 @@ std::uint64_t local_search(const Graph& g, VertexId root, const VgcParams& p,
           next.insert(v);
         }
       }
-    }
+    });
   }
   if (stats) {
     stats->add_edges(edges);

@@ -4,9 +4,10 @@
 // The load-bearing claim is *byte identity*: a static kernel running through
 // the overlay must produce exactly the result it would produce on a CSR
 // rebuilt from scratch from the effective edge list. The equivalence grid
-// checks that for bfs (gbbs), connected components, and pagerank, on a
-// power-law rmat and a lattice grid, across 1/4/8 workers, over randomized
-// insert/delete batches. The reference is an independent rebuild maintained
+// checks that for every bfs row (pasgal, gbbs, gapbs, seq, a small ms
+// batch), every scc row, both toposorts, connected components and pagerank,
+// on a power-law rmat, a lattice grid and a DAG, across 1/4/8 workers, over
+// randomized insert/delete batches. The reference is an independent rebuild maintained
 // by the test (tracked edge sets + Graph::from_edges), not
 // materialize_effective — so the overlay merge and the materializer are
 // checked against a third implementation, not against each other.
@@ -22,12 +23,16 @@
 #include <fstream>
 #include <random>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "algorithms/bfs/bfs.h"
 #include "algorithms/cc/cc.h"
 #include "algorithms/incremental.h"
 #include "algorithms/pagerank/pagerank.h"
+#include "algorithms/scc/scc.h"
+#include "algorithms/toposort/toposort.h"
 #include "graphs/delta.h"
 #include "graphs/generators.h"
 #include "graphs/graph.h"
@@ -44,11 +49,16 @@ std::uint64_t edge_key(VertexId u, VertexId v) {
 
 // Mirrors the server/bench generators: tracks the effective edge set the way
 // apply_updates validates it, so every generated op is accepted. Deletes
-// pick existing effective edges; inserts rejection-sample absent ones.
+// pick existing effective edges; inserts rejection-sample absent ones, from
+// lower to higher id when `acyclic` (a DAG base then stays a DAG).
 class UpdateModel {
  public:
-  explicit UpdateModel(const Graph& g, std::uint64_t seed)
-      : n_(g.num_vertices()), base_edges_(g.to_edges()), rng_(seed) {
+  explicit UpdateModel(const Graph& g, std::uint64_t seed,
+                       bool acyclic = false)
+      : n_(g.num_vertices()),
+        base_edges_(g.to_edges()),
+        rng_(seed),
+        acyclic_(acyclic) {
     for (const Edge& e : base_edges_) base_keys_.insert(edge_key(e.from, e.to));
   }
 
@@ -72,6 +82,7 @@ class UpdateModel {
       }
       VertexId u = static_cast<VertexId>(rng_() % n_);
       VertexId v = static_cast<VertexId>(rng_() % n_);
+      if (acyclic_ && u > v) std::swap(u, v);
       if (u == v || present(edge_key(u, v))) continue;
       apply_insert(edge_key(u, v));
       batch.push_back({EdgeUpdate::Op::kInsert, u, v});
@@ -128,6 +139,7 @@ class UpdateModel {
   std::set<std::uint64_t> deleted_;
   std::vector<std::uint64_t> cache_;
   std::mt19937_64 rng_;
+  bool acyclic_;
 };
 
 VertexId max_degree_vertex(const Graph& g) {
@@ -138,43 +150,97 @@ VertexId max_degree_vertex(const Graph& g) {
   return best;
 }
 
+// The edges of g that run from a lower to a higher id: a DAG.
+Graph forward_edges(const Graph& g) {
+  std::vector<Edge> edges;
+  for (const Edge& e : g.to_edges()) {
+    if (e.from < e.to) edges.push_back(e);
+  }
+  return Graph::from_edges(g.num_vertices(), edges, /*dedup=*/true);
+}
+
+// A toposort's levels, or its cycle error's message: overlay and rebuild
+// must agree either way (on a cyclic graph, on how many vertices are stuck).
+template <typename Toposort>
+std::pair<std::vector<std::uint32_t>, std::string> topo_outcome(
+    Toposort toposort, const Graph& g) {
+  try {
+    return {toposort(g, {}).output, ""};
+  } catch (const Error& e) {
+    return {{}, e.what()};
+  }
+}
+
 // --- overlay equivalence grid ------------------------------------------------
 
-void run_equivalence_grid(Graph base, std::uint64_t seed) {
+void run_equivalence_grid(Graph base, std::uint64_t seed,
+                          bool acyclic = false) {
   Graph g = base;       // overlay side (shares storage with `base`)
   Graph gt = g.transpose();  // cache before apply so the flipped side lands
-  UpdateModel model(g, seed);
+  UpdateModel model(g, seed, acyclic);
   VertexId source = max_degree_vertex(g);
+  std::vector<VertexId> batch_sources = {source};
+  for (VertexId v = 0; batch_sources.size() < 4; ++v) {
+    if (v != source) batch_sources.push_back(v);
+  }
 
   for (int round = 0; round < 3; ++round) {
     std::vector<EdgeUpdate> batch = model.make_batch(150);
     apply_updates(g, batch);
     Graph ref = model.rebuild();
     Graph ref_t = ref.transpose();
+    std::vector<std::uint32_t> ref_bfs =
+        gbbs_bfs(ref, ref_t, {.source = source}).output;
+    std::vector<VertexId> ref_scc =
+        normalize_scc_labels(tarjan_scc(ref, {}).output);
 
     for (int workers : {1, 4, 8}) {
       Scheduler::reset(workers);
-      EXPECT_EQ(gbbs_bfs(g, gt, {.source = source}).output,
-                gbbs_bfs(ref, ref_t, {.source = source}).output)
-          << "bfs diverged: round " << round << ", " << workers << " workers";
-      EXPECT_EQ(gapbs_bfs(g, gt, {.source = source}).output,
-                gbbs_bfs(ref, ref_t, {.source = source}).output)
-          << "gapbs diverged: round " << round << ", " << workers
-          << " workers";
+      std::string at = "round " + std::to_string(round) + ", " +
+                       std::to_string(workers) + " workers";
+      EXPECT_EQ(gbbs_bfs(g, gt, {.source = source}).output, ref_bfs)
+          << "bfs diverged: " << at;
+      EXPECT_EQ(gapbs_bfs(g, gt, {.source = source}).output, ref_bfs)
+          << "gapbs diverged: " << at;
+      EXPECT_EQ(pasgal_bfs(g, gt, {.source = source}).output, ref_bfs)
+          << "pasgal bfs diverged: " << at;
+      EXPECT_EQ(seq_bfs(g, {.source = source}).output, ref_bfs)
+          << "seq bfs diverged: " << at;
+      auto ms = ms_bfs(g, gt, {batch_sources, {}});
+      for (std::size_t i = 0; i < batch_sources.size(); ++i) {
+        EXPECT_EQ(ms.per_source[i].output,
+                  gbbs_bfs(ref, ref_t, {.source = batch_sources[i]}).output)
+            << "ms bfs diverged on batch source " << batch_sources[i] << ": "
+            << at;
+      }
+      EXPECT_EQ(normalize_scc_labels(pasgal_scc(g, gt, {}).output), ref_scc)
+          << "pasgal scc diverged: " << at;
+      EXPECT_EQ(normalize_scc_labels(gbbs_scc(g, gt, {}).output), ref_scc)
+          << "gbbs scc diverged: " << at;
+      EXPECT_EQ(normalize_scc_labels(multistep_scc(g, gt, {}).output), ref_scc)
+          << "multistep scc diverged: " << at;
+      EXPECT_EQ(normalize_scc_labels(tarjan_scc(g, {}).output), ref_scc)
+          << "tarjan scc diverged: " << at;
+      auto ref_topo = topo_outcome(seq_toposort, ref);
+      EXPECT_EQ(topo_outcome(seq_toposort, g), ref_topo)
+          << "seq toposort diverged: " << at;
+      EXPECT_EQ(topo_outcome(pasgal_toposort, g), ref_topo)
+          << "pasgal toposort diverged: " << at;
+      if (acyclic) {
+        EXPECT_TRUE(ref_topo.second.empty()) << ref_topo.second;
+      }
       ConnectivityResult cc_overlay =
           connected_components(g.symmetrize(), {}).output;
       ConnectivityResult cc_ref =
           connected_components(ref.symmetrize(), {}).output;
-      EXPECT_EQ(cc_overlay.label, cc_ref.label)
-          << "cc diverged: round " << round << ", " << workers << " workers";
+      EXPECT_EQ(cc_overlay.label, cc_ref.label) << "cc diverged: " << at;
       PagerankResult pr_overlay = pasgal_pagerank(g, gt, {}).output;
       PagerankResult pr_ref = pasgal_pagerank(ref, ref_t, {}).output;
       ASSERT_EQ(pr_overlay.rank.size(), pr_ref.rank.size());
       EXPECT_EQ(pr_overlay.iterations, pr_ref.iterations);
       for (std::size_t v = 0; v < pr_ref.rank.size(); ++v) {
         ASSERT_EQ(pr_overlay.rank[v], pr_ref.rank[v])
-            << "pagerank not byte-identical at vertex " << v << ": round "
-            << round << ", " << workers << " workers";
+            << "pagerank not byte-identical at vertex " << v << ": " << at;
       }
       Scheduler::reset(1);
     }
@@ -193,6 +259,27 @@ TEST(Delta, EquivalenceGridRmat) {
 
 TEST(Delta, EquivalenceGridGrid) {
   run_equivalence_grid(gen::rectangle_grid(48, 4), /*seed=*/11);
+}
+
+TEST(Delta, EquivalenceGridDag) {
+  run_equivalence_grid(forward_edges(gen::rmat(10, 6000, 5)), /*seed=*/13,
+                       /*acyclic=*/true);
+}
+
+TEST(Delta, SymmetricKernelsRefuseAnOverlay) {
+  // A kSymmetric kernel called directly on an overlaid graph fails typed;
+  // through symmetrize() (the catalog's path) the overlay is folded in.
+  Graph g = gen::rectangle_grid(16, 4);
+  apply_updates(g, std::vector<EdgeUpdate>{{EdgeUpdate::Op::kInsert, 0, 63}});
+  try {
+    connected_components(g, {});
+    FAIL() << "connected_components read an overlaid graph";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kUsage);
+  }
+  EXPECT_EQ(connected_components(g.symmetrize(), {}).output.label,
+            connected_components(materialize_effective(g).symmetrize(), {})
+                .output.label);
 }
 
 // --- apply semantics ---------------------------------------------------------
@@ -296,17 +383,21 @@ TEST(Delta, SnapshotScanMergesInAscendingOrder) {
   EXPECT_TRUE(d->touches(0));
   EXPECT_FALSE(d->touches(3));
   EXPECT_EQ(d->effective_degree(0, g.out_degree(0)), 4u);
+  Adjacency adj = g.adjacency();
+  EXPECT_EQ(adj.degree(0), 4u);
   std::vector<VertexId> seen;
   std::vector<bool> overlay;
-  std::span<const VertexId> base = g.neighbors(0);
-  d->scan_effective(0, base.data(), 0, base.size(),
-                    [&](VertexId t, EdgeId e) {
-                      seen.push_back(t);
-                      overlay.push_back(e == kInvalidEdge);
-                      return true;
-                    });
+  adj.scan(0, [&](VertexId t, EdgeId e) {
+    seen.push_back(t);
+    overlay.push_back(e == kInvalidEdge);
+  });
   EXPECT_EQ(seen, (std::vector<VertexId>{1, 2, 7, 9}));
   EXPECT_EQ(overlay, (std::vector<bool>{true, false, true, false}));
+  // A cursor resumes the same merge one neighbour at a time.
+  std::vector<VertexId> walked;
+  Adjacency::Cursor c = adj.cursor(0);
+  for (VertexId t = 0; adj.next(c, t);) walked.push_back(t);
+  EXPECT_EQ(walked, seen);
 
   // The flipped side sees the same ops in-edge-wise.
   ASSERT_NE(d->flipped(), nullptr);

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "algorithms/bfs/bfs.h"
 #include "graphs/generators.h"
 #include "graphs/graph_io.h"
 #include "graphs/registry.h"
@@ -389,15 +390,35 @@ TEST_F(ServerTest, UpdateCompactRoundTrip) {
   EXPECT_NE(up2.find("deletes=0"), std::string::npos) << up2;
   EXPECT_NE(up2.find("batches=2"), std::string::npos) << up2;
 
-  // Queries on the overlaid graph work and report the delta section. The
-  // default bfs kernel (pasgal) is overlay-guarded by design; gbbs routes
-  // through the overlay-aware edge_map.
-  std::string guarded = request_once("bfs graph=" + path + " source=0");
-  EXPECT_EQ(guarded.rfind("error [usage]", 0), 0u) << guarded;
+  // Queries on the overlaid graph work and report the delta section: every
+  // bfs kernel reads adjacency through the overlay, so the default (pasgal)
+  // and the ms batch answer like gbbs does.
   std::string bfs = request_once("bfs graph=" + path + " source=0 algo=gbbs");
   EXPECT_TRUE(is_metrics_json(bfs)) << bfs;
   EXPECT_NE(bfs.find("\"delta\":"), std::string::npos) << bfs;
   EXPECT_NE(bfs.find("\"inserts\":1"), std::string::npos) << bfs;
+  std::string pasgal = request_once("bfs graph=" + path + " source=0");
+  EXPECT_TRUE(is_metrics_json(pasgal)) << pasgal;
+  EXPECT_NE(pasgal.find("\"inserts\":1"), std::string::npos) << pasgal;
+  std::string ms = request_once("bfs graph=" + path + " sources=0,1,2");
+  EXPECT_TRUE(is_metrics_json(ms)) << ms;
+  EXPECT_NE(ms.find("\"inserts\":1"), std::string::npos) << ms;
+  // The metrics carry no distances, so the answers are checked on the graph
+  // the daemon serves: the process-wide registry hands this test the same
+  // storage, overlay attached.
+  {
+    Graph served = read_pgr(path);
+    ASSERT_TRUE(served.has_delta());
+    Graph served_t = served.transpose();
+    EXPECT_EQ(pasgal_bfs(served, served_t, {}).output,
+              gbbs_bfs(served, served_t, {}).output);
+    auto batch = ms_bfs(served, served_t, {{0, 1, 2}, {}});
+    for (VertexId s : {0u, 1u, 2u}) {
+      EXPECT_EQ(batch.per_source[s].output,
+                gbbs_bfs(served, served_t, {.source = s}).output)
+          << "ms batch source " << s;
+    }
+  }
   std::string pr = request_once("pagerank graph=" + path);
   EXPECT_TRUE(is_metrics_json(pr)) << pr;
   EXPECT_NE(pr.find("\"delta\":"), std::string::npos) << pr;

@@ -29,7 +29,7 @@ TEST_P(VgcTest, LocalSearchClaimsConnectedRegion) {
   VgcParams p;
   p.tau = 100;
   std::uint64_t expanded = local_search(
-      g, 0, p,
+      g.adjacency(), 0, p,
       [&](VertexId v) {
         std::uint8_t e = 0;
         return claimed[v].compare_exchange_strong(e, 1, std::memory_order_relaxed);
@@ -58,7 +58,7 @@ TEST_P(VgcTest, TauOneSpillsEveryNeighbour) {
   VgcParams p;
   p.tau = 1;
   local_search(
-      g, 0, p,
+      g.adjacency(), 0, p,
       [&](VertexId v) {
         std::uint8_t e = 0;
         return claimed[v].compare_exchange_strong(e, 1, std::memory_order_relaxed);
@@ -78,7 +78,7 @@ TEST_P(VgcTest, SearchStopsAtAlreadyClaimedVertices) {
   VgcParams p;
   p.tau = 1000;
   local_search(
-      g, 0, p,
+      g.adjacency(), 0, p,
       [&](VertexId v) {
         std::uint8_t e = 0;
         return claimed[v].compare_exchange_strong(e, 1, std::memory_order_relaxed);
