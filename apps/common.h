@@ -202,22 +202,6 @@ inline Graph load_graph(const std::string& spec) {
                   "chain:<n>[:1]");
 }
 
-// Loads and optionally re-validates (file readers always validate; the
-// `--validate` app flag extends the same CSR check to generated graphs,
-// turns on the .pgr checksum + validate_csr pass, and prints a confirmation
-// so runs on trusted pipelines can prove integrity).
-inline Graph load_graph(const std::string& spec, bool validate) {
-  Graph g = internal::ends_with(spec, ".pgr")
-                ? read_pgr(spec, PgrOpen::kMmap, validate)
-                : load_graph(spec);
-  if (validate) {
-    g.validate().throw_if_error();
-    std::printf("validate: ok (n=%zu m=%zu)\n", g.num_vertices(),
-                g.num_edges());
-  }
-  return g;
-}
-
 // A loaded graph plus how it was materialized, for telemetry: drivers record
 // the load mode, mapped bytes, and load wall time so the zero-copy claim is
 // checkable from the metrics document alone.
@@ -257,8 +241,11 @@ inline bool finish_load_accounting(const GraphRegistry::Stats& before,
 
 }  // namespace internal
 
-// `weighted_file`: the .pgr carries a weights section, mapped alongside the
-// topology (see load_weighted_graph_timed).
+// `weighted_file`: the file is the weighted variant of its format; its
+// weights are read alongside the topology (see load_weighted_graph_timed).
+// `--validate` re-checks a generated graph with the same CSR check the file
+// readers always run, turns on the .pgr checksum + validate_csr pass, and
+// prints a confirmation so runs on trusted pipelines can prove integrity.
 inline LoadedGraph load_graph_timed(const std::string& spec,
                                     const CommonOptions& common,
                                     bool weighted_file = false) {
@@ -267,6 +254,10 @@ inline LoadedGraph load_graph_timed(const std::string& spec,
   auto t0 = std::chrono::steady_clock::now();
   GraphRegistry::Stats before = GraphRegistry::instance().stats();
   LoadedGraph out;
+  bool adj = internal::ends_with(spec, ".adj");
+  out.mode = adj                                 ? "adj"
+             : internal::ends_with(spec, ".bin") ? "bin"
+                                                 : "generated";
   if (internal::ends_with(spec, ".pgr")) {
     PgrOpen mode =
         common.load_mode == "copy" ? PgrOpen::kCopy : PgrOpen::kMmap;
@@ -274,8 +265,6 @@ inline LoadedGraph load_graph_timed(const std::string& spec,
     if (weighted_file) {
       out.weighted =
           read_weighted_pgr(spec, mode, common.validate, &stats, shard);
-      out.graph = out.weighted.unweighted();
-      out.weights_origin = "file";
     } else {
       out.graph = read_pgr(spec, mode, common.validate, &stats, shard);
     }
@@ -283,15 +272,19 @@ inline LoadedGraph load_graph_timed(const std::string& spec,
     out.encoded_bytes = stats.encoded_target_bytes;
     out.decode_wall_ns = stats.decode_wall_ns;
     out.mode = mode == PgrOpen::kCopy ? "pgr-copy" : "pgr-mmap";
-    if (common.validate) {
-      std::printf("validate: ok (n=%zu m=%zu)\n", out.graph.num_vertices(),
-                  out.graph.num_edges());
-    }
+  } else if (weighted_file) {
+    out.weighted = adj ? read_weighted_adj(spec) : read_weighted_bin(spec);
   } else {
-    out.graph = load_graph(spec, common.validate);
-    out.mode = internal::ends_with(spec, ".adj")   ? "adj"
-               : internal::ends_with(spec, ".bin") ? "bin"
-                                                   : "generated";
+    out.graph = load_graph(spec);
+    if (common.validate) out.graph.validate().throw_if_error();
+  }
+  if (weighted_file) {
+    out.graph = out.weighted.unweighted();
+    out.weights_origin = "file";
+  }
+  if (common.validate) {
+    std::printf("validate: ok (n=%zu m=%zu)\n", out.graph.num_vertices(),
+                out.graph.num_edges());
   }
   out.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -303,20 +296,21 @@ inline LoadedGraph load_graph_timed(const std::string& spec,
   return out;
 }
 
-// Weighted load for the sssp driver: a weighted `.pgr` supplies its own
-// weights section (zero-copy alongside the topology); everything else loads
-// the topology and attaches deterministic generated weights. Passing -w
-// with a weighted file is a usage error — the flag could not take effect.
+// Weighted load for the sssp driver: a weighted `.adj`, `.bin` or `.pgr`
+// supplies its own weights (a `.pgr` maps them zero-copy alongside the
+// topology); everything else loads the topology and attaches deterministic
+// generated weights. Passing -w with a weighted file is a usage error — the
+// flag could not take effect.
 inline LoadedGraph load_weighted_graph_timed(
     const std::string& spec, const CommonOptions& common,
     std::uint32_t max_weight, bool max_weight_given) {
   internal::apply_mem_limit(common);
-  if (internal::ends_with(spec, ".pgr") && probe_pgr(spec).weighted) {
+  if (has_weights(spec)) {
     if (max_weight_given) {
       throw Error(ErrorCategory::kUsage,
                   "-w conflicts with '" + spec +
-                      "': the file carries a weights section; drop -w to use "
-                      "it, or convert the graph without --weights");
+                      "': the file carries weights; drop -w to use them, or "
+                      "convert the graph without --weights");
     }
     return load_graph_timed(spec, common, /*weighted_file=*/true);
   }

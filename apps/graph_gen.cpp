@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
     }
     Tracer tracer;
     auto start = std::chrono::steady_clock::now();
-    Graph g = apps::load_graph(argv[1], common.validate);
+    Graph g = apps::load_graph_timed(argv[1], common).graph;
     if (ends_with(".bin")) {
       write_bin(g, out);
     } else if (ends_with(".pgr")) {

@@ -75,6 +75,23 @@ done
 cmp "$tmp/grid.bin" "$tmp/grid_rt.bin" || {
   echo "FAIL: .bin -> .pgr -> .bin round-trip is not byte-identical" >&2; exit 1
 }
+# Weighted inputs: one graph_convert --weights run per format on the same
+# spec writes the same deterministic weights, so sssp must read them from
+# each file ("weights":"file") and print byte-identical result lines.
+for fmt in adj bin pgr; do
+  "$prefix-san/apps/graph_convert" grid:40:40 "$tmp/wgrid.$fmt" \
+      --weights 100 > /dev/null
+  "$prefix-san/apps/sssp" "$tmp/wgrid.$fmt" -r 1 \
+      --json-metrics "$tmp/sssp_w_$fmt.json" | normalize > "$tmp/sssp_w_$fmt.txt"
+  grep -q '"weights":"file"' "$tmp/sssp_w_$fmt.json" || {
+    echo "FAIL: sssp did not take the weights of $tmp/wgrid.$fmt" >&2; exit 1
+  }
+done
+for fmt in adj bin; do
+  diff "$tmp/sssp_w_$fmt.txt" "$tmp/sssp_w_pgr.txt" || {
+    echo "FAIL: sssp differs between weighted .$fmt and .pgr" >&2; exit 1
+  }
+done
 
 echo "--- compressed .pgr gate (v2 targets section) ---"
 # Every driver must produce byte-identical result lines on the compressed

@@ -59,6 +59,12 @@ Graph materialize_effective(const Graph& g);
 // indexing.
 Status validate_csr(std::span<const EdgeId> offsets,
                     std::span<const VertexId> targets);
+// Its two halves, for callers holding one side: offsets (n + 1 entries,
+// or none when m == 0) start at 0, are monotone and end at m; every target
+// is < n, with `e_base` the edge id of targets[0] (a shard's first edge).
+Status validate_offsets(std::span<const EdgeId> offsets, std::uint64_t m);
+Status validate_targets(std::span<const VertexId> targets, std::uint64_t n,
+                        std::uint64_t e_base = 0);
 
 struct Edge {
   VertexId from = 0;

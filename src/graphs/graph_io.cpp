@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <sstream>
+#include <string_view>
 
 #include "graphs/registry.h"
 #include "graphs/storage.h"
@@ -25,15 +24,6 @@ namespace {
                        const std::string& why,
                        std::uint64_t offset = kNoOffset) {
   throw Error(category, why, path, offset);
-}
-
-void expect_header(std::istream& in, const std::string& path,
-                   const std::string& expected) {
-  std::string header;
-  if (!(in >> header) || header != expected) {
-    fail(ErrorCategory::kFormat, path,
-         "expected header '" + expected + "', got '" + header + "'");
-  }
 }
 
 std::uint64_t file_size_bytes(const std::string& path) {
@@ -57,230 +47,223 @@ void guard_text_plausibility(const std::string& path, std::uint64_t records) {
   }
 }
 
-// Binary-format frame check: header size field and actual file size must
-// both match the size implied by (n, m). A short file is a truncation, a
-// long one is trailing garbage; both are rejected.
-void guard_bin_frame(const std::string& path, std::uint64_t claimed_bytes,
-                     unsigned __int128 expected) {
-  constexpr std::uint64_t kMax = static_cast<std::uint64_t>(-1);
-  std::uint64_t expected64 =
-      expected > kMax ? kMax : static_cast<std::uint64_t>(expected);
-  if (claimed_bytes != expected64) {
-    fail(ErrorCategory::kFormat, path,
-         "header size field says " + std::to_string(claimed_bytes) +
-             " bytes but n/m imply " + std::to_string(expected64));
-  }
+// Binary-format frame check: the actual file size must match the size the
+// header implies. A short file is a truncation, a long one is trailing
+// garbage; both are rejected.
+void guard_bin_frame(const std::string& path, std::uint64_t expected) {
   std::uint64_t actual = file_size_bytes(path);
-  if (actual < expected64) {
+  if (actual < expected) {
     fail(ErrorCategory::kFormat, path,
          "truncated: file has " + std::to_string(actual) +
-             " bytes, header-implied size is " + std::to_string(expected64),
+             " bytes, header-implied size is " + std::to_string(expected),
          actual);
   }
-  if (actual > expected64) {
+  if (actual > expected) {
     fail(ErrorCategory::kFormat, path,
-         std::to_string(actual - expected64) +
+         std::to_string(actual - expected) +
              " bytes of trailing garbage after the header-implied size of " +
-             std::to_string(expected64),
-         expected64);
+             std::to_string(expected),
+         expected);
   }
 }
 
-void validate_or_fail(const Graph& g, const std::string& path) {
-  Status s = g.validate();
-  if (!s.ok()) fail(s.category(), path, s.message());
+constexpr const char* kNoWeights =
+    "file has no weights; use the unweighted reader / an unweighted driver";
+
+// Throws a failed CSR check typed against the file; `what` prefixes the
+// message (naming e.g. the transpose sections).
+void fail_if(const Status& s, const std::string& path,
+             const std::string& what = "") {
+  if (!s.ok()) fail(s.category(), path, what + s.message());
+}
+
+// The one CSR check every reader ends with: validate_csr on the storage's
+// arrays, then mark_validated so no later ensure_validated repeats it.
+void check_csr(GraphStorage& s, const std::string& path,
+               const std::string& what = "") {
+  fail_if(validate_csr(s.offsets(), s.targets()), path, what);
+  s.mark_validated();
+}
+
+// The three u64 .bin header words, as laid out on disk. The size field
+// tells the variant (graph_io.h); with m = 0 the two frames coincide.
+struct BinHeader {
+  std::uint64_t n = 0, m = 0, size = 0;
+  unsigned __int128 topology_bytes() const {
+    return 3 * sizeof(std::uint64_t) +
+           (static_cast<unsigned __int128>(n) + 1) * sizeof(std::uint64_t) +
+           static_cast<unsigned __int128>(m) * sizeof(VertexId);
+  }
+  unsigned __int128 weighted_bytes() const {
+    return topology_bytes() +
+           static_cast<unsigned __int128>(m) * sizeof(std::uint32_t);
+  }
+  bool weighted() const { return size == weighted_bytes(); }
+};
+static_assert(sizeof(BinHeader) == 3 * sizeof(std::uint64_t));
+
+BinHeader read_bin_header(std::istream& in, const std::string& path) {
+  BinHeader h;
+  in.read(reinterpret_cast<char*>(&h), sizeof(h));
+  if (!in) fail(ErrorCategory::kFormat, path, "truncated header",
+                file_size_bytes(path));
+  return h;
+}
+
+// One parse of a .adj file, either variant (told by the header word).
+// `want_weights` keeps the weights and rejects an unweighted file as
+// kFormat; otherwise a weighted file's weights are parsed (so truncation and
+// trailing garbage still show) but not stored.
+StorageRef parse_adj(const std::string& path, bool want_weights) {
+  std::ifstream in(path);
+  if (!in) fail(ErrorCategory::kIo, path, "cannot open for reading");
+  std::string header;
+  in >> header;
+  bool weighted = header == "WeightedAdjacencyGraph";
+  if (!weighted && header != "AdjacencyGraph") {
+    fail(ErrorCategory::kFormat, path,
+         "expected header 'AdjacencyGraph' or 'WeightedAdjacencyGraph', "
+         "got '" + header + "'");
+  }
+  if (want_weights && !weighted) fail(ErrorCategory::kFormat, path, kNoWeights);
+  std::size_t n = 0, m = 0;
+  if (!(in >> n >> m)) fail(ErrorCategory::kFormat, path, "bad n/m");
+  GraphStorage::check_footprint(n, m, want_weights, path).throw_if_error();
+  guard_text_plausibility(path, static_cast<std::uint64_t>(n) +
+                                    (weighted ? 2 : 1) *
+                                        static_cast<std::uint64_t>(m));
+  StorageRef storage = GraphStorage::allocate(n, m, want_weights, path);
+  auto field = [&](auto& x, const char* what, std::size_t i, std::size_t of) {
+    if (!(in >> x)) {
+      fail(ErrorCategory::kFormat, path,
+           std::string("truncated ") + what + " (" + std::to_string(i) +
+               " of " + std::to_string(of) + ")");
+    }
+  };
+  auto offsets = storage->mutable_offsets();
+  for (std::size_t v = 0; v < n; ++v) field(offsets[v], "offsets", v, n);
+  offsets[n] = m;
+  auto targets = storage->mutable_targets();
+  for (std::size_t e = 0; e < m; ++e) field(targets[e], "targets", e, m);
+  if (weighted) {
+    auto weights = storage->mutable_weights();
+    std::uint32_t dropped = 0;
+    for (std::size_t e = 0; e < m; ++e) {
+      field(want_weights ? weights[e] : dropped, "weights", e, m);
+    }
+  }
+  if (std::string extra; in >> extra) {
+    fail(ErrorCategory::kFormat, path,
+         std::string("trailing garbage after the last ") +
+             (weighted ? "weight" : "target") + ": '" + extra + "'");
+  }
+  check_csr(*storage, path);
+  return storage;
+}
+
+// One parse of a .bin file, either variant (told by the size field);
+// `want_weights` as for parse_adj. A weighted file read for its topology
+// skips the weights: the frame check has already proved they are there.
+StorageRef parse_bin(const std::string& path, bool want_weights) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) fail(ErrorCategory::kIo, path, "cannot open for reading");
+  BinHeader h = read_bin_header(in, path);
+  bool weighted = h.weighted();
+  bool keep = want_weights && weighted;
+  // kResource before kFormat: an absurd claim is priced before the frame
+  // is judged.
+  GraphStorage::check_footprint(h.n, h.m, keep, path).throw_if_error();
+  // Past the footprint check both frame sizes fit in 64 bits.
+  if (!weighted && h.size != h.topology_bytes()) {
+    fail(ErrorCategory::kFormat, path,
+         "header size field says " + std::to_string(h.size) +
+             " bytes but n/m imply " +
+             std::to_string(static_cast<std::uint64_t>(h.topology_bytes())) +
+             " (unweighted) or " +
+             std::to_string(static_cast<std::uint64_t>(h.weighted_bytes())) +
+             " (weighted)");
+  }
+  guard_bin_frame(path, h.size);
+  if (want_weights && !weighted) fail(ErrorCategory::kFormat, path, kNoWeights);
+  StorageRef storage = GraphStorage::allocate(h.n, h.m, keep, path);
+  auto read = [&](auto span) {
+    in.read(reinterpret_cast<char*>(span.data()),
+            static_cast<std::streamsize>(span.size_bytes()));
+  };
+  read(storage->mutable_offsets());
+  read(storage->mutable_targets());
+  read(storage->mutable_weights());  // empty unless kept
+  if (!in) fail(ErrorCategory::kFormat, path, "truncated body");
+  check_csr(*storage, path);
+  return storage;
+}
+
+// One write body per format; `weighted` picks the variant (a weighted
+// graph with no edges has no weight data to tell it by).
+void write_adj_impl(const Graph& g, bool weighted,
+                    std::span<const std::uint32_t> weights,
+                    const std::string& path) {
+  std::ofstream out(path);
+  if (!out) fail(ErrorCategory::kIo, path, "cannot open for writing");
+  out << (weighted ? "WeightedAdjacencyGraph\n" : "AdjacencyGraph\n")
+      << g.num_vertices() << '\n'
+      << g.num_edges() << '\n';
+  for (std::size_t v = 0; v < g.num_vertices(); ++v) out << g.offsets()[v] << '\n';
+  for (VertexId t : g.targets()) out << t << '\n';
+  for (std::uint32_t w : weights) out << w << '\n';
+  if (!out) fail(ErrorCategory::kIo, path, "write error");
+}
+
+void write_bin_impl(const Graph& g, bool weighted,
+                    std::span<const std::uint32_t> weights,
+                    const std::string& path) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) fail(ErrorCategory::kIo, path, "cannot open for writing");
+  BinHeader h{g.num_vertices(), g.num_edges(), 0};
+  h.size = static_cast<std::uint64_t>(weighted ? h.weighted_bytes()
+                                                : h.topology_bytes());
+  auto write = [&](const void* p, std::uint64_t bytes) {
+    out.write(static_cast<const char*>(p), static_cast<std::streamsize>(bytes));
+  };
+  write(&h, sizeof(h));
+  write(g.offsets().data(), (h.n + 1) * sizeof(EdgeId));
+  write(g.targets().data(), h.m * sizeof(VertexId));
+  write(weights.data(), weights.size_bytes());
+  if (!out) fail(ErrorCategory::kIo, path, "write error");
 }
 
 }  // namespace
 
 void write_adj(const Graph& g, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) fail(ErrorCategory::kIo, path, "cannot open for writing");
-  out << "AdjacencyGraph\n" << g.num_vertices() << '\n' << g.num_edges() << '\n';
-  for (std::size_t v = 0; v < g.num_vertices(); ++v) out << g.offsets()[v] << '\n';
-  for (VertexId t : g.targets()) out << t << '\n';
-  if (!out) fail(ErrorCategory::kIo, path, "write error");
-}
-
-Graph read_adj(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) fail(ErrorCategory::kIo, path, "cannot open for reading");
-  expect_header(in, path, "AdjacencyGraph");
-  std::size_t n = 0, m = 0;
-  if (!(in >> n >> m)) fail(ErrorCategory::kFormat, path, "bad n/m");
-  GraphStorage::check_footprint(n, m, /*weighted=*/false, path)
-      .throw_if_error();
-  guard_text_plausibility(path, static_cast<std::uint64_t>(n) + m);
-  StorageRef storage = GraphStorage::allocate(n, m, /*weighted=*/false, path);
-  auto offsets = storage->mutable_offsets();
-  for (std::size_t v = 0; v < n; ++v) {
-    if (!(in >> offsets[v])) fail(ErrorCategory::kFormat, path,
-                                  "truncated offsets (vertex " +
-                                      std::to_string(v) + " of " +
-                                      std::to_string(n) + ")");
-  }
-  offsets[n] = m;
-  auto targets = storage->mutable_targets();
-  for (std::size_t e = 0; e < m; ++e) {
-    if (!(in >> targets[e])) fail(ErrorCategory::kFormat, path,
-                                  "truncated targets (edge " +
-                                      std::to_string(e) + " of " +
-                                      std::to_string(m) + ")");
-  }
-  if (std::string extra; in >> extra) {
-    fail(ErrorCategory::kFormat, path,
-         "trailing garbage after the last target: '" + extra + "'");
-  }
-  Graph g(std::move(storage));
-  validate_or_fail(g, path);
-  return g;
+  write_adj_impl(g, /*weighted=*/false, {}, path);
 }
 
 void write_adj(const WeightedGraph<std::uint32_t>& g, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) fail(ErrorCategory::kIo, path, "cannot open for writing");
-  out << "WeightedAdjacencyGraph\n"
-      << g.num_vertices() << '\n'
-      << g.num_edges() << '\n';
-  for (std::size_t v = 0; v < g.num_vertices(); ++v) {
-    out << g.unweighted().offsets()[v] << '\n';
-  }
-  for (VertexId t : g.unweighted().targets()) out << t << '\n';
-  for (std::size_t e = 0; e < g.num_edges(); ++e) {
-    out << g.edge_weight(e) << '\n';
-  }
-  if (!out) fail(ErrorCategory::kIo, path, "write error");
+  write_adj_impl(g.unweighted(), /*weighted=*/true, g.weights(), path);
+}
+
+Graph read_adj(const std::string& path) {
+  return Graph(parse_adj(path, /*want_weights=*/false));
 }
 
 WeightedGraph<std::uint32_t> read_weighted_adj(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) fail(ErrorCategory::kIo, path, "cannot open for reading");
-  expect_header(in, path, "WeightedAdjacencyGraph");
-  std::size_t n = 0, m = 0;
-  if (!(in >> n >> m)) fail(ErrorCategory::kFormat, path, "bad n/m");
-  GraphStorage::check_footprint(n, m, /*weighted=*/true, path).throw_if_error();
-  guard_text_plausibility(path, static_cast<std::uint64_t>(n) + 2 * m);
-  StorageRef storage = GraphStorage::allocate(n, m, /*weighted=*/true, path);
-  auto offsets = storage->mutable_offsets();
-  for (std::size_t v = 0; v < n; ++v) {
-    if (!(in >> offsets[v])) fail(ErrorCategory::kFormat, path,
-                                  "truncated offsets");
-  }
-  offsets[n] = m;
-  auto targets = storage->mutable_targets();
-  for (std::size_t e = 0; e < m; ++e) {
-    if (!(in >> targets[e])) fail(ErrorCategory::kFormat, path,
-                                  "truncated targets");
-  }
-  auto weights = storage->mutable_weights();
-  for (std::size_t e = 0; e < m; ++e) {
-    if (!(in >> weights[e])) fail(ErrorCategory::kFormat, path,
-                                  "truncated weights");
-  }
-  if (std::string extra; in >> extra) {
-    fail(ErrorCategory::kFormat, path,
-         "trailing garbage after the last weight: '" + extra + "'");
-  }
-  WeightedGraph<std::uint32_t> g(std::move(storage));
-  Status s = g.validate();
-  if (!s.ok()) fail(s.category(), path, s.message());
-  return g;
+  return WeightedGraph<std::uint32_t>(parse_adj(path, /*want_weights=*/true));
 }
 
 void write_bin(const Graph& g, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) fail(ErrorCategory::kIo, path, "cannot open for writing");
-  std::uint64_t n = g.num_vertices();
-  std::uint64_t m = g.num_edges();
-  std::uint64_t size_bytes = 3 * sizeof(std::uint64_t) +
-                             (n + 1) * sizeof(std::uint64_t) +
-                             m * sizeof(std::uint32_t);
-  out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  out.write(reinterpret_cast<const char*>(&m), sizeof(m));
-  out.write(reinterpret_cast<const char*>(&size_bytes), sizeof(size_bytes));
-  out.write(reinterpret_cast<const char*>(g.offsets().data()),
-            static_cast<std::streamsize>((n + 1) * sizeof(std::uint64_t)));
-  out.write(reinterpret_cast<const char*>(g.targets().data()),
-            static_cast<std::streamsize>(m * sizeof(std::uint32_t)));
-  if (!out) fail(ErrorCategory::kIo, path, "write error");
+  write_bin_impl(g, /*weighted=*/false, {}, path);
 }
 
 void write_bin(const WeightedGraph<std::uint32_t>& g, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) fail(ErrorCategory::kIo, path, "cannot open for writing");
-  std::uint64_t n = g.num_vertices();
-  std::uint64_t m = g.num_edges();
-  std::uint64_t size_bytes = 3 * sizeof(std::uint64_t) +
-                             (n + 1) * sizeof(std::uint64_t) +
-                             2 * m * sizeof(std::uint32_t);
-  out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  out.write(reinterpret_cast<const char*>(&m), sizeof(m));
-  out.write(reinterpret_cast<const char*>(&size_bytes), sizeof(size_bytes));
-  out.write(reinterpret_cast<const char*>(g.unweighted().offsets().data()),
-            static_cast<std::streamsize>((n + 1) * sizeof(std::uint64_t)));
-  out.write(reinterpret_cast<const char*>(g.unweighted().targets().data()),
-            static_cast<std::streamsize>(m * sizeof(std::uint32_t)));
-  for (std::uint64_t e = 0; e < m; ++e) {
-    std::uint32_t w = g.edge_weight(e);
-    out.write(reinterpret_cast<const char*>(&w), sizeof(w));
-  }
-  if (!out) fail(ErrorCategory::kIo, path, "write error");
-}
-
-WeightedGraph<std::uint32_t> read_weighted_bin(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) fail(ErrorCategory::kIo, path, "cannot open for reading");
-  std::uint64_t n = 0, m = 0, size_bytes = 0;
-  in.read(reinterpret_cast<char*>(&n), sizeof(n));
-  in.read(reinterpret_cast<char*>(&m), sizeof(m));
-  in.read(reinterpret_cast<char*>(&size_bytes), sizeof(size_bytes));
-  if (!in) fail(ErrorCategory::kFormat, path, "truncated header",
-                file_size_bytes(path));
-  GraphStorage::check_footprint(n, m, /*weighted=*/true, path).throw_if_error();
-  unsigned __int128 expected =
-      3 * sizeof(std::uint64_t) +
-      (static_cast<unsigned __int128>(n) + 1) * sizeof(std::uint64_t) +
-      static_cast<unsigned __int128>(m) * 2 * sizeof(std::uint32_t);
-  guard_bin_frame(path, size_bytes, expected);
-  StorageRef storage = GraphStorage::allocate(n, m, /*weighted=*/true, path);
-  in.read(reinterpret_cast<char*>(storage->mutable_offsets().data()),
-          static_cast<std::streamsize>((n + 1) * sizeof(std::uint64_t)));
-  in.read(reinterpret_cast<char*>(storage->mutable_targets().data()),
-          static_cast<std::streamsize>(m * sizeof(std::uint32_t)));
-  in.read(reinterpret_cast<char*>(storage->mutable_weights().data()),
-          static_cast<std::streamsize>(m * sizeof(std::uint32_t)));
-  if (!in) fail(ErrorCategory::kFormat, path, "truncated body");
-  WeightedGraph<std::uint32_t> g(std::move(storage));
-  Status s = g.validate();
-  if (!s.ok()) fail(s.category(), path, s.message());
-  return g;
+  write_bin_impl(g.unweighted(), /*weighted=*/true, g.weights(), path);
 }
 
 Graph read_bin(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) fail(ErrorCategory::kIo, path, "cannot open for reading");
-  std::uint64_t n = 0, m = 0, size_bytes = 0;
-  in.read(reinterpret_cast<char*>(&n), sizeof(n));
-  in.read(reinterpret_cast<char*>(&m), sizeof(m));
-  in.read(reinterpret_cast<char*>(&size_bytes), sizeof(size_bytes));
-  if (!in) fail(ErrorCategory::kFormat, path, "truncated header",
-                file_size_bytes(path));
-  GraphStorage::check_footprint(n, m, /*weighted=*/false, path)
-      .throw_if_error();
-  unsigned __int128 expected =
-      3 * sizeof(std::uint64_t) +
-      (static_cast<unsigned __int128>(n) + 1) * sizeof(std::uint64_t) +
-      static_cast<unsigned __int128>(m) * sizeof(std::uint32_t);
-  guard_bin_frame(path, size_bytes, expected);
-  StorageRef storage = GraphStorage::allocate(n, m, /*weighted=*/false, path);
-  in.read(reinterpret_cast<char*>(storage->mutable_offsets().data()),
-          static_cast<std::streamsize>((n + 1) * sizeof(std::uint64_t)));
-  in.read(reinterpret_cast<char*>(storage->mutable_targets().data()),
-          static_cast<std::streamsize>(m * sizeof(std::uint32_t)));
-  if (!in) fail(ErrorCategory::kFormat, path, "truncated body");
-  Graph g(std::move(storage));
-  validate_or_fail(g, path);
-  return g;
+  return Graph(parse_bin(path, /*want_weights=*/false));
+}
+
+WeightedGraph<std::uint32_t> read_weighted_bin(const std::string& path) {
+  return WeightedGraph<std::uint32_t>(parse_bin(path, /*want_weights=*/true));
 }
 
 // --- .pgr -------------------------------------------------------------------
@@ -491,6 +474,10 @@ T get(const std::byte* base, std::size_t at) {
   return value;
 }
 
+Error bad_stream(const std::string& why, const std::string& path) {
+  return Error(ErrorCategory::kFormat, "compressed targets: " + why, path);
+}
+
 // Validated view of a compressed targets section's chunk directory: C chunks
 // of V vertices each, stream_off[c] giving a chunk's byte offset within the
 // section. check_chunk_directory enforces the canonical shape (C matches
@@ -499,7 +486,6 @@ T get(const std::byte* base, std::size_t at) {
 // re-checking.
 struct PgrChunkDir {
   const std::byte* sec = nullptr;
-  std::uint64_t sec_bytes = 0;
   std::uint64_t C = 0;
   std::uint64_t V = 1;
   std::uint64_t stream_off(std::uint64_t c) const {
@@ -507,17 +493,21 @@ struct PgrChunkDir {
   }
 };
 
-PgrChunkDir check_chunk_directory(const std::byte* sec, std::uint64_t sec_bytes,
+//
+// Every decode, whole-section or per shard, starts here, so the "decode"
+// failpoint sits at this one site.
+PgrChunkDir check_chunk_directory(std::span<const std::byte> sec,
                                   std::uint64_t n, const std::string& path) {
-  auto bad = [&](const std::string& why) -> Error {
-    return Error(ErrorCategory::kFormat, "compressed targets: " + why, path);
-  };
+  if (fault::should_fail("decode")) {
+    throw Error(ErrorCategory::kFormat, "injected fault: decode", path);
+  }
+  auto bad = [&](const std::string& why) { return bad_stream(why, path); };
+  const std::uint64_t sec_bytes = sec.size();
   if (sec_bytes < 16) throw bad("section too small for its chunk header");
   PgrChunkDir dir;
-  dir.sec = sec;
-  dir.sec_bytes = sec_bytes;
-  dir.C = get<std::uint64_t>(sec, 0);
-  dir.V = get<std::uint64_t>(sec, 8);
+  dir.sec = sec.data();
+  dir.C = get<std::uint64_t>(dir.sec, 0);
+  dir.V = get<std::uint64_t>(dir.sec, 8);
   if (dir.V == 0) throw bad("vertices-per-chunk is zero");
   if (dir.C != (n + dir.V - 1) / dir.V) {
     throw bad("chunk count " + std::to_string(dir.C) +
@@ -550,9 +540,7 @@ PgrChunkDir check_chunk_directory(const std::byte* sec, std::uint64_t sec_bytes,
 void decode_chunk(const PgrChunkDir& dir, std::uint64_t c, std::uint64_t n,
                   std::span<const EdgeId> offsets, VertexId* out,
                   EdgeId e_base, const std::string& path) {
-  auto bad = [&](const std::string& why) -> Error {
-    return Error(ErrorCategory::kFormat, "compressed targets: " + why, path);
-  };
+  auto bad = [&](const std::string& why) { return bad_stream(why, path); };
   const unsigned char* p =
       reinterpret_cast<const unsigned char*>(dir.sec) + dir.stream_off(c);
   const unsigned char* limit =
@@ -631,41 +619,6 @@ void decode_chunk_range(const PgrChunkDir& dir, std::uint64_t c_begin,
   }
 }
 
-// Decodes a compressed targets section into `out` (size m), validating as it
-// goes (see check_chunk_directory / decode_chunk). Callers must have
-// verified the offsets array first (monotone, offsets[0] == 0,
-// offsets[n] == m) — the per-vertex degrees come from it. On success the
-// decoded CSR satisfies the full validate_csr contract, so the storage can
-// be marked validated.
-void decode_targets_section(const std::byte* sec, std::uint64_t sec_bytes,
-                            std::uint64_t n, std::uint64_t m,
-                            std::span<const EdgeId> offsets,
-                            std::span<VertexId> out, const std::string& path) {
-  if (m == 0) return;
-  PgrChunkDir dir = check_chunk_directory(sec, sec_bytes, n, path);
-  decode_chunk_range(dir, 0, dir.C, n, offsets, out.data(), /*e_base=*/0,
-                     path);
-}
-
-// Offsets sanity required before decode can trust per-vertex degrees (and
-// exactly the offsets half of the validate_csr contract).
-void check_offsets_for_decode(std::span<const EdgeId> offsets, std::uint64_t n,
-                              std::uint64_t m, const std::string& path) {
-  if (offsets[0] != 0) {
-    fail(ErrorCategory::kValidation, path, "offsets[0] != 0");
-  }
-  if (offsets[n] != m) {
-    fail(ErrorCategory::kValidation, path,
-         "offsets[n] = " + std::to_string(offsets[n]) +
-             " but the header claims m = " + std::to_string(m));
-  }
-  std::size_t violations = count_if_index(
-      n, [&](std::size_t v) { return offsets[v + 1] < offsets[v]; });
-  if (violations != 0) {
-    fail(ErrorCategory::kValidation, path,
-         "offsets are not monotone (cannot derive degrees for decode)");
-  }
-}
 
 // Parses and structurally checks the fixed-size header. Section bytes are
 // not touched.
@@ -869,15 +822,50 @@ void write_pgr_impl(const Graph& g, bool weighted,
   if (!out) fail(ErrorCategory::kIo, path, "write error");
 }
 
-// Shared open path for read_pgr / read_weighted_pgr / probe_pgr.
+// Section spans of a layout-checked file: every open reads its sections
+// through this one step. Raw targets and the compressed stream are
+// exclusive; absent sections (and every per-edge section when m == 0) stay
+// empty.
+struct PgrSpans {
+  std::span<const EdgeId> offsets;
+  std::span<const VertexId> targets;
+  std::span<const std::byte> encoded;  // compressed (v2) targets section
+  std::span<const std::uint32_t> weights;
+  std::span<const EdgeId> t_offsets;
+  std::span<const VertexId> t_targets;
+};
+
+// Section i as `count` elements of T; empty when the section is absent
+// (the layout check has put every present one in-file).
+template <typename T>
+std::span<const T> section(const PgrHeader& h, const std::byte* base, int i,
+                           std::uint64_t count) {
+  if (h.sec[i].bytes == 0) return {};
+  return {reinterpret_cast<const T*>(base + h.sec[i].off), count};
+}
+
+PgrSpans pgr_spans(const PgrHeader& h, const std::byte* base) {
+  PgrSpans s;
+  s.offsets = section<EdgeId>(h, base, 0, h.n + 1);
+  if (h.compressed()) {
+    s.encoded = section<std::byte>(h, base, 1, h.sec[1].bytes);
+  } else {
+    s.targets = section<VertexId>(h, base, 1, h.m);
+  }
+  s.weights = section<std::uint32_t>(h, base, 2, h.m);
+  s.t_offsets = section<EdgeId>(h, base, 3, h.n + 1);
+  s.t_targets = section<VertexId>(h, base, 4, h.m);
+  return s;
+}
+
+// Shared open path for read_pgr / read_weighted_pgr.
 struct OpenedPgr {
   StorageRef storage;
   PgrInfo info;
-  PgrOpenStats stats;
+  std::uint64_t decode_wall_ns = 0;  // 0 unless this open decoded targets
 };
 
-PgrInfo info_of(const PgrHeader& h, std::uint64_t file_size,
-                const std::byte* base) {
+PgrInfo pgr_info(const PgrHeader& h, const MappedFile& map) {
   PgrInfo info;
   info.n = h.n;
   info.m = h.m;
@@ -886,7 +874,7 @@ PgrInfo info_of(const PgrHeader& h, std::uint64_t file_size,
   info.symmetric = h.symmetric();
   info.has_transpose = h.has_transpose();
   info.compressed = h.compressed();
-  info.file_bytes = file_size;
+  info.file_bytes = map.size();
   info.encoded_target_bytes = h.sec[1].bytes;
   for (int i = 0; i < kPgrSections; ++i) {
     info.section_bytes[i] = h.sec[i].bytes;
@@ -895,125 +883,81 @@ PgrInfo info_of(const PgrHeader& h, std::uint64_t file_size,
   // layout check has verified the section is in-file; 16 bytes is the
   // minimum the decoder accepts for a non-empty section).
   if (h.compressed() && h.m != 0 && h.sec[1].bytes >= 16) {
-    info.chunk_count = get<std::uint64_t>(base + h.sec[1].off, 0);
+    info.chunk_count = get<std::uint64_t>(map.data() + h.sec[1].off, 0);
   }
   return info;
+}
+
+// The deep check of an in-core open: the forward CSR (`forward` is false
+// when the decoder has already proved it) and any embedded transpose.
+void check_opened(GraphStorage& s, const std::string& path, bool forward) {
+  if (forward) check_csr(s, path);
+  if (StorageRef t = s.transpose_cache()) {
+    check_csr(*t, path, "transpose sections: ");
+  }
 }
 
 OpenedPgr open_pgr_fresh(const std::string& path, PgrOpen mode,
                          bool validate) {
   auto map = std::make_shared<const MappedFile>(MappedFile::open(path));
-  const std::byte* base = map->data();
-  PgrHeader h = parse_pgr_header(base, map->size(), path);
+  PgrHeader h = parse_pgr_header(map->data(), map->size(), path);
   check_pgr_layout(h, map->size(), path);
   // The copy path always gets the full untrusted-input treatment; the mmap
   // path verifies content only on request (O(1) open). Compressed targets
   // are necessarily fully verified either way: the decoder range-checks
   // offsets and every decoded target.
   bool deep = validate || mode == PgrOpen::kCopy;
-  if (deep) check_pgr_checksums(h, base, path);
-
-  std::span<const EdgeId> offsets{
-      reinterpret_cast<const EdgeId*>(base + h.sec[0].off), h.n + 1};
-  std::span<const VertexId> targets;
-  if (!h.compressed() && h.m != 0) {
-    targets = {reinterpret_cast<const VertexId*>(base + h.sec[1].off), h.m};
-  }
-  std::span<const std::uint32_t> weights;
-  if (h.weighted() && h.m != 0) {
-    weights = {reinterpret_cast<const std::uint32_t*>(base + h.sec[2].off),
-               h.m};
-  }
-
-  OpenedPgr out;
-  out.info = info_of(h, map->size(), base);
-  out.stats.compressed = h.compressed();
-  out.stats.encoded_target_bytes = h.sec[1].bytes;
+  if (deep) check_pgr_checksums(h, map->data(), path);
+  PgrSpans sec = pgr_spans(h, map->data());
+  OpenedPgr out{nullptr, pgr_info(h, *map)};
 
   // Decode compressed targets into heap memory up front (parallel, timed).
   // The footprint check in check_pgr_layout already covered the decoded
   // array — it charges the full CSR including m targets — so this is the
   // same single guard point the raw readers go through.
   std::vector<VertexId> decoded;
-  if (h.compressed()) {
-    if (fault::should_fail("decode")) {
-      throw Error(ErrorCategory::kFormat, "injected fault: decode", path);
-    }
+  if (!sec.encoded.empty()) {
     auto t0 = std::chrono::steady_clock::now();
-    check_offsets_for_decode(offsets, h.n, h.m, path);
+    fail_if(validate_offsets(sec.offsets, h.m), path);
+    PgrChunkDir dir = check_chunk_directory(sec.encoded, h.n, path);
     decoded.resize(h.m);
-    decode_targets_section(base + h.sec[1].off, h.sec[1].bytes, h.n, h.m,
-                           offsets, decoded, path);
-    out.stats.decode_wall_ns = static_cast<std::uint64_t>(
+    decode_chunk_range(dir, 0, dir.C, h.n, sec.offsets, decoded.data(),
+                       /*e_base=*/0, path);
+    out.decode_wall_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)
             .count());
-    targets = decoded;
+    sec.targets = decoded;
   }
 
-  if (mode == PgrOpen::kMmap) {
-    out.storage =
-        h.compressed()
-            ? GraphStorage::mapped_with_decoded_targets(
-                  map, path, offsets, std::move(decoded), weights)
-            : GraphStorage::mapped(map, path, offsets, targets, weights);
-    if (h.has_transpose()) {
-      std::span<const EdgeId> t_offsets{
-          reinterpret_cast<const EdgeId*>(base + h.sec[3].off), h.n + 1};
-      std::span<const VertexId> t_targets{
-          h.m ? reinterpret_cast<const VertexId*>(base + h.sec[4].off)
-              : nullptr,
-          h.m};
-      StorageRef tcache =
-          GraphStorage::mapped(map, path, t_offsets, t_targets, {});
-      if (deep) {
-        Status s = validate_csr(t_offsets, t_targets);
-        if (!s.ok()) {
-          fail(s.category(), path, "transpose sections: " + s.message());
-        }
-        tcache->mark_validated();
-      }
-      out.storage->set_transpose_cache(std::move(tcache));
+  // kMmap serves the sections from the mapping (targets from the decoded
+  // buffer when compressed); kCopy copies them into heap storage through
+  // the resource guard, so the mapping can go.
+  auto store = [&](std::span<const EdgeId> offsets,
+                   std::span<const VertexId> targets,
+                   std::span<const std::uint32_t> weights,
+                   std::vector<VertexId> owned) {
+    if (mode == PgrOpen::kMmap) {
+      return GraphStorage::mapped(map, path, offsets, targets, weights, h.m,
+                                  std::move(owned));
     }
-  } else {
-    StorageRef s = GraphStorage::allocate(h.n, h.m, h.weighted(), path);
-    std::memcpy(s->mutable_offsets().data(), offsets.data(),
-                offsets.size_bytes());
-    if (h.m != 0) {
-      std::memcpy(s->mutable_targets().data(), targets.data(),
-                  targets.size_bytes());
-      if (h.weighted()) {
-        std::memcpy(s->mutable_weights().data(), weights.data(),
-                    weights.size_bytes());
-      }
-    }
-    if (h.has_transpose()) {
-      StorageRef t =
-          GraphStorage::allocate(h.n, h.m, /*weighted=*/false, path);
-      std::memcpy(t->mutable_offsets().data(), base + h.sec[3].off,
-                  h.sec[3].bytes);
-      if (h.m != 0) {
-        std::memcpy(t->mutable_targets().data(), base + h.sec[4].off,
-                    h.sec[4].bytes);
-      }
-      Status ts = validate_csr(t->offsets(), t->targets());
-      if (!ts.ok()) {
-        fail(ts.category(), path, "transpose sections: " + ts.message());
-      }
-      t->mark_validated();
-      s->set_transpose_cache(std::move(t));
-    }
-    out.storage = std::move(s);
+    StorageRef s = GraphStorage::allocate(h.n, h.m, !weights.empty(), path);
+    std::copy(offsets.begin(), offsets.end(), s->mutable_offsets().begin());
+    std::copy(targets.begin(), targets.end(), s->mutable_targets().begin());
+    std::copy(weights.begin(), weights.end(), s->mutable_weights().begin());
+    return s;
+  };
+  out.storage =
+      store(sec.offsets, sec.targets, sec.weights, std::move(decoded));
+  if (h.has_transpose()) {
+    out.storage->set_transpose_cache(
+        store(sec.t_offsets, sec.t_targets, {}, {}));
   }
-  if (h.compressed()) {
-    // The decoder verified the whole validate_csr contract (offsets shape +
-    // target bounds); no second pass needed.
-    out.storage->mark_validated();
-  } else if (deep) {
-    Status s = validate_csr(out.storage->offsets(), out.storage->targets());
-    if (!s.ok()) fail(s.category(), path, s.message());
-    out.storage->mark_validated();
-  }
+  // The decoder verified the whole validate_csr contract (offsets shape +
+  // target bounds); no second pass needed.
+  bool decoded_ok = !sec.encoded.empty();
+  if (decoded_ok) out.storage->mark_validated();
+  if (deep) check_opened(*out.storage, path, /*forward=*/!decoded_ok);
   return out;
 }
 
@@ -1023,24 +967,18 @@ OpenedPgr open_pgr(const std::string& path, PgrOpen mode, bool validate,
 // Range-checks a raw targets window shard-at-a-time: activate each shard
 // once through the window (bounded residency — this is the sharded stand-in
 // for the full validate_csr scan, which would touch every page at once) and
-// verify every target lies in [0, n). Counters are reset afterwards so
-// driver telemetry starts from the algorithm's first sweep.
+// run the targets half of the CSR check on it. Counters are reset
+// afterwards so driver telemetry starts from the algorithm's first sweep.
 void validate_sharded_raw(MappedWindow& window, std::uint64_t n,
                           const std::string& path, const char* what) {
   const ShardPlan& plan = window.plan();
   for (std::size_t s = 0; s < plan.size(); ++s) {
     const ShardRange& r = plan[s];
     MappedWindow::ActiveShard sh = window.activate(s);
-    std::size_t violations =
-        count_if_index(r.e_end - r.e_begin, [&](std::size_t i) {
-          return sh.targets[r.e_begin + i - sh.e_base] >= n;
-        });
-    if (violations != 0) {
-      fail(ErrorCategory::kValidation, path,
-           std::string(what) + ": " + std::to_string(violations) +
-               " targets out of range [0, " + std::to_string(n) +
-               ") in shard " + std::to_string(s));
-    }
+    fail_if(validate_targets(
+                {sh.targets + (r.e_begin - sh.e_base), r.e_end - r.e_begin},
+                n, r.e_begin),
+            path, std::string(what) + " in shard " + std::to_string(s) + ": ");
   }
   window.release();
   window.reset_counters();
@@ -1069,8 +1007,7 @@ OpenedPgr open_pgr_sharded(const std::string& path, PgrOpen mode,
   // bounded residency it maintains.
   auto map = std::make_shared<const MappedFile>(
       MappedFile::open(path, /*sequential=*/false));
-  const std::byte* base = map->data();
-  PgrHeader h = parse_pgr_header(base, map->size(), path);
+  PgrHeader h = parse_pgr_header(map->data(), map->size(), path);
 
   if (spec.auto_shard) {
     // Auto mode shards only when the full in-core footprint would be
@@ -1091,62 +1028,39 @@ OpenedPgr open_pgr_sharded(const std::string& path, PgrOpen mode,
   GraphStorage::check_windowed_footprint(h.n, spec.window_bytes, 0, path)
       .throw_if_error();
   check_pgr_layout(h, map->size(), path, /*windowed=*/true);
-
-  std::span<const EdgeId> offsets{
-      reinterpret_cast<const EdgeId*>(base + h.sec[0].off), h.n + 1};
-  std::span<const std::uint32_t> weights;
-  if (h.weighted() && h.m != 0) {
-    weights = {reinterpret_cast<const std::uint32_t*>(base + h.sec[2].off),
-               h.m};
-  }
+  PgrSpans sec = pgr_spans(h, map->data());
   // Offsets are fully resident (priced above); verifying them up front
   // gives the shard plan trustworthy degrees and covers the offsets half of
   // the validate_csr contract.
-  check_offsets_for_decode(offsets, h.n, h.m, path);
+  fail_if(validate_offsets(sec.offsets, h.m), path);
 
-  OpenedPgr out;
-  out.info = info_of(h, map->size(), base);
-  out.stats.compressed = h.compressed();
-  out.stats.encoded_target_bytes = h.sec[1].bytes;
-
-  StorageRef storage;
+  // Shard boundaries fall on multiples of `align` vertices: the writer's
+  // chunk size for raw sections, the file's own chunking for compressed
+  // targets (so every shard decodes whole chunks).
+  auto plan_for = [&](std::span<const EdgeId> offsets, std::uint64_t bpe,
+                      std::uint64_t align) {
+    return std::make_shared<const ShardPlan>(ShardPlan::build(
+        offsets, bpe, spec.window_bytes,
+        static_cast<std::uint32_t>(std::min<std::uint64_t>(
+            align, std::numeric_limits<std::uint32_t>::max()))));
+  };
   std::shared_ptr<const ShardPlan> plan;
   std::shared_ptr<MappedWindow> window;
   std::uint64_t extra_resident = 0;
   std::uint64_t bpe =
       sizeof(VertexId) + (h.weighted() ? sizeof(std::uint32_t) : 0);
-  bool raw = !h.compressed() || h.m == 0;
-
-  if (raw) {
-    std::span<const VertexId> targets;
-    if (!h.compressed() && h.m != 0) {
-      targets = {reinterpret_cast<const VertexId*>(base + h.sec[1].off), h.m};
-    }
-    plan = std::make_shared<const ShardPlan>(
-        ShardPlan::build(offsets, bpe, spec.window_bytes,
-                         static_cast<std::uint32_t>(kPgrVerticesPerChunk)));
-    storage = GraphStorage::mapped(map, path, offsets, targets, weights);
-    window = MappedWindow::raw(plan, targets.data(), weights.data());
+  if (sec.encoded.empty()) {
+    plan = plan_for(sec.offsets, bpe, kPgrVerticesPerChunk);
+    window = MappedWindow::raw(plan, sec.targets.data(), sec.weights.data());
   } else {
-    if (fault::should_fail("decode")) {
-      throw Error(ErrorCategory::kFormat, "injected fault: decode", path);
-    }
-    PgrChunkDir dir =
-        check_chunk_directory(base + h.sec[1].off, h.sec[1].bytes, h.n, path);
-    // Shard boundaries must fall on chunk boundaries so every shard decodes
-    // whole chunks; align to the file's chunking granularity.
-    std::uint32_t align = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        dir.V, std::numeric_limits<std::uint32_t>::max()));
-    plan = std::make_shared<const ShardPlan>(
-        ShardPlan::build(offsets, bpe, spec.window_bytes, align));
-    storage = GraphStorage::mapped_windowed(map, path, offsets, weights, h.m);
-    std::uint64_t n = h.n;
+    PgrChunkDir dir = check_chunk_directory(sec.encoded, h.n, path);
+    plan = plan_for(sec.offsets, bpe, dir.V);
     auto chunk_end = [dir](StorageVertexId v_end) {
       return std::min<std::uint64_t>(
           dir.C, (static_cast<std::uint64_t>(v_end) + dir.V - 1) / dir.V);
     };
-    auto decode = [dir, n, offsets, path, chunk_end](const ShardRange& r,
-                                                     StorageVertexId* buf) {
+    auto decode = [dir, n = h.n, offsets = sec.offsets, path, chunk_end](
+                      const ShardRange& r, StorageVertexId* buf) {
       decode_chunk_range(dir, r.v_begin / dir.V, chunk_end(r.v_end), n,
                          offsets, buf, r.e_begin, path);
     };
@@ -1158,35 +1072,19 @@ OpenedPgr open_pgr_sharded(const std::string& path, PgrOpen mode,
       return {dir.sec + b0, static_cast<std::size_t>(b1 - b0)};
     };
     window = MappedWindow::decoding(plan, std::move(decode),
-                                    std::move(encoded_range), weights.data());
+                                    std::move(encoded_range),
+                                    sec.weights.data());
     // The reusable decode buffer is a real heap resident, sized for the
     // largest shard.
     extra_resident = plan->max_shard_edges() * sizeof(VertexId);
   }
-
-  // Transpose sections become a second windowed storage over the same
-  // mapping (always raw — only the forward targets section is compressed),
-  // pre-populating the transpose cache so gt sweeps stay bounded too.
-  StorageRef tcache;
-  std::shared_ptr<const ShardPlan> t_plan;
-  std::shared_ptr<MappedWindow> t_window;
+  // The transpose sections (always raw — only the forward targets section
+  // is compressed) add their own offsets array and window.
   if (h.has_transpose()) {
-    std::span<const EdgeId> t_offsets{
-        reinterpret_cast<const EdgeId*>(base + h.sec[3].off), h.n + 1};
-    std::span<const VertexId> t_targets;
-    if (h.m != 0) {
-      t_targets = {reinterpret_cast<const VertexId*>(base + h.sec[4].off),
-                   h.m};
-    }
-    check_offsets_for_decode(t_offsets, h.n, h.m, path);
-    t_plan = std::make_shared<const ShardPlan>(
-        ShardPlan::build(t_offsets, sizeof(VertexId), spec.window_bytes,
-                         static_cast<std::uint32_t>(kPgrVerticesPerChunk)));
-    tcache = GraphStorage::mapped(map, path, t_offsets, t_targets, {});
-    t_window = MappedWindow::raw(t_plan, t_targets.data(), nullptr);
+    fail_if(validate_offsets(sec.t_offsets, h.m), path,
+            "transpose sections: ");
     extra_resident += (h.n + 1) * sizeof(EdgeId) + spec.window_bytes;
   }
-
   // Final price: offsets + window + decode buffer + transpose residents.
   GraphStorage::check_windowed_footprint(h.n, spec.window_bytes,
                                          extra_resident, path)
@@ -1194,23 +1092,32 @@ OpenedPgr open_pgr_sharded(const std::string& path, PgrOpen mode,
   std::uint64_t resident =
       (h.n + 1) * sizeof(EdgeId) + spec.window_bytes + extra_resident;
 
+  // No targets span for a compressed file: the storage is window-only.
+  StorageRef storage = GraphStorage::mapped(map, path, sec.offsets,
+                                            sec.targets, sec.weights, h.m);
+  storage->set_sharding(plan, window, resident);
   // Eager bounded-residency validation: raw targets are range-checked with
   // one sweep through the window (compressed shards are validated by the
   // decoder on every activation), so traversal-time unchecked indexing is
   // as safe as after a deep-validated in-core open.
-  if (raw) {
+  if (sec.encoded.empty()) {
     validate_sharded_raw(*window, h.n, path, "targets");
   }
   storage->mark_validated();
-  if (tcache != nullptr) {
+  // The transpose becomes a second windowed storage over the same mapping,
+  // pre-populating the transpose cache so gt sweeps stay bounded too.
+  if (h.has_transpose()) {
+    auto t_plan =
+        plan_for(sec.t_offsets, sizeof(VertexId), kPgrVerticesPerChunk);
+    auto t_window = MappedWindow::raw(t_plan, sec.t_targets.data(), nullptr);
     validate_sharded_raw(*t_window, h.n, path, "transpose targets");
+    StorageRef tcache = GraphStorage::mapped(map, path, sec.t_offsets,
+                                             sec.t_targets, {}, h.m);
     tcache->mark_validated();
     tcache->set_sharding(std::move(t_plan), std::move(t_window), 0);
     storage->set_transpose_cache(std::move(tcache));
   }
-  storage->set_sharding(std::move(plan), std::move(window), resident);
-  out.storage = std::move(storage);
-  return out;
+  return {std::move(storage), pgr_info(h, *map)};
 }
 
 // Mmap opens go through the process-level GraphRegistry: every open of the
@@ -1224,45 +1131,44 @@ OpenedPgr open_pgr(const std::string& path, PgrOpen mode, bool validate,
   if (mode == PgrOpen::kCopy) return open_pgr_fresh(path, mode, validate);
 
   bool opened_fresh = false;
-  PgrOpenStats fresh_stats;
+  OpenedPgr fresh;
   StorageRef storage =
       GraphRegistry::instance().open_shared(path, [&]() -> StorageRef {
         opened_fresh = true;
-        OpenedPgr fresh = open_pgr_fresh(path, PgrOpen::kMmap, validate);
-        fresh_stats = fresh.stats;
+        fresh = open_pgr_fresh(path, PgrOpen::kMmap, validate);
         return fresh.storage;
       });
+  if (opened_fresh) return fresh;
 
-  // Cached or fresh, PgrInfo comes from the shared mapping's header — a
-  // registry hit must not re-open the file (zero new bytes mapped).
+  // A registry hit: PgrInfo comes from the shared mapping's header (no
+  // re-open, zero new bytes mapped), and the decode cost is zero — the
+  // decoded buffer is memoized on the shared handle.
   std::shared_ptr<const MappedFile> map = storage->mapped_file();
-  const std::byte* base = map->data();
-  PgrHeader h = parse_pgr_header(base, map->size(), path);
-  OpenedPgr out;
-  out.info = info_of(h, map->size(), base);
-  out.storage = std::move(storage);
-  out.stats.compressed = h.compressed();
-  out.stats.encoded_target_bytes = h.sec[1].bytes;
-  // Warm opens reuse the decoded buffer memoized on the shared handle:
-  // decode cost is paid once per mapping, never per open.
-  out.stats.decode_wall_ns = opened_fresh ? fresh_stats.decode_wall_ns : 0;
-  if (!opened_fresh && validate) {
+  PgrHeader h = parse_pgr_header(map->data(), map->size(), path);
+  OpenedPgr out{std::move(storage), pgr_info(h, *map)};
+  if (validate) {
     // The cached mapping may have been opened without --validate; a
     // validating open still gets the full content check, against the
     // shared pages.
-    check_pgr_checksums(h, base, path);
-    Status s = validate_csr(out.storage->offsets(), out.storage->targets());
-    if (!s.ok()) fail(s.category(), path, s.message());
-    out.storage->mark_validated();
-    if (StorageRef t = out.storage->transpose_cache()) {
-      Status ts = validate_csr(t->offsets(), t->targets());
-      if (!ts.ok()) {
-        fail(ts.category(), path, "transpose sections: " + ts.message());
-      }
-      t->mark_validated();
-    }
+    check_pgr_checksums(h, map->data(), path);
+    check_opened(*out.storage, path, /*forward=*/true);
   }
   return out;
+}
+
+// The read_pgr / read_weighted_pgr body; `want_weights` as for parse_adj.
+StorageRef read_pgr_storage(const std::string& path, PgrOpen mode,
+                            bool validate, PgrOpenStats* stats,
+                            const PgrShardSpec& shard, bool want_weights) {
+  OpenedPgr opened = open_pgr(path, mode, validate, shard);
+  if (want_weights && !opened.info.weighted) {
+    fail(ErrorCategory::kFormat, path, kNoWeights);
+  }
+  if (stats != nullptr) {
+    *stats = {opened.info.compressed, opened.info.encoded_target_bytes,
+              opened.decode_wall_ns};
+  }
+  return std::move(opened.storage);
 }
 
 }  // namespace
@@ -1284,22 +1190,16 @@ const char* pgr_section_name(int i) {
 
 Graph read_pgr(const std::string& path, PgrOpen mode, bool validate,
                PgrOpenStats* stats, const PgrShardSpec& shard) {
-  OpenedPgr opened = open_pgr(path, mode, validate, shard);
-  if (stats != nullptr) *stats = opened.stats;
-  return Graph(std::move(opened.storage));
+  return Graph(read_pgr_storage(path, mode, validate, stats, shard,
+                                /*want_weights=*/false));
 }
 
 WeightedGraph<std::uint32_t> read_weighted_pgr(const std::string& path,
                                                PgrOpen mode, bool validate,
                                                PgrOpenStats* stats,
                                                const PgrShardSpec& shard) {
-  OpenedPgr opened = open_pgr(path, mode, validate, shard);
-  if (!opened.info.weighted) {
-    fail(ErrorCategory::kFormat, path,
-         "file has no weights section; use read_pgr / an unweighted driver");
-  }
-  if (stats != nullptr) *stats = opened.stats;
-  return WeightedGraph<std::uint32_t>(std::move(opened.storage));
+  return WeightedGraph<std::uint32_t>(read_pgr_storage(
+      path, mode, validate, stats, shard, /*want_weights=*/true));
 }
 
 PgrInfo probe_pgr(const std::string& path) {
@@ -1310,7 +1210,19 @@ PgrInfo probe_pgr(const std::string& path) {
   // nothing, and callers planning a sharded open of a beyond-ceiling file
   // must still be able to peek at it.
   check_pgr_layout(h, map.size(), path, /*windowed=*/true);
-  return info_of(h, map.size(), map.data());
+  return pgr_info(h, map);
+}
+
+bool has_weights(const std::string& path) {
+  std::string_view name = path;
+  if (name.ends_with(".pgr")) return probe_pgr(path).weighted;
+  if (!name.ends_with(".bin") && !name.ends_with(".adj")) return false;
+  std::ifstream in(path, std::ios::binary);
+  if (!in) fail(ErrorCategory::kIo, path, "cannot open for reading");
+  if (name.ends_with(".bin")) return read_bin_header(in, path).weighted();
+  std::string header;
+  in >> header;
+  return header == "WeightedAdjacencyGraph";
 }
 
 }  // namespace pasgal

@@ -1,11 +1,14 @@
 // Graph serialization in the three formats PASGAL supports:
 //  * `.adj`  — PBBS text AdjacencyGraph format:
 //              "AdjacencyGraph\n<n>\n<m>\n" then n offsets, then m targets,
-//              one integer per line. Weighted variant uses
-//              "WeightedAdjacencyGraph" and appends m weights.
+//              one integer per line. The weighted variant's header word is
+//              "WeightedAdjacencyGraph" and it appends m weights.
 //  * `.bin`  — GBBS binary CSR format: three u64 header words
 //              (n, m, total size in bytes) followed by (n+1) u64 offsets and
-//              m u32 targets.
+//              m u32 targets; the weighted variant appends m u32 weights.
+//              The size field tells the variants apart: 24 + (n+1)*8 + m*4
+//              is unweighted, m*4 more is weighted, anything else is
+//              rejected (with m = 0 the two coincide).
 //  * `.pgr`  — PASGAL's versioned binary CSR, designed for zero-copy mmap
 //              loading. See DESIGN.md "Graph storage & on-disk format" for
 //              the byte-level layout; in brief: a 192-byte header (magic
@@ -16,6 +19,13 @@
 //              offsets, targets, weights, transpose offsets, transpose
 //              targets. Checksums are xxhash-style 64-bit digests
 //              (graphs/storage.h hash_bytes).
+//
+// Each format has one reader body and one writer body for both variants.
+// The unweighted readers (read_adj, read_bin, read_pgr) accept either
+// variant and return the topology; a weighted file's weights are still
+// parsed and checked but not kept. The weighted readers (read_weighted_*)
+// require the weighted variant and reject an unweighted file as kFormat.
+// has_weights() tells the variant from the header alone.
 //
 // Readers treat every byte as untrusted (see DESIGN.md "Error handling"):
 //  * header-claimed sizes are cross-checked against the actual file size and
@@ -49,10 +59,14 @@ WeightedGraph<std::uint32_t> read_weighted_adj(const std::string& path);
 void write_bin(const Graph& g, const std::string& path);
 Graph read_bin(const std::string& path);
 
-// Weighted binary format: the unweighted header/body followed by m u32
-// weights (the layout GBBS uses for its weighted .bin graphs).
 void write_bin(const WeightedGraph<std::uint32_t>& g, const std::string& path);
 WeightedGraph<std::uint32_t> read_weighted_bin(const std::string& path);
+
+// True when `path` names a `.adj`/`.bin`/`.pgr` file (told by its suffix)
+// of the weighted variant; false for any other name. Reads the header only. kIo when the file cannot be
+// opened; a header the reader would reject either throws the reader's typed
+// error here or reads as unweighted (and the reader then rejects it).
+bool has_weights(const std::string& path);
 
 // --- .pgr: versioned mmap-able CSR ------------------------------------------
 

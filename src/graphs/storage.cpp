@@ -413,53 +413,22 @@ StorageRef GraphStorage::mapped(std::shared_ptr<const MappedFile> file,
                                 const std::string& path,
                                 std::span<const StorageEdgeId> offsets,
                                 std::span<const StorageVertexId> targets,
-                                std::span<const StorageWeight> weights) {
-  auto s = StorageRef(new GraphStorage());
-  s->backend_ = Backend::kMmap;
-  s->map_ = std::move(file);
-  s->offsets_ = offsets;
-  s->targets_ = targets;
-  s->weights_ = weights;
-  s->edge_count_ = targets.size();
-  s->source_path_ = path;
-  return s;
-}
-
-StorageRef GraphStorage::mapped_with_decoded_targets(
-    std::shared_ptr<const MappedFile> file, const std::string& path,
-    std::span<const StorageEdgeId> offsets,
-    std::vector<StorageVertexId> decoded_targets,
-    std::span<const StorageWeight> weights) {
+                                std::span<const StorageWeight> weights,
+                                std::uint64_t edge_count,
+                                std::vector<StorageVertexId> decoded_targets) {
   auto s = StorageRef(new GraphStorage());
   s->backend_ = Backend::kMmap;
   s->map_ = std::move(file);
   s->own_targets_ = std::move(decoded_targets);
   s->offsets_ = offsets;
-  s->targets_ = s->own_targets_;
+  s->targets_ = s->own_targets_.empty() ? targets : s->own_targets_;
   s->weights_ = weights;
-  s->edge_count_ = s->targets_.size();
+  s->edge_count_ = edge_count;
+  s->window_only_ = s->targets_.empty() && edge_count != 0;
   // The decoded array is real heap residency on top of the mapping; the
   // registry's budget math must see it (admission priced it at open).
   s->decode_heap_bytes_ = s->own_targets_.size() * sizeof(StorageVertexId);
   s->source_path_ = path;
-  return s;
-}
-
-StorageRef GraphStorage::mapped_windowed(
-    std::shared_ptr<const MappedFile> file, const std::string& path,
-    std::span<const StorageEdgeId> offsets,
-    std::span<const StorageWeight> weights, std::uint64_t edge_count) {
-  auto s = StorageRef(new GraphStorage());
-  s->backend_ = Backend::kMmap;
-  s->map_ = std::move(file);
-  s->offsets_ = offsets;
-  s->weights_ = weights;
-  s->edge_count_ = edge_count;
-  s->window_only_ = true;
-  s->source_path_ = path;
-  // The per-shard decoder validates each chunk it produces; there is no
-  // whole-graph targets array for ensure_validated to scan.
-  s->validated_.store(true, std::memory_order_relaxed);
   return s;
 }
 

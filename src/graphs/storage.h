@@ -270,37 +270,25 @@ class GraphStorage {
 
   // Mmap backend: shares ownership of the mapping (a `.pgr` with embedded
   // transpose sections backs two storage handles with one mapping); the
-  // spans must point into it (the `.pgr` reader computes them from the
-  // section table).
+  // spans point into it (the `.pgr` reader computes them from the section
+  // table) and `edge_count` is m. The targets side takes one of three forms:
+  //  * `targets` spans the mapped section (zero-copy);
+  //  * `decoded_targets` holds the heap buffer the varint decoder produced
+  //    for a compressed file. The handle owns it, so a registry-shared open
+  //    reuses the decoded buffer and warm opens pay zero decode cost.
+  //    Callers must have priced it through check_footprint;
+  //  * both empty with edge_count > 0: window-only (sharded compressed
+  //    files). There is no whole-graph targets array; shards decode on
+  //    demand into the MappedWindow's reusable buffer, so consumers must go
+  //    through the window (random-access algorithms are rejected upstream
+  //    with a typed kUsage error).
   static StorageRef mapped(std::shared_ptr<const MappedFile> file,
                            const std::string& path,
                            std::span<const StorageEdgeId> offsets,
                            std::span<const StorageVertexId> targets,
-                           std::span<const StorageWeight> weights);
-
-  // Hybrid backend for compressed `.pgr` files: offsets (and weights, when
-  // present) stay zero-copy spans into the mapping while `targets` is the
-  // heap buffer the varint decoder produced. The handle owns both, so a
-  // registry-shared open reuses the decoded buffer — warm opens pay zero
-  // decode cost. Callers must have routed the decode allocation through
-  // check_footprint (the decoder does).
-  static StorageRef mapped_with_decoded_targets(
-      std::shared_ptr<const MappedFile> file, const std::string& path,
-      std::span<const StorageEdgeId> offsets,
-      std::vector<StorageVertexId> decoded_targets,
-      std::span<const StorageWeight> weights);
-
-  // Window-only backend for sharded compressed files: offsets (and weights)
-  // are zero-copy spans into the mapping but there is no whole-graph targets
-  // array — shards decode on demand into the MappedWindow's reusable buffer.
-  // targets() stays empty; consumers must go through the window (the
-  // traversal layer does; random-access algorithms are rejected upstream
-  // with a typed kUsage error).
-  static StorageRef mapped_windowed(std::shared_ptr<const MappedFile> file,
-                                    const std::string& path,
-                                    std::span<const StorageEdgeId> offsets,
-                                    std::span<const StorageWeight> weights,
-                                    std::uint64_t edge_count);
+                           std::span<const StorageWeight> weights,
+                           std::uint64_t edge_count,
+                           std::vector<StorageVertexId> decoded_targets = {});
 
   std::span<const StorageEdgeId> offsets() const { return offsets_; }
   std::span<const StorageVertexId> targets() const { return targets_; }
@@ -337,7 +325,7 @@ class GraphStorage {
   // transpose section lives in the shared mapping and adds nothing. The
   // registry adds this to resident_bytes() for admission and eviction.
   std::uint64_t derived_heap_bytes() const;
-  // True when targets exist only shard-at-a-time (see mapped_windowed).
+  // True when targets exist only shard-at-a-time (see mapped()).
   bool windowed() const { return window_only_; }
 
   // --- sharded execution state ----------------------------------------------

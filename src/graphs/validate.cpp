@@ -10,17 +10,16 @@
 
 namespace pasgal {
 
-Status validate_csr(std::span<const EdgeId> offsets,
-                    std::span<const VertexId> targets) {
-  constexpr std::uint64_t kNone = static_cast<std::uint64_t>(-1);
+constexpr std::uint64_t kNone = static_cast<std::uint64_t>(-1);
+
+Status validate_offsets(std::span<const EdgeId> offsets, std::uint64_t m) {
   if (offsets.empty()) {
-    if (targets.empty()) return Status::Ok();  // default-constructed Graph
+    if (m == 0) return Status::Ok();  // default-constructed Graph
     return Status::Failure(ErrorCategory::kValidation,
-                           "empty offset array but " +
-                               std::to_string(targets.size()) + " targets");
+                           "empty offset array but " + std::to_string(m) +
+                               " targets");
   }
   std::size_t n = offsets.size() - 1;
-  std::size_t m = targets.size();
   if (n > static_cast<std::size_t>(kInvalidVertex)) {
     return Status::Failure(ErrorCategory::kValidation,
                            "vertex count " + std::to_string(n) +
@@ -37,7 +36,6 @@ Status validate_csr(std::span<const EdgeId> offsets,
                                " does not equal the edge count " +
                                std::to_string(m));
   }
-
   std::atomic<std::uint64_t> first_bad{kNone};
   parallel_for(0, n, [&](std::size_t v) {
     if (offsets[v] > offsets[v + 1]) {
@@ -51,19 +49,30 @@ Status validate_csr(std::span<const EdgeId> offsets,
             std::to_string(offsets[v]) + " > offsets[" + std::to_string(v + 1) +
             "] = " + std::to_string(offsets[v + 1]));
   }
+  return Status::Ok();
+}
 
-  first_bad.store(kNone, std::memory_order_relaxed);
-  parallel_for(0, m, [&](std::size_t e) {
-    if (targets[e] >= n) write_min(first_bad, static_cast<std::uint64_t>(e));
+Status validate_targets(std::span<const VertexId> targets, std::uint64_t n,
+                        std::uint64_t e_base) {
+  std::atomic<std::uint64_t> first_bad{kNone};
+  parallel_for(0, targets.size(), [&](std::size_t i) {
+    if (targets[i] >= n) write_min(first_bad, static_cast<std::uint64_t>(i));
   });
-  if (std::uint64_t e = first_bad.load(std::memory_order_relaxed); e != kNone) {
+  if (std::uint64_t i = first_bad.load(std::memory_order_relaxed); i != kNone) {
     return Status::Failure(
         ErrorCategory::kValidation,
-        "edge " + std::to_string(e) + " targets vertex " +
-            std::to_string(targets[e]) + " but the graph has only " +
+        "edge " + std::to_string(e_base + i) + " targets vertex " +
+            std::to_string(targets[i]) + " but the graph has only " +
             std::to_string(n) + " vertices");
   }
   return Status::Ok();
+}
+
+Status validate_csr(std::span<const EdgeId> offsets,
+                    std::span<const VertexId> targets) {
+  Status s = validate_offsets(offsets, targets.size());
+  if (!s.ok() || offsets.empty()) return s;
+  return validate_targets(targets, offsets.size() - 1);
 }
 
 }  // namespace pasgal

@@ -7,6 +7,7 @@
 
 #include "graphs/graph.h"
 #include "graphs/graph_io.h"
+#include "pasgal/error.h"
 #include "parlay/hash_rng.h"
 #include "parlay/scheduler.h"
 
@@ -114,6 +115,47 @@ TEST_F(GraphIoTest, WeightedBinRoundTrip) {
   EXPECT_EQ(back.unweighted(), g.unweighted());
   for (std::size_t e = 0; e < g.num_edges(); ++e) {
     EXPECT_EQ(back.edge_weight(e), g.edge_weight(e));
+  }
+}
+
+// The unweighted readers accept either variant of their format and return
+// the topology; the weighted readers refuse an unweighted file.
+TEST_F(GraphIoTest, WeightedAdjAndBinReadAsTopology) {
+  Graph topo = random_graph(70, 600, 5);
+  std::vector<std::uint32_t> weights(topo.num_edges());
+  for (std::size_t e = 0; e < weights.size(); ++e) {
+    weights[e] = static_cast<std::uint32_t>(e % 13 + 1);
+  }
+  WeightedGraph<std::uint32_t> g(topo, weights);
+  auto adj = temp_path("w.adj");
+  auto bin = temp_path("w.bin");
+  write_adj(g, adj);
+  write_bin(g, bin);
+  EXPECT_EQ(read_adj(adj), topo);
+  EXPECT_EQ(read_bin(bin), topo);
+  EXPECT_TRUE(has_weights(adj));
+  EXPECT_TRUE(has_weights(bin));
+}
+
+TEST_F(GraphIoTest, WeightedReadersRejectUnweightedFiles) {
+  Graph g = random_graph(50, 300, 6);
+  auto adj = temp_path("u.adj");
+  auto bin = temp_path("u.bin");
+  write_adj(g, adj);
+  write_bin(g, bin);
+  EXPECT_FALSE(has_weights(adj));
+  EXPECT_FALSE(has_weights(bin));
+  try {
+    read_weighted_adj(adj);
+    ADD_FAILURE() << "unweighted .adj accepted by the weighted reader";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kFormat) << e.what();
+  }
+  try {
+    read_weighted_bin(bin);
+    ADD_FAILURE() << "unweighted .bin accepted by the weighted reader";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kFormat) << e.what();
   }
 }
 

@@ -259,6 +259,37 @@ TEST_F(GraphIoFuzzTest, BinTrailingGarbage) {
   expect_rejected([&] { read_bin(path); }, ErrorCategory::kFormat);
 }
 
+TEST_F(GraphIoFuzzTest, BinSizeFieldMatchesNeitherVariant) {
+  // The size field tells the variant: topology frame (80 bytes here) or
+  // topology + m weights (96). Claim two weights per edge (112) and pad the
+  // file to match, so only the variant check can reject it.
+  auto path = make_valid_bin("neither.bin");
+  auto bytes = slurp(path);
+  ASSERT_EQ(bytes.size(), 80u);
+  std::uint64_t size = 80 + 2 * 4 * 4;
+  std::memcpy(bytes.data() + 16, &size, 8);
+  bytes.resize(size, 0);
+  dump(path, bytes);
+  expect_rejected([&] { read_bin(path); }, ErrorCategory::kFormat);
+  expect_rejected([&] { read_weighted_bin(path); }, ErrorCategory::kFormat);
+}
+
+TEST_F(GraphIoFuzzTest, WeightedBinHeaderClaimsHugeM) {
+  // A valid weighted file whose m is then inflated: priced before the frame
+  // is judged, so the absurd claim is kResource for both readers.
+  auto g = WeightedGraph<std::uint32_t>::from_edges(
+      4, std::vector<WeightedEdge<std::uint32_t>>{
+             {0, 1, 5}, {1, 2, 6}, {2, 3, 7}, {3, 0, 8}});
+  auto path = temp_path("huge_m_w.bin");
+  write_bin(g, path);
+  auto bytes = slurp(path);
+  std::uint64_t m = std::uint64_t{1} << 60;
+  std::memcpy(bytes.data() + 8, &m, 8);
+  dump(path, bytes);
+  expect_rejected([&] { read_bin(path); }, ErrorCategory::kResource);
+  expect_rejected([&] { read_weighted_bin(path); }, ErrorCategory::kResource);
+}
+
 TEST_F(GraphIoFuzzTest, BinNonMonotoneOffsets) {
   auto path = make_valid_bin("nonmono.bin");
   auto bytes = slurp(path);
@@ -493,6 +524,25 @@ TEST_F(GraphIoFuzzTest, PgrCorruptTransposeSectionRejected) {
                   ErrorCategory::kValidation);
   expect_rejected([&] { read_pgr(path, PgrOpen::kMmap, /*validate=*/true); },
                   ErrorCategory::kValidation);
+}
+
+TEST_F(GraphIoFuzzTest, PgrShardedOpenRangeChecksEveryTargetSection) {
+  // A sharded open skips checksums (they would touch every byte at once),
+  // so its shard-at-a-time sweep is what catches an out-of-range target in
+  // the forward or the transpose targets section.
+  for (int section : {1, 4}) {
+    auto path = make_valid_pgr("shard_oob.pgr");
+    auto bytes = slurp(path);
+    poke<std::uint32_t>(bytes,
+                        peek<std::uint64_t>(bytes, 40 + section * 24), 1000u);
+    reseal_pgr_section(bytes, section);
+    dump(path, bytes);
+    PgrShardSpec shard;
+    shard.window_bytes = std::uint64_t{1} << 20;
+    expect_rejected(
+        [&] { read_pgr(path, PgrOpen::kMmap, false, nullptr, shard); },
+        ErrorCategory::kValidation);
+  }
 }
 
 // --- .pgr version 2 (compressed targets) corpus ------------------------------

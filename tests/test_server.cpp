@@ -344,7 +344,7 @@ TEST_F(ServerTest, BatchSourceParseErrorsNameTheGraph) {
   start_server();
   // (A bare "sources=" dies in the request tokenizer before the graph is
   // resolved, so only value errors carry graph context.)
-  for (const std::string bad : {"sources=abc", "sources=1,,2"}) {
+  for (const char* bad : {"sources=abc", "sources=1,,2"}) {
     std::string resp = request_once("bfs graph=" + path + " " + bad);
     EXPECT_EQ(resp.rfind("error [usage]", 0), 0u) << resp;
     EXPECT_NE(resp.find(path), std::string::npos)
@@ -447,7 +447,7 @@ TEST_F(ServerTest, UpdateContractViolationsAreTyped) {
   start_server();
 
   // Empty batch, malformed pairs, bad integers: usage errors naming the graph.
-  for (const std::string bad :
+  for (const std::string& bad :
        {"update graph=" + path, "update graph=" + path + " add=5",
         "update graph=" + path + " add=1:2:3",
         "update graph=" + path + " add=a:b",

@@ -118,7 +118,7 @@ TEST_F(Telemetry, SchedulerCountersNonzeroWhenParallel) {
         0, 256,
         [&](std::size_t i) {
           volatile std::uint64_t x = i;
-          for (int k = 0; k < 20000; ++k) x += k;
+          for (int k = 0; k < 20000; ++k) x = x + k;
           sink.fetch_add(x, std::memory_order_relaxed);
         },
         1);
