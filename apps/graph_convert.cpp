@@ -13,6 +13,9 @@
 // non-.pgr outputs. --weights attaches deterministic weights (uniform in
 // [1, max_weight]) and writes the weighted variant of the output format,
 // so sssp runs consume the file's weights section instead of regenerating.
+// A weighted input keeps its weights and writes the weighted variant too;
+// --weights (which would replace them) and --apply-updates (updates are
+// unweighted) are usage errors on it.
 // --validate applies the full checksum + validate_csr pass to .pgr inputs
 // and re-validates the graph before writing. --compress writes a version-2
 // .pgr whose targets section is delta-varint encoded (offsets, weights, and
@@ -172,7 +175,17 @@ int main(int argc, char** argv) {
                   "--compress only applies to .pgr outputs");
     }
 
-    apps::LoadedGraph loaded = apps::load_graph_timed(argv[1], common);
+    bool file_weights = has_weights(argv[1]);
+    if (file_weights && (weights_max > 0 || !apply_updates_path.empty())) {
+      throw Error(ErrorCategory::kUsage,
+                  std::string("'") + argv[1] +
+                      "' carries weights: --weights would replace them, and "
+                      "--apply-updates cannot patch them (updates are "
+                      "unweighted)");
+    }
+
+    apps::LoadedGraph loaded =
+        apps::load_graph_timed(argv[1], common, file_weights);
     Graph& g = loaded.graph;
     std::printf("load: %s in %.4f s (n=%zu m=%zu, %llu bytes mapped)\n",
                 loaded.mode.c_str(), loaded.seconds, g.num_vertices(),
@@ -244,30 +257,25 @@ int main(int argc, char** argv) {
     }
 
     auto start = std::chrono::steady_clock::now();
-    if (weights_max > 0) {
-      WeightedGraph<std::uint32_t> wg =
-          gen::add_weights(g, static_cast<std::uint32_t>(weights_max));
+    PgrWriteOptions wopts;
+    wopts.include_transpose = with_transpose;
+    wopts.symmetric = symmetric;
+    wopts.compress_targets = compress;
+    auto write = [&](const auto& graph) {
       if (out_ends_with(".pgr")) {
-        PgrWriteOptions wopts;
-        wopts.include_transpose = with_transpose;
-        wopts.symmetric = symmetric;
-        wopts.compress_targets = compress;
-        write_pgr(wg, out, wopts);
+        write_pgr(graph, out, wopts);
       } else if (out_ends_with(".bin")) {
-        write_bin(wg, out);
+        write_bin(graph, out);
       } else {
-        write_adj(wg, out);
+        write_adj(graph, out);
       }
-    } else if (out_ends_with(".pgr")) {
-      PgrWriteOptions wopts;
-      wopts.include_transpose = with_transpose;
-      wopts.symmetric = symmetric;
-      wopts.compress_targets = compress;
-      write_pgr(g, out, wopts);
-    } else if (out_ends_with(".bin")) {
-      write_bin(g, out);
+    };
+    if (file_weights) {
+      write(loaded.weighted);
+    } else if (weights_max > 0) {
+      write(gen::add_weights(g, static_cast<std::uint32_t>(weights_max)));
     } else {
-      write_adj(g, out);
+      write(g);
     }
     double write_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

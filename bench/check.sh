@@ -20,7 +20,7 @@ cmake --build "$prefix-san" -j > /dev/null
 
 echo "--- sanitized input-hardening tests ---"
 (cd "$prefix-san" && ctest --output-on-failure -j "$(nproc)" \
-    -R 'test_graph_io|test_graph_io_fuzz|test_hashbag|test_graph$|test_storage|test_registry|test_resource|test_pagerank|test_kcore|test_tc|test_delta|test_vertex_subset|app_exit_|storage_|registry_')
+    -R 'test_graph_io|test_graph_io_fuzz|test_hashbag|test_graph$|test_storage|test_registry|test_resource|test_pagerank|test_kcore|test_tc|test_delta|test_vertex_subset|catalog_agreement|app_exit_|storage_|registry_')
 
 echo "--- sanitized app drivers (success paths, with metrics emission) ---"
 tmp="$(mktemp -d)"
@@ -207,13 +207,18 @@ echo "--- serve daemon gate (TSan build): concurrency, faults, deadlines, drain 
 # JSON / "error [category] ..."), every injected fault must surface as a
 # typed error on exactly one response, and SIGTERM must drain to exit 0.
 cmake -B "$prefix-tsan" -S . -DPASGAL_SANITIZE=thread > /dev/null
-cmake --build "$prefix-tsan" -j --target app_serve test_kcore > /dev/null
+cmake --build "$prefix-tsan" -j --target app_serve test_kcore test_catalog > /dev/null
 # pasgal_kcore's peel chains share degree counters and per-level buckets
-# across workers; its suite (1 and 4 workers) runs under TSan too.
-"$prefix-tsan/tests/test_kcore" > "$tmp/tsan_kcore.log" 2>&1 || {
-  echo "FAIL: test_kcore under TSan:" >&2; tail -40 "$tmp/tsan_kcore.log" >&2
-  exit 1
-}
+# across workers; its suite (1 and 4 workers) runs under TSan too, and so
+# does the equivalence harness (every catalog row at 1/2/4/8 workers).
+for t in test_kcore test_catalog; do
+  t0=$(date +%s)
+  "$prefix-tsan/tests/$t" > "$tmp/tsan_$t.log" 2>&1 || {
+    echo "FAIL: $t under TSan:" >&2; tail -40 "$tmp/tsan_$t.log" >&2
+    exit 1
+  }
+  echo "$t under TSan: $(( $(date +%s) - t0 )) s"
+done
 SERVE="$prefix-tsan/apps/serve"
 sock="$tmp/daemon.sock"
 

@@ -98,6 +98,15 @@ RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
           });
       return VertexSubset::dense(std::move(mask), count);
     };
+    // A level's work in ready_work's measure (effective degrees): with base
+    // degrees an overlay could make a level heavy for the sparse round and
+    // light for the pull, handing it back to bags[0] unexpanded forever.
+    auto level_work = [&](const VertexSubset& f) {
+      return reduce_indexed<EdgeId>(
+          n, 0, std::plus<EdgeId>{}, [&](std::size_t v) -> EdgeId {
+            return f.dense_mask()[v] ? adj.degree(VertexId(v)) + 1 : 0;
+          });
+    };
 
     // VGC applies throughout the sparse regime: any frontier below the density
     // threshold is scheduling-bound on a many-core machine, which is exactly
@@ -150,7 +159,8 @@ RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
         }
         std::uint32_t level = min_dist(pending);
         VertexSubset frontier = level_frontier(level);
-        for (; !frontier.empty() && go_dense(g, frontier, opt); ++level) {
+        for (; !frontier.empty() && go_dense(level_work(frontier), m, opt);
+             ++level) {
           stats->end_round(frontier.size(), RoundKind::kDense);
           std::uint32_t next_level = level + 1;
           edge_map_dense(

@@ -64,7 +64,8 @@ AlgoRun single(RunReport<T> r, const AlgoArgs& a, Line line) {
   return out;
 }
 
-// A batch's report; its result lines are "batch source <s>: <line>".
+// A batch's report; its result lines are "batch source <s>: <line>" and its
+// answer is the per-source answers concatenated in source order.
 template <typename T, typename Line>
 AlgoRun batch(BatchReport<T> r, const AlgoArgs& a, Line line) {
   AlgoRun out{r.seconds, std::move(r.telemetry), {}, {}, {}};
@@ -72,6 +73,9 @@ AlgoRun batch(BatchReport<T> r, const AlgoArgs& a, Line line) {
     if (i) out.summary += '\n';
     out.summary += format("batch source %u: ", a.sources[i]) +
                    line(r.per_source[i].output);
+    std::vector<std::uint64_t> one =
+        answer_of(std::move(r.per_source[i].output)).values;
+    out.answer.values.insert(out.answer.values.end(), one.begin(), one.end());
   }
   return out;
 }

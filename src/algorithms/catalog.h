@@ -93,8 +93,8 @@ struct AlgoRun {
   // The driver's result line(s), without a trailing newline; a batch gives
   // one "batch source <s>: ..." line per source.
   std::string summary;
-  // Set with `summary` for a single-source or whole-graph run; empty for a
-  // batch.
+  // Set with `summary`; a batch's is its per-source answers concatenated in
+  // source order.
   AlgoAnswer answer;
 };
 

@@ -406,6 +406,8 @@ StorageRef GraphStorage::allocate(std::uint64_t n, std::uint64_t m,
                  weighted ? std::vector<StorageWeight>(m)
                           : std::vector<StorageWeight>{});
   s->source_path_ = path;
+  // Its reader fills it from untrusted bytes: unchecked until it says so.
+  s->validated_.store(false, std::memory_order_relaxed);
   return s;
 }
 

@@ -264,7 +264,8 @@ class GraphStorage {
 
   // Heap backend sized from untrusted header claims: check_footprint(), then
   // allocate. Throws kResource when the claim exceeds the ceiling. The
-  // readers fill the arrays through the mutable_* accessors.
+  // readers fill the arrays through the mutable_* accessors; the storage
+  // starts unvalidated, so nothing trusts it before the reader's CSR check.
   static StorageRef allocate(std::uint64_t n, std::uint64_t m, bool weighted,
                              const std::string& path);
 

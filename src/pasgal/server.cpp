@@ -210,7 +210,7 @@ Server::~Server() {
 std::uint64_t Server::admission_budget() const {
   if (opts_.admission_budget_bytes != 0) return opts_.admission_budget_bytes;
   return static_cast<std::uint64_t>(
-      static_cast<double>(memory_limit_bytes()) * opts_.admission_fraction);
+      static_cast<double>(memory_limit_bytes()) * kAdmissionFraction);
 }
 
 std::uint64_t Server::requests_ok() const {

@@ -108,11 +108,10 @@ struct ServerOptions {
   std::string socket_path;
 
   // Admission budget for resident graph bytes. 0 means derive it:
-  // admission_fraction * memory_limit_bytes(). Tests set it directly —
+  // kAdmissionFraction * memory_limit_bytes(). Tests set it directly —
   // the resource.h ceiling is resolved once per process and cannot vary
   // between test cases.
   std::uint64_t admission_budget_bytes = 0;
-  double admission_fraction = 0.5;
 
   // Deadline applied to queries that don't pass deadline_ms=. 0 = none.
   std::uint64_t default_deadline_ms = 0;
@@ -151,6 +150,9 @@ class Server {
   // Stop trigger, callable from any thread and from a signal handler (one
   // write(2) to a self-pipe; async-signal-safe). Idempotent.
   void request_stop();
+
+  // The share of the memory ceiling a derived admission budget takes.
+  static constexpr double kAdmissionFraction = 0.5;
 
   // The effective admission budget in bytes (resolved from the options).
   std::uint64_t admission_budget() const;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "graphs/generators.h"
+#include "parlay/scheduler.h"
 
 namespace pasgal {
 namespace {
@@ -149,6 +150,27 @@ TEST(Generators, RandomGraphSize) {
   EXPECT_EQ(g.num_vertices(), 1000u);
   EXPECT_GT(g.num_edges(), 7000u);
   EXPECT_LE(g.num_edges(), 8000u);
+}
+
+template <typename F>
+auto with_workers(int workers, F&& f) {
+  Scheduler::reset(workers);
+  auto result = f();
+  Scheduler::reset(1);
+  return result;
+}
+
+// Building the same graph under different worker counts gives the same CSR.
+TEST(Determinism, GeneratorsScheduleIndependent) {
+  for (int workers : {2, 4}) {
+    EXPECT_EQ(with_workers(1, [] { return gen::rmat(12, 30000, 7); }),
+              with_workers(workers, [] { return gen::rmat(12, 30000, 7); }));
+    EXPECT_EQ(with_workers(1, [] { return gen::knn_graph(3000, 4, 9); }),
+              with_workers(workers, [] { return gen::knn_graph(3000, 4, 9); }));
+    EXPECT_EQ(
+        with_workers(1, [] { return gen::random_graph(2000, 9000, 5); }),
+        with_workers(workers, [] { return gen::random_graph(2000, 9000, 5); }));
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "graphs/delta.h"
+#include "graphs/generators.h"
 #include "graphs/graph.h"
 #include "graphs/graph_io.h"
 #include "parlay/hash_rng.h"
@@ -327,6 +328,29 @@ TEST(Graph, LargeRandomGraphDegreesSumToEdges) {
   EdgeId total = 0;
   for (VertexId v = 0; v < n; ++v) total += g.out_degree(v);
   EXPECT_EQ(total, m);
+}
+
+template <typename F>
+auto with_workers(int workers, F&& f) {
+  Scheduler::reset(workers);
+  auto result = f();
+  Scheduler::reset(1);
+  return result;
+}
+
+TEST(Determinism, TransposeAndSymmetrizeScheduleIndependent) {
+  // transpose() and symmetrize() memoize per storage handle, so a second
+  // call on the same graph would just return the cached result — build a
+  // fresh copy of the graph for each worker count to actually exercise both
+  // schedules.
+  auto t1 = with_workers(1, [] { return gen::rmat(11, 12000, 3).transpose(); });
+  auto t4 = with_workers(4, [] { return gen::rmat(11, 12000, 3).transpose(); });
+  EXPECT_EQ(t1, t4);
+  auto s1 = with_workers(
+      1, [] { return gen::rmat(11, 12000, 3).symmetrize(); });
+  auto s4 = with_workers(
+      4, [] { return gen::rmat(11, 12000, 3).symmetrize(); });
+  EXPECT_EQ(s1, s4);
 }
 
 }  // namespace

@@ -1,22 +1,15 @@
 // Shard-at-a-time execution (DESIGN.md §5i): ShardPlan geometry, the
-// MappedWindow residency counters, byte-identical sharded vs in-core
-// algorithm output in both window modes (v1 raw, v2 decoding), the typed
-// guards around whole-graph access on windowed opens, cancellation at shard
-// sweep boundaries, and the windowed footprint pricing.
+// MappedWindow residency counters, the typed guards around whole-graph
+// access on windowed opens, cancellation at shard sweep boundaries, and the
+// windowed footprint pricing. Sharded-vs-in-core answers for every catalog
+// row, and the rows' typed refusals of sharded opens, are checked by the
+// equivalence harness (test_catalog).
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <numeric>
 
 #include "algorithms/bfs/bfs.h"
-#include "algorithms/catalog.h"
-#include "algorithms/cc/cc.h"
-#include "algorithms/cc/ldd.h"
-#include "algorithms/kcore/kcore.h"
-#include "algorithms/pagerank/pagerank.h"
-#include "algorithms/sssp/sssp.h"
-#include "algorithms/tc/tc.h"
-#include "graphs/generators.h"
 #include "graphs/graph.h"
 #include "graphs/graph_io.h"
 #include "graphs/registry.h"
@@ -213,89 +206,6 @@ TEST_F(ShardTest, AutoShardStaysInCoreWhenItFits) {
   EXPECT_EQ(opened, g);
 }
 
-// --- byte-identical traversal ----------------------------------------------
-
-TEST_F(ShardTest, GbbsBfsIdenticalShardedRaw) {
-  Graph g = random_graph(6000, 80000, 9);
-  auto path = temp_path("bfs_raw.pgr");
-  PgrWriteOptions wopts;
-  wopts.include_transpose = true;
-  write_pgr(g, path, wopts);
-  Graph in_core = read_pgr(path);
-  PgrShardSpec spec;
-  spec.window_bytes = 16 << 10;
-  Graph sharded = read_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
-  auto want = gbbs_bfs(in_core, in_core.transpose(), {}).output;
-  auto got = gbbs_bfs(sharded, sharded.transpose(), {}).output;
-  EXPECT_EQ(want, got);
-}
-
-TEST_F(ShardTest, GbbsBfsIdenticalShardedCompressed) {
-  Graph g = random_graph(6000, 80000, 10);
-  auto path = temp_path("bfs_v2.pgr");
-  PgrWriteOptions wopts;
-  wopts.include_transpose = true;
-  wopts.compress_targets = true;
-  write_pgr(g, path, wopts);
-  Graph in_core = read_pgr(path);
-  PgrShardSpec spec;
-  spec.window_bytes = 16 << 10;
-  Graph sharded = read_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
-  ASSERT_TRUE(sharded.windowed());
-  auto want = gbbs_bfs(in_core, in_core.transpose(), {}).output;
-  auto got = gbbs_bfs(sharded, sharded.transpose(), {}).output;
-  EXPECT_EQ(want, got);
-}
-
-TEST_F(ShardTest, GapbsBfsIdenticalShardedRawAndCompressed) {
-  // Both of gapbs's directions run through edge_map, so its bottom-up
-  // rounds sweep gt's shard plan like gbbs's dense rounds.
-  Graph g = random_graph(6000, 80000, 11);
-  for (bool compress : {false, true}) {
-    SCOPED_TRACE(compress ? "compressed" : "raw");
-    auto path = temp_path(compress ? "gapbs_v2.pgr" : "gapbs_raw.pgr");
-    PgrWriteOptions wopts;
-    wopts.include_transpose = true;
-    wopts.compress_targets = compress;
-    write_pgr(g, path, wopts);
-    Graph in_core = read_pgr(path);
-    PgrShardSpec spec;
-    spec.window_bytes = 16 << 10;
-    Graph sharded = read_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
-    ASSERT_GE(sharded.storage()->shard_plan()->size(), 3u);
-    for (VertexId source : {VertexId{0}, VertexId{4321}}) {
-      auto want = gbbs_bfs(in_core, in_core.transpose(), {.source = source});
-      auto got = gapbs_bfs(sharded, sharded.transpose(), {.source = source});
-      EXPECT_EQ(want.output, got.output) << "source " << source;
-      bool pulled = false;
-      for (const RoundTrace& r : got.telemetry.rounds) {
-        pulled = pulled || r.kind == RoundKind::kDense;
-      }
-      EXPECT_TRUE(pulled) << "no bottom-up round exercised the shard sweep";
-    }
-  }
-}
-
-TEST_F(ShardTest, EmBellmanFordIdenticalShardedCompressed) {
-  Graph g = random_graph(4000, 50000, 12);
-  WeightedGraph<std::uint32_t> wg = gen::add_weights(g, 50);
-  auto path = temp_path("em.pgr");
-  PgrWriteOptions wopts;
-  wopts.compress_targets = true;
-  write_pgr(wg, path, wopts);
-  WeightedGraph<std::uint32_t> in_core = read_weighted_pgr(path);
-  PgrShardSpec spec;
-  spec.window_bytes = 16 << 10;
-  WeightedGraph<std::uint32_t> sharded =
-      read_weighted_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
-  ASSERT_TRUE(sharded.unweighted().windowed());
-  // Ground truth from Dijkstra on the in-core open; the edge_map Bellman-
-  // Ford must converge to the same distances through the window.
-  auto want = dijkstra(in_core, {}).output;
-  auto got = em_bellman_ford(sharded, {}).output;
-  EXPECT_EQ(want, got);
-}
-
 // --- typed guards on windowed opens ----------------------------------------
 
 TEST_F(ShardTest, WindowedTransposeIsTypedUsageError) {
@@ -410,96 +320,6 @@ TEST_F(ShardTest, CheckWindowedFootprintScalesWithWindow) {
 }
 
 // --- metrics schema ---------------------------------------------------------
-
-// --- whole-graph algorithm families on sharded opens ------------------------
-
-TEST_F(ShardTest, WholeGraphFamiliesAreTypedUsageErrorsOnShardedOpens) {
-  // Every catalog row whose guard keeps g in core walks the CSR at random,
-  // so both sharded flavors (raw advisory window and compressed decode
-  // window) must refuse with the typed kUsage error from ensure_in_core —
-  // never fault past the window. Walking the catalog means an entry point
-  // that lost its admit() fails here.
-  Graph g = random_graph(3000, 30000, 16);
-  WeightedGraph<std::uint32_t> wg = gen::add_weights(g, 50);
-  std::vector<VertexId> batch = {0, 1};
-  for (bool compress : {false, true}) {
-    SCOPED_TRACE(compress ? "compressed" : "raw");
-    auto path = temp_path(compress ? "fam_v2.pgr" : "fam_raw.pgr");
-    auto wpath = temp_path(compress ? "fam_w_v2.pgr" : "fam_w_raw.pgr");
-    PgrWriteOptions wopts;
-    wopts.include_transpose = true;
-    wopts.compress_targets = compress;
-    write_pgr(g, path, wopts);
-    wopts.include_transpose = false;
-    write_pgr(wg, wpath, wopts);
-    PgrShardSpec spec;
-    spec.window_bytes = 8 << 10;
-    Graph sharded = read_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
-    Graph sharded_t = sharded.transpose();
-    WeightedGraph<std::uint32_t> sharded_w =
-        read_weighted_pgr(wpath, PgrOpen::kMmap, false, nullptr, spec);
-    std::size_t checked = 0;
-    for (const AlgoSpec& row : algo_catalog()) {
-      if (row.guard.in_core != InCore::kGraph &&
-          row.guard.in_core != InCore::kBoth) {
-        continue;
-      }
-      std::string what = std::string(row.family) + "/" + row.name;
-      AlgoArgs args;
-      args.g = row.input == AlgoInput::kWeighted ? &sharded_w.unweighted()
-                                                 : &sharded;
-      args.gt = &sharded_t;
-      args.wg = &sharded_w;
-      if (row.sources == AlgoSources::kBatch) args.sources = batch;
-      try {
-        row.run(args, AlgoOptions{});
-        ADD_FAILURE() << what << " on a sharded open must throw";
-      } catch (const Error& e) {
-        EXPECT_EQ(e.category(), ErrorCategory::kUsage) << what;
-        EXPECT_NE(std::string(e.what()).find("windowed"), std::string::npos)
-            << what;
-      }
-      ++checked;
-    }
-    EXPECT_GT(checked, 0u);
-    try {
-      sharded.symmetrize();
-      ADD_FAILURE() << "symmetrize on a sharded open must throw";
-    } catch (const Error& e) {
-      EXPECT_EQ(e.category(), ErrorCategory::kUsage);
-    }
-  }
-}
-
-TEST_F(ShardTest, PagerankIdenticalShardedRawAndCompressed) {
-  // The dense pull walks the transpose's shard plan one contiguous
-  // destination range at a time, and every destination's in-edges arrive
-  // whole, so the sums — and therefore the ranks — must be byte-identical
-  // to the in-core run, not merely close.
-  Graph g = random_graph(6000, 80000, 17);
-  for (bool compress : {false, true}) {
-    SCOPED_TRACE(compress ? "compressed" : "raw");
-    auto path = temp_path(compress ? "pr_v2.pgr" : "pr_raw.pgr");
-    PgrWriteOptions wopts;
-    wopts.include_transpose = true;
-    wopts.compress_targets = compress;
-    write_pgr(g, path, wopts);
-    Graph in_core = read_pgr(path);
-    PgrShardSpec spec;
-    spec.window_bytes = 16 << 10;
-    Graph sharded = read_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
-    PagerankResult want =
-        pasgal_pagerank(in_core, in_core.transpose(), {}).output;
-    PagerankResult got =
-        pasgal_pagerank(sharded, sharded.transpose(), {}).output;
-    EXPECT_EQ(want.iterations, got.iterations);
-    EXPECT_EQ(want.delta, got.delta);
-    ASSERT_EQ(want.rank.size(), got.rank.size());
-    for (std::size_t v = 0; v < want.rank.size(); ++v) {
-      ASSERT_EQ(want.rank[v], got.rank[v]) << "vertex " << v;
-    }
-  }
-}
 
 TEST_F(ShardTest, ShardMetricsSectionValidates) {
   MetricsDoc doc("bfs", "gbbs", "g.pgr", 100, 1000);

@@ -94,6 +94,12 @@ TEST_F(StorageTest, AllocateRejectsAbsurdClaims) {
   EXPECT_TRUE(GraphStorage::check_footprint(100, 1000, true, "test").ok());
 }
 
+TEST_F(StorageTest, AllocateStartsUnvalidated) {
+  // A reader fills it from file bytes: untrusted until its CSR check runs.
+  EXPECT_FALSE(GraphStorage::allocate(4, 6, true, "test")->validated());
+  EXPECT_TRUE(GraphStorage::owned({0, 1}, {0})->validated());
+}
+
 TEST_F(StorageTest, MmapBackedGraphEqualsHeapBacked) {
   Graph g = gen::rmat(10, 8000, 31);
   auto path = temp_path("eq.pgr");
