@@ -20,7 +20,7 @@ cmake --build "$prefix-san" -j > /dev/null
 
 echo "--- sanitized input-hardening tests ---"
 (cd "$prefix-san" && ctest --output-on-failure -j "$(nproc)" \
-    -R 'test_graph_io|test_graph_io_fuzz|test_hashbag|test_graph$|test_storage|test_registry|test_resource|test_pagerank|test_kcore|test_tc|test_delta|test_vertex_subset|catalog_agreement|app_exit_|storage_|registry_')
+    -R 'test_graph_io|test_graph_io_fuzz|test_hashbag|test_graph$|test_storage|test_registry|test_resource|test_pagerank|test_kcore|test_tc|test_delta|test_vertex_subset|test_bfs|catalog_agreement|app_exit_|storage_|registry_')
 
 echo "--- sanitized app drivers (success paths, with metrics emission) ---"
 tmp="$(mktemp -d)"
@@ -479,12 +479,12 @@ grep -q 'qps gate: ok' "$tmp/qps.txt" || {
 "$prefix/apps/metrics_check" "$tmp/qps_drv.json"
 expect 2 "$prefix/apps/bfs" "$tmp/qps.pgr" --sources 5,5
 
-echo "--- BFS work gate (pasgal_bfs pulls once the lowest level is heavy) ---"
+echo "--- BFS work gate (pasgal_bfs pulls once level L is heavy; bounded work on roads) ---"
 # Plain build, 1 worker (work counters are then reproducible). On rmat:18
 # gbbs scans ~m/20 edges; pasgal_bfs must stay within m/4 and run at least
 # one dense round. Source 0 is the hub, whose local search stops at its edge
-# budget; source 1 is not, so its local searches leave entries in several
-# buckets when the pull should start.
+# budget; source 1 is not, so its local searches leave entries at several
+# levels when the pull should start.
 for src in 0 1; do
   PASGAL_NUM_THREADS=1 "$prefix/apps/bfs" rmat:18:4000000 -a pasgal -s "$src" \
       -r 1 --json-metrics "$tmp/work_$src.json" > "$tmp/work_$src.txt"
@@ -499,6 +499,21 @@ for src in 0 1; do
     echo "FAIL: pasgal_bfs from source $src ran no dense round" >&2; exit 1
   }
 done
+
+# High diameter: road:700:700 (m=1.81M, 1,399 levels) at 1 worker. The
+# pending pool keyed by absolute distance takes ~42 rounds and ~2.2m edges;
+# the relative-gap buckets it replaced took 164-330 rounds and 3.7-6x m.
+PASGAL_NUM_THREADS=1 "$prefix/apps/bfs" road:700:700 -a pasgal -r 1 \
+    > "$tmp/work_road.txt"
+m=$(sed -n 's/^graph: .* m=\([0-9]*\).*/\1/p' "$tmp/work_road.txt")
+edges=$(sed -n 's/.*| edges scanned \([0-9]*\) |.*/\1/p' "$tmp/work_road.txt")
+rounds=$(sed -n 's/.*| rounds \([0-9]*\) |.*/\1/p' "$tmp/work_road.txt")
+[ -n "$m" ] && [ -n "$edges" ] && [ -n "$rounds" ] &&
+  [ "$edges" -le $((3 * m)) ] && [ "$rounds" -le 100 ] || {
+  echo "FAIL: pasgal_bfs on road:700:700 took $rounds rounds and scanned" \
+       "$edges edges (m=$m; need <= 100 rounds and <= 3m edges)" >&2
+  exit 1
+}
 
 echo "--- TC gate (pasgal_tc matches seq_tc, work repeats across workers) ---"
 # Plain build. pasgal_tc closes wedges against per-worker marker rows, seq_tc

@@ -9,9 +9,10 @@
 //  * gapbs_bfs   — GAPBS-style direction-optimizing BFS (Beamer's alpha/beta
 //                  hysteresis controller over edge_map_sparse/_dense).
 //  * pasgal_bfs  — this paper: hash-bag frontiers, vertical granularity
-//                  control with multi-frontier (2^i) distance buckets, and
-//                  direction optimization from the global-minimum pending
-//                  level once the lowest bucket is heavy (§2.2).
+//                  control over a multi-frontier keyed by absolute
+//                  distance (one pending pool, a window at the global
+//                  minimum level L), and direction optimization from L once
+//                  level L is heavy (§2.2).
 //  * ms_bfs      — bit-parallel multi-source BFS (Then et al., VLDB'14 style):
 //                  one shared frontier sweep advances up to 64 sources, one
 //                  per bit of a per-vertex machine word.
@@ -53,10 +54,11 @@ inline constexpr int kGapbsBeta = 18;
 RunReport<std::vector<std::uint32_t>> gapbs_bfs(const Graph& g, const Graph& gt,
                                                 const AlgoOptions& opt);
 
-// pasgal_bfs engages VGC only when the frontier's work is below
-// kVgcEngageFactor*tau edge operations (pasgal/vgc.h) — i.e. when per-round
-// work is too small to amortize scheduling on a many-core machine — and each
-// of its local searches stops at that many scanned edges.
+// pasgal_bfs engages VGC only when its window's work is below
+// kVgcEngageFactor*tau edge operations (pasgal/vgc.h) or the dense
+// threshold, whichever is larger — i.e. when per-round work is too small to
+// amortize scheduling on a many-core machine — and each of its local
+// searches stops at kVgcEngageFactor*tau scanned edges.
 // Reads vgc, dense_threshold_den/use_dense (dense pull rounds) and cancel
 // (checked at every sparse round and, inside edge_map_dense, every dense
 // level).

@@ -1,6 +1,4 @@
 #include <atomic>
-#include <bit>
-#include <memory>
 
 #include "algorithms/bfs/bfs.h"
 #include "algorithms/catalog.h"
@@ -11,18 +9,11 @@ namespace pasgal {
 
 namespace {
 
-// Multi-frontier bucket index (§2.2): an entry is keyed by its gap to the
-// round's base distance when it is inserted — bucket 0 holds gap 0, bucket
-// j>=1 gaps in [2^(j-1), 2^j). Entries stay in their bucket until it is
-// extracted; the only move is the dense phase's hand-back, which re-keys
-// pending entries against the level the pull stopped at.
-constexpr int kNumBuckets = 34;
-
-int bucket_for(std::uint32_t gap) {
-  if (gap == 0) return 0;
-  int b = 1 + (31 - std::countl_zero(gap));
-  return b < kNumBuckets ? b : kNumBuckets - 1;
-}
+// The VGC window (§2.2's multi-frontier, keyed by absolute distance): a
+// sparse round runs the pending entries within kWindow levels of the global
+// minimum L. On road:700:700 at 4 workers, 16 took ~77 rounds, 32 ~42
+// rounds in the least time, and 64 ~34 rounds but scanned more edges.
+constexpr std::uint64_t kWindow = 32;
 
 std::uint64_t encode(VertexId v, std::uint32_t d) {
   return (static_cast<std::uint64_t>(d) << 32) | v;
@@ -34,23 +25,30 @@ std::uint32_t entry_dist(std::uint64_t e) {
 
 }  // namespace
 
-// PASGAL BFS (§2.2): label-correcting BFS over hash-bag frontiers.
-//  * Sparse rounds run VGC local searches (budget tau vertices or
-//    kVgcEngageFactor*tau edges) when the frontier is small, or one-hop
-//    expansion (tau=1) when it already has parallelism.
-//  * Entries carry the tentative distance they were enqueued with; stale
-//    entries are skipped (a vertex may be visited more than once — the extra
-//    work the paper accepts in exchange for fewer rounds).
-//  * Once the lowest bucket's work crosses go_dense's threshold,
-//    direction-optimized pull rounds (edge_map_dense) take over from the
-//    global-minimum pending level L, for as long as each level's own work
-//    crosses it too. That level is exact: dist[] only ever holds path
-//    lengths, and if some vertex of true distance <= L held a larger label,
-//    the last correctly labelled vertex on its shortest path would sit
-//    below L with a valid entry whose out-edges were never relaxed —
-//    contradicting L's minimality. So {v : dist[v] == L} is BFS level L,
-//    and pulling level by level stays exact although higher buckets still
-//    hold entries.
+// PASGAL BFS (§2.2): label-correcting BFS over one pending pool keyed by
+// absolute distance. An entry (v, d) is the tentative distance v was enqueued
+// with; it is valid while dist[v] == d, and stale entries are dropped (a
+// vertex may be visited more than once — the extra work the paper accepts in
+// exchange for fewer rounds). New spills go into one hash bag; valid entries
+// a round does not run wait in a plain `carry` vector. Each round takes L,
+// the minimum distance over both, and picks one of three paths:
+//  1. Dense: once level L's own work (|F| + outdeg(F), effective degrees)
+//     crosses go_dense, direction-optimized pull rounds (edge_map_dense) run
+//     level by level from L for as long as each level's work crosses it too.
+//     The first level is pulled unconditionally, so a round that chose the
+//     pull always advances. Level L is exact: dist[] only ever holds path
+//     lengths, and if some vertex of true distance <= L held a larger label,
+//     the last correctly labelled vertex on its shortest path would sit below
+//     L with a valid entry whose out-edges were never relaxed — contradicting
+//     L's minimality. Each later level's frontier is the vertices the pull
+//     labelled plus the pending entries at that level; vertices that a local
+//     search already expanded are left out, their out-edges already relaxed.
+//  2. One level, one hop: if the window's work (entries with d <= L +
+//     kWindow) reaches vgc_limit, the frontier already has parallelism, and
+//     only the entries at L run, one hop each (tau=1).
+//  3. VGC window: otherwise every entry within the window runs a local search
+//     (budget tau vertices or kVgcEngageFactor*tau edges).
+// Entries above the round's cut stay in `carry`; they are never re-keyed.
 RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
                                                  const Graph& gt,
                                                  const AlgoOptions& opt) {
@@ -65,47 +63,34 @@ RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
     });
     dist[opt.source].store(0, std::memory_order_relaxed);
 
-    std::vector<std::unique_ptr<HashBag<std::uint64_t>>> bags;
-    bags.reserve(kNumBuckets);
-    for (int b = 0; b < kNumBuckets; ++b) {
-      bags.push_back(std::make_unique<HashBag<std::uint64_t>>(8));
-      bags.back()->attach_tracer(stats);
-    }
-    bags[0]->insert(encode(opt.source, 0));
+    HashBag<std::uint64_t> bag(8);
+    bag.attach_tracer(stats);
+    std::vector<std::uint64_t> carry = {encode(opt.source, 0)};
 
     auto is_valid = [&](std::uint64_t e) {
       return dist[entry_vertex(e)].load(std::memory_order_relaxed) ==
              entry_dist(e);
     };
-    auto extract_valid = [&](int b) {
-      auto entries = bags[b]->extract_all();
-      return filter(std::span<const std::uint64_t>(entries), is_valid);
-    };
-    auto min_dist = [](const std::vector<std::uint64_t>& entries) {
-      return reduce_indexed<std::uint32_t>(
-          entries.size(), kInfDist,
-          [](std::uint32_t a, std::uint32_t b) { return a < b ? a : b; },
-          [&](std::size_t i) { return entry_dist(entries[i]); });
-    };
-    // BFS level `level` as a dense frontier (exact once every entry below
-    // it has been relaxed — see the function comment).
-    auto level_frontier = [&](std::uint32_t level) {
-      std::vector<std::uint8_t> mask(n);
-      std::size_t count = reduce_indexed<std::size_t>(
-          n, 0, std::plus<std::size_t>{}, [&](std::size_t v) -> std::size_t {
-            mask[v] = dist[v].load(std::memory_order_relaxed) == level;
-            return mask[v];
-          });
-      return VertexSubset::dense(std::move(mask), count);
-    };
-    // A level's work in ready_work's measure (effective degrees): with base
-    // degrees an overlay could make a level heavy for the sparse round and
-    // light for the pull, handing it back to bags[0] unexpanded forever.
-    auto level_work = [&](const VertexSubset& f) {
+    // The work of the entries with d <= hi, in go_dense's measure: each
+    // valid entry names a distinct vertex (dist only falls, so a vertex has
+    // at most one entry at its current distance).
+    auto work_upto = [&](const std::vector<std::uint64_t>& pool,
+                         std::uint64_t hi) {
       return reduce_indexed<EdgeId>(
-          n, 0, std::plus<EdgeId>{}, [&](std::size_t v) -> EdgeId {
-            return f.dense_mask()[v] ? adj.degree(VertexId(v)) + 1 : 0;
+          pool.size(), 0, std::plus<EdgeId>{}, [&](std::size_t i) -> EdgeId {
+            return entry_dist(pool[i]) <= hi
+                       ? adj.degree(entry_vertex(pool[i])) + 1
+                       : 0;
           });
+    };
+    // Returns the entries of `pool` with d <= hi; the rest become the carry.
+    auto take_upto = [&](const std::vector<std::uint64_t>& pool,
+                         std::uint64_t hi) {
+      std::span<const std::uint64_t> all(pool);
+      auto taken = filter(
+          all, [&](std::uint64_t e) { return entry_dist(e) <= hi; });
+      carry = filter(all, [&](std::uint64_t e) { return entry_dist(e) > hi; });
+      return taken;
     };
 
     // VGC applies throughout the sparse regime: any frontier below the density
@@ -118,52 +103,26 @@ RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
 
     for (;;) {
       if (opt.cancel != nullptr) opt.cancel->check("pasgal_bfs round");
-      // Lowest non-empty bucket drives the next round.
-      int lowest = -1;
-      for (int b = 0; b < kNumBuckets; ++b) {
-        if (!bags[b]->empty()) {
-          lowest = b;
-          break;
-        }
-      }
-      if (lowest < 0) break;
-
-      // The whole bucket is processed at once: its entries span at most a 2x
-      // distance range (§2.2 — "frontier i maintains vertices with distance
-      // 2^i from the current frontier"), so none of them is too "unready",
-      // and deferring them would reintroduce one round per level.
-      std::vector<std::uint64_t> ready = extract_valid(lowest);
-      if (ready.empty()) continue;
-
-      EdgeId ready_work =
-          reduce_indexed<EdgeId>(ready.size(), 0, std::plus<EdgeId>{},
-                                 [&](std::size_t i) {
-                                   return adj.degree(entry_vertex(ready[i]));
-                                 }) +
-          ready.size();
+      std::vector<std::uint64_t> pool = bag.extract_all();
+      pool.insert(pool.end(), carry.begin(), carry.end());
+      pool = filter(std::span<const std::uint64_t>(pool), is_valid);
+      if (pool.empty()) break;
+      const std::uint32_t low = reduce_indexed<std::uint32_t>(
+          pool.size(), kInfDist,
+          [](std::uint32_t a, std::uint32_t b) { return a < b ? a : b; },
+          [&](std::size_t i) { return entry_dist(pool[i]); });
 
       // --- Dense (direction-optimized) phase -------------------------------
-      // Drain every bag: buckets are keyed by the gap at insert time, so a
-      // higher bucket may hold a lower distance. Level-synchronous pull
-      // rounds through edge_map_dense then run from the global minimum L
-      // for as long as the level's own work passes go_dense (the lowest
-      // bucket's work does not bound level L's); each frontier is
-      // {dist == level}, so vertices a pending local search already
-      // labelled join at their own level.
-      if (go_dense(ready_work, m, opt)) {
-        std::vector<std::uint64_t> pending = std::move(ready);
-        for (int b = lowest + 1; b < kNumBuckets; ++b) {
-          if (bags[b]->empty()) continue;
-          auto more = extract_valid(b);
-          pending.insert(pending.end(), more.begin(), more.end());
-        }
-        std::uint32_t level = min_dist(pending);
-        VertexSubset frontier = level_frontier(level);
-        for (; !frontier.empty() && go_dense(level_work(frontier), m, opt);
-             ++level) {
+      if (go_dense(work_upto(pool, low), m, opt)) {
+        std::vector<std::uint64_t> first = take_upto(pool, low);
+        VertexSubset frontier = VertexSubset::sparse(
+            n, tabulate(first.size(),
+                        [&](std::size_t i) { return entry_vertex(first[i]); }));
+        std::uint32_t level = low;
+        do {
           stats->end_round(frontier.size(), RoundKind::kDense);
-          std::uint32_t next_level = level + 1;
-          edge_map_dense(
+          const std::uint32_t next_level = ++level;
+          VertexSubset pulled = edge_map_dense(
               g, gt, frontier,
               [&](VertexId, VertexId v) {
                 dist[v].store(next_level, std::memory_order_relaxed);
@@ -173,32 +132,44 @@ RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
                 return dist[v].load(std::memory_order_relaxed) > next_level;
               },
               opt, stats);
-          frontier = level_frontier(next_level);
-        }
-        // Hand back to the sparse machinery at `level`: its frontier goes to
-        // bags[0], and pending entries above it are re-bucketed. The rest
-        // were expanded by the pull (or sit in the frontier). A first level
-        // that is already light comes straight back, and the next round
-        // then runs it sparse.
-        const auto& next = frontier.dense_mask();
-        parallel_for(0, n, [&](std::size_t v) {
-          if (next[v]) {
-            bags[0]->insert(encode(static_cast<VertexId>(v), level));
+          // Pending entries at the new level join the vertices the pull
+          // labelled. The pull labels only vertices that sat above `level`,
+          // so the two sets are disjoint and the count adds up.
+          std::vector<std::uint64_t> joining = take_upto(carry, level);
+          joining = filter(std::span<const std::uint64_t>(joining), is_valid);
+          if (joining.empty()) {
+            frontier = std::move(pulled);
+          } else {
+            std::vector<std::uint8_t> mask = pulled.dense_mask();
+            parallel_for(0, joining.size(), [&](std::size_t i) {
+              mask[entry_vertex(joining[i])] = 1;
+            });
+            frontier = VertexSubset::dense(std::move(mask),
+                                           pulled.size() + joining.size());
           }
-        });
-        parallel_for(0, pending.size(), [&](std::size_t i) {
-          std::uint32_t d = entry_dist(pending[i]);
-          if (d > level && is_valid(pending[i])) {
-            bags[bucket_for(d - level)]->insert(pending[i]);
-          }
+        } while (!frontier.empty() && go_dense(g, frontier, opt));
+        // Hand back to the sparse rounds at `level`: its frontier joins the
+        // carry. The next round's L is `level` and its work the frontier's,
+        // below the threshold, so it runs sparse.
+        frontier.to_sparse();
+        const auto& next = frontier.sparse_vertices();
+        std::size_t kept = carry.size();
+        carry.resize(kept + next.size());
+        parallel_for(0, next.size(), [&](std::size_t i) {
+          carry[kept + i] = encode(next[i], level);
         });
         continue;
       }
 
-      // --- Sparse phase: VGC local searches (tau=1 when already parallel) ---
-      std::uint32_t base = min_dist(ready);
+      // --- Sparse phase: one hop at L, or VGC local searches over the window -
       VgcParams vgc = opt.vgc;
-      if (ready_work >= vgc_limit) vgc.tau = 1;
+      std::vector<std::uint64_t> ready;
+      if (work_upto(pool, low + kWindow) >= vgc_limit) {
+        vgc.tau = 1;
+        ready = take_upto(pool, low);
+      } else {
+        ready = take_upto(pool, low + kWindow);
+      }
       stats->end_round(ready.size(),
                        vgc.tau > 1 ? RoundKind::kLocal : RoundKind::kSparse);
       parallel_for(
@@ -218,7 +189,7 @@ RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
                   return adj.degree(u);
                 },
                 [&](VertexId v, std::uint32_t d) {
-                  bags[bucket_for(d - base)]->insert(encode(v, d));
+                  bag.insert(encode(v, d));
                 },
                 stats);
           },

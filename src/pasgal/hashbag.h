@@ -36,7 +36,9 @@ class HashBag {
 
   // `first_block_log2`: capacity of block 0; doubles per block.
   explicit HashBag(int first_block_log2 = 12, int max_blocks = 24)
-      : first_block_log2_(first_block_log2), blocks_(max_blocks) {
+      : first_block_log2_(first_block_log2),
+        blocks_(max_blocks),
+        nonces_(static_cast<std::size_t>(num_workers())) {
     ensure_block(0);
   }
 
@@ -47,18 +49,19 @@ class HashBag {
   void attach_tracer(Tracer* tracer) { tracer_ = tracer; }
 
   // Thread-safe. `x` must not equal the empty sentinel. Duplicate values are
-  // fine: the probe start mixes in a per-thread nonce, so equal elements
-  // spread across the block instead of fighting for one window.
+  // fine: the probe start mixes in the worker id and that worker's count of
+  // inserts into this bag, so equal elements spread across the block instead
+  // of fighting for one window. The counters start at zero with the bag, so
+  // a bag's slot layout depends only on its own inserts: at one worker, the
+  // same run lays out (and extracts) the same way in any process, whatever
+  // ran before it.
   //
   // When every block up to `max_blocks` is full, insert throws a kResource
   // pasgal::Error instead of spinning on the last block forever: on the
   // final block the short probe window widens to a full sweep, and a sweep
   // that finds no empty slot proves saturation.
   void insert(T x) {
-    static thread_local std::uint64_t nonce = 0;
-    std::uint64_t salt =
-        hash64(static_cast<std::uint64_t>(x) ^
-               hash64(++nonce + (static_cast<std::uint64_t>(worker_id()) << 48)));
+    std::uint64_t salt = hash64(static_cast<std::uint64_t>(x) ^ hash64(nonce()));
     for (std::uint64_t attempt = 0;; ++attempt) {
       std::size_t b = current_block_.load(std::memory_order_acquire);
       Block* blk = ensure_block(b);
@@ -155,6 +158,21 @@ class HashBag {
  private:
   static constexpr std::size_t kProbeWindow = 16;
 
+  // One insert counter per worker, each on its own cache line. Only its
+  // worker advances it (threads outside the pool share slot 0, where a lost
+  // increment merely repeats a salt), so a relaxed load/store suffices.
+  struct alignas(64) Nonce {
+    std::atomic<std::uint64_t> count{0};
+  };
+
+  std::uint64_t nonce() {
+    auto w = static_cast<std::size_t>(worker_id());
+    std::atomic<std::uint64_t>& c = nonces_[w < nonces_.size() ? w : 0].count;
+    std::uint64_t k = c.load(std::memory_order_relaxed) + 1;
+    c.store(k, std::memory_order_relaxed);
+    return k + (static_cast<std::uint64_t>(w) << 48);
+  }
+
   struct Block {
     explicit Block(std::size_t cap) : slots(cap) {
       for (auto& s : slots) s.store(kEmpty, std::memory_order_relaxed);
@@ -217,6 +235,7 @@ class HashBag {
   int first_block_log2_;
   std::atomic<std::size_t> current_block_{0};
   std::vector<AtomicBlockPtr> blocks_;
+  std::vector<Nonce> nonces_;
   Tracer* tracer_ = nullptr;
 };
 

@@ -119,17 +119,19 @@ class VertexSubset {
     is_dense_ = false;
   }
 
-  // Total out-degree of the member vertices — the classic density signal.
+  // Total effective out-degree of the member vertices (Adjacency::degree,
+  // so a pending update overlay counts) — the classic density signal.
   EdgeId out_degree_sum(const Graph& g) const {
+    Adjacency adj = g.adjacency();
     if (is_dense_) {
       return reduce_indexed<EdgeId>(
-          n_, 0, std::plus<EdgeId>{}, [&](std::size_t v) {
-            return dense_[v] ? g.out_degree(static_cast<VertexId>(v)) : 0;
+          n_, 0, std::plus<EdgeId>{}, [&](std::size_t v) -> EdgeId {
+            return dense_[v] ? adj.degree(static_cast<VertexId>(v)) : 0;
           });
     }
     return reduce_indexed<EdgeId>(
         sparse_.size(), 0, std::plus<EdgeId>{},
-        [&](std::size_t i) { return g.out_degree(sparse_[i]); });
+        [&](std::size_t i) { return adj.degree(sparse_[i]); });
   }
 
  private:

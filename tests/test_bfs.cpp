@@ -146,8 +146,8 @@ TEST_P(BfsVariants, PasgalMatchesSequentialSweep) {
 }
 
 // Sweeping the direction threshold moves the pull's entry point across
-// rounds, so it starts with pending entries in varied buckets (some below
-// the lowest bucket's minimum) and hands back at varied levels.
+// rounds, so it starts with pending entries at varied distances above L
+// and hands back at varied levels.
 TEST_P(BfsVariants, PasgalDenseEntryPointsMatchSequential) {
   std::vector<std::pair<std::string, Graph>> cases;
   cases.emplace_back("rmat", gen::rmat(12, 60000, 9));
@@ -171,8 +171,8 @@ TEST_P(BfsVariants, PasgalDenseEntryPointsMatchSequential) {
 }
 
 // From an rmat hub the source's local search spreads entries over several
-// buckets; the pull must still start as soon as the lowest level is heavy,
-// not wait for the other buckets to drain.
+// levels; the pull must still start as soon as the lowest level is heavy,
+// not wait for the levels above it to drain.
 TEST(BfsRounds, DenseEntersWithPendingBuckets) {
   Scheduler::reset(1);
   Graph g = gen::rmat(16, 900000, 2);
@@ -187,6 +187,45 @@ TEST(BfsRounds, DenseEntersWithPendingBuckets) {
   }
   EXPECT_TRUE(early_dense);
   EXPECT_LT(got.telemetry.edges_scanned, g.num_edges() / 4);
+}
+
+// High diameter: with one pending pool keyed by absolute distance, a round
+// runs everything within the window of the global minimum, so no far-ahead
+// root labels a region that a lower one corrects later. At one worker the
+// relative-gap buckets this replaced took 35-51 rounds on the road grid and
+// 44-80 on the square one (the count moved with the process's earlier
+// runs); the pool takes 18 on each and scans ~2.1m edges.
+TEST(BfsRounds, HighDiameterWorkIsBounded) {
+  Scheduler::reset(1);
+  std::vector<std::pair<std::string, Graph>> cases;
+  cases.emplace_back("road", gen::road_grid(300, 300, 0.8, 4));
+  cases.emplace_back("grid", gen::rectangle_grid(300, 300));
+  for (const auto& [name, g] : cases) {
+    Graph gt = g.transpose();
+    auto got = pasgal_bfs(g, gt, {});
+    EXPECT_EQ(got.output, seq_bfs(g, {}).output) << name;
+    EXPECT_LE(got.telemetry.edges_scanned, 3 * g.num_edges()) << name;
+    EXPECT_LE(got.telemetry.rounds.size(), 30u) << name;
+  }
+}
+
+// A light level L beside a heavy window: from source 1, a later round's
+// window work reaches vgc_limit (above the dense threshold) while level L's
+// own work stays below it, so the round runs L alone, one hop — a kSparse
+// round although tau > 1. Deciding the pull on the window's work while the
+// pull measures level L would hand L back unexpanded on every round.
+TEST(BfsRounds, LightLevelBesideHeavyWindowTerminates) {
+  Scheduler::reset(1);
+  Graph g = gen::random_graph(20000, 120000, 13);
+  Graph gt = g.transpose();
+  auto got = pasgal_bfs(g, gt, {.source = 1});
+  EXPECT_EQ(got.output, seq_bfs(g, {.source = 1}).output);
+  std::size_t one_hop = 0;
+  for (const RoundTrace& r : got.telemetry.rounds) {
+    one_hop += r.kind == RoundKind::kSparse ? 1 : 0;
+  }
+  EXPECT_GT(one_hop, 0u);
+  EXPECT_GT(dense_rounds(got.telemetry), 0u);
 }
 
 TEST(BfsOptions, GbbsHonoursUseDense) {

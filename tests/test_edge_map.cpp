@@ -4,6 +4,7 @@
 #include <atomic>
 #include <set>
 
+#include "graphs/delta.h"
 #include "graphs/generators.h"
 #include "pasgal/edge_map.h"
 
@@ -171,6 +172,42 @@ TEST_P(EdgeMapTest, StatsCountEdges) {
       [](VertexId) { return true; }, {.use_dense = false}, &stats);
   EXPECT_EQ(stats.edges_scanned(), g.out_degree(0));
   EXPECT_EQ(stats.vertices_visited(), 1u);
+}
+
+// The direction rule reads effective degrees: overlay inserts that push a
+// light frontier over the threshold send the round dense, as the rebuilt
+// graph does, and both produce the same next frontier.
+TEST_P(EdgeMapTest, OverlayInsertsPushFrontierDense) {
+  Graph g = gen::chain(1000);  // m = 1998: dense above 99 units of work
+  std::vector<EdgeUpdate> batch;
+  for (VertexId v = 10; v < 210; ++v) {
+    batch.push_back({EdgeUpdate::Op::kInsert, 0, v});
+  }
+  apply_updates(g, batch);
+  Graph rebuilt = materialize_effective(g);
+  auto one_hop = [](const Graph& h) {
+    std::vector<std::atomic<std::uint8_t>> visited(h.num_vertices());
+    for (auto& x : visited) x.store(0, std::memory_order_relaxed);
+    visited[0].store(1, std::memory_order_relaxed);
+    auto update = [&](VertexId, VertexId v) {
+      std::uint8_t expected_flag = 0;
+      return visited[v].compare_exchange_strong(expected_flag, 1,
+                                                std::memory_order_relaxed);
+    };
+    auto cond = [&](VertexId v) {
+      return visited[v].load(std::memory_order_relaxed) == 0;
+    };
+    VertexSubset frontier = VertexSubset::single(h.num_vertices(), 0);
+    return edge_map(h, h.transpose(), frontier, update, update, cond);
+  };
+  VertexSubset got = one_hop(g);
+  VertexSubset want = one_hop(rebuilt);
+  EXPECT_TRUE(got.is_dense());
+  EXPECT_TRUE(want.is_dense());
+  got.to_sparse();
+  want.to_sparse();
+  EXPECT_EQ(got.sparse_vertices(), want.sparse_vertices());
+  EXPECT_EQ(got.size(), 201u);  // 1 and the 200 inserted targets
 }
 
 }  // namespace

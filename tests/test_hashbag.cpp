@@ -3,7 +3,11 @@
 
 #include <algorithm>
 #include <set>
+#include <tuple>
 
+#include "algorithms/bfs/bfs.h"
+#include "algorithms/sssp/sssp.h"
+#include "graphs/generators.h"
 #include "parlay/parallel.h"
 #include "pasgal/hashbag.h"
 
@@ -201,6 +205,29 @@ TEST_P(HashBagTest, SaturationAcrossMultipleBlocks) {
   EXPECT_GT(accepted, 0u);
   EXPECT_LE(accepted, 12u);
   EXPECT_EQ(bag.extract_all().size(), accepted);
+}
+
+// The insert salt is per bag, reset when the bag is built: at one worker a
+// run lays out its bags, and so does its work, the same way whatever ran
+// before it in the process. Each repeat runs after the other kernel's bags.
+TEST(HashBagSalt, RepeatsDoTheSameWorkAtOneWorker) {
+  Scheduler::reset(1);
+  Graph road = gen::road_grid(150, 150, 0.8, 4);
+  Graph road_t = road.transpose();
+  auto weighted = gen::add_weights(gen::road_grid(100, 100, 0.8, 3), 1000, 3);
+  using Totals = std::tuple<std::size_t, std::uint64_t, std::uint64_t>;
+  auto totals = [](const RunTelemetry& t) {
+    return Totals{t.rounds.size(), t.edges_scanned, t.vertices_visited};
+  };
+  std::vector<Totals> bfs, sssp;
+  for (int rep = 0; rep < 3; ++rep) {
+    bfs.push_back(totals(pasgal_bfs(road, road_t, {}).telemetry));
+    sssp.push_back(totals(stepping_sssp(weighted, {}).telemetry));
+  }
+  for (int rep = 1; rep < 3; ++rep) {
+    EXPECT_EQ(bfs[rep], bfs[0]) << "pasgal_bfs repeat " << rep;
+    EXPECT_EQ(sssp[rep], sssp[0]) << "stepping_sssp repeat " << rep;
+  }
 }
 
 }  // namespace
