@@ -1,8 +1,8 @@
 // BCC driver (mirrors the upstream PASGAL per-algorithm executables).
 // The input graph is symmetrized automatically, as in the paper.
 //
-//   bcc <graph> [-a pasgal|gbbs|tv|seq] [-r repeats] [--serve N]
-//       [--validate] [--json-metrics <path>]
+//   bcc <graph> [-a pasgal|gbbs|tv|seq] [-r repeats] [--validate]
+//       [--json-metrics <path>]
 //
 // Exit codes: 0 ok / 1 internal / 2 usage / 3 bad input / 4 resource.
 #include "common.h"

@@ -2,8 +2,7 @@
 //
 //   bfs <graph> [-s source | --sources <v0,v1,...|@file>]
 //       [-a pasgal|gbbs|gapbs|seq|ms] [-t tau] [-r repeats]
-//       [--updates <log.plog>] [--serve N] [--validate]
-//       [--json-metrics <path>]
+//       [--updates <log.plog>] [--validate] [--json-metrics <path>]
 //
 // `--sources` switches to batched mode: the bit-parallel ms_bfs kernel
 // advances every listed source (max 64) through one shared sweep, prints a
@@ -83,11 +82,6 @@ int main(int argc, char** argv) {
         throw Error(ErrorCategory::kUsage,
                     "--updates conflicts with --sources (incremental repair "
                     "maintains one distance vector)");
-      }
-      if (common.serve != 0) {
-        throw Error(ErrorCategory::kUsage,
-                    "--updates is stateful (each batch applies once); it "
-                    "conflicts with --serve");
       }
       if (algo_given && d.algo != kRepairAlgo) {
         throw Error(ErrorCategory::kUsage,

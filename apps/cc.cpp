@@ -3,7 +3,7 @@
 // variants agree: label propagation only pushes labels along out-edges, so
 // on a directed input it would not match union-find connectivity.
 //
-//   cc <graph> [-a uf|lp|ldd] [--updates <log.plog>] [-r repeats] [--serve N]
+//   cc <graph> [-a uf|lp|ldd] [--updates <log.plog>] [-r repeats]
 //      [--validate] [--json-metrics <path>]
 //
 // `--updates` switches to incremental mode (-a uf only): baseline labels
@@ -37,11 +37,6 @@ int main(int argc, char** argv) {
   common.declare(opts);
   return apps::parse_and_run(argc, argv, opts, [&]() {
     if (!updates_path.empty()) {
-      if (common.serve != 0) {
-        throw Error(ErrorCategory::kUsage,
-                    "--updates is stateful (each batch applies once); it "
-                    "conflicts with --serve");
-      }
       if (algo_given && d.algo != kRepairAlgo) {
         throw Error(ErrorCategory::kUsage,
                     "--updates repairs union-find labels; only -a uf applies");

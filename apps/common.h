@@ -6,19 +6,18 @@
 // options once via cli::OptionSet; the variant list lives in the algorithm
 // catalog (algorithms/catalog.h). This header keeps the driver-only pieces:
 // graph loading from specs, stdout stat lines, metrics emission, the shared
-// open/repeat/metrics loop (run_driver), and the run_app() wrapper that maps
+// one-shot open/repeat/metrics run (run_driver), the --shard-mb parse the
+// daemon shares, and the run_app() wrapper that maps
 // typed pasgal::Error failures onto the uniform exit codes documented in
 // README.md:
 //   0 ok / 1 internal error / 2 usage / 3 bad input / 4 resource limit.
 #pragma once
 
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <new>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,7 +25,6 @@
 #include "graphs/delta.h"
 #include "graphs/generators.h"
 #include "graphs/graph_io.h"
-#include "graphs/registry.h"
 #include "pasgal/cli.h"
 #include "pasgal/error.h"
 #include "pasgal/resource.h"
@@ -75,12 +73,27 @@ inline void apply_mem_limit(const CommonOptions& common) {
   }
 }
 
+// Parses a --shard-mb value (drivers and the daemon): "auto", or a window
+// size in MiB.
+inline PgrShardSpec parse_shard_mb(const std::string& text) {
+  PgrShardSpec out;
+  if (text == "auto") {
+    out.auto_shard = true;
+    return out;
+  }
+  long long mb = cli::parse_int(
+      text, "flag --shard-mb", 1,
+      static_cast<long long>(::pasgal::internal::kMaxMemLimitMb),
+      ErrorCategory::kUsage);
+  out.window_bytes = static_cast<std::uint64_t>(mb) << 20;
+  return out;
+}
+
 // Parses --shard-mb into a PgrShardSpec, rejecting the combinations that
 // cannot honor the bounded-residency contract.
 inline PgrShardSpec shard_spec(const std::string& spec,
                                const CommonOptions& common) {
-  PgrShardSpec out;
-  if (common.shard_mb.empty()) return out;
+  if (common.shard_mb.empty()) return {};
   if (!ends_with(spec, ".pgr")) {
     throw Error(ErrorCategory::kUsage,
                 "--shard-mb requires a .pgr input (got '" + spec +
@@ -97,16 +110,7 @@ inline PgrShardSpec shard_spec(const std::string& spec,
                 "section byte defeats the bounded residency window (sharded "
                 "opens range-check shard-at-a-time instead)");
   }
-  if (common.shard_mb == "auto") {
-    out.auto_shard = true;
-    return out;
-  }
-  long long mb = cli::parse_int(
-      common.shard_mb, "flag --shard-mb", 1,
-      static_cast<long long>(::pasgal::internal::kMaxMemLimitMb),
-      ErrorCategory::kUsage);
-  out.window_bytes = static_cast<std::uint64_t>(mb) << 20;
-  return out;
+  return parse_shard_mb(common.shard_mb);
 }
 
 }  // namespace internal
@@ -212,34 +216,16 @@ struct LoadedGraph {
   // Weighted loads: the weights came from the file's weights section
   // ("file") or were generated in-process ("generated"). Empty otherwise.
   std::string weights_origin;
-  // Bytes newly mapped by *this* load: the file size for a cold mmap open,
-  // 0 for a registry hit (the mapping already existed) and for heap loads.
+  // Bytes mapped by the load: the file size for a mmap open, 0 for heap
+  // loads.
   std::uint64_t bytes_mapped = 0;
   double seconds = 0;
-  bool registry_hit = false;  // this open shared a pre-existing mapping
   // Compressed .pgr accounting (PgrOpenStats): encoded on-disk size of the
-  // targets section and the decode wall time this open paid (0 when the
-  // registry handed back an already-decoded storage).
+  // targets section and the decode wall time this open paid.
   bool compressed = false;
   std::uint64_t encoded_bytes = 0;
   std::uint64_t decode_wall_ns = 0;
 };
-
-namespace internal {
-
-// Drivers load single-threaded, so the registry hit delta across one load
-// is exactly this open's outcome.
-inline bool finish_load_accounting(const GraphRegistry::Stats& before,
-                                   std::uint64_t& bytes_mapped) {
-  GraphRegistry::Stats after = GraphRegistry::instance().stats();
-  if (after.hits > before.hits) {
-    bytes_mapped = 0;
-    return true;
-  }
-  return false;
-}
-
-}  // namespace internal
 
 // `weighted_file`: the file is the weighted variant of its format; its
 // weights are read alongside the topology (see load_weighted_graph_timed).
@@ -252,7 +238,6 @@ inline LoadedGraph load_graph_timed(const std::string& spec,
   internal::apply_mem_limit(common);
   PgrShardSpec shard = internal::shard_spec(spec, common);
   auto t0 = std::chrono::steady_clock::now();
-  GraphRegistry::Stats before = GraphRegistry::instance().stats();
   LoadedGraph out;
   bool adj = internal::ends_with(spec, ".adj");
   out.mode = adj                                 ? "adj"
@@ -292,7 +277,6 @@ inline LoadedGraph load_graph_timed(const std::string& spec,
   if (out.graph.storage() != nullptr) {
     out.bytes_mapped = out.graph.storage()->bytes_mapped();
   }
-  out.registry_hit = internal::finish_load_accounting(before, out.bytes_mapped);
   return out;
 }
 
@@ -333,8 +317,7 @@ inline LoadedGraph load_weighted_graph_timed(
 // Compression trio (schema-checked to travel together): emitted only for
 // compressed .pgr loads. The ratio compares the raw targets array the file
 // would have carried uncompressed against the encoded section actually on
-// disk; decode_wall_ns is 0 when this open reused a registry-shared storage
-// whose targets were already decoded.
+// disk; decode_wall_ns is the decode time the open paid.
 inline void record_compression(MetricsDoc& doc, std::uint64_t num_edges,
                                std::uint64_t encoded_bytes,
                                std::uint64_t decode_wall_ns) {
@@ -361,100 +344,6 @@ inline void record_load(MetricsDoc& doc, const LoadedGraph& loaded) {
                        loaded.decode_wall_ns);
   }
 }
-
-// --- serving-mode harness ----------------------------------------------------
-
-namespace internal {
-
-// SIGINT/SIGTERM drain flag for the --serve loops: the handler only sets
-// this; ServeHarness::next() reads it at the next iteration boundary, so
-// the driver finishes the open in flight, flushes --json-metrics through
-// its normal epilogue, and exits 0 instead of dying mid-document.
-inline volatile std::sig_atomic_t g_serve_stop = 0;
-inline void serve_stop_handler(int) { g_serve_stop = 1; }
-
-inline void install_serve_stop_handlers() {
-  struct sigaction sa {};
-  sa.sa_handler = serve_stop_handler;
-  sigemptyset(&sa.sa_mask);
-  sa.sa_flags = SA_RESTART;  // don't tear stdio writes mid-line
-  ::sigaction(SIGINT, &sa, nullptr);
-  ::sigaction(SIGTERM, &sa, nullptr);
-}
-
-}  // namespace internal
-
-// `--serve N`: the driver re-opens and re-runs its input N extra times in
-// one process, as a cold-vs-warm harness for the GraphRegistry. The cold
-// open of a mmap'ed .pgr is pinned, so the mapping survives the Graph being
-// dropped between iterations and every warm open is a registry hit mapping
-// zero new bytes. run_driver() is its one user.
-class ServeHarness {
- public:
-  ServeHarness(std::string spec, const CommonOptions& common)
-      : spec_(std::move(spec)),
-        total_opens_(1 + common.serve),
-        base_(GraphRegistry::instance().stats()) {
-    if (total_opens_ > 1) internal::install_serve_stop_handlers();
-  }
-
-  // Advances to the next open; snapshots the cold iteration's peak RSS at
-  // the cold->warm boundary so record() can expose RSS flatness. A pending
-  // SIGINT/SIGTERM ends the loop here — after the cold open at minimum, so
-  // the driver's metrics epilogue always has a document to flush.
-  bool next() {
-    if (iteration_ >= 0 && internal::g_serve_stop != 0) {
-      std::printf("serve: stop signal, draining after open %lld/%lld\n",
-                  iteration_ + 1, total_opens_);
-      return false;
-    }
-    if (iteration_ + 1 >= total_opens_) return false;
-    ++iteration_;
-    if (iteration_ == 1) cold_peak_rss_ = peak_rss_bytes();
-    return true;
-  }
-
-  bool cold() const { return iteration_ == 0; }
-
-  // Registry counters as process-lifetime deltas since harness construction
-  // (once per document — duplicate set_param keys would corrupt the JSON).
-  void record(MetricsDoc& doc) const {
-    GraphRegistry::Stats now = GraphRegistry::instance().stats();
-    doc.set_param("registry_hits", now.hits - base_.hits);
-    doc.set_param("registry_misses", now.misses - base_.misses);
-    doc.set_param("registry_bytes_mapped",
-                  now.bytes_mapped - base_.bytes_mapped);
-    if (total_opens_ > 1) {
-      doc.set_param("serve_opens", static_cast<std::uint64_t>(total_opens_));
-      doc.set_param("warm_load_bytes_mapped", warm_new_bytes_);
-      doc.set_param("peak_rss_cold_bytes", cold_peak_rss_);
-    }
-  }
-
-  // Accounts one open of the input: pins the cold mmap open when serving,
-  // and reports each warm open's registry outcome.
-  void note_open(const LoadedGraph& out) {
-    if (cold()) {
-      if (total_opens_ > 1 && out.mode == "pgr-mmap") {
-        GraphRegistry::instance().pin(spec_);
-      }
-      return;
-    }
-    warm_new_bytes_ += out.bytes_mapped;
-    std::printf("serve: open %lld/%lld %s (%llu new bytes mapped)\n",
-                iteration_ + 1, total_opens_,
-                out.registry_hit ? "registry hit" : "registry miss",
-                (unsigned long long)out.bytes_mapped);
-  }
-
- private:
-  std::string spec_;
-  long long total_opens_;
-  long long iteration_ = -1;
-  GraphRegistry::Stats base_;
-  std::uint64_t cold_peak_rss_ = 0;
-  std::uint64_t warm_new_bytes_ = 0;
-};
 
 // --- driver scaffolding ------------------------------------------------------
 
@@ -494,10 +383,10 @@ struct Driver {
   // Weighted rows: -w, the range of generated weights (and whether given).
   std::uint32_t max_weight = 100;
   bool max_weight_given = false;
-  // Driver flags for the metrics params, recorded once at the first open.
+  // Driver flags for the metrics params.
   std::function<void(MetricsDoc&)> record_flags;
-  // Runs on each open after the input is prepared, before the graph line
-  // (pagerank --updates replays its log here).
+  // Runs after the input is prepared, before the graph line (pagerank
+  // --updates replays its log here).
   std::function<void(const Graph& loaded)> after_open;
   // Replaces the repeat loop (the incremental --updates modes): records its
   // own trials and returns the repair scope for the "delta" section.
@@ -506,71 +395,58 @@ struct Driver {
       trials;
 };
 
-// The open/repeat/metrics loop every driver shares: open the input (N+1
-// times under --serve N), prepare the row's input, print the graph and load
-// lines, run the row `repeats` times (a stat line each, the result line
-// after the first), and write the metrics document. The recorded load is the
-// final open: warm when serving, so the document shows the steady-state cost
-// (0 new bytes on a registry hit).
+// The open/repeat/metrics run every driver shares: open the input once,
+// prepare the row's input, print the graph and load lines, run the row
+// `repeats` times (a stat line each, the result line after the first), and
+// write the metrics document.
 inline int run_driver(const std::string& spec, const CommonOptions& common,
                       const Driver& d) {
   const AlgoSpec& row = algo_spec(d.family, d.algo);
   const bool batch = !d.sources.empty();
   const bool sourced = row.takes_one() && !batch;
   const bool weighted = row.input == AlgoInput::kWeighted;
-  ServeHarness serve(spec, common);
-  LoadedGraph loaded;
-  std::optional<MetricsDoc> doc;
+  LoadedGraph loaded =
+      weighted ? load_weighted_graph_timed(spec, common, d.max_weight,
+                                           d.max_weight_given)
+               : load_graph_timed(spec, common);
+  if (sourced && d.aopt.source >= loaded.graph.num_vertices()) {
+    throw Error(ErrorCategory::kUsage,
+                "source vertex " + std::to_string(d.aopt.source) +
+                    " out of range (graph has " +
+                    std::to_string(loaded.graph.num_vertices()) +
+                    " vertices)");
+  }
+  PreparedInput prepared(row, loaded.graph, &loaded.weighted);
+  AlgoArgs& in = prepared.args;
+  in.sources = d.sources;
+  if (d.after_open) d.after_open(loaded.graph);
+
+  const Graph& g = *in.g;
+  std::string what =
+      batch ? "batch of " + std::to_string(d.sources.size()) + " sources, "
+      : sourced ? "source=" + std::to_string(d.aopt.source) + ", "
+                : "";
+  std::string weights =
+      weighted ? "weights=" + loaded.weights_origin + ", " : "";
+  std::printf("graph%s: n=%zu m=%zu, %salgorithm=%s, %sworkers=%d\n",
+              row.input == AlgoInput::kSymmetric ? " (symmetrized)" : "",
+              g.num_vertices(), g.num_edges(), what.c_str(), d.algo.c_str(),
+              weights.c_str(), num_workers());
+  std::printf("load: %s in %.4f s (%llu bytes mapped)\n", loaded.mode.c_str(),
+              loaded.seconds, (unsigned long long)loaded.bytes_mapped);
+
+  Tracer tracer;
+  AlgoOptions aopt = d.aopt;
+  aopt.tracer = &tracer;
+  MetricsDoc doc(d.family, d.algo, spec, g.num_vertices(), g.num_edges());
+  if (sourced) doc.set_param("source", static_cast<std::uint64_t>(aopt.source));
+  if (d.record_flags) d.record_flags(doc);
+
   IncrementalStats repair;
-  bool recorded_params = false;
-  double best_batch_seconds = 0;  // fastest batch trial, for set_batch
-  while (serve.next()) {
-    loaded = weighted ? load_weighted_graph_timed(spec, common, d.max_weight,
-                                                  d.max_weight_given)
-                      : load_graph_timed(spec, common);
-    serve.note_open(loaded);
-    if (sourced && d.aopt.source >= loaded.graph.num_vertices()) {
-      throw Error(ErrorCategory::kUsage,
-                  "source vertex " + std::to_string(d.aopt.source) +
-                      " out of range (graph has " +
-                      std::to_string(loaded.graph.num_vertices()) +
-                      " vertices)");
-    }
-    PreparedInput prepared(row, loaded.graph, &loaded.weighted);
-    AlgoArgs& in = prepared.args;
-    in.sources = d.sources;
-    if (d.after_open) d.after_open(loaded.graph);
-
-    const Graph& g = *in.g;
-    std::string what =
-        batch ? "batch of " + std::to_string(d.sources.size()) + " sources, "
-        : sourced ? "source=" + std::to_string(d.aopt.source) + ", "
-                  : "";
-    std::string weights =
-        weighted ? "weights=" + loaded.weights_origin + ", " : "";
-    std::printf("graph%s: n=%zu m=%zu, %salgorithm=%s, %sworkers=%d\n",
-                row.input == AlgoInput::kSymmetric ? " (symmetrized)" : "",
-                g.num_vertices(), g.num_edges(), what.c_str(),
-                d.algo.c_str(), weights.c_str(), num_workers());
-    std::printf("load: %s in %.4f s (%llu bytes mapped)\n",
-                loaded.mode.c_str(), loaded.seconds,
-                (unsigned long long)loaded.bytes_mapped);
-
-    Tracer tracer;
-    AlgoOptions aopt = d.aopt;
-    aopt.tracer = &tracer;
-    if (!doc) {
-      doc.emplace(d.family, d.algo, spec, g.num_vertices(), g.num_edges());
-      if (sourced) {
-        doc->set_param("source", static_cast<std::uint64_t>(aopt.source));
-      }
-      if (d.record_flags) d.record_flags(*doc);
-    }
-
-    if (d.trials) {
-      repair = d.trials(loaded.graph, in, *doc, aopt);
-      continue;
-    }
+  if (d.trials) {
+    repair = d.trials(loaded.graph, in, doc, aopt);
+  } else {
+    double best_batch_seconds = 0;  // fastest batch trial, for set_batch
     for (long long r = 0; r < common.repeats; ++r) {
       in.summarize = r == 0;
       AlgoRun run = row.run(in, aopt);
@@ -585,22 +461,20 @@ inline int run_driver(const std::string& spec, const CommonOptions& common,
           best_batch_seconds = run.seconds;
         }
       }
-      doc->add_trial(run.seconds, run.telemetry);
-      if (r == 0 && !recorded_params) {
-        recorded_params = true;
+      doc.add_trial(run.seconds, run.telemetry);
+      if (r == 0) {
         for (const auto& [name, value] : run.params) {
-          doc->set_param(name, value);
+          doc.set_param(name, value);
         }
+        std::printf("%s\n", run.summary.c_str());
       }
-      if (r == 0) std::printf("%s\n", run.summary.c_str());
     }
+    if (batch) doc.set_batch(d.sources, best_batch_seconds);
   }
-  if (batch) doc->set_batch(d.sources, best_batch_seconds);
-  record_load(*doc, loaded);
-  record_shard(*doc, loaded.graph);
-  record_delta(*doc, loaded.graph, repair);
-  serve.record(*doc);
-  finish_metrics(common, *doc);
+  record_load(doc, loaded);
+  record_shard(doc, loaded.graph);
+  record_delta(doc, loaded.graph, repair);
+  finish_metrics(common, doc);
   return 0;
 }
 

@@ -2,8 +2,8 @@
 // executables). The input graph is symmetrized automatically: coreness is
 // defined on undirected graphs.
 //
-//   kcore <graph> [-a pasgal|seq] [-t tau] [-r repeats] [--serve N]
-//         [--validate] [--json-metrics <path>]
+//   kcore <graph> [-a pasgal|seq] [-t tau] [-r repeats] [--validate]
+//         [--json-metrics <path>]
 //
 // Exit codes: 0 ok / 1 internal / 2 usage / 3 bad input / 4 resource.
 #include "common.h"

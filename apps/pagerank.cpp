@@ -5,7 +5,7 @@
 // transpose's shard plan), seq is in-core only.
 //
 //   pagerank <graph> [-a pasgal|seq] [-i max_iterations] [--epsilon eps]
-//            [--damping d] [--updates <log.plog>] [-r repeats] [--serve N]
+//            [--damping d] [--updates <log.plog>] [-r repeats]
 //            [--validate] [--json-metrics <path>]
 //
 // The result line prints with %.17g (round-trip precision) so the identity
@@ -47,11 +47,6 @@ int main(int argc, char** argv) {
       doc.set_param("damping", damping);
     };
     if (!updates_path.empty()) {
-      if (common.serve != 0) {
-        throw Error(ErrorCategory::kUsage,
-                    "--updates is stateful (the log replays once); it "
-                    "conflicts with --serve");
-      }
       d.after_open = [&](const Graph& g) {
         ApplyStats st = replay_update_log(g, updates_path);
         std::printf("replayed %s: %llu pending inserts, %llu pending "

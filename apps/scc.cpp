@@ -1,7 +1,7 @@
 // SCC driver (mirrors the upstream PASGAL per-algorithm executables).
 //
 //   scc <graph> [-a pasgal|gbbs|multistep|seq] [-t tau] [-r repeats]
-//       [--serve N] [--validate] [--json-metrics <path>]
+//       [--validate] [--json-metrics <path>]
 //
 // Exit codes: 0 ok / 1 internal / 2 usage / 3 bad input / 4 resource.
 #include "common.h"

@@ -170,14 +170,7 @@ int main(int argc, char** argv) {
     sopts.default_deadline_ms = static_cast<std::uint64_t>(deadline_ms);
     sopts.poll_tick_ms = static_cast<int>(tick_ms);
     if (!shard_mb.empty()) {
-      if (shard_mb == "auto") {
-        sopts.shard_auto = true;
-      } else {
-        long long mb = cli::parse_flag_int(
-            "--shard-mb", shard_mb.c_str(), 1,
-            static_cast<long long>(internal::kMaxMemLimitMb));
-        sopts.shard_window_bytes = static_cast<std::uint64_t>(mb) << 20;
-      }
+      sopts.shard = apps::internal::parse_shard_mb(shard_mb);
     }
     Server server(sopts);
     server.bind();

@@ -6,8 +6,7 @@
 //
 //   sssp <graph> [-s source | --sources <v0,v1,...|@file>]
 //        [-a rho|delta|bf|em|seq] [-w max_weight] [-d delta]
-//        [-t tau] [-r repeats] [--serve N] [--validate]
-//        [--json-metrics <path>]
+//        [-t tau] [-r repeats] [--validate] [--json-metrics <path>]
 //
 // `--sources` switches to batched landmark mode: the stepping framework runs
 // once per listed source (max 64) under one shared tracer, and the metrics

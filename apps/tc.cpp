@@ -3,8 +3,8 @@
 // defined on the undirected graph); both variants need whole-graph adjacency
 // access, so sharded opens fail with a typed usage error.
 //
-//   tc <graph> [-a pasgal|seq] [-r repeats] [--serve N]
-//      [--validate] [--json-metrics <path>]
+//   tc <graph> [-a pasgal|seq] [-r repeats] [--validate]
+//      [--json-metrics <path>]
 //
 // Exit codes: 0 ok / 1 internal / 2 usage / 3 bad input / 4 resource.
 #include "common.h"

@@ -25,8 +25,8 @@ echo "--- sanitized input-hardening tests ---"
 echo "--- sanitized app drivers (success paths, with metrics emission) ---"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-"$prefix-san/apps/graph_gen" chain:2000 "$tmp/chain.adj" --validate
-"$prefix-san/apps/graph_gen" grid:40:40 "$tmp/grid.bin" --validate
+"$prefix-san/apps/graph_convert" chain:2000 "$tmp/chain.adj" --validate
+"$prefix-san/apps/graph_convert" grid:40:40 "$tmp/grid.bin" --validate
 "$prefix-san/apps/bfs"  "$tmp/chain.adj" --validate -r 1 --json-metrics "$tmp/bfs.json" > /dev/null
 "$prefix-san/apps/sssp" "$tmp/grid.bin" --validate -a delta -r 1 --json-metrics "$tmp/sssp.json" > /dev/null
 "$prefix-san/apps/scc"  road:30:30 -r 1 --json-metrics "$tmp/scc.json" > /dev/null
@@ -114,8 +114,8 @@ for app in bfs scc bcc sssp cc kcore pagerank tc; do
 done
 # Size gate: on a bench-suite graph (no transpose sections diluting the
 # ratio) the compressed file must be at least 1.5x smaller.
-"$prefix/apps/graph_gen" grid:300:300 "$tmp/ratio_raw.pgr" > /dev/null
-"$prefix/apps/graph_gen" grid:300:300 "$tmp/ratio_c.pgr" --compress > /dev/null
+"$prefix/apps/graph_convert" grid:300:300 "$tmp/ratio_raw.pgr" > /dev/null
+"$prefix/apps/graph_convert" grid:300:300 "$tmp/ratio_c.pgr" --compress > /dev/null
 raw_bytes=$(wc -c < "$tmp/ratio_raw.pgr")
 comp_bytes=$(wc -c < "$tmp/ratio_c.pgr")
 if [ $((2 * raw_bytes)) -lt $((3 * comp_bytes)) ]; then
@@ -123,53 +123,6 @@ if [ $((2 * raw_bytes)) -lt $((3 * comp_bytes)) ]; then
        "(< 1.5x smaller)" >&2
   exit 1
 fi
-# Warm opens of a compressed graph share the already-decoded storage: the
-# serving run's final (warm) load must report zero decode work.
-"$prefix/apps/bfs" "$tmp/ratio_c.pgr" --serve 1 -r 1 \
-    --json-metrics "$tmp/serve_c.json" > "$tmp/serve_c.txt"
-grep -q 'serve: open 2/2 registry hit (0 new bytes mapped)' "$tmp/serve_c.txt" || {
-  echo "FAIL: compressed warm open was not a zero-byte registry hit" >&2; exit 1
-}
-grep -q '"decode_wall_ns":0' "$tmp/serve_c.json" || {
-  echo "FAIL: compressed warm open paid a decode pass" >&2; exit 1
-}
-"$prefix/apps/metrics_check" "$tmp/serve_c.json"
-
-echo "--- registry warm-open gate (serving mode, plain build) ---"
-# Second open of the same canonical .pgr must be a registry hit that maps
-# zero new bytes and leaves peak RSS flat. Runs on the plain build: ASan's
-# quarantine inflates VmHWM unpredictably, and the sanitized registry
-# coverage already ran via the registry_* ctest targets above.
-"$prefix/apps/graph_convert" grid:300:300 "$tmp/serve.pgr" --transpose > /dev/null
-"$prefix/apps/bfs" "$tmp/serve.pgr" --serve 1 -r 1 \
-    --json-metrics "$tmp/serve.json" > "$tmp/serve.txt"
-grep -q 'serve: open 2/2 registry hit (0 new bytes mapped)' "$tmp/serve.txt" || {
-  echo "FAIL: warm open was not a zero-byte registry hit" >&2; exit 1
-}
-for want in '"registry_hits":1' '"registry_misses":1' \
-            '"warm_load_bytes_mapped":0' '"load_bytes_mapped":0'; do
-  grep -q "$want" "$tmp/serve.json" || {
-    echo "FAIL: serving metrics missing $want" >&2; exit 1
-  }
-done
-[ "$(grep -c 'reached' "$tmp/serve.txt")" -eq 2 ] || {
-  echo "FAIL: expected one result line per serve iteration" >&2; exit 1
-}
-[ "$(grep 'reached' "$tmp/serve.txt" | sort -u | wc -l)" -eq 1 ] || {
-  echo "FAIL: warm-open result differs from cold-open result" >&2; exit 1
-}
-rss_cold=$(sed -E 's/.*"peak_rss_cold_bytes":([0-9]+).*/\1/' "$tmp/serve.json")
-rss_final=$(sed -E 's/.*"peak_rss_bytes":([0-9]+).*/\1/' "$tmp/serve.json")
-file_bytes=$(wc -c < "$tmp/serve.pgr")
-# Flat peak RSS: the warm open must not re-materialize the graph. Allow
-# growth strictly under half the file size (a second mapping or heap copy
-# would add at least the full file).
-if [ $((2 * (rss_final - rss_cold))) -ge "$file_bytes" ]; then
-  echo "FAIL: peak RSS grew by $((rss_final - rss_cold)) bytes across warm" \
-       "opens (file is $file_bytes bytes) — mapping not shared?" >&2
-  exit 1
-fi
-"$prefix/apps/metrics_check" "$tmp/serve.json"
 
 echo "--- sanitized app drivers (failure paths must exit cleanly) ---"
 expect() { want="$1"; shift
@@ -187,13 +140,13 @@ expect 4 env PASGAL_MEM_LIMIT_MB=64 "$prefix-san/apps/bfs" rmat:30:1000000000000
 expect 2 env PASGAL_MEM_LIMIT_MB=999999999999999999 "$prefix-san/apps/bfs" chain:100
 "$prefix-san/apps/graph_convert" chain:50 "$tmp/wconf.pgr" --weights 5 > /dev/null
 expect 2 "$prefix-san/apps/sssp" "$tmp/wconf.pgr" -w 7
-expect 2 "$prefix-san/apps/graph_gen" chain:50 "$tmp/nope.bin" --compress
+expect 2 "$prefix-san/apps/graph_convert" chain:50 "$tmp/nope.bin" --compress
 # A compressed file whose varint stream decodes to an out-of-range target
 # must exit with the input contract code, not crash under ASan. Byte surgery:
 # the targets section offset is the u64 at byte 64; its first payload byte
 # sits at the section's first chunk offset (u64 at section+16); 0x7E decodes
 # to delta +63, far outside a 2-vertex graph.
-"$prefix-san/apps/graph_gen" chain:2 "$tmp/oob.pgr" --compress > /dev/null
+"$prefix-san/apps/graph_convert" chain:2 "$tmp/oob.pgr" --compress > /dev/null
 toff=$(od -A n -t u8 -j 64 -N 8 "$tmp/oob.pgr" | tr -d ' ')
 s0=$(od -A n -t u8 -j "$((toff + 16))" -N 8 "$tmp/oob.pgr" | tr -d ' ')
 printf '\176' | dd of="$tmp/oob.pgr" bs=1 seek="$((toff + s0))" \
@@ -238,10 +191,10 @@ drain() {  # $1 = daemon pid, $2 = daemon log
   }
 }
 
-"$prefix/apps/graph_gen" grid:300:300 "$tmp/d_a.pgr" > /dev/null
-"$prefix/apps/graph_gen" grid:299:299 "$tmp/d_b.pgr" > /dev/null
-"$prefix/apps/graph_gen" grid:60:60 "$tmp/d_c.pgr" --compress > /dev/null
-"$prefix/apps/graph_gen" chain:200000 "$tmp/d_long.pgr" > /dev/null
+"$prefix/apps/graph_convert" grid:300:300 "$tmp/d_a.pgr" > /dev/null
+"$prefix/apps/graph_convert" grid:299:299 "$tmp/d_b.pgr" > /dev/null
+"$prefix/apps/graph_convert" grid:60:60 "$tmp/d_c.pgr" --compress > /dev/null
+"$prefix/apps/graph_convert" chain:200000 "$tmp/d_long.pgr" > /dev/null
 "$prefix/apps/graph_convert" chain:3000 "$tmp/d_w.pgr" --weights 10 > /dev/null
 
 # 8 concurrent clients hammering one daemon with the full verb mix
@@ -277,6 +230,14 @@ if grep -hv -e '^ok ' -e '^{' -e '^error \[' "$tmp"/client*.out | grep -q .; the
   grep -hv -e '^ok ' -e '^{' -e '^error \[' "$tmp"/client*.out >&2
   exit 1
 fi
+# The clients opened the compressed d_c.pgr; a later open must be warm,
+# sharing the resident, already-decoded storage.
+warm_resp=$("$SERVE" --socket "$sock" --client "open graph=$tmp/d_c.pgr")
+case "$warm_resp" in
+  *' warm=1 '*) ;;
+  *) echo "FAIL: repeat open of a compressed graph was '$warm_resp'" >&2
+     exit 1 ;;
+esac
 
 # Deadline expiry is a typed error and the worker pool survives it: the
 # same query without a deadline must then succeed against the same daemon.
@@ -464,7 +425,7 @@ echo "--- QPS gate (batch-of-64 ms_bfs vs 64 sequential singles) ---"
 # so passing also re-proves batch/single equivalence on this graph. The gate
 # reads the median speedup of 5 alternating batch/singles runs: a single
 # wall-clock sample flakes on a busy host.
-"$prefix/apps/graph_gen" rmat:15:500000 "$tmp/qps.pgr" > /dev/null
+"$prefix/apps/graph_convert" rmat:15:500000 "$tmp/qps.pgr" > /dev/null
 PASGAL_BENCH_DIR="$tmp" "$prefix/bench/bench_qps" "$tmp/qps.pgr" 64 \
     --min-speedup 4 > "$tmp/qps.txt"
 grep -q 'qps gate: ok' "$tmp/qps.txt" || {
@@ -674,20 +635,6 @@ full_settled=$(sed -E 's/.*"full_settled":([0-9]+).*/\1/' "$tmp/upd_bfs_1.json")
        "vertices (expected strictly fewer than full recompute)" >&2
   exit 1
 }
-
-echo "--- driver --serve drain gate (SIGTERM finishes the open, flushes metrics) ---"
-"$prefix/apps/bfs" "$tmp/serve.pgr" --serve 100000 -r 1 \
-    --json-metrics "$tmp/drain.json" > "$tmp/drain.txt" 2>&1 &
-bpid=$!
-sleep 0.5
-kill -TERM "$bpid"
-wait "$bpid" || {
-  echo "FAIL: --serve driver exited nonzero on SIGTERM" >&2; exit 1
-}
-grep -q 'serve: stop signal, draining' "$tmp/drain.txt" || {
-  echo "FAIL: --serve driver did not announce the drain" >&2; exit 1
-}
-"$prefix/apps/metrics_check" "$tmp/drain.json"
 
 echo
 echo "check.sh: all gates passed"

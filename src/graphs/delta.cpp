@@ -24,18 +24,24 @@ std::uint64_t vec_bytes(const std::vector<EdgeId>& a,
 
 // Reverse one patch side: per-source sorted lists become per-target sorted
 // lists. Scattering sources in ascending order leaves every reversed list
-// sorted without a per-list sort.
+// sorted without a per-list sort. A non-empty per-entry `val` (delete copy
+// counts) travels with its entry into `fval`.
 void flip_side(std::size_t n, const std::vector<EdgeId>& off,
                const std::vector<VertexId>& tgt, std::vector<EdgeId>& foff,
-               std::vector<VertexId>& ftgt) {
+               std::vector<VertexId>& ftgt,
+               const std::vector<EdgeId>& val = {},
+               std::vector<EdgeId>* fval = nullptr) {
   foff.assign(n + 1, 0);
   for (VertexId t : tgt) ++foff[t + 1];
   for (std::size_t v = 0; v < n; ++v) foff[v + 1] += foff[v];
   ftgt.resize(tgt.size());
+  if (!val.empty()) fval->resize(val.size());
   std::vector<EdgeId> cursor(foff.begin(), foff.end() - 1);
   for (std::size_t v = 0; v < n; ++v) {
     for (EdgeId e = off[v]; e < off[v + 1]; ++e) {
-      ftgt[cursor[tgt[e]]++] = static_cast<VertexId>(v);
+      EdgeId slot = cursor[tgt[e]]++;
+      ftgt[slot] = static_cast<VertexId>(v);
+      if (!val.empty()) (*fval)[slot] = val[e];
     }
   }
 }
@@ -74,12 +80,15 @@ ApplyStats stats_from(const std::shared_ptr<const DeltaSnapshot>& snap,
 std::shared_ptr<const DeltaSnapshot> DeltaSnapshot::build(
     std::size_t n, std::vector<EdgeId> ins_offsets,
     std::vector<VertexId> ins_targets, std::vector<EdgeId> del_offsets,
-    std::vector<VertexId> del_targets, std::uint64_t batches) {
+    std::vector<VertexId> del_targets, std::uint64_t batches,
+    std::vector<EdgeId> del_copies) {
+  // (u,t) has as many base copies as (t,u) has in the transpose, so each
+  // flipped delete keeps its forward entry's count.
   auto flipped = std::shared_ptr<DeltaSnapshot>(new DeltaSnapshot());
   flip_side(n, ins_offsets, ins_targets, flipped->ins_offsets_,
             flipped->ins_targets_);
   flip_side(n, del_offsets, del_targets, flipped->del_offsets_,
-            flipped->del_targets_);
+            flipped->del_targets_, del_copies, &flipped->del_copies_);
   flipped->batches_ = batches;
 
   auto snap = std::shared_ptr<DeltaSnapshot>(new DeltaSnapshot());
@@ -87,6 +96,7 @@ std::shared_ptr<const DeltaSnapshot> DeltaSnapshot::build(
   snap->ins_targets_ = std::move(ins_targets);
   snap->del_offsets_ = std::move(del_offsets);
   snap->del_targets_ = std::move(del_targets);
+  snap->del_copies_ = std::move(del_copies);
   snap->batches_ = batches;
   snap->flipped_ = std::move(flipped);
   return snap;
@@ -94,7 +104,8 @@ std::shared_ptr<const DeltaSnapshot> DeltaSnapshot::build(
 
 std::uint64_t DeltaSnapshot::resident_bytes() const {
   std::uint64_t bytes = vec_bytes(ins_offsets_, ins_targets_) +
-                        vec_bytes(del_offsets_, del_targets_);
+                        vec_bytes(del_offsets_, del_targets_) +
+                        del_copies_.size() * sizeof(EdgeId);
   if (flipped_ != nullptr) bytes += flipped_->resident_bytes();
   return bytes;
 }
@@ -189,9 +200,13 @@ ApplyStats apply_updates(const Graph& g, std::span<const EdgeUpdate> batch) {
   }
 
   // Fold into flat (n+1)-offset arrays: touched vertices take their working
-  // lists, the rest copy straight from the old snapshot.
+  // lists, the rest copy straight from the old snapshot. Each delete entry
+  // also counts the base copies of its target it suppresses; the counts are
+  // kept only once some entry suppresses more than one (a multigraph base).
   std::vector<EdgeId> ins_off(n + 1, 0), del_off(n + 1, 0);
   std::vector<VertexId> ins_tgt, del_tgt;
+  std::vector<EdgeId> del_copies;
+  bool multi = false;
   auto it = touched.cbegin();
   for (std::size_t v = 0; v < n; ++v) {
     const Patch* p = nullptr;
@@ -208,13 +223,24 @@ ApplyStats apply_updates(const Graph& g, std::span<const EdgeUpdate> batch) {
       ins_tgt.insert(ins_tgt.end(), oi.begin(), oi.end());
       del_tgt.insert(del_tgt.end(), od.begin(), od.end());
     }
+    for (std::size_t e = del_off[v]; e < del_tgt.size(); ++e) {
+      std::span<const VertexId> nb = g.neighbors(static_cast<VertexId>(v));
+      auto [lo, hi] = std::equal_range(nb.begin(), nb.end(), del_tgt[e]);
+      EdgeId copies = static_cast<EdgeId>(hi - lo);
+      if (copies != 1 && !multi) {
+        del_copies.assign(e, 1);  // the entries so far each suppress one
+        multi = true;
+      }
+      if (multi) del_copies.push_back(copies);
+    }
     ins_off[v + 1] = ins_tgt.size();
     del_off[v + 1] = del_tgt.size();
   }
 
   std::shared_ptr<const DeltaSnapshot> next = DeltaSnapshot::build(
       n, std::move(ins_off), std::move(ins_tgt), std::move(del_off),
-      std::move(del_tgt), (old != nullptr ? old->batches() : 0) + 1);
+      std::move(del_tgt), (old != nullptr ? old->batches() : 0) + 1,
+      std::move(del_copies));
   g.storage()->set_delta(next);
   return stats_from(next, batch_ins, batch_del);
 }

@@ -80,10 +80,17 @@ class DeltaSnapshot {
     return {del_targets_.data() + del_offsets_[v],
             static_cast<std::size_t>(del_offsets_[v + 1] - del_offsets_[v])};
   }
-  // Degree of v in the effective graph, given its base degree.
+  // Degree of v in the effective graph, given its base degree: each delete
+  // entry takes away every base copy of its target, as the merge skips them.
   EdgeId effective_degree(VertexId v, EdgeId base_degree) const {
-    return base_degree + (ins_offsets_[v + 1] - ins_offsets_[v]) -
-           (del_offsets_[v + 1] - del_offsets_[v]);
+    EdgeId d = base_degree + (ins_offsets_[v + 1] - ins_offsets_[v]);
+    if (del_copies_.empty()) {
+      return d - (del_offsets_[v + 1] - del_offsets_[v]);
+    }
+    for (EdgeId e = del_offsets_[v]; e < del_offsets_[v + 1]; ++e) {
+      d -= del_copies_[e];
+    }
+    return d;
   }
 
   // Heap footprint of this snapshot plus its flipped side (admission
@@ -99,10 +106,13 @@ class DeltaSnapshot {
   // Construction is delta.cpp's job (apply_updates / log replay); tests and
   // the builder go through this factory. The per-vertex lists must be
   // sorted, duplicate-free, and disjoint in the apply-model sense.
+  // `del_copies`, parallel to `del_targets`, counts the base copies each
+  // delete suppresses; empty means one each (a base without parallel edges).
   static std::shared_ptr<const DeltaSnapshot> build(
       std::size_t n, std::vector<EdgeId> ins_offsets,
       std::vector<VertexId> ins_targets, std::vector<EdgeId> del_offsets,
-      std::vector<VertexId> del_targets, std::uint64_t batches);
+      std::vector<VertexId> del_targets, std::uint64_t batches,
+      std::vector<EdgeId> del_copies);
 
  private:
   DeltaSnapshot() = default;
@@ -111,6 +121,7 @@ class DeltaSnapshot {
   std::vector<VertexId> ins_targets_;  // sorted per vertex
   std::vector<EdgeId> del_offsets_;    // size n+1
   std::vector<VertexId> del_targets_;  // sorted per vertex
+  std::vector<EdgeId> del_copies_;     // per delete entry; empty: one each
   std::uint64_t batches_ = 0;
   std::shared_ptr<const DeltaSnapshot> flipped_;
 };

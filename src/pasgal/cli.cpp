@@ -265,7 +265,6 @@ void CommonOptions::declare(OptionSet& opts) {
   opts.flag("--validate", &validate);
   opts.text("--json-metrics", &json_metrics, "path");
   opts.choice("--load", &load_mode, {"mmap", "copy"});
-  opts.integer("--serve", &serve, 0, 1000000, "reopens");
   opts.text("--shard-mb", &shard_mb, "mb|auto");
   opts.integer("--mem-limit-mb", &mem_limit_mb, 1,
                static_cast<long long>(internal::kMaxMemLimitMb), "mb");

@@ -164,9 +164,10 @@ class OptionSet {
   std::vector<Option> options_;
 };
 
-// Flags every driver shares, declared in one place. `repeats` is the trial
-// count; `json_metrics`, when non-empty, is where the driver writes its
-// versioned metrics document (telemetry.h).
+// Flags every driver shares, declared in one place. A driver opens its
+// input once and runs it `repeats` times; `json_metrics`, when non-empty,
+// is where it writes its versioned metrics document (telemetry.h). Many
+// queries over one open are the daemon's job (pasgal/server.h).
 struct CommonOptions {
   bool validate = false;
   long long repeats = 3;
@@ -175,11 +176,6 @@ struct CommonOptions {
   // file) or "copy" (heap-backed, full validation). Ignored for other
   // formats, which always copy.
   std::string load_mode = "mmap";
-  // Serving-mode harness: re-open + re-run the input this many extra times
-  // in one process. The first (cold) open of a mmap'ed .pgr is pinned in
-  // the GraphRegistry, so every warm re-open is a registry hit sharing the
-  // cold mapping (see apps/common.h ServeHarness).
-  long long serve = 0;
   // Shard-at-a-time execution for `.pgr` inputs: a window size in MiB, or
   // "auto" (shard only when the in-core footprint exceeds the memory
   // ceiling). Empty = in-core. Parsed into a PgrShardSpec by apps/common.h.

@@ -493,11 +493,11 @@ PgrShardSpec Server::admit(const std::string& path) {
     }
   };
 
-  if (opts_.shard_window_bytes != 0) {
+  if (opts_.shard.window_bytes != 0) {
     // Fixed server-wide window: every open is sharded and priced at its
     // windowed footprint (the whole file is mapped but not resident).
     PgrShardSpec spec;
-    spec.window_bytes = opts_.shard_window_bytes;
+    spec.window_bytes = opts_.shard.window_bytes;
     free_up(windowed_need(info, spec.window_bytes));
     return spec;
   }
@@ -507,7 +507,7 @@ PgrShardSpec Server::admit(const std::string& path) {
     // Compressed targets decode into a heap array on an in-core open.
     in_core += info.m * sizeof(VertexId);
   }
-  if (opts_.shard_auto) {
+  if (opts_.shard.auto_shard) {
     // Shard only when in-core admission is hopeless even with the whole
     // budget free: otherwise prefer the shared resident mapping.
     if (in_core > budget) {
@@ -527,7 +527,7 @@ PgrShardSpec Server::ensure_open(const std::string& path) {
   // retain() doubles as the residency probe: true means a live mapping
   // exists (and is now kept alive for future requests). With a fixed shard
   // window the registry is bypassed entirely — every query owns a window.
-  if (opts_.shard_window_bytes == 0 && reg.retain(path)) return {};
+  if (opts_.shard.window_bytes == 0 && reg.retain(path)) return {};
   PgrShardSpec spec = admit(path);
   if (spec.enabled()) return spec;  // the query opens its own window
   {
@@ -544,7 +544,7 @@ PgrShardSpec Server::ensure_open(const std::string& path) {
 
 std::string Server::do_open(const std::string& path, bool pin) {
   GraphRegistry& reg = GraphRegistry::instance();
-  bool warm = opts_.shard_window_bytes == 0 && reg.retain(path);
+  bool warm = opts_.shard.window_bytes == 0 && reg.retain(path);
   PgrShardSpec spec;
   if (!warm) {
     spec = admit(path);
@@ -628,7 +628,7 @@ std::string Server::do_update(const std::string& path,
                               const std::string& add_spec,
                               const std::string& del_spec,
                               std::uint64_t deadline_ms) {
-  if (opts_.shard_window_bytes != 0) {
+  if (opts_.shard.window_bytes != 0) {
     throw Error(ErrorCategory::kUsage,
                 "update: sharded serving mode (--shard-mb) serves immutable "
                 "per-query windows; updates need an in-core resident mapping",
@@ -647,7 +647,7 @@ std::string Server::do_update(const std::string& path,
   PgrShardSpec spec = ensure_open(path);
   if (spec.enabled()) {
     throw Error(ErrorCategory::kUsage,
-                "update: graph does not fit in core (shard_auto chose a "
+                "update: graph does not fit in core (auto sharding chose a "
                 "windowed open); raise the admission budget or compact",
                 path);
   }
@@ -704,7 +704,7 @@ std::string Server::do_update(const std::string& path,
 
 std::string Server::do_compact(const std::string& path,
                                std::uint64_t deadline_ms) {
-  if (opts_.shard_window_bytes != 0) {
+  if (opts_.shard.window_bytes != 0) {
     throw Error(ErrorCategory::kUsage,
                 "compact: sharded serving mode has no resident overlay to "
                 "fold",

@@ -1,10 +1,10 @@
 // pasgal_serve: a long-lived graph-query daemon on a unix socket.
 //
-// The serving arc (ROADMAP "serving mode") so far made single runs cheap to
-// repeat inside one process (GraphRegistry, --serve N). This is the missing
-// piece: a process that stays up, owns the worker pool, and answers queries
-// over a line-based protocol — which forces every robustness question the
-// one-shot drivers could ignore. The answers, in one place:
+// The GraphRegistry makes repeated opens of one graph cheap inside one
+// process; this is that process: it stays up, owns the worker pool, and
+// answers queries over a line-based protocol — which forces every
+// robustness question the one-shot drivers could ignore. The answers, in
+// one place:
 //
 //   * Admission control — an `open` is checked against a byte budget
 //     (ServerOptions::admission_budget_bytes, defaulting to a fraction of
@@ -23,10 +23,10 @@
 //     lets in-flight requests finish, and run() returns cleanly.
 //   * Fault injection — the pasgal/fault.h failpoints (mmap, decode, alloc,
 //     sock_write) make each of those paths executable on demand.
-//   * Sharded execution — with --shard-mb (ServerOptions::shard_window_bytes
-//     or shard_auto) queries open their graph through a bounded mmap window
-//     instead of a registry-resident mapping; admission prices the windowed
-//     footprint and the metrics JSON gains a "shard" section.
+//   * Sharded execution — with --shard-mb (ServerOptions::shard) queries
+//     open their graph through a bounded mmap window instead of a
+//     registry-resident mapping; admission prices the windowed footprint
+//     and the metrics JSON gains a "shard" section.
 //
 // Protocol: newline-terminated requests, exactly one newline-terminated
 // response per request.
@@ -116,14 +116,14 @@ struct ServerOptions {
   // Deadline applied to queries that don't pass deadline_ms=. 0 = none.
   std::uint64_t default_deadline_ms = 0;
 
-  // Shard-at-a-time query execution (--shard-mb). A non-zero window makes
-  // every query open its graph sharded through a bounded mmap window of this
-  // many bytes — such opens bypass the registry (each query owns its window)
-  // and admission prices the windowed footprint, not the file. shard_auto
-  // instead shards only graphs whose in-core footprint cannot fit the
-  // admission budget even after LRU eviction, using a budget/4 window.
-  std::uint64_t shard_window_bytes = 0;
-  bool shard_auto = false;
+  // Shard-at-a-time query execution (--shard-mb). A non-zero
+  // `window_bytes` makes every query open its graph sharded through a
+  // bounded mmap window of that many bytes — such opens bypass the registry
+  // (each query owns its window) and admission prices the windowed
+  // footprint, not the file. `auto_shard` instead shards only graphs whose
+  // in-core footprint cannot fit the admission budget even after LRU
+  // eviction, using a budget/4 window.
+  PgrShardSpec shard;
 
   // Poll tick for the accept and connection loops: the latency bound on
   // noticing request_stop() while idle.
@@ -193,7 +193,7 @@ class Server {
   // Admission check for a .pgr not currently resident; throws kResource
   // when the budget cannot be met even after LRU eviction. Returns the
   // shard spec this open must use: empty for in-core, a concrete window
-  // when the server shards (fixed shard_window_bytes, or the shard_auto
+  // when the server shards (a fixed shard.window_bytes, or the auto_shard
   // fallback for graphs that cannot fit in-core).
   PgrShardSpec admit(const std::string& path);
 

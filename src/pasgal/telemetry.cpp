@@ -683,12 +683,11 @@ const json::Value* require(const json::Value& obj, const char* key,
 }
 
 // Algorithm families a metrics document may describe: the catalog's
-// families plus the two graph tools. Unknown algo strings are schema errors:
-// downstream bench tooling keys tables off this set, and a typo'd family
-// silently dropping out of a report is worse than a failure.
+// families plus the graph_convert tool. Unknown algo strings are schema
+// errors: downstream bench tooling keys tables off this set, and a typo'd
+// family silently dropping out of a report is worse than a failure.
 bool known_algo(const std::string& algo) {
-  return is_algo_family(algo) || algo == "graph_gen" ||
-         algo == "graph_convert";
+  return is_algo_family(algo) || algo == "graph_convert";
 }
 
 Status validate_trial(const json::Value& trial, std::size_t index,
@@ -836,8 +835,9 @@ Status validate_metrics(const json::Value& doc) {
   if (workers->number < 1) return schema_fail("workers < 1");
 
   // Load / registry / serving-mode counters are optional params, but when
-  // present they must be well-formed non-negative numbers (drivers emit
-  // them via record_load and ServeHarness::record in apps/common.h).
+  // present they must be well-formed non-negative numbers (drivers emit the
+  // load ones via record_load in apps/common.h; the rest may come from
+  // documents written elsewhere).
   for (const char* key :
        {"registry_hits", "registry_misses", "registry_bytes_mapped",
         "warm_load_bytes_mapped", "serve_opens", "peak_rss_cold_bytes",

@@ -223,6 +223,37 @@ TEST(Delta, SnapshotScanMergesInAscendingOrder) {
   EXPECT_FALSE(d->flipped()->touches(0));
 }
 
+TEST(Delta, DegreeCountsEverySuppressedMultigraphCopy) {
+  // 0 -> {1, 1, 2}: deleting (0,1) suppresses both base copies, so degree
+  // must report what scan visits, on the flipped side too, and the folded
+  // graph must hold exactly the surviving edge.
+  Graph g = Graph::from_edges(3, std::vector<Edge>{{0, 1}, {0, 1}, {0, 2}});
+  Graph gt = g.transpose();
+  apply_updates(g, std::vector<EdgeUpdate>{{EdgeUpdate::Op::kDelete, 0, 1}});
+  auto visits = [](const Adjacency& adj, VertexId v) {
+    EdgeId n = 0;
+    adj.scan(v, [&](VertexId) { ++n; });
+    return n;
+  };
+  Adjacency out = g.adjacency();
+  EXPECT_EQ(visits(out, 0), 1u);
+  EXPECT_EQ(out.degree(0), 1u);
+  Adjacency in = gt.adjacency();
+  EXPECT_EQ(visits(in, 1), 0u);
+  EXPECT_EQ(in.degree(1), 0u);
+  EXPECT_EQ(in.degree(2), 1u);
+  Graph folded = materialize_effective(g);
+  EXPECT_EQ(folded.num_edges(), 1u);
+  EXPECT_EQ(std::vector<VertexId>(folded.neighbors(0).begin(),
+                                  folded.neighbors(0).end()),
+            std::vector<VertexId>{2});
+
+  // A second batch that leaves vertex 0 untouched keeps its count.
+  apply_updates(g, std::vector<EdgeUpdate>{{EdgeUpdate::Op::kInsert, 1, 2}});
+  EXPECT_EQ(g.adjacency().degree(0), 1u);
+  EXPECT_EQ(gt.adjacency().degree(1), 0u);
+}
+
 // --- update log (`.plog`) ----------------------------------------------------
 
 class DeltaLogTest : public ::testing::Test {

@@ -6,6 +6,8 @@
 #include <tuple>
 
 #include "algorithms/bfs/bfs.h"
+#include "algorithms/kcore/kcore.h"
+#include "algorithms/scc/scc.h"
 #include "algorithms/sssp/sssp.h"
 #include "graphs/generators.h"
 #include "parlay/parallel.h"
@@ -215,18 +217,25 @@ TEST(HashBagSalt, RepeatsDoTheSameWorkAtOneWorker) {
   Graph road = gen::road_grid(150, 150, 0.8, 4);
   Graph road_t = road.transpose();
   auto weighted = gen::add_weights(gen::road_grid(100, 100, 0.8, 3), 1000, 3);
+  Graph social = gen::rmat(12, 40000, 5);
+  Graph social_t = social.transpose();
+  Graph social_sym = social.symmetrize();
   using Totals = std::tuple<std::size_t, std::uint64_t, std::uint64_t>;
   auto totals = [](const RunTelemetry& t) {
     return Totals{t.rounds.size(), t.edges_scanned, t.vertices_visited};
   };
-  std::vector<Totals> bfs, sssp;
+  std::vector<Totals> bfs, sssp, scc, kcore;
   for (int rep = 0; rep < 3; ++rep) {
     bfs.push_back(totals(pasgal_bfs(road, road_t, {}).telemetry));
     sssp.push_back(totals(stepping_sssp(weighted, {}).telemetry));
+    scc.push_back(totals(pasgal_scc(social, social_t, {}).telemetry));
+    kcore.push_back(totals(pasgal_kcore(social_sym, {}).telemetry));
   }
   for (int rep = 1; rep < 3; ++rep) {
     EXPECT_EQ(bfs[rep], bfs[0]) << "pasgal_bfs repeat " << rep;
     EXPECT_EQ(sssp[rep], sssp[0]) << "stepping_sssp repeat " << rep;
+    EXPECT_EQ(scc[rep], scc[0]) << "pasgal_scc repeat " << rep;
+    EXPECT_EQ(kcore[rep], kcore[0]) << "pasgal_kcore repeat " << rep;
   }
 }
 

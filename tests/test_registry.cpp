@@ -1,7 +1,7 @@
 // Tests for the process-level GraphRegistry: canonical-identity keying,
 // one-mapping-per-file sharing, weak ownership (mappings die with their
 // last Graph unless pinned), pin/evict lifetime, and the counters the
-// serving-mode harness reports. Concurrency cases (two threads racing to
+// daemon's `stats` verb reports. Concurrency cases (two threads racing to
 // open the same file) run under the sanitizer preset via the registry_*
 // ctest pattern in bench/check.sh.
 #include <gtest/gtest.h>
@@ -186,6 +186,28 @@ TEST_F(RegistryTest, CopyModeBypassesTheRegistry) {
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
   EXPECT_EQ(stats.entries, 0u);
+}
+
+TEST_F(RegistryTest, CompressedWarmOpenSkipsDecode) {
+  // A v2 file's targets decode into a heap array on the cold mmap open; the
+  // buffer is memoized on the shared storage, so a warm open pays no decode
+  // and maps no new bytes.
+  std::string path = temp_path("compressed.pgr");
+  PgrWriteOptions wopts;
+  wopts.compress_targets = true;
+  write_pgr(gen::rectangle_grid(64, 64), path, wopts);
+  PgrOpenStats cold, warm;
+  Graph g1 = read_pgr(path, PgrOpen::kMmap, false, &cold);
+  std::uint64_t mapped = GraphRegistry::instance().stats().bytes_mapped;
+  Graph g2 = read_pgr(path, PgrOpen::kMmap, false, &warm);
+  EXPECT_EQ(g1.storage().get(), g2.storage().get());
+  EXPECT_TRUE(cold.compressed);
+  EXPECT_TRUE(warm.compressed);
+  EXPECT_GT(cold.decode_wall_ns, 0u);
+  EXPECT_EQ(warm.decode_wall_ns, 0u);
+  GraphRegistry::Stats stats = GraphRegistry::instance().stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.bytes_mapped, mapped);
 }
 
 TEST_F(RegistryTest, SharedMappingSharesTheTransposeCache) {
