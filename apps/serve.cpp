@@ -2,7 +2,7 @@
 // client in one binary, so scripts need no netcat.
 //
 // Daemon:
-//   serve --socket <path> [--budget-mb N] [--deadline-ms N] [--tick-ms N]
+//   serve --socket <path> [--budget-mb N] [--deadline-ms N]
 //         [--shard-mb <mb|auto>]
 //     Binds the unix socket, prints "serve: listening on <path>", serves
 //     until SIGTERM/SIGINT (or a `shutdown` request), drains in-flight
@@ -114,7 +114,6 @@ int main(int argc, char** argv) {
     std::string socket_path;
     long long budget_mb = 0;
     long long deadline_ms = 0;
-    long long tick_ms = 100;
     std::string shard_mb;
     bool client = false;
     std::vector<std::string> requests;
@@ -128,8 +127,6 @@ int main(int argc, char** argv) {
         budget_mb = cli::parse_flag_int(f, fp.value(), 1, 1LL << 40);
       } else if (f == "--deadline-ms") {
         deadline_ms = cli::parse_flag_int(f, fp.value(), 0, 1LL << 40);
-      } else if (f == "--tick-ms") {
-        tick_ms = cli::parse_flag_int(f, fp.value(), 1, 60000);
       } else if (f == "--shard-mb") {
         shard_mb = fp.value();
       } else if (f == "--client") {
@@ -143,7 +140,7 @@ int main(int argc, char** argv) {
     if (socket_path.empty()) {
       std::fprintf(stderr,
                    "usage: %s --socket <path> [--budget-mb N] "
-                   "[--deadline-ms N] [--tick-ms N] [--shard-mb <mb|auto>]\n"
+                   "[--deadline-ms N] [--shard-mb <mb|auto>]\n"
                    "       %s --socket <path> --client \"<request>\" ...\n",
                    argv[0], argv[0]);
       return 2;
@@ -168,7 +165,6 @@ int main(int argc, char** argv) {
     sopts.socket_path = socket_path;
     sopts.admission_budget_bytes = static_cast<std::uint64_t>(budget_mb) << 20;
     sopts.default_deadline_ms = static_cast<std::uint64_t>(deadline_ms);
-    sopts.poll_tick_ms = static_cast<int>(tick_ms);
     if (!shard_mb.empty()) {
       sopts.shard = apps::internal::parse_shard_mb(shard_mb);
     }

@@ -5,12 +5,12 @@
 // alongside a weighted file.
 //
 //   sssp <graph> [-s source | --sources <v0,v1,...|@file>]
-//        [-a rho|delta|bf|em|seq] [-w max_weight] [-d delta]
+//        [-a rho|delta|em|seq] [-w max_weight] [-d delta]
 //        [-t tau] [-r repeats] [--validate] [--json-metrics <path>]
 //
 // `--sources` switches to batched landmark mode: the stepping framework runs
 // once per listed source (max 64) under one shared tracer, and the metrics
-// document gains a "batch" section. Only the stepping variants batch; -a bf
+// document gains a "batch" section. Only the stepping variants batch; -a em
 // and -a seq are per-query baselines.
 //
 // Exit codes: 0 ok / 1 internal / 2 usage / 3 bad input / 4 resource.

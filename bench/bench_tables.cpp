@@ -33,7 +33,7 @@ struct FamilyView {
 const FamilyView kViews[] = {
     {"bfs", "BFS", "Table A4: ", {"PASGAL", "GBBS", "GAPBS", "Queue*"}, true},
     {"sssp", "SSSP", "",
-     {"rho-step", "delta-step", "BellmanFord", "EM-BF", "Dijkstra*"}, false},
+     {"rho-step", "delta-step", "BellmanFord", "Dijkstra*"}, false},
     {"scc", "SCC", "Table A3: ", {"PASGAL", "GBBS", "Multistep", "Tarjan*"},
      true},
     {"bcc", "BCC", "Table A2: ",

@@ -413,10 +413,13 @@ echo "--- paper tables gate (every catalog row against its oracle, full suite) -
 # Plain build. bench_tables runs each catalog row that takes one source or
 # none on every suite graph and checks it against its family's oracle
 # through answer_mismatch; a mismatch prints a MISMATCH line and exits 1.
+# Its wall time is printed so the gate's cost stays visible.
+t0=$(date +%s)
 PASGAL_BENCH_DIR="$tmp" "$prefix/bench/bench_tables" > "$tmp/tables.txt" || {
   echo "FAIL: bench_tables exited nonzero (mismatch or metrics write)" >&2
   exit 1
 }
+echo "bench_tables: $(( $(date +%s) - t0 )) s"
 "$prefix/apps/metrics_check" "$tmp/BENCH_tables.json"
 
 echo "--- QPS gate (batch-of-64 ms_bfs vs 64 sequential singles) ---"

@@ -189,113 +189,107 @@ using In = AlgoInput;
 using Src = AlgoSources;
 constexpr bool kServed = true;
 constexpr bool kDriverOnly = false;
+constexpr bool kInCore = true;
+constexpr bool kAnyStorage = false;
 
-// Columns: family, name, input, sources, served, guard {graph(s) kept in
-// core, in-core label}, run.
+// Columns: family, name, input, sources, served, in_core, run.
 const AlgoSpec kCatalog[] = {
-    {"bfs", "pasgal", In::kTranspose, Src::kOne, kServed,
-     {InCore::kBoth, "pasgal-bfs"},
+    {"bfs", "pasgal", In::kTranspose, Src::kOne, kServed, kInCore,
      [](A a, O o) {
        return single(pasgal_bfs(*a.g, *a.gt, o), a, bfs_summary);
      }},
-    {"bfs", "gbbs", In::kTranspose, Src::kOne, kServed, {},
+    {"bfs", "gbbs", In::kTranspose, Src::kOne, kServed, kAnyStorage,
      [](A a, O o) { return single(gbbs_bfs(*a.g, *a.gt, o), a, bfs_summary); }},
     // Both directions run through edge_map, so gapbs takes any storage.
-    {"bfs", "gapbs", In::kTranspose, Src::kOne, kDriverOnly, {},
+    {"bfs", "gapbs", In::kTranspose, Src::kOne, kDriverOnly, kAnyStorage,
      [](A a, O o) {
        return single(gapbs_bfs(*a.g, *a.gt, o), a, bfs_summary);
      }},
-    {"bfs", "seq", In::kGraph, Src::kOne, kDriverOnly,
-     {InCore::kGraph, "seq-bfs"},
+    {"bfs", "seq", In::kGraph, Src::kOne, kDriverOnly, kInCore,
      [](A a, O o) { return single(seq_bfs(*a.g, o), a, bfs_summary); }},
-    {"bfs", "ms", In::kTranspose, Src::kBatch, kServed,
-     {InCore::kGraph, "ms-bfs"},
+    {"bfs", "ms", In::kTranspose, Src::kBatch, kServed, kInCore,
      [](A a, O o) {
        return batch(ms_bfs(*a.g, *a.gt, batch_options(a, o)), a, bfs_summary);
      }},
 
-    {"sssp", "rho", In::kWeighted, Src::kOneOrBatch, kServed,
-     {InCore::kGraph, "stepping SSSP (use -a em for sharded runs)"},
+    {"sssp", "rho", In::kWeighted, Src::kOneOrBatch, kServed, kInCore,
      [](A a, O o) { return stepping(a, o, /*delta_mode=*/false); }},
-    {"sssp", "delta", In::kWeighted, Src::kOneOrBatch, kServed,
-     {InCore::kGraph, "stepping SSSP (use -a em for sharded runs)"},
+    {"sssp", "delta", In::kWeighted, Src::kOneOrBatch, kServed, kInCore,
      [](A a, O o) { return stepping(a, o, /*delta_mode=*/true); }},
-    {"sssp", "bf", In::kWeighted, Src::kOne, kDriverOnly,
-     {InCore::kGraph, "bellman-ford (use -a em for sharded runs)"},
-     [](A a, O o) { return single(bellman_ford(*a.wg, o), a, sssp_line); }},
-    {"sssp", "em", In::kWeighted, Src::kOne, kServed, {},
+    {"sssp", "em", In::kWeighted, Src::kOne, kServed, kAnyStorage,
      [](A a, O o) {
        return single(em_bellman_ford(*a.wg, o), a, sssp_line);
      }},
-    {"sssp", "seq", In::kWeighted, Src::kOne, kDriverOnly,
-     {InCore::kGraph, "dijkstra"},
+    {"sssp", "seq", In::kWeighted, Src::kOne, kDriverOnly, kInCore,
      [](A a, O o) { return single(dijkstra(*a.wg, o), a, sssp_line); }},
 
-    {"scc", "pasgal", In::kTranspose, Src::kNone, kDriverOnly,
-     {InCore::kBoth, "pasgal-scc"},
+    {"scc", "pasgal", In::kTranspose, Src::kNone, kDriverOnly, kInCore,
      [](A a, O o) { return single(pasgal_scc(*a.g, *a.gt, o), a, scc_line); }},
-    {"scc", "gbbs", In::kTranspose, Src::kNone, kDriverOnly,
-     {InCore::kBoth, "gbbs-scc"},
+    {"scc", "gbbs", In::kTranspose, Src::kNone, kDriverOnly, kInCore,
      [](A a, O o) { return single(gbbs_scc(*a.g, *a.gt, o), a, scc_line); }},
-    {"scc", "multistep", In::kTranspose, Src::kNone, kDriverOnly,
-     {InCore::kBoth, "multistep-scc"},
+    {"scc", "multistep", In::kTranspose, Src::kNone, kDriverOnly, kInCore,
      [](A a, O o) {
        return single(multistep_scc(*a.g, *a.gt, o), a, scc_line);
      }},
-    {"scc", "seq", In::kGraph, Src::kNone, kDriverOnly,
-     {InCore::kGraph, "tarjan-scc"},
+    {"scc", "seq", In::kGraph, Src::kNone, kDriverOnly, kInCore,
      [](A a, O o) { return single(tarjan_scc(*a.g, o), a, scc_line); }},
 
-    {"bcc", "pasgal", In::kSymmetric, Src::kNone, kDriverOnly,
-     {InCore::kGraph, "fast-bcc"},
+    {"bcc", "pasgal", In::kSymmetric, Src::kNone, kDriverOnly, kInCore,
      [](A a, O o) { return bcc(fast_bcc(*a.g, o), a); }},
-    {"bcc", "gbbs", In::kSymmetric, Src::kNone, kDriverOnly,
-     {InCore::kGraph, "gbbs-bcc"},
+    {"bcc", "gbbs", In::kSymmetric, Src::kNone, kDriverOnly, kInCore,
      [](A a, O o) { return bcc(gbbs_bcc(*a.g, o), a); }},
-    {"bcc", "tv", In::kSymmetric, Src::kNone, kDriverOnly,
-     {InCore::kGraph, "tarjan-vishkin-bcc"},
+    {"bcc", "tv", In::kSymmetric, Src::kNone, kDriverOnly, kInCore,
      [](A a, O o) { return bcc(tarjan_vishkin_bcc(*a.g, o), a); }},
-    {"bcc", "seq", In::kSymmetric, Src::kNone, kDriverOnly,
-     {InCore::kGraph, "hopcroft-tarjan-bcc"},
+    {"bcc", "seq", In::kSymmetric, Src::kNone, kDriverOnly, kInCore,
      [](A a, O o) { return bcc(hopcroft_tarjan_bcc(*a.g, o), a); }},
 
-    {"cc", "uf", In::kSymmetric, Src::kNone, kServed,
-     {InCore::kGraph, "connected-components"},
+    {"cc", "uf", In::kSymmetric, Src::kNone, kServed, kInCore,
      [](A a, O o) {
        return single(connected_components(*a.g, o), a,
                      [](const ConnectivityResult& c) {
                        return cc_summary(c.label);
                      });
      }},
-    {"cc", "lp", In::kSymmetric, Src::kNone, kServed,
-     {InCore::kGraph, "label-prop-cc"},
+    {"cc", "lp", In::kSymmetric, Src::kNone, kServed, kInCore,
      [](A a, O o) { return single(label_prop_cc(*a.g, o), a, cc_summary); }},
-    {"cc", "ldd", In::kSymmetric, Src::kNone, kServed,
-     {InCore::kGraph, "ldd-cc"},
+    {"cc", "ldd", In::kSymmetric, Src::kNone, kServed, kInCore,
      [](A a, O o) { return single(ldd_cc(*a.g, o), a, cc_summary); }},
 
-    {"kcore", "pasgal", In::kSymmetric, Src::kNone, kServed,
-     {InCore::kGraph, "pasgal-kcore"},
+    {"kcore", "pasgal", In::kSymmetric, Src::kNone, kServed, kInCore,
      [](A a, O o) { return single(pasgal_kcore(*a.g, o), a, kcore_line); }},
-    {"kcore", "seq", In::kSymmetric, Src::kNone, kServed,
-     {InCore::kGraph, "seq-kcore"},
+    {"kcore", "seq", In::kSymmetric, Src::kNone, kServed, kInCore,
      [](A a, O o) { return single(seq_kcore(*a.g, o), a, kcore_line); }},
 
     // The pasgal pull runs shard-at-a-time through gt's window (out-degrees
-    // come from g's always-resident offsets), so it has no in-core guard.
-    {"pagerank", "pasgal", In::kTranspose, Src::kNone, kServed, {},
+    // come from g's always-resident offsets), so it takes any storage.
+    {"pagerank", "pasgal", In::kTranspose, Src::kNone, kServed, kAnyStorage,
      [](A a, O o) { return pagerank(pasgal_pagerank(*a.g, *a.gt, o), a); }},
-    {"pagerank", "seq", In::kTranspose, Src::kNone, kServed,
-     {InCore::kTranspose, "seq-pagerank (use -a pasgal for sharded runs)"},
+    {"pagerank", "seq", In::kTranspose, Src::kNone, kServed, kInCore,
      [](A a, O o) { return pagerank(seq_pagerank(*a.g, *a.gt, o), a); }},
 
-    {"tc", "pasgal", In::kSymmetric, Src::kNone, kServed,
-     {InCore::kGraph, "pasgal-tc"},
+    {"tc", "pasgal", In::kSymmetric, Src::kNone, kServed, kInCore,
      [](A a, O o) { return tc(pasgal_tc(*a.g, o), a); }},
-    {"tc", "seq", In::kSymmetric, Src::kNone, kServed,
-     {InCore::kGraph, "seq-tc"},
+    {"tc", "seq", In::kSymmetric, Src::kNone, kServed, kInCore,
      [](A a, O o) { return tc(seq_tc(*a.g, o), a); }},
 };
+
+// "family/name", as refusals name a row.
+std::string row_label(const AlgoSpec& row) {
+  return std::string(row.family) + "/" + row.name;
+}
+
+// The rows of `row`'s family that run on a sharded open, as "-a x or -a y";
+// "" when none does. kSymmetric rows never do: symmetrize() reads every edge.
+std::string sharded_choices(const AlgoSpec& row) {
+  std::string choices;
+  for (const AlgoSpec& r : kCatalog) {
+    if (r.family == std::string_view(row.family) && !r.in_core &&
+        r.input != AlgoInput::kSymmetric) {
+      choices += (choices.empty() ? "-a " : " or -a ") + std::string(r.name);
+    }
+  }
+  return choices;
+}
 
 }  // namespace
 
@@ -409,22 +403,17 @@ void check_batch_sources(std::span<const VertexId> sources, std::size_t n) {
   }
 }
 
-void admit(const Guard& guard, const Graph& g, const Graph* gt) {
+void admit(const AlgoSpec& row, const Graph& g, const Graph* gt) {
   g.ensure_validated();
   if (gt != nullptr) gt->ensure_validated();
-  if (guard.in_core == InCore::kGraph || guard.in_core == InCore::kBoth) {
-    g.ensure_in_core(guard.in_core_what);
+  for (const Graph* x : {&g, gt}) {
+    if (row.in_core && x != nullptr && !x->in_core()) {
+      x->ensure_in_core(row_label(row), sharded_choices(row));
+    }
   }
-  if (guard.in_core == InCore::kTranspose || guard.in_core == InCore::kBoth) {
-    gt->ensure_in_core(guard.in_core_what);
-  }
-}
-
-void admit(const AlgoSpec& row, const Graph& g, const Graph* gt) {
-  admit(row.guard, g, gt);
   if (row.input == AlgoInput::kSymmetric && g.has_delta()) {
     throw Error(ErrorCategory::kUsage,
-                std::string(row.guard.in_core_what) +
+                row_label(row) +
                     " needs a symmetric graph, and this one has a pending "
                     "update overlay; compact it or pass its symmetrize()",
                 g.storage()->source_path());

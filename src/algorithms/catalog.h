@@ -2,12 +2,13 @@
 // the drivers (apps/) and the pasgal_serve daemon expose.
 //
 // A row says what the variant is called, what input it runs on, whether it
-// takes a source vertex or a source batch, whether the daemon serves it, the
-// in-core guard its entry point checks (admit), and a type-erased `run`
-// returning what a driver prints and a metrics document records. Everything
-// that used to spell the variant list out reads it from here instead: the
-// drivers' `-a` choices and defaults, the daemon's algo= vocabulary and
-// defaults, and the metrics schema's family whitelist.
+// takes a source vertex or a source batch, whether the daemon serves it,
+// whether it reads whole-graph adjacency (so a sharded open refuses it; see
+// admit), and a type-erased `run` returning what a driver prints and a
+// metrics document records. Everything that used to spell the variant list
+// out reads it from here instead: the drivers' `-a` choices and defaults, the
+// daemon's algo= vocabulary and defaults, the metrics schema's family
+// whitelist, and the rows a sharded refusal suggests instead.
 //
 // Row order is behaviour: the first row of a family is its default, and
 // every "expected a|b|c" list prints the family's names in table order.
@@ -47,17 +48,6 @@ enum class AlgoSources : std::uint8_t {
   kOne,         // one source (AlgoOptions::source)
   kOneOrBatch,  // one source, or a batch (AlgoArgs::sources)
   kBatch,       // a batch only
-};
-
-// Which prepared graph must be open in core (Graph::ensure_in_core).
-enum class InCore : std::uint8_t { kNone, kGraph, kTranspose, kBoth };
-
-// A variant's storage policy, checked by admit() before every run. Overlays
-// need no column: kernels read Graph::adjacency() (see admit).
-struct Guard {
-  InCore in_core = InCore::kNone;
-  // Names the variant in the in-core and overlay errors.
-  const char* in_core_what = nullptr;
 };
 
 // The prepared input of one run. Which graph pointers are set follows the
@@ -103,8 +93,8 @@ struct AlgoSpec {
   const char* name;
   AlgoInput input;
   AlgoSources sources;
-  bool served;  // the daemon answers this variant
-  Guard guard;
+  bool served;   // the daemon answers this variant
+  bool in_core;  // reads whole-graph adjacency: sharded opens refuse it
   AlgoRun (*run)(const AlgoArgs& args, const AlgoOptions& opt);
 
   bool takes_one() const {
@@ -164,15 +154,14 @@ std::vector<std::string> algo_names(std::string_view family);
 // True when `family` has a catalog row (the metrics schema's whitelist).
 bool is_algo_family(std::string_view family);
 
-// Lazily validates the graphs (see Graph::ensure_validated), then applies the
-// guard's in-core checks (g before gt). Every failure is a typed kUsage Error
-// naming the variant.
-void admit(const Guard& guard, const Graph& g, const Graph* gt = nullptr);
-
-// admit(row.guard, ...), plus the one overlay refusal, derived from the row's
-// input: a kSymmetric kernel needs every edge in both directions (bcc labels
-// edges by id), so it refuses an overlaid g. Through the catalog it gets
-// symmetrize(), which folds the overlay into a fresh graph.
+// Every entry point's storage check. Lazily validates the graphs (see
+// Graph::ensure_validated); an in_core row then refuses a sharded g or gt,
+// naming the row as family/name and suggesting the family's rows that do run
+// sharded. The one overlay refusal is derived from the row's input: a
+// kSymmetric kernel needs every edge in both directions (bcc labels edges by
+// id), so it refuses an overlaid g. Through the catalog it gets symmetrize(),
+// which folds the overlay into a fresh graph. Every failure is a typed kUsage
+// Error. Overlays need no column: kernels read Graph::adjacency().
 void admit(const AlgoSpec& row, const Graph& g, const Graph* gt = nullptr);
 
 // Result lines shared with the drivers' incremental --updates modes.

@@ -7,18 +7,20 @@
 
 namespace pasgal {
 
-// Frontier-synchronous Bellman-Ford routed through edge_map_sparse: the same
-// label-correcting recurrence as bellman_ford, but every edge scan goes
-// through the edge_map choke point, so sharded (.pgr windowed) opens traverse
-// shard-at-a-time with bounded residency. The weight is looked up by the
-// edge's *global* id (the 3-arg update form) — weights stay a whole-file
-// span even when targets are windowed, since only the targets section is
-// compressed/windowed. Push-only: SSSP loads carry no transpose, and the
-// min-relaxation has no early-exit pull formulation anyway.
+// Frontier-synchronous Bellman-Ford routed through edge_map_sparse: each
+// round relaxes every out-edge of the vertices improved in the previous one
+// (one global synchronization per round, up to O(n) rounds on weighted paths
+// — the round-count pathology the stepping framework avoids). Every edge
+// scan goes through the edge_map choke point, so sharded (.pgr windowed)
+// opens traverse shard-at-a-time with bounded residency. The weight is
+// looked up by the edge's *global* id (the 3-arg update form) — weights stay
+// a whole-file span even when targets are windowed, since only the targets
+// section is compressed/windowed. Push-only: SSSP loads carry no transpose,
+// and the min-relaxation has no early-exit pull formulation anyway.
 //
-// Distances converge to the same fixpoint as the baselines (relaxations are
+// Distances converge to the same fixpoint as dijkstra (relaxations are
 // monotone write_mins; rounds repeat until no distance improves), so outputs
-// are byte-identical to bellman_ford/dijkstra on the same graph.
+// are byte-identical to it on the same graph.
 RunReport<std::vector<Dist>> em_bellman_ford(
     const WeightedGraph<std::uint32_t>& g, const AlgoOptions& opt) {
   admit(algo_spec("sssp", "em"), g.unweighted());

@@ -10,7 +10,7 @@
 // relaxations are safe.
 //
 // Baselines: sequential Dijkstra (binary heap) and round-synchronous
-// frontier Bellman-Ford (the O(D)-rounds baseline).
+// frontier Bellman-Ford through edge_map (the O(D)-rounds baseline).
 //
 // Edge weights are uint32; distances are uint64 (kInfWeightDist if
 // unreachable).
@@ -44,11 +44,9 @@ Status check_sssp_preconditions(const WeightedGraph<std::uint32_t>& g,
 // Source, knobs and tracer come from AlgoOptions.
 RunReport<std::vector<Dist>> dijkstra(const WeightedGraph<std::uint32_t>& g,
                                       const AlgoOptions& opt);
-RunReport<std::vector<Dist>> bellman_ford(const WeightedGraph<std::uint32_t>& g,
-                                          const AlgoOptions& opt);
 
-// Bellman-Ford through the edge_map choke point (`-a em`): same recurrence
-// and same final distances as bellman_ford, but every edge scan goes through
+// Frontier-synchronous Bellman-Ford (`-a em`): each round relaxes every
+// out-edge of the vertices improved in the previous round, through
 // edge_map_sparse, so sharded (.pgr --shard-mb) opens traverse shard-at-a-
 // time with bounded residency. Push-only; needs no transpose. Checks
 // opt.cancel at every round boundary.

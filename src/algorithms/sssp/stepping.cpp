@@ -168,8 +168,8 @@ RunReport<std::vector<Dist>> stepping_sssp(
 
 BatchReport<std::vector<Dist>> batch_sssp(const WeightedGraph<std::uint32_t>& g,
                                           const BatchOptions& opt) {
-  // Not a catalog row of its own: the rho/delta rows run it for a batch.
-  admit({InCore::kGraph, "batched SSSP"}, g.unweighted());
+  // Not a catalog row of its own: the rho/delta rows run it for a batch, and
+  // each stepping_sssp run admits the graph as its row.
   check_batch_sources(opt.sources, g.num_vertices());
   auto run = run_traced(opt.algo, [&](Tracer* stats) {
     AlgoOptions one = opt.algo;

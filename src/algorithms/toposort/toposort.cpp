@@ -3,7 +3,6 @@
 #include <atomic>
 #include <queue>
 
-#include "algorithms/catalog.h"
 #include "parlay/sort.h"
 #include "pasgal/hashbag.h"
 
@@ -22,7 +21,8 @@ Status cycle_status(std::size_t unfinished, std::size_t n) {
 
 RunReport<std::vector<std::uint32_t>> seq_toposort(const Graph& g,
                                                    const AlgoOptions& opt) {
-  admit({InCore::kGraph, "seq-toposort"}, g);
+  g.ensure_validated();
+  g.ensure_in_core("seq-toposort");
   return run_traced(opt, [&](Tracer* stats) {
     std::size_t n = g.num_vertices();
     Graph gt = g.transpose();
@@ -59,7 +59,8 @@ RunReport<std::vector<std::uint32_t>> seq_toposort(const Graph& g,
 // predecessors have contributed their level, so level[v] is final.
 RunReport<std::vector<std::uint32_t>> pasgal_toposort(const Graph& g,
                                                       const AlgoOptions& opt) {
-  admit({InCore::kGraph, "pasgal-toposort"}, g);
+  g.ensure_validated();
+  g.ensure_in_core("pasgal-toposort");
   return run_traced(opt, [&](Tracer* stats) {
     std::size_t n = g.num_vertices();
     Graph gt = g.transpose();

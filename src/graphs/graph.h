@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -135,23 +137,29 @@ class Graph {
   // held by the view. Take one per traversal (graphs/delta.h).
   Adjacency adjacency() const;
 
-  // Typed guard for algorithms that random-access the adjacency arrays.
-  // Rejects BOTH sharded modes: windowed (compressed) opens have no
-  // whole-graph targets at all, and raw sharded opens keep full spans but
-  // only the active shard is hinted resident — a kernel walking raw targets
-  // would silently fault the whole section past the MappedWindow, defeating
+  // Whether kernels may random-access the adjacency arrays. False for BOTH
+  // sharded modes: windowed (compressed) opens have no whole-graph targets at
+  // all, and raw sharded opens keep full spans but only the active shard is
+  // hinted resident — a kernel walking raw targets would silently fault the
+  // whole section past the MappedWindow, defeating
   // check_windowed_footprint's pricing.
-  void ensure_in_core(const char* what) const {
-    if (storage_ == nullptr ||
-        (!storage_->windowed() && storage_->shard_window() == nullptr)) {
-      return;
-    }
-    throw Error(ErrorCategory::kUsage,
-                std::string(what) +
-                    " needs whole-graph adjacency access, but this graph is "
-                    "open in windowed (sharded) mode; reopen without "
-                    "--shard-mb or use an edge_map-based variant",
-                storage_->source_path());
+  bool in_core() const {
+    return storage_ == nullptr ||
+           (!storage_->windowed() && storage_->shard_window() == nullptr);
+  }
+
+  // Typed guard for code that random-accesses the adjacency arrays: a kUsage
+  // Error naming `what` unless in_core(). `instead`, if not empty, names what
+  // does run on a sharded open.
+  void ensure_in_core(std::string_view what,
+                      std::string_view instead = {}) const {
+    if (in_core()) return;
+    std::string msg = std::string(what) +
+                      " needs whole-graph adjacency access, but this graph "
+                      "is open in windowed (sharded) mode; reopen without "
+                      "--shard-mb";
+    if (!instead.empty()) msg += " or use " + std::string(instead);
+    throw Error(ErrorCategory::kUsage, msg, storage_->source_path());
   }
 
   // Builds a CSR from an edge list (duplicates preserved unless dedup=true;

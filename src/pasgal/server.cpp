@@ -294,7 +294,7 @@ void Server::run() {
 void Server::accept_loop() {
   while (!stopping_.load(std::memory_order_acquire)) {
     pollfd pfd[2] = {{listen_fd_, POLLIN, 0}, {stop_pipe_[0], POLLIN, 0}};
-    int rc = ::poll(pfd, 2, opts_.poll_tick_ms);
+    int rc = ::poll(pfd, 2, -1);
     if (rc < 0) {
       if (errno == EINTR) continue;
       return;  // poll on our own fds failing is unrecoverable; drain
@@ -329,7 +329,7 @@ void Server::handle_connection(int fd) {
       break;
     }
     pollfd pfd[2] = {{fd, POLLIN, 0}, {stop_pipe_[0], POLLIN, 0}};
-    int rc = ::poll(pfd, 2, opts_.poll_tick_ms);
+    int rc = ::poll(pfd, 2, -1);
     if (rc < 0) {
       if (errno == EINTR) continue;
       break;

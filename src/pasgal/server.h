@@ -124,10 +124,6 @@ struct ServerOptions {
   // in-core footprint cannot fit the admission budget even after LRU
   // eviction, using a budget/4 window.
   PgrShardSpec shard;
-
-  // Poll tick for the accept and connection loops: the latency bound on
-  // noticing request_stop() while idle.
-  int poll_tick_ms = 100;
 };
 
 class Server {

@@ -834,14 +834,11 @@ Status validate_metrics(const json::Value& doc) {
   if (!st.ok()) return st;
   if (workers->number < 1) return schema_fail("workers < 1");
 
-  // Load / registry / serving-mode counters are optional params, but when
-  // present they must be well-formed non-negative numbers (drivers emit the
-  // load ones via record_load in apps/common.h; the rest may come from
-  // documents written elsewhere).
+  // Load counters are optional params, but when present they must be
+  // well-formed non-negative numbers (drivers emit them via record_load in
+  // apps/common.h).
   for (const char* key :
-       {"registry_hits", "registry_misses", "registry_bytes_mapped",
-        "warm_load_bytes_mapped", "serve_opens", "peak_rss_cold_bytes",
-        "load_bytes_mapped", "load_wall_ns", "peak_rss_bytes",
+       {"load_bytes_mapped", "load_wall_ns", "peak_rss_bytes",
         "encoded_bytes", "compression_ratio", "decode_wall_ns"}) {
     if (const json::Value* v = params->find(key)) {
       if (!v->is_number() || v->number < 0) {
@@ -862,22 +859,6 @@ Status validate_metrics(const json::Value& doc) {
       return schema_fail(
           "params.encoded_bytes / compression_ratio / decode_wall_ns travel "
           "together");
-    }
-  }
-  const json::Value* reg_hits = params->find("registry_hits");
-  const json::Value* reg_misses = params->find("registry_misses");
-  if ((reg_hits == nullptr) != (reg_misses == nullptr)) {
-    return schema_fail(
-        "params.registry_hits and params.registry_misses travel together");
-  }
-  if (const json::Value* serve_opens = params->find("serve_opens")) {
-    if (serve_opens->number < 1) return schema_fail("params.serve_opens < 1");
-    // Every .pgr open counts exactly one hit or miss; non-.pgr opens count
-    // neither — so hit + miss never exceeds the open count.
-    if (reg_hits != nullptr &&
-        reg_hits->number + reg_misses->number > serve_opens->number) {
-      return schema_fail(
-          "params: registry_hits + registry_misses > serve_opens");
     }
   }
 

@@ -6,19 +6,22 @@
 // duplicate-free (hash-bag extractions are multisets, so sparse()
 // deduplicates; size() and out_degree_sum() count each member once in
 // either representation). Frontiers
-// coming out of edge_map are nearly sorted already (they are filters over
-// per-vertex sorted runs), so the is_sorted guard below makes maintaining
-// the invariant close to free while `contains` gets to binary-search
+// coming out of edge_map are often sorted already (filters over per-vertex
+// sorted runs), so the is_sorted guard below makes maintaining the invariant
+// close to free for them; the rest (label-correcting rounds, hash-bag
+// extractions) take a parallel sort. `contains` gets to binary-search
 // instead of scanning the whole frontier.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "graphs/graph.h"
 #include "parlay/primitives.h"
+#include "parlay/sort.h"
 
 namespace pasgal {
 
@@ -29,7 +32,7 @@ class VertexSubset {
     s.n_ = n;
     s.sparse_ = std::move(vertices);
     if (!std::is_sorted(s.sparse_.begin(), s.sparse_.end())) {
-      std::sort(s.sparse_.begin(), s.sparse_.end());
+      sort_inplace(std::span<VertexId>(s.sparse_));
     }
     // The list is sorted, so one compare on the maximum validates every id.
     // Out-of-universe members would otherwise ride the sorted invariant into

@@ -10,9 +10,9 @@
 //    both checked against the oracle on an independent from_edges rebuild.
 //  * Workers: 1/2/4/8, rotated over (case, backend) so every backend meets
 //    every count across the case list.
-// Whether a row must refuse a backend is derived from its guard and input
-// (must_refuse); a refusal must be a typed kUsage error. Work counters are
-// not compared: hash-bag users' counters still vary between repeats.
+// Whether a row must refuse a backend is derived from its in_core bit and
+// input (must_refuse); a refusal must be a typed kUsage error. Work counters
+// are not compared: hash-bag users' counters still vary between repeats.
 // A failure names its case, e.g. "rmat_10_6000_3 seed=7 backend=overlay
 // workers=2 row=bfs/gapbs"; --gtest_filter='*/rmat_10_6000_3' reruns it.
 #include <gtest/gtest.h>
@@ -152,14 +152,13 @@ int workers_for(const Case& c, std::size_t backend) {
 }
 
 // Whether `row` must refuse `b`, from the row's fields alone:
-//  * sharded opens fail every in-core guard (ensure_in_core), and the
+//  * sharded opens refuse every in_core row (Graph::ensure_in_core), and the
 //    symmetrize() a kSymmetric input needs reads the whole edge set;
 //  * apply_updates refuses weighted graphs, so no overlay reaches a
 //    kWeighted row.
 bool must_refuse(const AlgoSpec& row, const Backend& b) {
   if (b.sharded) {
-    return row.guard.in_core != InCore::kNone ||
-           row.input == AlgoInput::kSymmetric;
+    return row.in_core || row.input == AlgoInput::kSymmetric;
   }
   return b.overlaid() && row.input == AlgoInput::kWeighted;
 }
@@ -291,7 +290,7 @@ void check_row(const AlgoSpec& row, const Backend& b, const Opened& o,
     return;
   }
   if (refuse) {
-    ADD_FAILURE() << what << ": ran, but its guard/input refuse this backend";
+    ADD_FAILURE() << what << ": ran, but its in_core/input refuse this backend";
     return;
   }
   EXPECT_EQ(answer_mismatch(row.family, oracle.want(row.family, !batch.empty()),

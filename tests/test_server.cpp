@@ -66,7 +66,6 @@ class ServerTest : public ::testing::Test {
 
   void start_server(ServerOptions opts = {}) {
     if (opts.socket_path.empty()) opts.socket_path = temp_path("serve.sock");
-    opts.poll_tick_ms = 20;  // fast drain in tests
     server_ = std::make_unique<Server>(opts);
     server_->bind();
     server_thread_ = std::thread([this] { server_->run(); });

@@ -1,5 +1,6 @@
 // SSSP correctness: stepping (rho/delta, with and without VGC) and
-// Bellman-Ford must match Dijkstra exactly on weighted graph families.
+// Bellman-Ford (em_bellman_ford) must match Dijkstra exactly on weighted
+// graph families.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -42,7 +43,7 @@ INSTANTIATE_TEST_SUITE_P(Workers, SsspTest, ::testing::Values(1, 4));
 TEST_P(SsspTest, BellmanFordMatchesDijkstra) {
   for (const auto& [name, g] : sssp_graphs()) {
     for (VertexId src : {VertexId{0}, static_cast<VertexId>(g.num_vertices() / 2)}) {
-      EXPECT_EQ(bellman_ford(g, {.source = src}).output,
+      EXPECT_EQ(em_bellman_ford(g, {.source = src}).output,
                 dijkstra(g, {.source = src}).output)
           << name << " src=" << src;
     }
@@ -135,8 +136,9 @@ TEST_P(SsspTest, WeightedShorterThanFewerHops) {
       {0, 1, 1}, {1, 2, 1}, {0, 2, 5}};
   auto g = WGraph::from_edges(3, edges);
   AlgoOptions delta{.source = 0, .sssp_delta_mode = true, .sssp_delta = 4};
-  for (auto d : {dijkstra(g, {}).output, stepping_sssp(g, {}).output,
-                 bellman_ford(g, {}).output, stepping_sssp(g, delta).output}) {
+  for (auto d :
+       {dijkstra(g, {}).output, stepping_sssp(g, {}).output,
+        em_bellman_ford(g, {}).output, stepping_sssp(g, delta).output}) {
     EXPECT_EQ(d[2], 2u);
   }
 }
@@ -145,7 +147,7 @@ TEST(SsspRounds, SteppingBeatsBellmanFordRoundsOnChain) {
   Scheduler::reset(1);
   auto g = gen::add_weights(gen::chain(3000), 10, 17);
   Tracer bf_stats, step_stats;
-  auto a = bellman_ford(g, {.source = 0, .tracer = &bf_stats}).output;
+  auto a = em_bellman_ford(g, {.source = 0, .tracer = &bf_stats}).output;
   auto b = stepping_sssp(g, {.source = 0, .tracer = &step_stats}).output;
   EXPECT_EQ(a, b);
   EXPECT_GT(bf_stats.rounds(), 2000u);

@@ -108,6 +108,25 @@ TEST(VertexSubset, SparseDeduplicatesSortedInput) {
   EXPECT_EQ(s.sparse_vertices(), (std::vector<VertexId>{1, 2, 3}));
 }
 
+TEST(VertexSubset, SparseSortsLongMultisetInParallel) {
+  // A label-correcting round's frontier: unsorted, full of duplicates, and
+  // past kSortBase, so sparse() takes the parallel merge sort.
+  Scheduler::reset(4);
+  constexpr std::size_t kUniverse = 50000;
+  std::vector<VertexId> input;
+  for (std::size_t i = 0; i < 4 * kUniverse; ++i) {
+    input.push_back(static_cast<VertexId>((i * 7919) % kUniverse / 3 * 3));
+  }
+  ASSERT_GT(input.size(), internal::kSortBase);
+  std::vector<VertexId> want = input;
+  std::sort(want.begin(), want.end());
+  want.erase(std::unique(want.begin(), want.end()), want.end());
+  auto s = VertexSubset::sparse(kUniverse, std::move(input));
+  EXPECT_EQ(s.sparse_vertices(), want);
+  EXPECT_EQ(s.size(), want.size());
+  Scheduler::reset(1);
+}
+
 TEST(VertexSubset, DuplicateHeavyFrontierSameSizeInBothRepresentations) {
   std::vector<VertexId> dups;
   for (int round = 0; round < 4; ++round) {
