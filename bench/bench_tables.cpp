@@ -75,7 +75,7 @@ const char* skip_reason(const AlgoSpec& row, const GraphSpec& spec) {
   return nullptr;
 }
 
-// SSSP's generated weights and delta-stepping's bucket width.
+// SSSP's generated weights and delta-stepping's step width.
 constexpr std::uint32_t kMaxWeight = 1000;
 constexpr std::uint64_t kWeightSeed = 42;
 constexpr std::uint64_t kSsspDelta = 256;

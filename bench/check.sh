@@ -479,6 +479,22 @@ rounds=$(sed -n 's/.*| rounds \([0-9]*\) |.*/\1/p' "$tmp/work_road.txt")
   exit 1
 }
 
+echo "--- SSSP work gate (stepping_sssp on the same pending pool; bounded work on roads) ---"
+# rho-stepping on road:700:700 with weights 1..100 at 1 worker, over the
+# pending pool keyed by absolute distance: ~51 rounds and ~8.1m edges. The
+# 34 relative-gap buckets it replaced took 1,289 rounds and 27m edges.
+PASGAL_NUM_THREADS=1 "$prefix/apps/sssp" road:700:700 -a rho -w 100 -r 1 \
+    > "$tmp/work_sssp.txt"
+m=$(sed -n 's/^graph: .* m=\([0-9]*\).*/\1/p' "$tmp/work_sssp.txt")
+edges=$(sed -n 's/.*| edges scanned \([0-9]*\) |.*/\1/p' "$tmp/work_sssp.txt")
+rounds=$(sed -n 's/.*| rounds \([0-9]*\) |.*/\1/p' "$tmp/work_sssp.txt")
+[ -n "$m" ] && [ -n "$edges" ] && [ -n "$rounds" ] &&
+  [ "$edges" -le $((20 * m)) ] && [ "$rounds" -le 100 ] || {
+  echo "FAIL: rho-stepping on road:700:700 took $rounds rounds and scanned" \
+       "$edges edges (m=$m; need <= 100 rounds and <= 20m edges)" >&2
+  exit 1
+}
+
 echo "--- TC gate (pasgal_tc matches seq_tc, work repeats across workers) ---"
 # Plain build. pasgal_tc closes wedges against per-worker marker rows, seq_tc
 # by sorted merges: the counts must agree. pasgal_tc's list reads depend on

@@ -3,7 +3,7 @@
 #include "algorithms/bfs/bfs.h"
 #include "algorithms/catalog.h"
 #include "pasgal/edge_map.h"
-#include "pasgal/hashbag.h"
+#include "pasgal/pending_pool.h"
 
 namespace pasgal {
 
@@ -15,23 +15,13 @@ namespace {
 // rounds in the least time, and 64 ~34 rounds but scanned more edges.
 constexpr std::uint64_t kWindow = 32;
 
-std::uint64_t encode(VertexId v, std::uint32_t d) {
-  return (static_cast<std::uint64_t>(d) << 32) | v;
-}
-VertexId entry_vertex(std::uint64_t e) { return static_cast<VertexId>(e); }
-std::uint32_t entry_dist(std::uint64_t e) {
-  return static_cast<std::uint32_t>(e >> 32);
-}
-
 }  // namespace
 
-// PASGAL BFS (§2.2): label-correcting BFS over one pending pool keyed by
-// absolute distance. An entry (v, d) is the tentative distance v was enqueued
-// with; it is valid while dist[v] == d, and stale entries are dropped (a
-// vertex may be visited more than once — the extra work the paper accepts in
-// exchange for fewer rounds). New spills go into one hash bag; valid entries
-// a round does not run wait in a plain `carry` vector. Each round takes L,
-// the minimum distance over both, and picks one of three paths:
+// PASGAL BFS (§2.2): label-correcting BFS over one PendingPool
+// (pasgal/pending_pool.h). An entry (v, d) is valid while dist[v] == d, and
+// stale entries are dropped (a vertex may be visited more than once — the
+// extra work the paper accepts in exchange for fewer rounds). Each round
+// takes L, the minimum pending distance, and picks one of three paths:
 //  1. Dense: once level L's own work (|F| + outdeg(F), effective degrees)
 //     crosses go_dense, direction-optimized pull rounds (edge_map_dense) run
 //     level by level from L for as long as each level's work crosses it too.
@@ -48,7 +38,7 @@ std::uint32_t entry_dist(std::uint64_t e) {
 //     only the entries at L run, one hop each (tau=1).
 //  3. VGC window: otherwise every entry within the window runs a local search
 //     (budget tau vertices or kVgcEngageFactor*tau edges).
-// Entries above the round's cut stay in `carry`; they are never re-keyed.
+// Entries above the round's cut stay pending; they are never re-keyed.
 RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
                                                  const Graph& gt,
                                                  const AlgoOptions& opt) {
@@ -57,40 +47,22 @@ RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
     std::size_t n = g.num_vertices();
     EdgeId m = g.num_edges();
     Adjacency adj = g.adjacency();
-    std::vector<std::atomic<std::uint32_t>> dist(n);
-    parallel_for(0, n, [&](std::size_t i) {
-      dist[i].store(kInfDist, std::memory_order_relaxed);
-    });
-    dist[opt.source].store(0, std::memory_order_relaxed);
+    static_assert(PendingPool::kUnreached == kInfDist);
+    PendingPool pool(n, opt.source, stats);
+    std::vector<std::atomic<std::uint32_t>>& dist = pool.dist();
 
-    HashBag<std::uint64_t> bag(8);
-    bag.attach_tracer(stats);
-    std::vector<std::uint64_t> carry = {encode(opt.source, 0)};
-
-    auto is_valid = [&](std::uint64_t e) {
-      return dist[entry_vertex(e)].load(std::memory_order_relaxed) ==
-             entry_dist(e);
-    };
-    // The work of the entries with d <= hi, in go_dense's measure: each
-    // valid entry names a distinct vertex (dist only falls, so a vertex has
-    // at most one entry at its current distance).
-    auto work_upto = [&](const std::vector<std::uint64_t>& pool,
-                         std::uint64_t hi) {
+    // The work of the pending entries with d <= hi, in go_dense's measure:
+    // each valid entry names a distinct vertex (dist only falls, so a vertex
+    // has at most one entry at its current distance).
+    auto work_upto = [&](std::uint64_t hi) {
+      const std::vector<std::uint64_t>& pending = pool.entries();
       return reduce_indexed<EdgeId>(
-          pool.size(), 0, std::plus<EdgeId>{}, [&](std::size_t i) -> EdgeId {
-            return entry_dist(pool[i]) <= hi
-                       ? adj.degree(entry_vertex(pool[i])) + 1
+          pending.size(), 0, std::plus<EdgeId>{},
+          [&](std::size_t i) -> EdgeId {
+            return entry_dist(pending[i]) <= hi
+                       ? adj.degree(entry_vertex(pending[i])) + 1
                        : 0;
           });
-    };
-    // Returns the entries of `pool` with d <= hi; the rest become the carry.
-    auto take_upto = [&](const std::vector<std::uint64_t>& pool,
-                         std::uint64_t hi) {
-      std::span<const std::uint64_t> all(pool);
-      auto taken = filter(
-          all, [&](std::uint64_t e) { return entry_dist(e) <= hi; });
-      carry = filter(all, [&](std::uint64_t e) { return entry_dist(e) > hi; });
-      return taken;
     };
 
     // VGC applies throughout the sparse regime: any frontier below the density
@@ -103,18 +75,12 @@ RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
 
     for (;;) {
       if (opt.cancel != nullptr) opt.cancel->check("pasgal_bfs round");
-      std::vector<std::uint64_t> pool = bag.extract_all();
-      pool.insert(pool.end(), carry.begin(), carry.end());
-      pool = filter(std::span<const std::uint64_t>(pool), is_valid);
+      const std::uint32_t low = pool.collect();
       if (pool.empty()) break;
-      const std::uint32_t low = reduce_indexed<std::uint32_t>(
-          pool.size(), kInfDist,
-          [](std::uint32_t a, std::uint32_t b) { return a < b ? a : b; },
-          [&](std::size_t i) { return entry_dist(pool[i]); });
 
       // --- Dense (direction-optimized) phase -------------------------------
-      if (go_dense(work_upto(pool, low), m, opt)) {
-        std::vector<std::uint64_t> first = take_upto(pool, low);
+      if (go_dense(work_upto(low), m, opt)) {
+        std::vector<std::uint64_t> first = pool.take_upto(low);
         VertexSubset frontier = VertexSubset::sparse(
             n, tabulate(first.size(),
                         [&](std::size_t i) { return entry_vertex(first[i]); }));
@@ -135,8 +101,9 @@ RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
           // Pending entries at the new level join the vertices the pull
           // labelled. The pull labels only vertices that sat above `level`,
           // so the two sets are disjoint and the count adds up.
-          std::vector<std::uint64_t> joining = take_upto(carry, level);
-          joining = filter(std::span<const std::uint64_t>(joining), is_valid);
+          std::vector<std::uint64_t> joining = pool.take_upto(level);
+          joining = filter(std::span<const std::uint64_t>(joining),
+                           [&](std::uint64_t e) { return pool.is_valid(e); });
           if (joining.empty()) {
             frontier = std::move(pulled);
           } else {
@@ -149,26 +116,21 @@ RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
           }
         } while (!frontier.empty() && go_dense(g, frontier, opt));
         // Hand back to the sparse rounds at `level`: its frontier joins the
-        // carry. The next round's L is `level` and its work the frontier's,
+        // pool. The next round's L is `level` and its work the frontier's,
         // below the threshold, so it runs sparse.
         frontier.to_sparse();
-        const auto& next = frontier.sparse_vertices();
-        std::size_t kept = carry.size();
-        carry.resize(kept + next.size());
-        parallel_for(0, next.size(), [&](std::size_t i) {
-          carry[kept + i] = encode(next[i], level);
-        });
+        pool.keep(frontier.sparse_vertices(), level);
         continue;
       }
 
       // --- Sparse phase: one hop at L, or VGC local searches over the window -
       VgcParams vgc = opt.vgc;
       std::vector<std::uint64_t> ready;
-      if (work_upto(pool, low + kWindow) >= vgc_limit) {
+      if (work_upto(low + kWindow) >= vgc_limit) {
         vgc.tau = 1;
-        ready = take_upto(pool, low);
+        ready = pool.take_upto(low);
       } else {
-        ready = take_upto(pool, low + kWindow);
+        ready = pool.take_upto(low + kWindow);
       }
       stats->end_round(ready.size(),
                        vgc.tau > 1 ? RoundKind::kLocal : RoundKind::kSparse);
@@ -188,9 +150,7 @@ RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
                   });
                   return adj.degree(u);
                 },
-                [&](VertexId v, std::uint32_t d) {
-                  bag.insert(encode(v, d));
-                },
+                [&](VertexId v, std::uint32_t d) { pool.insert(v, d); },
                 stats);
           },
           1);

@@ -337,6 +337,8 @@ PreparedInput::PreparedInput(const AlgoSpec& row, const Graph& g,
     derived_ = g.transpose();
     args.gt = &derived_;
   } else if (row.input == AlgoInput::kSymmetric) {
+    // symmetrize() reads every edge: refuse a sharded g as the row, first.
+    g.ensure_in_core(row_label(row), sharded_choices(row));
     derived_ = g.symmetrize();
     args.g = &derived_;
   }

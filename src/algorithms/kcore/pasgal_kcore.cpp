@@ -7,22 +7,11 @@
 #include "algorithms/catalog.h"
 #include "algorithms/kcore/kcore.h"
 #include "parlay/sort.h"
-#include "pasgal/hashbag.h"
+#include "pasgal/pending_pool.h"
 
 namespace pasgal {
 
 namespace {
-
-// Entries carry the degree the vertex had when inserted; an entry is stale if
-// the degree has since changed (the vertex has a fresher entry in a lower
-// bucket) or the vertex is already peeled.
-std::uint64_t encode(VertexId v, std::uint32_t d) {
-  return (static_cast<std::uint64_t>(d) << 32) | v;
-}
-VertexId entry_vertex(std::uint64_t e) { return static_cast<VertexId>(e); }
-std::uint32_t entry_deg(std::uint64_t e) {
-  return static_cast<std::uint32_t>(e >> 32);
-}
 
 constexpr std::uint32_t kWindow = 64;  // open buckets [base, base + kWindow)
 
@@ -43,6 +32,10 @@ struct alignas(64) WorkerStack {
 // it waits, once, in `pending`. When level k leaves the window every
 // unpeeled vertex has degree >= k, so one pass over `pending` reopens the
 // window at the lowest such degree and seeds its levels directly.
+//
+// Bucket entries are pack_entry(v, degree v had when inserted); an entry is
+// stale if the degree has since changed (the vertex has a fresher entry in
+// a lower bucket) or the vertex is already peeled.
 RunReport<std::vector<std::uint32_t>> pasgal_kcore(const Graph& g,
                                                    const AlgoOptions& opt) {
   admit(algo_spec("kcore", "pasgal"), g);
@@ -124,14 +117,14 @@ RunReport<std::vector<std::uint32_t>> pasgal_kcore(const Graph& g,
       auto entry_at = [&](std::size_t i) {
         return i < entries.size()
                    ? entries[i]
-                   : encode(pending[seed_lo + i - entries.size()], k);
+                   : pack_entry(pending[seed_lo + i - entries.size()], k);
       };
       auto ready = pack_indexed<VertexId>(
           entries.size() + seeds,
           [&](std::size_t i) {
             std::uint64_t e = entry_at(i);
             VertexId v = entry_vertex(e);
-            return !is_peeled(v) && deg(v) == entry_deg(e);
+            return !is_peeled(v) && deg(v) == entry_dist(e);
           },
           [&](std::size_t i) { return entry_vertex(entry_at(i)); });
       if (ready.empty()) {
@@ -170,10 +163,10 @@ RunReport<std::vector<std::uint32_t>> pasgal_kcore(const Graph& g,
                       stack.size() < kVgcLocalStackCap) {
                     if (try_claim(u)) stack.push_back(u);
                   } else {
-                    bucket.insert(encode(u, d));
+                    bucket.insert(pack_entry(u, d));
                   }
                 } else if (d - base < kWindow) {
-                  buckets[d - base]->insert(encode(u, d));
+                  buckets[d - base]->insert(pack_entry(u, d));
                 }
               }
             }

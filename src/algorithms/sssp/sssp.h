@@ -1,9 +1,10 @@
 // Single-source shortest paths (§2.2 "Parallel SSSP").
 //
 // PASGAL's SSSP is the *stepping algorithm framework* (Dong, Gu, Sun,
-// PPoPP'21) instantiated with hash-bag frontiers and VGC:
-//   * delta-stepping  — process all entries within `delta` of the current
-//     base distance per step;
+// PPoPP'21) instantiated with BFS's pending pool (pasgal/pending_pool.h)
+// and VGC:
+//   * delta-stepping  — process all entries within `delta` of the minimum
+//     pending distance per step;
 //   * rho-stepping    — process the `rho` closest entries per step.
 // Both are label-correcting: entries carry the tentative distance they were
 // enqueued with and stale entries are skipped, so VGC's out-of-order local
@@ -54,7 +55,7 @@ RunReport<std::vector<Dist>> em_bellman_ford(
     const WeightedGraph<std::uint32_t>& g, const AlgoOptions& opt);
 
 // The stepping framework: rho-stepping (opt.sssp_rho entries per step) by
-// default, delta-stepping (bucket width opt.sssp_delta) when
+// default, delta-stepping (step width opt.sssp_delta) when
 // opt.sssp_delta_mode is set. opt.vgc.tau = 1 disables VGC; opt.cancel is
 // checked at every step boundary.
 RunReport<std::vector<Dist>> stepping_sssp(const WeightedGraph<std::uint32_t>& g,

@@ -146,16 +146,25 @@ std::pair<std::vector<T>, T> scan(std::span<const T> in) {
 // -- pack / filter ----------------------------------------------------------
 
 // Keep element i iff pred(i); produces get(i) for kept elements, stably.
+// Blocked: each block counts its kept elements, the counts are scanned, and
+// each block writes its elements from its offset (pred runs twice per i).
 template <typename T, typename Pred, typename Get>
 std::vector<T> pack_indexed(std::size_t n, const Pred& pred, const Get& get) {
-  std::vector<std::size_t> offsets(n);
-  std::size_t total = scan_indexed<std::size_t>(
-      n, [&](std::size_t i) { return pred(i) ? std::size_t{1} : std::size_t{0}; },
-      [&](std::size_t i, std::size_t v) { offsets[i] = v; });
-  std::vector<T> out(total);
-  parallel_for(0, n, [&](std::size_t i) {
-    if (pred(i)) out[offsets[i]] = get(i);
-  });
+  std::vector<std::size_t> offsets((n + kScanBlockSize - 1) / kScanBlockSize);
+  blocked_for(0, n, kScanBlockSize,
+              [&](std::size_t b, std::size_t lo, std::size_t hi) {
+                std::size_t kept = 0;
+                for (std::size_t i = lo; i < hi; ++i) kept += pred(i) ? 1 : 0;
+                offsets[b] = kept;
+              });
+  std::vector<T> out(scan_inplace(std::span<std::size_t>(offsets)));
+  blocked_for(0, n, kScanBlockSize,
+              [&](std::size_t b, std::size_t lo, std::size_t hi) {
+                std::size_t at = offsets[b];
+                for (std::size_t i = lo; i < hi; ++i) {
+                  if (pred(i)) out[at++] = get(i);
+                }
+              });
   return out;
 }
 

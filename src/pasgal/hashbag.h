@@ -116,11 +116,14 @@ class HashBag {
           [&](std::size_t i) {
             return blk->slots[i].load(std::memory_order_relaxed) != kEmpty;
           },
-          [&](std::size_t i) {
-            return blk->slots[i].load(std::memory_order_relaxed);
+          [&](std::size_t i) {  // empties the slot as it packs it
+            T x = blk->slots[i].load(std::memory_order_relaxed);
+            blk->slots[i].store(kEmpty, std::memory_order_relaxed);
+            return x;
           });
+      blk->count.store(0, std::memory_order_relaxed);
     }
-    clear();
+    current_block_.store(0, std::memory_order_release);
     std::vector<T> out = flatten(per_block);
     if (tracer_) tracer_->note_bag_extract(out.size());
     return out;
@@ -137,23 +140,6 @@ class HashBag {
   }
 
   bool empty() const { return size() == 0; }
-
-  // Parallel: reset all used blocks to empty.
-  void clear() {
-    std::size_t used = current_block_.load(std::memory_order_acquire) + 1;
-    for (std::size_t b = 0; b < used; ++b) {
-      Block* blk = blocks_[b].get();
-      if (blk == nullptr || blk->count.load(std::memory_order_relaxed) == 0) {
-        continue;
-      }
-      std::size_t cap = block_capacity(b);
-      parallel_for(0, cap, [&](std::size_t i) {
-        blk->slots[i].store(kEmpty, std::memory_order_relaxed);
-      });
-      blk->count.store(0, std::memory_order_relaxed);
-    }
-    current_block_.store(0, std::memory_order_release);
-  }
 
  private:
   static constexpr std::size_t kProbeWindow = 16;

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include "graphs/graph.h"
@@ -30,9 +29,9 @@ struct VgcParams {
   std::uint32_t tau = 512;
 };
 
-// A local search's edge budget, in units of tau: a distance search whose
-// relax reports the edges it scanned stops at kVgcEngageFactor*tau of them
-// (8192 at tau 512), so one hub cannot serialize a round. BFS also engages
+// A local search's edge budget, in units of tau: a distance search stops
+// once its relax calls have scanned kVgcEngageFactor*tau edges (8192 at
+// tau 512), so one hub cannot serialize a round. BFS also engages
 // VGC only below this much frontier work (see pasgal_bfs). Deliberately
 // NOT scaled by the worker count: the round structure should not change
 // with the machine it runs on.
@@ -89,10 +88,11 @@ std::uint64_t local_search(const Adjacency& adj, VertexId root,
 //
 //   relax(u, d_u, emit) : relax all out-edges of u given its distance d_u;
 //                         for each improved neighbour call emit(v, d_v).
-//                         May return the number of edges it scanned.
+//                         Returns the number of edges it scanned (0 for a
+//                         stale u).
 //
-// The budget is tau expanded vertices or, when relax returns its edge
-// count, kVgcEngageFactor*tau scanned edges, whichever is spent first.
+// The budget is tau expanded vertices or kVgcEngageFactor*tau scanned
+// edges, whichever is spent first.
 // Vertices improved beyond the vertex budget go to `spill(v, d_v)`; once
 // the edge budget is spent the search stops and spills everything it still
 // holds, so no emitted entry is lost.
@@ -111,8 +111,11 @@ std::uint64_t local_search_dist(VertexId root, std::uint32_t root_dist,
     VertexId v;
     std::uint32_t dist;
   };
-  std::vector<Entry> queue;
-  queue.reserve(64);
+  // One queue per thread, reused by its searches (relax and spill never
+  // start a search, so none runs inside another): a round's thousands of
+  // short searches then allocate nothing.
+  thread_local std::vector<Entry> queue;
+  queue.clear();
   queue.push_back({root, root_dist});
   std::size_t head = 0;
   std::uint64_t expanded = 0;
@@ -129,19 +132,15 @@ std::uint64_t local_search_dist(VertexId root, std::uint32_t root_dist,
         spill(v, d);
       }
     };
-    if constexpr (std::is_void_v<decltype(relax(e.v, e.dist, emit))>) {
-      relax(e.v, e.dist, emit);
-    } else {
-      work += relax(e.v, e.dist, emit);
-      if (work >= edge_budget) {
-        for (; head < queue.size(); ++head) {
-          spill(queue[head].v, queue[head].dist);
-        }
+    work += relax(e.v, e.dist, emit);
+    if (work >= edge_budget) {
+      for (; head < queue.size(); ++head) {
+        spill(queue[head].v, queue[head].dist);
       }
     }
   }
   if (stats) {
-    stats->add_edges(work);  // 0 for a void relax, which counts its own
+    stats->add_edges(work);
     stats->add_visits(expanded);
     stats->add_local_depth(expanded);
   }

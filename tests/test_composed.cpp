@@ -62,7 +62,7 @@ TEST_F(ComposedRuns, BatchSsspSumsItsSourcesSteppingRuns) {
     std::get<2>(sum) += std::get<2>(one);
   }
   EXPECT_EQ(batch, sum);
-  EXPECT_EQ(batch, Work(14, 32752, 16380));
+  EXPECT_EQ(batch, Work(8, 32752, 16380));
 }
 
 TEST_F(ComposedRuns, SharedTracerResetsOncePerOuterRun) {

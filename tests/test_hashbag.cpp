@@ -12,6 +12,7 @@
 #include "graphs/generators.h"
 #include "parlay/parallel.h"
 #include "pasgal/hashbag.h"
+#include "pasgal/pending_pool.h"
 
 namespace pasgal {
 namespace {
@@ -99,19 +100,6 @@ TEST_P(HashBagTest, ReuseAfterExtract) {
   }
 }
 
-TEST_P(HashBagTest, ClearResets) {
-  HashBag<std::uint32_t> bag(6);
-  parallel_for(0, 10000, [&](std::size_t i) {
-    bag.insert(static_cast<std::uint32_t>(i));
-  });
-  bag.clear();
-  EXPECT_TRUE(bag.empty());
-  bag.insert(7);
-  auto out = bag.extract_all();
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], 7u);
-}
-
 TEST_P(HashBagTest, SixtyFourBitElements) {
   HashBag<std::uint64_t> bag;
   const std::size_t n = 50000;
@@ -157,15 +145,6 @@ TEST_P(HashBagTest, PhasedConcurrentInsertExtractStress) {
     ASSERT_EQ(out, inserted) << "round " << round;
     EXPECT_TRUE(bag.empty());
   }
-  // clear() in place of extract_all must also reset the bag completely.
-  parallel_for(0, 5000, [&](std::size_t i) {
-    bag.insert(static_cast<std::uint64_t>(i));
-  });
-  bag.clear();
-  EXPECT_TRUE(bag.empty());
-  bag.insert(123);
-  auto out = bag.extract_all();
-  EXPECT_EQ(out, (std::vector<std::uint64_t>{123}));
 }
 
 TEST_P(HashBagTest, SaturationThrowsInsteadOfSpinning) {
@@ -207,6 +186,62 @@ TEST_P(HashBagTest, SaturationAcrossMultipleBlocks) {
   EXPECT_GT(accepted, 0u);
   EXPECT_LE(accepted, 12u);
   EXPECT_EQ(bag.extract_all().size(), accepted);
+}
+
+// The pending pool: collect() merges the bag with the carry, drops stale
+// entries and returns L over both; take_upto(hi) splits exactly at hi and
+// keeps the rest for the next collect().
+TEST_P(HashBagTest, PendingPoolDropsStaleAndSplitsAtThreshold) {
+  constexpr std::size_t n = 1000;
+  PendingPool pool(n, /*source=*/0);
+  std::vector<std::atomic<std::uint32_t>>& dist = pool.dist();
+  auto sorted = [](std::vector<std::uint64_t> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+
+  // Carry: the source's (0, 0), gone stale, and [1, 100) at distance 50.
+  // Bag: [100, n) at 10 + v % 100, each also queued at a distance its
+  // vertex no longer has, and the source again at 3.
+  std::vector<VertexId> carried = iota<VertexId>(100);
+  carried.erase(carried.begin());
+  for (VertexId v : carried) dist[v].store(50, std::memory_order_relaxed);
+  pool.keep(carried, 50);
+  parallel_for(100, n, [&](std::size_t v) {
+    std::uint32_t d = 10 + v % 100;
+    dist[v].store(d, std::memory_order_relaxed);
+    pool.insert(static_cast<VertexId>(v), d + 7);
+    pool.insert(static_cast<VertexId>(v), d);
+  });
+  dist[0].store(3, std::memory_order_relaxed);
+  pool.insert(0, 3);
+  std::vector<std::uint64_t> valid;
+  for (VertexId v = 0; v < n; ++v) {
+    valid.push_back(pack_entry(v, dist[v].load(std::memory_order_relaxed)));
+  }
+  valid = sorted(valid);
+  EXPECT_EQ(pool.collect(), 3u);  // L from the bag
+  EXPECT_EQ(sorted(pool.entries()), valid);
+
+  std::vector<std::uint64_t> taken = pool.take_upto(50);
+  for (std::uint64_t e : taken) EXPECT_LE(entry_dist(e), 50u);
+  for (std::uint64_t e : pool.entries()) EXPECT_GT(entry_dist(e), 50u);
+  EXPECT_EQ(taken.size(), 100u + 41 * 9);  // all of d = 50 is taken
+  std::vector<std::uint64_t> both = taken;
+  both.insert(both.end(), pool.entries().begin(), pool.entries().end());
+  EXPECT_EQ(sorted(both), valid);
+
+  // The kept entries carry into the next collect: L now comes from them,
+  // below the bag's new spill; a carried vertex improved since is dropped.
+  dist[199].store(5, std::memory_order_relaxed);  // was 109
+  dist[0].store(500, std::memory_order_relaxed);
+  pool.insert(0, 500);
+  EXPECT_EQ(pool.collect(), 51u);
+  EXPECT_EQ(pool.entries().size(), 59u * 9);  // 199 out, the source back in
+  for (std::uint64_t e : pool.entries()) EXPECT_NE(entry_vertex(e), 199u);
+  EXPECT_EQ(pool.take_upto(1000).size(), 59u * 9);
+  EXPECT_EQ(pool.collect(), PendingPool::kUnreached);
+  EXPECT_TRUE(pool.empty());
 }
 
 // The insert salt is per bag, reset when the bag is built: at one worker a

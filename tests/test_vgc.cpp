@@ -101,11 +101,12 @@ TEST_P(VgcTest, DistSearchExploresBall) {
   p.tau = 200;
   local_search_dist(
       center, 0, p,
-      [&](VertexId u, std::uint32_t du, auto&& emit) {
-        if (dist[u].load(std::memory_order_relaxed) != du) return;
+      [&](VertexId u, std::uint32_t du, auto&& emit) -> std::uint64_t {
+        if (dist[u].load(std::memory_order_relaxed) != du) return 0;
         for (VertexId v : g.neighbors(u)) {
           if (write_min(dist[v], du + 1)) emit(v, du + 1);
         }
+        return g.neighbors(u).size();
       },
       [&](VertexId v, std::uint32_t d) { spilled.push_back({v, d}); });
   // Every assigned finite distance equals the true grid (L1) distance.
@@ -121,7 +122,7 @@ TEST_P(VgcTest, DistSearchExploresBall) {
   EXPECT_FALSE(spilled.empty());
 }
 
-// A relax that reports its scanned edges caps the search at
+// The edges each relax reports cap the search at
 // kVgcEngageFactor*tau edges: the search stops right after the relax that
 // reaches the budget and spills what it still holds. Every emitted entry is
 // either expanded by the search or spilled.
