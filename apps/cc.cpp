@@ -1,9 +1,9 @@
 // Connected-components driver (mirrors the upstream PASGAL per-algorithm
-// executables). The input graph is symmetrized automatically so all three
+// executables). The input graph is symmetrized automatically so both
 // variants agree: label propagation only pushes labels along out-edges, so
 // on a directed input it would not match union-find connectivity.
 //
-//   cc <graph> [-a uf|lp|ldd] [--updates <log.plog>] [-r repeats]
+//   cc <graph> [-a uf|lp] [--updates <log.plog>] [-r repeats]
 //      [--validate] [--json-metrics <path>]
 //
 // `--updates` switches to incremental mode (-a uf only): baseline labels

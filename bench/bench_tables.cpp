@@ -4,7 +4,8 @@
 // (bfs/ms takes only batches; bench_qps measures it) runs on it through
 // AlgoSpec::run and is checked against its family's algo_oracle row. Per
 // family: times, rounds and the cost-model speedup at P=96 (DESIGN.md §4);
-// bfs/scc/bcc add a Figure 2 panel at P=192, bcc its auxiliary-graph sizes.
+// bfs/scc/bcc add a Figure 2 panel at P=192, scc the Figure 1 sweep over
+// P=1..192 (one table per parallel row), bcc its auxiliary-graph sizes.
 // Metrics land in BENCH_tables.json; any mismatch makes the exit status 1.
 #include <cstdio>
 #include <limits>
@@ -20,14 +21,15 @@ namespace {
 
 // How a family's tables read: its name in titles, the paper table it
 // reproduces, one column header per catalog row (catalog order, batch-only
-// rows left out, the algo_oracle row's header starred), and whether Figure 2
-// has a panel for it.
+// rows left out, the algo_oracle row's header starred), and which of the
+// paper's figures plot it: Figure 2 has a panel for it, Figure 1 sweeps it.
 struct FamilyView {
   const char* family;
   const char* name;
   const char* paper_table;
   std::vector<std::string> columns;
   bool fig2;
+  bool fig1 = false;
 };
 
 const FamilyView kViews[] = {
@@ -35,15 +37,18 @@ const FamilyView kViews[] = {
     {"sssp", "SSSP", "",
      {"rho-step", "delta-step", "BellmanFord", "Dijkstra*"}, false},
     {"scc", "SCC", "Table A3: ", {"PASGAL", "GBBS", "Multistep", "Tarjan*"},
-     true},
+     true, true},
     {"bcc", "BCC", "Table A2: ",
      {"PASGAL", "GBBS", "Tarjan-Vishkin", "Hopcroft-Tarjan*"}, true},
-    {"cc", "Connected components", "", {"UnionFind*", "LabelProp", "LDD"},
-     false},
+    {"cc", "Connected components", "", {"UnionFind*", "LabelProp"}, false},
     {"kcore", "k-core decomposition", "", {"PASGAL", "Seq*"}, false},
     {"pagerank", "PageRank", "", {"PASGAL", "Seq*"}, false},
     {"tc", "Triangle counting", "", {"PASGAL", "Seq*"}, false},
 };
+
+// Figure 1's processor counts.
+constexpr int kSweep[] = {1, 2, 4, 8, 16, 32, 48, 96, 192};
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 // The runs the suite leaves out, each with its reason; a null `name` covers
 // the whole family.
@@ -107,9 +112,21 @@ std::string oracle_name(const FamilyView& view) {
   return {};
 }
 
+// The column headers of the rows that run in parallel (all but the oracle).
+std::vector<std::string> parallel_columns(const FamilyView& view) {
+  std::vector<std::string> parallel;
+  for (const std::string& c : view.columns) {
+    if (c.back() != '*') parallel.push_back(c);
+  }
+  return parallel;
+}
+
 // One family's tables; all but `times` leave the oracle's column out.
+// `sweep` holds Figure 1's tables, one per parallel column (empty unless
+// the view has fig1): a row per graph, a column per kSweep entry.
 struct FamilyTables {
   Table times, rounds, p96, p192;
+  std::vector<Table> sweep;
 };
 
 }  // namespace
@@ -122,12 +139,13 @@ int main() {
                    view.family);
       return 1;
     }
-    std::vector<std::string> parallel;
-    for (const std::string& c : view.columns) {
-      if (c.back() != '*') parallel.push_back(c);
-    }
+    std::vector<std::string> parallel = parallel_columns(view);
+    std::vector<std::string> ps;
+    for (int p : kSweep) ps.push_back("P=" + std::to_string(p));
     tables.push_back({Table(view.columns), Table(parallel), Table(parallel),
-                      Table(parallel)});
+                      Table(parallel),
+                      std::vector<Table>(view.fig1 ? parallel.size() : 0,
+                                         Table(ps))});
   }
   Table aux_nodes({"PASGAL(skeleton n)", "TV(aux nodes m/2)"});
   BenchJson metrics("tables");
@@ -173,6 +191,7 @@ int main() {
       Projection proj = calibrate(want.seconds, want.telemetry);
       double want_ns = want.seconds * 1e9;
       std::vector<double> times, rounds, p96, p192;
+      std::vector<std::vector<double>> sweep;
       for (const AlgoSpec* r : family_rows(view.family)) {
         const AlgoSpec& row = *r;
         if (&row == &oracle) {
@@ -183,8 +202,9 @@ int main() {
           std::printf("skip %s/%s on %s: %s\n", row.family, row.name,
                       spec.name.c_str(), why);
           for (auto* cells : {&times, &rounds, &p96, &p192}) {
-            cells->push_back(std::numeric_limits<double>::quiet_NaN());
+            cells->push_back(kNaN);
           }
+          sweep.emplace_back(std::size(kSweep), kNaN);
           continue;
         }
         AlgoRun got = run(row);
@@ -200,11 +220,18 @@ int main() {
         rounds.push_back(double(got.telemetry.rounds.size()));
         p96.push_back(proj.speedup_at(96, got.telemetry, want_ns));
         p192.push_back(proj.speedup_at(192, got.telemetry, want_ns));
+        std::vector<double>& cells = sweep.emplace_back();
+        for (int p : kSweep) {
+          cells.push_back(proj.speedup_at(p, got.telemetry, want_ns));
+        }
       }
       tables[f].times.add_row(spec.cls, spec.name, times);
       tables[f].rounds.add_row(spec.cls, spec.name, rounds);
       tables[f].p96.add_row(spec.cls, spec.name, p96);
       tables[f].p192.add_row(spec.cls, spec.name, p192);
+      for (std::size_t c = 0; c < tables[f].sweep.size(); ++c) {
+        tables[f].sweep[c].add_row(spec.cls, spec.name, sweep[c]);
+      }
       // FAST-BCC's skeleton has at most n vertices; Tarjan-Vishkin
       // materializes one auxiliary node per undirected edge.
       if (view.family == std::string_view("bcc")) {
@@ -234,6 +261,18 @@ int main() {
       aux_nodes.print(
           "BCC auxiliary-graph size (the paper's o.o.m. column for TV)",
           "node count; TV is O(m), FAST-BCC is O(n)");
+    }
+  }
+  for (std::size_t f = 0; f < std::size(kViews); ++f) {
+    const FamilyView& view = kViews[f];
+    std::vector<std::string> parallel = parallel_columns(view);
+    for (std::size_t c = 0; c < tables[f].sweep.size(); ++c) {
+      tables[f].sweep[c].print(
+          std::string("Figure 1 / ") + view.name + " " + parallel[c] +
+              ": projected speedup over " + oracle_name(view) +
+              " at P=1..192",
+          "speedup (one curve per graph in the paper); <1 = slower than "
+          "seq");
     }
   }
   for (std::size_t f = 0; f < std::size(kViews); ++f) {

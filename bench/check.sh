@@ -420,6 +420,14 @@ PASGAL_BENCH_DIR="$tmp" "$prefix/bench/bench_tables" > "$tmp/tables.txt" || {
   exit 1
 }
 echo "bench_tables: $(( $(date +%s) - t0 )) s"
+# The paper's Figure 1 (SCC speedup over Tarjan at P=1..192) is printed from
+# the same runs, one table per parallel SCC row; it must not drop out.
+for row in PASGAL GBBS Multistep; do
+  grep -q "^=== Figure 1 / SCC $row: " "$tmp/tables.txt" || {
+    echo "FAIL: bench_tables printed no Figure 1 table for SCC $row" >&2
+    exit 1
+  }
+done
 "$prefix/apps/metrics_check" "$tmp/BENCH_tables.json"
 
 echo "--- QPS gate (batch-of-64 ms_bfs vs 64 sequential singles) ---"

@@ -119,28 +119,16 @@ struct Projection {
   double c_work_ns = 1.0;
   double c_sync_ns = 5000.0;
 
-  double time_from(int p, double edges, double visits, double rounds) const {
-    double work = edges + visits;
+  double time_at(int p, const RunTelemetry& t) const {
+    double work = double(t.edges_scanned + t.vertices_visited);
+    double visits = double(t.vertices_visited);
+    double rounds = double(t.rounds.size());
     double avg_frontier = rounds > 0 ? visits / rounds : 1.0;
     double usable = std::min<double>(p, std::max(1.0, avg_frontier));
     double compute = work * c_work_ns / usable;
     double sync = p <= 1 ? 0.0
                          : rounds * c_sync_ns * (1.0 + std::log2(double(p)));
     return compute + sync;
-  }
-
-  double time_at(int p, const Tracer& stats) const {
-    return time_from(p, double(stats.edges_scanned()),
-                     double(stats.vertices_visited()), double(stats.rounds()));
-  }
-
-  double time_at(int p, const RunTelemetry& t) const {
-    return time_from(p, double(t.edges_scanned), double(t.vertices_visited),
-                     double(t.rounds.size()));
-  }
-
-  double speedup_at(int p, const Tracer& stats, double seq_time_ns) const {
-    return seq_time_ns / time_at(p, stats);
   }
 
   double speedup_at(int p, const RunTelemetry& t, double seq_time_ns) const {
@@ -150,21 +138,11 @@ struct Projection {
 
 // Calibrate c_work so that the sequential baseline's modeled time matches
 // its measured time.
-inline Projection calibrate_from(double seq_seconds, double work) {
+inline Projection calibrate(double seq_seconds, const RunTelemetry& t) {
   Projection proj;
+  double work = double(t.edges_scanned + t.vertices_visited);
   if (work > 0) proj.c_work_ns = seq_seconds * 1e9 / work;
   return proj;
-}
-
-inline Projection calibrate(double seq_seconds, const Tracer& seq_stats) {
-  return calibrate_from(seq_seconds,
-                        double(seq_stats.edges_scanned() +
-                               seq_stats.vertices_visited()));
-}
-
-inline Projection calibrate(double seq_seconds, const RunTelemetry& t) {
-  return calibrate_from(seq_seconds,
-                        double(t.edges_scanned + t.vertices_visited));
 }
 
 // --- machine-readable results (BENCH_<name>.json) ----------------------------

@@ -11,7 +11,6 @@
 #include "algorithms/bcc/bcc.h"
 #include "algorithms/bfs/bfs.h"
 #include "algorithms/cc/cc.h"
-#include "algorithms/cc/ldd.h"
 #include "algorithms/kcore/kcore.h"
 #include "algorithms/pagerank/pagerank.h"
 #include "algorithms/scc/scc.h"
@@ -252,8 +251,6 @@ const AlgoSpec kCatalog[] = {
      }},
     {"cc", "lp", In::kSymmetric, Src::kNone, kServed, kInCore,
      [](A a, O o) { return single(label_prop_cc(*a.g, o), a, cc_summary); }},
-    {"cc", "ldd", In::kSymmetric, Src::kNone, kServed, kInCore,
-     [](A a, O o) { return single(ldd_cc(*a.g, o), a, cc_summary); }},
 
     {"kcore", "pasgal", In::kSymmetric, Src::kNone, kServed, kInCore,
      [](A a, O o) { return single(pasgal_kcore(*a.g, o), a, kcore_line); }},

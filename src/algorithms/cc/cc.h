@@ -4,8 +4,9 @@
 //    indexed root under lower, path-halving finds). Also emits an arbitrary
 //    spanning forest: the edges whose union call merged two components.
 //    Used as a building block by SCC trimming and FAST-BCC.
-//  * label_prop_cc — classic label-propagation baseline (O(D) rounds), kept
-//    for the ablation benches: it exhibits exactly the round-count blowup on
+//  * label_prop_cc — classic label-propagation baseline (O(D) rounds), the
+//    cc family's second catalog row (catalog_agreement checks it against
+//    union-find): it exhibits exactly the round-count blowup on
 //    large-diameter graphs that the paper targets.
 #pragma once
 

@@ -13,6 +13,10 @@ namespace {
 
 constexpr SccLabel kUnassigned = static_cast<SccLabel>(-1);
 
+// Round r's pivot batch is ~kBatchGrowth^r vertices, capped by what is
+// pending: each round grows the batch it took, so the size never overflows.
+constexpr std::size_t kBatchGrowth = 2;
+
 // Label scheme: every identifier derives from a vertex id p that is used
 // exactly once (as a trimmed singleton or as a pivot), so values never
 // collide across rounds:
@@ -102,8 +106,7 @@ RunReport<std::vector<SccLabel>> pasgal_scc(const Graph& g, const Graph& gt,
     stats->phase_begin("pivot_rounds");
     while (!pending.empty()) {
       std::size_t take = std::min(pending.size(), batch_size);
-      batch_size = static_cast<std::size_t>(
-          static_cast<double>(batch_size) * opt.scc_beta) + 1;
+      batch_size = take * kBatchGrowth + 1;
       ++round;
 
       // Batch = still-live vertices among the first `take` pending entries.

@@ -33,10 +33,10 @@ namespace pasgal {
 using SccLabel = std::uint64_t;
 
 // pasgal_scc/gbbs_scc read vgc, dense_threshold_den/use_dense (dense pull
-// reachability rounds), cancel (checked at each dense round), scc_beta
-// (round r uses ~beta^r pivots) and scc_seed;
-// gbbs_scc forces tau = 1. multistep_scc switches to sequential Tarjan when
-// multistep_cutoff vertices remain.
+// reachability rounds), cancel (checked at each dense round) and scc_seed
+// (the pivot order; round r takes ~2^r pivots); gbbs_scc forces tau = 1.
+// multistep_scc switches to sequential Tarjan when multistep_cutoff vertices
+// remain.
 RunReport<std::vector<SccLabel>> tarjan_scc(const Graph& g,
                                             const AlgoOptions& opt);
 RunReport<std::vector<SccLabel>> pasgal_scc(const Graph& g, const Graph& gt,

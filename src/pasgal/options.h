@@ -52,8 +52,7 @@ struct AlgoOptions {
   std::uint64_t sssp_delta = 32;
   std::size_t sssp_rho = 8192;
 
-  // SCC pivot batching (scc_beta/scc_seed also drive the ldd cc variant).
-  double scc_beta = 2.0;
+  // SCC pivot order (the permutation pasgal_scc batches pivots from).
   std::uint64_t scc_seed = 42;
   std::size_t multistep_cutoff = 1000;
 

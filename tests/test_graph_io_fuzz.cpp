@@ -14,7 +14,6 @@
 
 #include "algorithms/bfs/bfs.h"
 #include "algorithms/cc/cc.h"
-#include "algorithms/cc/ldd.h"
 #include "algorithms/kcore/kcore.h"
 #include "graphs/graph.h"
 #include "graphs/graph_io.h"
@@ -734,7 +733,6 @@ TEST_F(GraphIoFuzzTest, CcAndKcoreOnUnvalidatedOutOfRangeTargetsThrowTyped) {
   expect_rejected([&] { connected_components(g, {}); },
                   ErrorCategory::kValidation);
   expect_rejected([&] { label_prop_cc(g, {}); }, ErrorCategory::kValidation);
-  expect_rejected([&] { ldd_cc(g, {}); }, ErrorCategory::kValidation);
   expect_rejected([&] { seq_kcore(g, {}); }, ErrorCategory::kValidation);
   expect_rejected([&] { pasgal_kcore(g, {}); }, ErrorCategory::kValidation);
 }

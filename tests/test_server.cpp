@@ -216,7 +216,7 @@ TEST_F(ServerTest, FamilyVerbContractViolationsGetTypedUsageErrors) {
 
   std::string bad_cc = request_once("cc graph=" + path + " algo=nope");
   EXPECT_EQ(bad_cc.rfind("error [usage]", 0), 0u) << bad_cc;
-  EXPECT_NE(bad_cc.find("uf|lp|ldd"), std::string::npos) << bad_cc;
+  EXPECT_NE(bad_cc.find("uf|lp"), std::string::npos) << bad_cc;
 
   std::string bad_pr = request_once("pagerank graph=" + path + " algo=gbbs");
   EXPECT_EQ(bad_pr.rfind("error [usage]", 0), 0u) << bad_pr;
@@ -233,7 +233,7 @@ TEST_F(ServerTest, UnknownAlgoErrorsListTheServedRowsInTableOrder) {
   start_server();
 
   // Each verb offers exactly its served catalog rows, in table order: the
-  // driver-only variants (bfs gapbs/seq, sssp bf/seq, scc, bcc) never
+  // driver-only variants (bfs gapbs/seq, sssp seq, scc, bcc) never
   // appear, and batch lists hold only the rows that batch.
   const std::pair<std::string, std::string> cases[] = {
       {"bfs graph=" + path + " source=0 algo=nope",
@@ -243,7 +243,7 @@ TEST_F(ServerTest, UnknownAlgoErrorsListTheServedRowsInTableOrder) {
       {"sssp graph=" + wpath + " sources=1,2 algo=nope",
        "sssp: unknown algo 'nope' (expected rho|delta)"},
       {"cc graph=" + path + " algo=nope",
-       "cc: unknown algo 'nope' (expected uf|lp|ldd)"},
+       "cc: unknown algo 'nope' (expected uf|lp)"},
       {"kcore graph=" + path + " algo=nope",
        "kcore: unknown algo 'nope' (expected pasgal|seq)"},
       {"pagerank graph=" + path + " algo=nope",
