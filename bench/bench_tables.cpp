@@ -4,14 +4,18 @@
 // (bfs/ms takes only batches; bench_qps measures it) runs on it through
 // AlgoSpec::run and is checked against its family's algo_oracle row. Per
 // family: times, rounds and the cost-model speedup at P=96 (DESIGN.md §4);
-// bfs/scc/bcc add a Figure 2 panel at P=192, scc the Figure 1 sweep over
+// bfs/scc/bcc add a Figure 2 panel at P=192, scc the Figure 1 scaling over
 // P=1..192 (one table per parallel row), bcc its auxiliary-graph sizes.
+// Table 1 gives each suite graph's statistics. The sweeps rerun one row per
+// value of one AlgoOptions field (kSweeps), each run checked like the rest.
 // Metrics land in BENCH_tables.json; any mismatch makes the exit status 1.
+#include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <string_view>
 
 #include "algorithms/catalog.h"
+#include "graphs/graph_stats.h"
 #include "suite.h"
 
 using namespace pasgal;
@@ -47,7 +51,7 @@ const FamilyView kViews[] = {
 };
 
 // Figure 1's processor counts.
-constexpr int kSweep[] = {1, 2, 4, 8, 16, 32, 48, 96, 192};
+constexpr int kProcs[] = {1, 2, 4, 8, 16, 32, 48, 96, 192};
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 // The runs the suite leaves out, each with its reason; a null `name` covers
@@ -78,6 +82,56 @@ const char* skip_reason(const AlgoSpec& row, const GraphSpec& spec) {
     }
   }
   return nullptr;
+}
+
+// The paper's two tunable-design claims: tau is "a tunable parameter" (§2.1;
+// tau=1 is the no-VGC configuration), and direction optimization matters on
+// low-diameter graphs only (§2.2). Each sweep runs its row on each of its
+// graphs once per value of one AlgoOptions field, named as titles print it;
+// its tables have a row per graph and a column per value.
+struct Sweep {
+  const char* family;
+  const char* name;
+  std::vector<std::string> graphs;
+  const char* field;
+  void (*set)(AlgoOptions&, std::uint32_t);
+  std::vector<std::uint32_t> values;
+};
+
+void set_tau(AlgoOptions& opt, std::uint32_t tau) { opt.vgc.tau = tau; }
+void set_dense(AlgoOptions& opt, std::uint32_t on) { opt.use_dense = on != 0; }
+
+const std::vector<std::uint32_t> kTaus = {1, 4, 16, 64, 256, 512, 1024, 4096};
+const Sweep kSweeps[] = {
+    {"bfs", "pasgal", {"ROAD-NA", "REC"}, "vgc.tau", set_tau, kTaus},
+    {"scc", "pasgal", {"ROAD-NA", "REC"}, "vgc.tau", set_tau, kTaus},
+    {"kcore", "pasgal", {"SOC-LJ", "ROAD-NA", "BBL"}, "vgc.tau", set_tau,
+     {1, 512}},
+    {"bfs", "pasgal", {"SOC-LJ", "ROAD-NA"}, "use_dense", set_dense, {1, 0}},
+};
+
+struct SweepTables {
+  Table times, rounds, edges;
+};
+
+// One Table 1 line: n, m' and D' of the graph as built (N/A when the suite
+// builds it undirected), m and D of its symmetrized form. The transpose and
+// the symmetrized graph are memoized: the runs that follow reuse them.
+std::string graph_stats_line(const GraphSpec& spec, const Graph& g) {
+  std::string m_dir = "N/A", d_dir = "N/A";
+  if (spec.directed) {
+    m_dir = std::to_string(g.num_edges());
+    d_dir = std::to_string(diameter_lower_bound(g, g.transpose()));
+  }
+  Graph sym = g.symmetrize();
+  std::string d_sym = std::to_string(diameter_lower_bound(sym, sym));
+  char line[160];
+  std::snprintf(line, sizeof line,
+                "%-10s %-10s %-22s %10zu %10s %10zu %8s %8s\n",
+                spec.cls.c_str(), spec.name.c_str(),
+                spec.paper_analogue.c_str(), g.num_vertices(), m_dir.c_str(),
+                sym.num_edges(), d_dir.c_str(), d_sym.c_str());
+  return line;
 }
 
 // SSSP's generated weights and delta-stepping's step width.
@@ -122,11 +176,11 @@ std::vector<std::string> parallel_columns(const FamilyView& view) {
 }
 
 // One family's tables; all but `times` leave the oracle's column out.
-// `sweep` holds Figure 1's tables, one per parallel column (empty unless
-// the view has fig1): a row per graph, a column per kSweep entry.
+// `scaling` holds Figure 1's tables, one per parallel column (empty unless
+// the view has fig1): a row per graph, a column per kProcs entry.
 struct FamilyTables {
   Table times, rounds, p96, p192;
-  std::vector<Table> sweep;
+  std::vector<Table> scaling;
 };
 
 }  // namespace
@@ -141,13 +195,22 @@ int main() {
     }
     std::vector<std::string> parallel = parallel_columns(view);
     std::vector<std::string> ps;
-    for (int p : kSweep) ps.push_back("P=" + std::to_string(p));
+    for (int p : kProcs) ps.push_back("P=" + std::to_string(p));
     tables.push_back({Table(view.columns), Table(parallel), Table(parallel),
                       Table(parallel),
                       std::vector<Table>(view.fig1 ? parallel.size() : 0,
                                          Table(ps))});
   }
+  std::vector<SweepTables> sweep_tables;
+  for (const Sweep& sweep : kSweeps) {
+    std::vector<std::string> columns;
+    for (std::uint32_t v : sweep.values) {
+      columns.push_back(std::string(sweep.field) + "=" + std::to_string(v));
+    }
+    sweep_tables.push_back({Table(columns), Table(columns), Table(columns)});
+  }
   Table aux_nodes({"PASGAL(skeleton n)", "TV(aux nodes m/2)"});
+  std::string graph_stats;
   BenchJson metrics("tables");
   int mismatches = 0;
 
@@ -157,9 +220,11 @@ int main() {
     VertexId source = max_degree_vertex(g);
     std::printf("graph %s: n=%zu m=%zu, source=%u\n", spec.name.c_str(),
                 g.num_vertices(), g.num_edges(), source);
+    graph_stats += graph_stats_line(spec, g);
 
-    // Runs `row` on this graph and records its metrics document.
-    auto run = [&](const AlgoSpec& row) {
+    // Runs `row` (at `value` of `sweep`, if given) and records its metrics.
+    auto run = [&](const AlgoSpec& row, const Sweep* sweep = nullptr,
+                   std::uint32_t value = 0) {
       const bool delta = row.family == std::string_view("sssp") &&
                          row.name == std::string_view("delta");
       PreparedInput in(row, g, &wg);
@@ -167,15 +232,28 @@ int main() {
       AlgoOptions opt;
       if (row.takes_one()) opt.source = source;
       if (delta) opt.sssp_delta = kSsspDelta;
+      if (sweep) sweep->set(opt, value);
       AlgoRun r = row.run(in.args, opt);
       MetricsDoc doc(row.family, row.name, spec.name,
                      in.args.g->num_vertices(), in.args.g->num_edges());
       if (row.takes_one()) doc.set_param("source", std::uint64_t{source});
       if (delta) doc.set_param("delta", kSsspDelta);
+      if (sweep) doc.set_param(sweep->field, std::uint64_t{value});
       for (const auto& [name, value] : r.params) doc.set_param(name, value);
       doc.add_trial(r.seconds, r.telemetry);
       metrics.add(doc);
       return r;
+    };
+    // Reports and counts a run of `row` (with the sweep setting `knob`, if
+    // any) whose answer differs from the oracle's.
+    auto check = [&](const AlgoSpec& row, const AlgoRun& want,
+                     const AlgoRun& got, const std::string& knob = "") {
+      std::string diff = answer_mismatch(row.family, want.answer, got.answer);
+      if (diff.empty()) return;
+      std::fprintf(stderr, "MISMATCH %s/%s%s vs %s on %s: %s\n", row.family,
+                   row.name, knob.c_str(), algo_oracle(row.family).name,
+                   spec.name.c_str(), diff.c_str());
+      ++mismatches;
     };
 
     for (std::size_t f = 0; f < std::size(kViews); ++f) {
@@ -191,7 +269,7 @@ int main() {
       Projection proj = calibrate(want.seconds, want.telemetry);
       double want_ns = want.seconds * 1e9;
       std::vector<double> times, rounds, p96, p192;
-      std::vector<std::vector<double>> sweep;
+      std::vector<std::vector<double>> scaling;
       for (const AlgoSpec* r : family_rows(view.family)) {
         const AlgoSpec& row = *r;
         if (&row == &oracle) {
@@ -204,24 +282,17 @@ int main() {
           for (auto* cells : {&times, &rounds, &p96, &p192}) {
             cells->push_back(kNaN);
           }
-          sweep.emplace_back(std::size(kSweep), kNaN);
+          scaling.emplace_back(std::size(kProcs), kNaN);
           continue;
         }
         AlgoRun got = run(row);
-        std::string diff = answer_mismatch(row.family, want.answer,
-                                           got.answer);
-        if (!diff.empty()) {
-          std::fprintf(stderr, "MISMATCH %s/%s vs %s on %s: %s\n",
-                       row.family, row.name, oracle.name,
-                       spec.name.c_str(), diff.c_str());
-          ++mismatches;
-        }
+        check(row, want, got);
         times.push_back(got.seconds);
         rounds.push_back(double(got.telemetry.rounds.size()));
         p96.push_back(proj.speedup_at(96, got.telemetry, want_ns));
         p192.push_back(proj.speedup_at(192, got.telemetry, want_ns));
-        std::vector<double>& cells = sweep.emplace_back();
-        for (int p : kSweep) {
+        std::vector<double>& cells = scaling.emplace_back();
+        for (int p : kProcs) {
           cells.push_back(proj.speedup_at(p, got.telemetry, want_ns));
         }
       }
@@ -229,8 +300,28 @@ int main() {
       tables[f].rounds.add_row(spec.cls, spec.name, rounds);
       tables[f].p96.add_row(spec.cls, spec.name, p96);
       tables[f].p192.add_row(spec.cls, spec.name, p192);
-      for (std::size_t c = 0; c < tables[f].sweep.size(); ++c) {
-        tables[f].sweep[c].add_row(spec.cls, spec.name, sweep[c]);
+      for (std::size_t c = 0; c < tables[f].scaling.size(); ++c) {
+        tables[f].scaling[c].add_row(spec.cls, spec.name, scaling[c]);
+      }
+      for (std::size_t s = 0; s < std::size(kSweeps); ++s) {
+        const Sweep& sweep = kSweeps[s];
+        if (sweep.family != std::string_view(view.family) ||
+            std::ranges::find(sweep.graphs, spec.name) == sweep.graphs.end()) {
+          continue;
+        }
+        const AlgoSpec& row = algo_spec(sweep.family, sweep.name);
+        std::vector<double> secs, syncs, edges;
+        for (std::uint32_t value : sweep.values) {
+          AlgoRun got = run(row, &sweep, value);
+          check(row, want, got,
+                std::string(" ") + sweep.field + "=" + std::to_string(value));
+          secs.push_back(got.seconds);
+          syncs.push_back(double(got.telemetry.rounds.size()));
+          edges.push_back(double(got.telemetry.edges_scanned));
+        }
+        sweep_tables[s].times.add_row(spec.cls, spec.name, secs);
+        sweep_tables[s].rounds.add_row(spec.cls, spec.name, syncs);
+        sweep_tables[s].edges.add_row(spec.cls, spec.name, edges);
       }
       // FAST-BCC's skeleton has at most n vertices; Tarjan-Vishkin
       // materializes one auxiliary node per undirected edge.
@@ -243,6 +334,12 @@ int main() {
     }
     std::fflush(stdout);
   }
+
+  std::printf("\n=== Table 1: graph statistics ===\n(D' and D are lower "
+              "bounds from sampled BFS double sweeps, as in the paper)\n"
+              "%-10s %-10s %-22s %10s %10s %10s %8s %8s\n%s",
+              "Class", "Graph", "Analogue", "n", "m'", "m", "D'", "D",
+              graph_stats.c_str());
 
   const std::string workers = std::to_string(num_workers()) +
                               (num_workers() == 1 ? " worker" : " workers");
@@ -266,8 +363,8 @@ int main() {
   for (std::size_t f = 0; f < std::size(kViews); ++f) {
     const FamilyView& view = kViews[f];
     std::vector<std::string> parallel = parallel_columns(view);
-    for (std::size_t c = 0; c < tables[f].sweep.size(); ++c) {
-      tables[f].sweep[c].print(
+    for (std::size_t c = 0; c < tables[f].scaling.size(); ++c) {
+      tables[f].scaling[c].print(
           std::string("Figure 1 / ") + view.name + " " + parallel[c] +
               ": projected speedup over " + oracle_name(view) +
               " at P=1..192",
@@ -283,6 +380,14 @@ int main() {
                              " at P=192",
                          "speedup (log-scale bars in the paper); <1 = "
                          "slower than seq");
+  }
+  for (std::size_t s = 0; s < std::size(kSweeps); ++s) {
+    const Sweep& sweep = kSweeps[s];
+    std::string title = std::string("Sweep / ") + sweep.family + "/" +
+                        sweep.name + " " + sweep.field + ": ";
+    sweep_tables[s].times.print(title + "seconds, " + workers, "seconds");
+    sweep_tables[s].rounds.print(title + "rounds", "count");
+    sweep_tables[s].edges.print(title + "edges scanned", "count");
   }
   return metrics.write() && mismatches == 0 ? 0 : 1;
 }

@@ -428,6 +428,16 @@ for row in PASGAL GBBS Multistep; do
     exit 1
   }
 done
+# Table 1 and the sweeps (one row rerun per value of one AlgoOptions field)
+# print from the same loop; none of them may drop out either.
+for title in "Table 1: graph statistics" \
+             "Sweep / bfs/pasgal vgc.tau: " "Sweep / scc/pasgal vgc.tau: " \
+             "Sweep / kcore/pasgal vgc.tau: " "Sweep / bfs/pasgal use_dense: "; do
+  grep -qF "=== $title" "$tmp/tables.txt" || {
+    echo "FAIL: bench_tables printed no '$title' table" >&2
+    exit 1
+  }
+done
 "$prefix/apps/metrics_check" "$tmp/BENCH_tables.json"
 
 echo "--- QPS gate (batch-of-64 ms_bfs vs 64 sequential singles) ---"

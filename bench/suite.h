@@ -82,15 +82,6 @@ inline std::vector<GraphSpec> graph_suite() {
   return specs;
 }
 
-// Subset helpers used by individual benches.
-inline std::vector<GraphSpec> directed_suite() {
-  std::vector<GraphSpec> out;
-  for (auto& s : graph_suite()) {
-    if (s.directed) out.push_back(s);
-  }
-  return out;
-}
-
 // --- timing ---------------------------------------------------------------
 
 template <typename F>

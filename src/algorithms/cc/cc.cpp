@@ -23,18 +23,21 @@ VertexId find_root(std::vector<std::atomic<VertexId>>& parent, VertexId v) {
   return v;
 }
 
-// Attempts to merge the components of u and v; returns true iff this call
-// performed the union (then (u,v) is a spanning-forest edge).
-bool unite(std::vector<std::atomic<VertexId>>& parent, VertexId u, VertexId v) {
+// Attempts to merge the components of u and v; returns the root this call
+// linked under the other (then (u,v) is a spanning-forest edge), or
+// kInvalidVertex when they were already connected. A root is linked at most
+// once, so no two successful calls return the same vertex.
+VertexId unite(std::vector<std::atomic<VertexId>>& parent, VertexId u,
+               VertexId v) {
   for (;;) {
     VertexId ru = find_root(parent, u);
     VertexId rv = find_root(parent, v);
-    if (ru == rv) return false;
+    if (ru == rv) return kInvalidVertex;
     if (ru < rv) std::swap(ru, rv);  // link larger root under smaller
     VertexId expected = ru;
     if (parent[ru].compare_exchange_strong(expected, rv,
                                            std::memory_order_relaxed)) {
-      return true;
+      return ru;
     }
   }
 }
@@ -52,14 +55,15 @@ RunReport<ConnectivityResult> connected_components(const Graph& g,
       parent[i].store(static_cast<VertexId>(i), std::memory_order_relaxed);
     });
 
-    // Forest edges marked per source edge slot, then packed.
-    std::vector<std::uint8_t> is_forest(m, 0);
+    // Each successful link's edge, in the slot of the root it linked.
+    std::vector<Edge> link_edge(n);
     parallel_for(0, n, [&](std::size_t u) {
-      for (EdgeId e = g.edge_begin(static_cast<VertexId>(u));
-           e < g.edge_end(static_cast<VertexId>(u)); ++e) {
-        VertexId v = g.edge_target(e);
+      for (VertexId v : g.neighbors(static_cast<VertexId>(u))) {
         if (v == u) continue;
-        if (unite(parent, static_cast<VertexId>(u), v)) is_forest[e] = 1;
+        VertexId linked = unite(parent, static_cast<VertexId>(u), v);
+        if (linked != kInvalidVertex) {
+          link_edge[linked] = {static_cast<VertexId>(u), v};
+        }
       }
     });
     stats->add_edges(m);
@@ -71,22 +75,10 @@ RunReport<ConnectivityResult> connected_components(const Graph& g,
     parallel_for(0, n, [&](std::size_t v) {
       result.label[v] = find_root(parent, static_cast<VertexId>(v));
     });
+    // The linked roots are exactly the vertices that are no longer roots.
     result.forest = pack_indexed<Edge>(
-        m, [&](std::size_t e) { return is_forest[e] != 0; },
-        [&](std::size_t e) {
-          // Recover the source of edge e by binary search over offsets.
-          auto offsets = g.offsets();
-          std::size_t lo = 0, hi = n;
-          while (lo + 1 < hi) {
-            std::size_t mid = (lo + hi) / 2;
-            if (offsets[mid] <= e) {
-              lo = mid;
-            } else {
-              hi = mid;
-            }
-          }
-          return Edge{static_cast<VertexId>(lo), g.edge_target(e)};
-        });
+        n, [&](std::size_t v) { return result.label[v] != v; },
+        [&](std::size_t v) { return link_edge[v]; });
     result.num_components = count_distinct_labels(result.label);
     return result;
   });

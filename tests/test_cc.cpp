@@ -1,6 +1,7 @@
 // Tests for connected components (union-find and label propagation).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -115,9 +116,13 @@ TEST_P(CcTest, SpanningForestSizeAndAcyclicity) {
       EXPECT_NE(a, b) << name << ": forest has a cycle";
       parent[a] = b;
     }
-    // Forest connects exactly the components of g.
+    // Forest connects exactly the components of g, through edges of g.
     for (const Edge& e : r.forest) {
       EXPECT_EQ(r.label[e.from], r.label[e.to]) << name;
+      auto nb = g.neighbors(e.from);
+      EXPECT_NE(std::find(nb.begin(), nb.end(), e.to), nb.end())
+          << name << ": forest edge (" << e.from << ", " << e.to
+          << ") is not an edge of g";
     }
   }
 }
